@@ -18,6 +18,7 @@ from .embedding import (
 )
 from .errors import (
     AlphaOutOfRange,
+    CertificateCheckFailed,
     DegenerateLattice,
     InconsistentLengths,
     OutOfModuliStrip,
@@ -59,6 +60,7 @@ from .rigidity import (
     StrutFramework,
     build_framework,
     classify_packing,
+    decide_rigidity,
     find_nontrivial_flex,
     find_proper_stress,
 )
@@ -68,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaOutOfRange",
     "BasisReduction",
+    "CertificateCheckFailed",
     "DegenerateLattice",
     "Displacement",
     "EmbeddedGraph",
@@ -96,6 +99,7 @@ __all__ = [
     "classify",
     "classify_packing",
     "compare_with_closed_form",
+    "decide_rigidity",
     "density",
     "enumerate_census",
     "enumerate_toroidal",

@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument(
         "--lenient",
         action="store_true",
-        help="downgrade published-count mismatches from errors to warnings",
+        help="downgrade published count, name and verdict mismatches to warnings",
     )
 
     vp = sub.add_parser("verify", help="formula vs numerical oracle over sampled tori")
@@ -97,7 +97,7 @@ def cmd_pipeline(args) -> int:
             seed=args.seed,
         )
     except CountMismatch as exc:
-        print(f"count assertions failed: {exc}", file=sys.stderr)
+        print(f"published checks failed: {exc}", file=sys.stderr)
         return 1
     print(summary_table(report), end="")
     return 0

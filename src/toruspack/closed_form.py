@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .lattice import ModuliPoint, TorusPoint
-from .regions import RegionId, SQRT3, classify, region_count
+from .regions import RegionId, SQRT3, classify
 
 
 def _r2_1(x: float, y: float) -> float:
@@ -33,11 +33,13 @@ def _r3_2(x: float, y: float) -> float:
 
 
 def _r4_1(x: float, y: float) -> float:
-    return (
-        math.sqrt(x * x + y * y)
-        * math.sqrt((x - 0.5) ** 2 + (y - SQRT3 / 2) ** 2)
-        / (2 * (y - SQRT3 * x))
-    )
+    # |z| |z - h| / (2 (y - sqrt3 x)) with h = (1/2, sqrt3/2): both |z - h|
+    # and y - sqrt3 x vanish at h, so that product form loses its digits
+    # near h.  In u = x - 1/2, v = y - sqrt3/2 the same branch reads
+    # sqrt(1 + R^2) / 4 with R = (u + sqrt3 v + 2(u^2 + v^2)) / (v - sqrt3 u).
+    u, v = x - 0.5, y - SQRT3 / 2
+    R = (u + SQRT3 * v + 2 * (u * u + v * v)) / (v - SQRT3 * u)
+    return math.sqrt(1 + R * R) / 4
 
 
 def _r4_2(x: float, y: float) -> float:
@@ -73,22 +75,23 @@ def radius_branch(n: int, index: int, x: float, y: float) -> float:
         return math.nan
 
 
+# n = 4 at the hexagonal point (1/2, sqrt(3)/2), where R1_4 pinches to a
+# point and _r4_1 is 0/0: the radius is 1/4 there, and R = sqrt(16 r^2 - 1)
+# turns one rounding of r into center errors of order 1e-8 while R < 1e-7.
+# Within HEX_CORNER_TOL the corner value 1/4 is returned (R = 0, the
+# triangular close packing); the true radius exceeds it by at most
+# d^2/6 < 2e-13 at distance d.
+HEX_CORNER_TOL = 1e-6
+
+
 def optimal_radius(n: int, m: ModuliPoint) -> float:
     """Largest radius of n equal circles packable on the torus m."""
-    region = classify(n, m)
-    idx = region.index
-    # Branches agree on shared boundaries; prefer the lower-indexed branch
-    # there, except where it degenerates (0/0 at pinched corners).
-    if "lower" in region.boundary_flags and idx > 1:
-        idx -= 1
-    r = radius_branch(n, idx, m.x, m.y)
-    if not math.isfinite(r) or r < 0.25 - 1e-9:
-        for alt in (idx + 1, idx - 1):
-            if 1 <= alt <= region_count(n):
-                r_alt = radius_branch(n, alt, m.x, m.y)
-                if math.isfinite(r_alt) and r_alt >= 0.25 - 1e-9:
-                    return r_alt
-    return r
+    if n == 4 and math.hypot(m.x - 0.5, m.y - SQRT3 / 2) <= HEX_CORNER_TOL:
+        return 0.25
+    # The region's own branch, on its lower boundary too: adjacent branches
+    # agree on the curve, but a neighbour's layout a rounding above it can
+    # overlap (by up to 3e-4 near the hexagonal point within BOUNDARY_TOL).
+    return radius_branch(n, classify(n, m).index, m.x, m.y)
 
 
 @dataclass(frozen=True)

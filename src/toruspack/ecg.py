@@ -29,9 +29,10 @@ from .embedding import (
 from .errors import UnsupportedN
 from .geometry_embed import embedding_from_packing
 from .lattice import ModuliPoint
+from .oracle import RealizationSample, realize_embedding
 from .packing import Packing, extract_graph
 from .regions import SQRT3, boundary_curve
-from .rigidity import build_framework, find_nontrivial_flex
+from .rigidity import build_framework, decide_rigidity
 
 # anchor tori: (name, n, moduli point) -> realize the closed-form optimum
 # there and extract its embedding
@@ -65,6 +66,8 @@ class EcgEntry:
     forbidden_reason: str | None
     chain_reason: str | None
     realization_class: str | None  # 'rigid', 'flexible', 'none' (survivors only)
+    # the probe's retained realizations (unanchored survivors only)
+    samples: tuple[RealizationSample, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -94,20 +97,19 @@ def _sample_is_rigid(sample) -> bool:
     p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
     g = extract_graph(p, tol=1e-7)
     f = build_framework(p, g, tol=1e-7)
-    return find_nontrivial_flex(f) is None
+    return decide_rigidity(f).rigid
 
 
-def _probe_realization(e: EmbeddedGraph) -> str:
-    """'rigid' if any retained sample is infinitesimally rigid (the family
-    is locally maximally dense somewhere), else 'flexible' or 'none'."""
-    from .oracle import realize_embedding
-
-    samples = realize_embedding(
-        e, attempts=REALIZE_ATTEMPTS, seed=REALIZE_SEED, max_samples=8
+def _probe_realization(e: EmbeddedGraph) -> tuple[str, tuple[RealizationSample, ...]]:
+    """The retained samples, classed 'rigid' if any of them is
+    infinitesimally rigid (the family is locally maximally dense
+    somewhere), else 'flexible', or 'none' when nothing realized."""
+    samples = tuple(
+        realize_embedding(e, attempts=REALIZE_ATTEMPTS, seed=REALIZE_SEED, max_samples=8)
     )
     if not samples:
-        return "none"
-    return "rigid" if any(_sample_is_rigid(s) for s in samples) else "flexible"
+        return "none", samples
+    return ("rigid" if any(_sample_is_rigid(s) for s in samples) else "flexible"), samples
 
 
 @lru_cache(maxsize=None)
@@ -220,9 +222,8 @@ def identify(n: int) -> EcgCatalog:
                 named[ii] = name
         surv_idx = [ii for ii, i in enumerate(info) if i["survives"]]
         unnamed_surv = [ii for ii in surv_idx if ii not in named]
-        real_class: dict[int, str] = {
-            ii: _probe_realization(info[ii]["embedding"]) for ii in unnamed_surv
-        }
+        probes = {ii: _probe_realization(info[ii]["embedding"]) for ii in unnamed_surv}
+        real_class = {ii: cls for ii, (cls, _) in probes.items()}
         if unnamed_surv:
             if n == 3 and cg == 2:
                 named[unnamed_surv[0]] = "ECG2-2"
@@ -243,9 +244,7 @@ def identify(n: int) -> EcgCatalog:
                 for k, ii in enumerate(unnamed_surv):
                     named[ii] = f"ECG{cg}-{k + 1}"
         for ii, i in enumerate(info):
-            rc = None
-            if i["survives"]:
-                rc = real_class.get(ii)
+            rc, samples = probes.get(ii, (None, ()))  # probed survivors only
             entries.append(
                 EcgEntry(
                     name=named.get(ii),
@@ -257,6 +256,7 @@ def identify(n: int) -> EcgCatalog:
                     if (i["chain"] is None or i["chain"].keep)
                     else i["chain"].reason,
                     realization_class=rc,
+                    samples=samples,
                 )
             )
     return EcgCatalog(n=n, cg_ids=cg_ids, entries=tuple(entries))
@@ -302,6 +302,18 @@ EXPECTED_GMD = {
     "ECG23-1",
     "ECG23-2",
 }
+
+
+def expected_names(n: int) -> set[str]:
+    """Published names of n-vertex embeddings (CG1-CG3 have three vertices)."""
+    every = (
+        EXPECTED_NOT_REALIZABLE
+        | EXPECTED_FLEXIBLE
+        | EXPECTED_LMD_NOT_GMD
+        | EXPECTED_MIXED_GMD
+        | EXPECTED_GMD
+    )
+    return {name for name in every if (int(name[3:].split("-")[0]) <= 3) == (n == 3)}
 
 
 def expected_class(name: str) -> str:

@@ -25,5 +25,9 @@ class InconsistentLengths(TorusPackError):
     """Strut lengths disagree with the packing diameter."""
 
 
+class CertificateCheckFailed(TorusPackError):
+    """An exact rigidity certificate failed its re-check on the float data."""
+
+
 class UnsupportedN(TorusPackError):
     """Circle count outside the range this package handles."""

@@ -1,9 +1,17 @@
-"""Small dense exact-rational linear programs via tableau simplex.
+"""Exact-rational linear algebra for the rigidity certificates.
 
-The rigidity certificates need yes/no answers that survive scrutiny, so
-everything here runs over `fractions.Fraction` with Bland's rule (no
-cycling, no tolerance knobs).  Problem sizes are tiny (at most a few dozen
-variables and constraints), so the classic dense tableau is plenty.
+Two routines, both over `fractions.Fraction` so that a yes/no answer is a
+certificate rather than a tolerance call:
+
+  * `feasible_nonnegative`: phase-1 tableau simplex (Bland's rule, no
+    cycling) for  A x = b, x >= 0.  It returns either a solution x or a
+    Farkas certificate y with  y.A <= 0  and  y.b > 0, read off the final
+    simplex multipliers, so infeasibility is proved, not just reported.
+  * `nullspace`: a basis of {x : A x = 0} by reduced row echelon form; the
+    exact rank is the column count minus its length.
+
+Problem sizes are tiny (at most a few dozen rows and columns), so the dense
+tableau is plenty.
 """
 from __future__ import annotations
 
@@ -17,122 +25,82 @@ def _to_fraction_matrix(rows) -> Mat:
     return [[Fraction(v) for v in row] for row in rows]
 
 
-def simplex_max(c, A_ub, b_ub) -> tuple[str, Vec, Fraction]:
-    """maximize c.x  s.t.  A_ub x <= b_ub,  x >= 0   (b_ub >= 0 required).
+def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
+    """Decide  A_eq x = b_eq, x >= 0:  (x, None) if feasible, else (None, y)
+    with  y.A_eq <= 0  componentwise and  y.b_eq > 0  (Farkas' lemma).
 
-    Returns (status, x, value) with status in {"optimal", "unbounded"}.
-    """
-    A = _to_fraction_matrix(A_ub)
-    b = [Fraction(v) for v in b_ub]
-    c = [Fraction(v) for v in c]
-    m, n = len(A), len(c)
-    assert all(bi >= 0 for bi in b), "b must be nonnegative (origin feasible)"
-    # tableau: rows 0..m-1 constraints with slack basis, last row objective
-    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    obj = [-ci for ci in c] + [Fraction(0)] * m + [Fraction(0)]
-    basis = [n + i for i in range(m)]
-    while True:
-        # Bland: entering = lowest index with negative reduced cost
-        enter = next((j for j in range(n + m) if obj[j] < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (T[i][-1] / T[i][enter], basis[i], i)
-            for i in range(m)
-            if T[i][enter] > 0
-        ]
-        if not ratios:
-            return "unbounded", [], Fraction(0)
-        _, _, piv = min(ratios, key=lambda t: (t[0], t[1]))
-        pv = T[piv][enter]
-        T[piv] = [v / pv for v in T[piv]]
-        for i in range(m):
-            if i != piv and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * b_ for a, b_ in zip(T[i], T[piv])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b_ for a, b_ in zip(obj, T[piv])]
-        basis[piv] = enter
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return "optimal", x, value
-
-
-def maximize_free(c, A_ub, b_ub, box: Fraction) -> tuple[str, Vec, Fraction]:
-    """maximize c.x  s.t.  A_ub x <= b_ub,  -box <= x_i <= box,  x free.
-
-    Free variables are split as x = u - v with u, v >= 0.
-    """
-    n = len(c)
-    c2 = list(c) + [-ci for ci in c]
-    A2 = [list(row) + [-v for v in row] for row in A_ub]
-    b2 = list(b_ub)
-    for i in range(n):
-        row = [Fraction(0)] * (2 * n)
-        row[i], row[n + i] = Fraction(1), Fraction(-1)
-        A2.append(row)
-        b2.append(Fraction(box))
-        A2.append([-v for v in row])
-        b2.append(Fraction(box))
-    status, z, value = simplex_max(c2, A2, b2)
-    if status != "optimal":
-        return status, [], Fraction(0)
-    x = [z[i] - z[n + i] for i in range(n)]
-    return status, x, value
-
-
-def feasible_nonnegative(A_eq, b_eq) -> Vec | None:
-    """Find x >= 0 with A_eq x = b_eq, or None (phase-1 simplex).
-
-    Starts from the artificial basis and drives the infeasibility (sum of
-    artificials) to zero; entering column by Bland's rule on the x-part.
+    Phase 1 minimizes the sum of artificials from the artificial basis.  The
+    objective row is kept as u.[A | I | b] for the simplex multipliers u, so
+    its artificial block is u itself; at the optimum u.A <= 0 (no entering
+    column) and u.b equals the remaining infeasibility.
     """
     A = _to_fraction_matrix(A_eq)
     b = [Fraction(v) for v in b_eq]
     m = len(A)
-    n = len(A[0]) if m else 0
     if m == 0:
-        return []
+        return [], None
+    n = len(A[0])
+    flipped = [bi < 0 for bi in b]
     for i in range(m):
-        if b[i] < 0:
+        if flipped[i]:
             A[i] = [-v for v in A[i]]
             b[i] = -b[i]
     # columns: n structural + m artificial, rhs last
     T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    # reduced costs for minimizing sum of artificials: sum of rows, x-part
-    red = [sum(T[i][j] for i in range(m)) for j in range(n + m + 1)]
+    red = [sum(T[i][j] for i in range(m)) for j in range(n + m + 1)]  # u = 1
     while True:
         enter = next((j for j in range(n) if red[j] > 0), None)
         if enter is None:
             break
-        ratios = [
-            (T[i][-1] / T[i][enter], basis[i], i)
-            for i in range(m)
-            if T[i][enter] > 0
-        ]
-        if not ratios:
-            break
-        _, _, piv = min(ratios, key=lambda t: (t[0], t[1]))
+        # red[enter] > 0 sums the column over artificial rows, so some entry
+        # is positive and the ratio test is never empty
+        _, _, piv = min(
+            (T[i][-1] / T[i][enter], basis[i], i) for i in range(m) if T[i][enter] > 0
+        )
         pv = T[piv][enter]
         T[piv] = [v / pv for v in T[piv]]
         for i in range(m):
             if i != piv and T[i][enter]:
                 f = T[i][enter]
                 T[i] = [a - f * b_ for a, b_ in zip(T[i], T[piv])]
-        if red[enter]:
-            f = red[enter]
-            red = [a - f * b_ for a, b_ in zip(red, T[piv])]
+        f = red[enter]
+        red = [a - f * b_ for a, b_ in zip(red, T[piv])]
         basis[piv] = enter
-    infeasibility = sum(T[i][-1] for i in range(m) if basis[i] >= n)
-    if infeasibility != 0:
-        return None
+    if red[-1] != 0:  # u.b = remaining infeasibility
+        y = [-u if flip else u for u, flip in zip(red[n:n + m], flipped)]
+        return None, y
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = T[i][-1]
-    return x
+    return x, None
+
+
+def nullspace(rows, ncols: int) -> list[Vec]:
+    """Basis of {x : rows . x = 0} over the rationals (empty iff full column
+    rank); one vector per non-pivot column of the reduced row echelon form."""
+    R = _to_fraction_matrix(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        pv = R[r][c]
+        R[r] = [v / pv for v in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [a - f * b_ for a, b_ in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -R[i][free]
+        basis.append(x)
+    return basis

@@ -17,15 +17,38 @@ import numpy as np
 
 from .census import enumerate_census, write_census_file
 from .closed_form import optimal_centers
-from .ecg import expected_class, identify
+from .ecg import REALIZE_ATTEMPTS, expected_class, expected_names, identify
+from .lattice import LatticeBasis, reduce_to_standard_basis
 from .oracle import compare_with_closed_form, realize_embedding
-from .packing import SCHEMA_VERSION, to_json
-from .regions import region_count, sample_interior
+from .packing import (
+    SCHEMA_VERSION,
+    Packing,
+    density,
+    extract_graph,
+    graph_to_dict,
+    packing_to_dict,
+    to_json,
+)
+from .regions import classify, region_count, sample_interior
+from .rigidity import build_framework, decide_rigidity
 
 EXPECTED_CENSUS = {3: (37, 10, 3), 4: (825, 102, 20)}
 EXPECTED_EMBEDDINGS = {3: 6, 4: 97}
 EXPECTED_AFTER_FORBIDDEN = {3: 6, 4: 31}
 EXPECTED_AFTER_BOTH = {3: 6, 4: 21}
+
+# seeded attempts behind the globally-optimal witness of an anchored name
+ANCHOR_WITNESS_ATTEMPTS = 200
+
+# published class -> the realization verdict prefix it must show; anchored
+# names are realized by the closed-form optimum at their anchor torus
+_EXPECTED_REALIZATION = {
+    "not realizable": "no realization found",
+    "realizable, never locally maximally dense": "flexible",
+    "locally but never globally maximally dense": "rigid",
+    "globally maximally dense on part of the moduli strip": "anchored",
+    "globally maximally dense": "anchored",
+}
 
 
 class CountMismatch(AssertionError):
@@ -70,7 +93,6 @@ def run_pipeline(
     strict: bool = True,
     seed: int = 0,
     oracle_restarts: int = 120,
-    realize_attempts: int = 200,
 ) -> PipelineReport:
     os.makedirs(out_dir, exist_ok=True)
     census = enumerate_census(n)
@@ -117,12 +139,10 @@ def run_pipeline(
         if skip_oracle:
             verdict["realization"] = "skipped"
         else:
-            from .ecg import REALIZE_ATTEMPTS
-
             cls = e.realization_class
             if cls is None:
                 samples = realize_embedding(
-                    e.embedding, attempts=realize_attempts, seed=seed, max_samples=3
+                    e.embedding, attempts=ANCHOR_WITNESS_ATTEMPTS, seed=seed, max_samples=3
                 )
                 cls = "anchored (globally optimal witness)" if samples else "anchored"
             if cls == "none":
@@ -130,8 +150,8 @@ def run_pipeline(
                 cls = f"no realization found in {REALIZE_ATTEMPTS} attempts"
             verdict["realization"] = cls
             if cls in ("rigid", "flexible"):
-                verdict["regions"] = _occupied_regions(e, n)
-                verdict["witness"] = _rigidity_witness(e, seed)
+                verdict["regions"] = sorted({classify(n, s.m).name for s in e.samples})
+                verdict["witness"] = _rigidity_witness(e.samples[0])
         report.verdicts.append(verdict)
 
     # formula vs oracle table
@@ -141,19 +161,7 @@ def run_pipeline(
             for _ in range(3):
                 m = sample_interior(n, index, rng)
                 cmp = compare_with_closed_form(n, m, restarts=oracle_restarts, seed=seed)
-                report.oracle_rows.append(
-                    {
-                        "n": n,
-                        "x": m.x,
-                        "y": m.y,
-                        "region": index,
-                        "formula_r": cmp.formula_radius,
-                        "oracle_r": cmp.oracle_radius,
-                        "gap": cmp.gap,
-                        "restarts": cmp.restarts,
-                        "seed": seed,
-                    }
-                )
+                report.oracle_rows.append(_oracle_row(n, m, index, cmp, seed))
         write_oracle_csv(os.path.join(out_dir, f"oracle_n{n}.csv"), report.oracle_rows)
 
     _check_counts(report)
@@ -164,43 +172,34 @@ def run_pipeline(
     return report
 
 
-def _occupied_regions(entry, n: int) -> list[str]:
-    from .ecg import REALIZE_ATTEMPTS, REALIZE_SEED
-    from .regions import classify
-
-    samples = realize_embedding(
-        entry.embedding, attempts=REALIZE_ATTEMPTS, seed=REALIZE_SEED, max_samples=8
-    )
-    regions = sorted({classify(n, s.m).name for s in samples})
-    return regions
-
-
-def _rigidity_witness(entry, seed: int) -> dict | None:
+def _rigidity_witness(sample) -> dict:
     """Flex or stress certificate of one realization sample, for audit."""
-    from .ecg import REALIZE_ATTEMPTS, REALIZE_SEED
-    from .packing import Packing, extract_graph
-    from .rigidity import build_framework, find_nontrivial_flex, find_proper_stress
-
-    samples = realize_embedding(
-        entry.embedding, attempts=REALIZE_ATTEMPTS, seed=REALIZE_SEED, max_samples=1
-    )
-    if not samples:
-        return None
-    s = samples[0]
-    p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
-    f = build_framework(p, extract_graph(p, tol=1e-7), tol=1e-7)
-    flex = find_nontrivial_flex(f)
-    out = {"moduli": {"x": s.m.x, "y": s.m.y}}
-    if flex is not None:
-        out["flex"] = [list(v) for v in flex.velocities]
-    else:
-        stress = find_proper_stress(f)
-        if stress is not None:
-            out["stress"] = list(stress.coefficients)
+    p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
+    decision = decide_rigidity(build_framework(p, extract_graph(p, tol=1e-7), tol=1e-7))
+    out = {"moduli": {"x": sample.m.x, "y": sample.m.y}}
+    if decision.flex is not None:
+        out["flex"] = [list(v) for v in decision.flex.velocities]
+    elif decision.stress is not None:
+        out["stress"] = list(decision.stress.coefficients)
     return out
 
 
+def _oracle_row(n: int, m, index: int, cmp, seed: int) -> dict:
+    return {
+        "n": n,
+        "x": m.x,
+        "y": m.y,
+        "region": index,
+        "formula_r": cmp.formula_radius,
+        "oracle_r": cmp.oracle_radius,
+        "gap": cmp.gap,
+        "restarts": cmp.restarts,
+        "seed": seed,
+    }
+
+
 def _check_counts(report: PipelineReport) -> None:
+    """Record every published count, name or verdict the report misses."""
     n = report.n
     checks = [
         ("census", report.census_counts, EXPECTED_CENSUS[n]),
@@ -211,6 +210,17 @@ def _check_counts(report: PipelineReport) -> None:
     for label, got, want in checks:
         if tuple(np.atleast_1d(got)) != tuple(np.atleast_1d(want)):
             report.failures.append(f"{label}: got {got}, expected {want}")
+    names = [v["name"] for v in report.verdicts if v["name"]]
+    for name in sorted({x for x in names if names.count(x) > 1}):
+        report.failures.append(f"name {name} assigned {names.count(name)} times")
+    for name in sorted(expected_names(n) - set(names)):
+        report.failures.append(f"published name {name} missing from the survivors")
+    for v in report.verdicts:
+        want = _EXPECTED_REALIZATION.get(v["expected"])
+        if want and v["realization"] != "skipped" and not v["realization"].startswith(want):
+            report.failures.append(
+                f"{v['name']}: realization {v['realization']!r}, published {v['expected']!r}"
+            )
 
 
 def write_oracle_csv(path: str, rows: list[dict]) -> None:
@@ -236,7 +246,7 @@ def summary_table(report: PipelineReport) -> str:
             line += f"  regions={','.join(v['regions'])}"
         buf.write(line + "\n")
     for f in report.failures:
-        buf.write(f"  COUNT MISMATCH: {f}\n")
+        buf.write(f"  CHECK FAILED: {f}\n")
     return buf.getvalue()
 
 
@@ -244,10 +254,6 @@ def summary_table(report: PipelineReport) -> str:
 
 
 def solve_report(n: int, v1, v2, tol: float = 1e-9) -> dict:
-    from .lattice import LatticeBasis, reduce_to_standard_basis
-    from .packing import Packing, density, extract_graph, graph_to_dict, packing_to_dict
-    from .regions import classify
-
     m, rec = reduce_to_standard_basis(LatticeBasis(tuple(v1), tuple(v2)))
     region = classify(n, m)
     sol = optimal_centers(n, m)
@@ -282,19 +288,7 @@ def verify_run(n: int, samples: int, seed: int, restarts: int = 200) -> tuple[li
         for _ in range(samples):
             m = sample_interior(n, index, rng)
             cmp = compare_with_closed_form(n, m, restarts=restarts, seed=seed)
-            rows.append(
-                {
-                    "n": n,
-                    "x": m.x,
-                    "y": m.y,
-                    "region": index,
-                    "formula_r": cmp.formula_radius,
-                    "oracle_r": cmp.oracle_radius,
-                    "gap": cmp.gap,
-                    "restarts": restarts,
-                    "seed": seed,
-                }
-            )
+            rows.append(_oracle_row(n, m, index, cmp, seed))
             if cmp.gap > 1e-3 or not cmp.oracle_within_bound:
                 ok = False
     return rows, ok

@@ -1,14 +1,21 @@
-"""Strut frameworks from packings: infinitesimal flexes and proper stresses.
+"""Strut frameworks from packings, and their rigidity decided by duality.
 
 A packing graph becomes a strut framework (edges may not shrink to first
-order).  Rigidity on the fixed torus is a pure feasibility question:
+order).  Translations are the only trivial motions on the fixed torus, so
+vertex 0 is pinned: the framework is infinitesimally rigid when no nonzero
+velocity field v has  (v_j - v_i) . e >= 0  on every strut (i, j, e).  By
+Roth and Whiteley (Trans. AMS 265, 1981; for packings Connelly, Eur. J.
+Combin. 29, 2008) that holds exactly when a proper stress exists (w_e <= -1
+with sum_e w_e e = 0 at every vertex) and the bar framework has full rank
+2(n - 1).  `decide_rigidity` runs the stress LP once: if it is infeasible,
+its Farkas multipliers are a flex (strict on some strut); if it is feasible,
+a kernel vector of the pinned rigidity matrix is a flex, and without one
+the stress certifies rigidity.
 
-  flex:    v with (v_j - v_i) . e >= 0 for every strut, v_0 pinned;
-  stress:  w <= -1 per strut with  sum_e w_e e_vec = 0 at every vertex.
-
-Both are decided in exact rational arithmetic on a rationalized copy of the
-strut vectors (denominator bound 1e12) and the witnesses re-checked against
-the original floats, so a verdict is a certificate rather than a guess.
+The exact work runs on strut vectors rationalized to denominators at most
+1e12, and every certificate is re-checked against the original floats; a
+failed re-check raises `CertificateCheckFailed` instead of passing for a
+verdict.
 """
 from __future__ import annotations
 
@@ -18,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InconsistentLengths
-from .exact_lp import feasible_nonnegative, maximize_free
+from .errors import CertificateCheckFailed, InconsistentLengths
+from .exact_lp import feasible_nonnegative, nullspace
 from .lattice import DEFAULT_TOL
 from .packing import Packing, PackingGraph, extract_graph, tangency_directions
 
@@ -81,56 +88,80 @@ def build_framework(p: Packing, g: PackingGraph, tol: float = DEFAULT_TOL) -> St
     return StrutFramework(vertices=verts, struts=tuple(struts))
 
 
-def _rationalize(x: float) -> Fraction:
-    return Fraction(x).limit_denominator(RATIONALIZE_DENOMINATOR)
+def _equilibrium_matrix(f: StrutFramework) -> list[list[Fraction]]:
+    """Rows 2v, 2v+1: each strut's rationalized vector pointing away from v.
+    Its transpose without vertex 0's rows is the pinned rigidity matrix."""
+    A = [[Fraction(0)] * len(f.struts) for _ in range(2 * f.n)]
+    for k, (i, j, e) in enumerate(f.struts):
+        for c in (0, 1):
+            x = Fraction(e[c]).limit_denominator(RATIONALIZE_DENOMINATOR)
+            A[2 * i + c][k] += x
+            A[2 * j + c][k] -= x
+    return A
+
+
+@dataclass(frozen=True)
+class RigidityDecision:
+    """A flex when the framework is flexible, and the proper stress whenever
+    one exists (a rigid framework always has one)."""
+
+    flex: FlexVector | None
+    stress: Stress | None
+
+    @property
+    def rigid(self) -> bool:
+        return self.flex is None
+
+
+def decide_rigidity(f: StrutFramework) -> RigidityDecision:
+    """Flex or stress certificate from one phase-1 LP and one exact rank."""
+    A = _equilibrium_matrix(f)
+    stress, flex = _stress_lp(f, A)
+    if flex is None:
+        kernel = nullspace(list(zip(*A[2:])), 2 * (f.n - 1))
+        if kernel:  # rank short of 2(n - 1)
+            v = [0, 0] + kernel[0]
+            flex = _checked_flex(f, list(zip(v[::2], v[1::2])))
+    return RigidityDecision(flex=flex, stress=stress)
 
 
 def find_nontrivial_flex(f: StrutFramework) -> FlexVector | None:
-    """A nonzero velocity field satisfying every strut inequality, or None.
+    """A nonzero velocity field (vertex 0 pinned) satisfying every strut
+    inequality, or None when the framework is infinitesimally rigid."""
+    return decide_rigidity(f).flex
 
-    Vertex 0 is pinned to quotient out the torus translations.  The cone
-    {v : (v_j - v_i) . e >= 0} is probed by maximizing +-v_k inside the unit
-    box for every coordinate k; any positive optimum certifies a flex.
-    """
-    n = f.n
-    if n <= 1 or not f.struts:
-        free = [v for v in range(n) if v != 0]
-        if not free:
-            return None
-        # no struts at all: any motion of the unpinned vertices is a flex
-        vel = [(0.0, 0.0)] * n
-        vel[free[0]] = (0.0, 1.0)
-        return FlexVector(tuple(vel))
-    nv = 2 * (n - 1)  # vertex 0 pinned
 
-    def var(vertex: int, coord: int) -> int:
-        return 2 * (vertex - 1) + coord
+def find_proper_stress(f: StrutFramework) -> Stress | None:
+    """Equilibrium stresses with every strut coefficient <= -1, or None."""
+    return _stress_lp(f, _equilibrium_matrix(f))[0]
 
-    rows = []
-    for i, j, e in f.struts:
-        ex, ey = _rationalize(e[0]), _rationalize(e[1])
-        row = [Fraction(0)] * nv
-        if j != 0:
-            row[var(j, 0)] -= ex
-            row[var(j, 1)] -= ey
-        if i != 0:
-            row[var(i, 0)] += ex
-            row[var(i, 1)] += ey
-        rows.append(row)  #  -(v_j - v_i).e <= 0
-    b = [Fraction(0)] * len(rows)
-    for k in range(nv):
-        for sign in (1, -1):
-            c = [Fraction(0)] * nv
-            c[k] = Fraction(sign)
-            status, x, value = maximize_free(c, rows, b, Fraction(1))
-            if status == "optimal" and value > 0:
-                vel = [(0.0, 0.0)]
-                for v in range(1, n):
-                    vel.append((float(x[var(v, 0)]), float(x[var(v, 1)])))
-                flex = FlexVector(tuple(vel))
-                if verify_flex(f, flex):
-                    return flex
-    return None
+
+def _stress_lp(f: StrutFramework, A) -> tuple[Stress | None, FlexVector | None]:
+    """(proper stress, None), (None, None) without struts, or (None, flex)
+    from the Farkas certificate of the infeasible stress LP."""
+    # substitute w = -1 - s with s >= 0:  A s = -A 1
+    s, y = feasible_nonnegative(A, [-sum(row) for row in A])
+    if s is None:
+        # column k of y.A is -(y_j - y_i) . e_k: y.A <= 0 and
+        # y.b = -sum(y.A) > 0 make y a flex, strict on some strut
+        return None, _checked_flex(f, list(zip(y[::2], y[1::2])))
+    if not f.struts:
+        return None, None
+    stress = Stress(tuple(-1.0 - float(si) for si in s))
+    if not verify_stress(f, stress):
+        raise CertificateCheckFailed(f"exact proper stress fails the float check: {stress}")
+    return stress, None
+
+
+def _checked_flex(f: StrutFramework, velocities) -> FlexVector:
+    """Pin vertex 0, scale the largest component to 1, re-check in floats."""
+    x0, y0 = velocities[0]
+    shifted = [(vx - x0, vy - y0) for vx, vy in velocities]
+    top = max(abs(c) for v in shifted for c in v)
+    flex = FlexVector(tuple((float(vx / top), float(vy / top)) for vx, vy in shifted))
+    if not verify_flex(f, flex):
+        raise CertificateCheckFailed(f"exact flex fails the float check: {flex}")
+    return flex
 
 
 def verify_flex(f: StrutFramework, flex: FlexVector, tol: float = FLOAT_CHECK_TOL) -> bool:
@@ -141,29 +172,6 @@ def verify_flex(f: StrutFramework, flex: FlexVector, tol: float = FLOAT_CHECK_TO
         if (v[j] - v[i]) @ np.asarray(e) < -tol:
             return False
     return True
-
-
-def find_proper_stress(f: StrutFramework) -> Stress | None:
-    """Equilibrium stresses with every strut coefficient <= -1, or None."""
-    if not f.struts:
-        return None
-    n, m = f.n, len(f.struts)
-    # equilibrium rows: sum over struts at v of w_e * (vector away from v) = 0
-    A = [[Fraction(0)] * m for _ in range(2 * n)]
-    for k, (i, j, e) in enumerate(f.struts):
-        ex, ey = _rationalize(e[0]), _rationalize(e[1])
-        A[2 * i][k] += ex
-        A[2 * i + 1][k] += ey
-        A[2 * j][k] -= ex
-        A[2 * j + 1][k] -= ey
-    # substitute w = -1 - s with s >= 0:  A s = -A 1
-    b = [-sum(row) for row in A]
-    s = feasible_nonnegative(A, b)
-    if s is None:
-        return None
-    w = [-1.0 - float(si) for si in s]
-    stress = Stress(tuple(w))
-    return stress if verify_stress(f, stress) else None
 
 
 def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TOL) -> bool:
@@ -199,4 +207,4 @@ def classify_packing(p: Packing, tol: float = DEFAULT_TOL) -> str:
     counts = f.strut_counts()
     if min(counts, default=0) < 3 or has_halfplane_vertex(g, p):
         return "free-circle"
-    return "flexible" if find_nontrivial_flex(f) is not None else "rigid-LMD"
+    return "rigid-LMD" if decide_rigidity(f).rigid else "flexible"

@@ -111,6 +111,24 @@ class TestCenters:
                     p.validate(tol=1e-9)
                     assert density(p) <= TRIANGULAR_DENSITY + 1e-12
 
+    def test_validity_above_boundaries_and_near_hexagonal_point(self):
+        # a point a rounding above a boundary curve, and the thin end of
+        # R1_4 where it pinches to the hexagonal point (1/2, sqrt(3)/2)
+        rng = np.random.default_rng(61)
+        points = []
+        for n in (2, 3, 4):
+            for idx in range(1, region_count(n)):
+                for _ in range(20):
+                    x = float(rng.uniform(0.001, 0.499))
+                    y = boundary_curve(n, idx, x) + float(rng.uniform(0, 1e-9))
+                    points.append((n, ModuliPoint(x, y)))
+        for d in (2e-6, 1e-5, 1e-4):
+            x = 0.5 - d
+            points.append((4, ModuliPoint(x, (math.sqrt(1 - x * x) + boundary_curve(4, 1, x)) / 2)))
+        for n, m in points:
+            sol = optimal_centers(n, m)
+            Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=1e-11)
+
     def test_interior_semicircle_condition(self):
         from toruspack.packing import angle_spectrum
 

@@ -3,9 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from toruspack.report import run_pipeline, solve_report, verify_run
+from toruspack.ecg import expected_class
+from toruspack.regions import boundary_curve
+from toruspack.report import PipelineReport, _check_counts, run_pipeline, solve_report, verify_run
 
 SQRT3 = math.sqrt(3.0)
 
@@ -42,6 +45,27 @@ class TestSolve:
         assert big["moduli"] == small["moduli"]
         assert big["scale"] == pytest.approx(0.5)
         assert big["radius_original_units"] == pytest.approx(2 * small["radius"], abs=1e-12)
+
+    def test_hexagonal_corner_disguised_bases(self):
+        # R1_4 pinches to the hexagonal point; rounded reductions of it land
+        # on either side and must all give the triangular close packing
+        rng = np.random.default_rng(2024)
+        for k in range(20):
+            y = SQRT3 / 2 if k % 2 else boundary_curve(4, 1, 0.5)
+            A = np.eye(2)
+            for _ in range(int(rng.integers(1, 5))):
+                shear = int(rng.integers(-3, 4))
+                A = (np.array([[1, shear], [0, 1]]) if rng.random() < 0.5
+                     else np.array([[1, 0], [shear, 1]])) @ A
+            t = rng.uniform(0, 2 * math.pi)
+            Q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            if rng.random() < 0.5:
+                Q = Q @ np.diag([1.0, -1.0])
+            scale = 10.0 ** rng.uniform(-2, 2)
+            B = scale * (A @ np.array([[1.0, 0.0], [0.5, y]])) @ Q.T
+            rec = solve_report(4, tuple(B[0]), tuple(B[1]))
+            assert rec["radius"] == pytest.approx(0.25, abs=1e-12)
+            assert rec["tangencies"] == 12
 
     def test_cli_solve_json_deterministic(self):
         a = run_cli("solve", "--n", "2", "--v1", "1,0", "--v2", "0,1", "--json")
@@ -88,6 +112,46 @@ class TestPipeline:
             rec = json.loads(line)
             assert rec["schema"] == 1
             assert isinstance(rec["rotation"], list)
+
+
+class TestChecks:
+    @staticmethod
+    def published_n3():
+        realization = {"ECG2-2": "flexible"}
+        verdicts = [
+            {"name": name, "expected": expected_class(name),
+             "realization": realization.get(name, "anchored (globally optimal witness)")}
+            for name in ("ECG1-1", "ECG1-2", "ECG2-1", "ECG2-2", "ECG2-3", "ECG3-1")
+        ]
+        return PipelineReport(3, (37, 10, 3), 6, 6, 6, verdicts=verdicts)
+
+    def test_published_report_passes(self):
+        report = self.published_n3()
+        _check_counts(report)
+        assert report.failures == []
+
+    def test_doctored_reports_fail(self):
+        wrong_verdict = self.published_n3()
+        wrong_verdict.verdicts[3]["realization"] = "rigid"
+        missing = self.published_n3()
+        missing.verdicts[5]["name"] = None
+        twice = self.published_n3()
+        twice.verdicts[1]["name"] = "ECG1-1"
+        unrealized = self.published_n3()
+        unrealized.verdicts[0]["realization"] = "no realization found in 240 attempts"
+        for report, needle in ((wrong_verdict, "ECG2-2: realization 'rigid'"),
+                               (missing, "ECG3-1 missing"),
+                               (twice, "ECG1-1 assigned 2 times"),
+                               (unrealized, "ECG1-1: realization")):
+            _check_counts(report)
+            assert any(needle in f for f in report.failures), report.failures
+
+    def test_skipped_realization_not_judged(self):
+        report = self.published_n3()
+        for v in report.verdicts:
+            v["realization"] = "skipped"
+        _check_counts(report)
+        assert report.failures == []
 
 
 class TestVerify:

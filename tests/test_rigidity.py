@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toruspack import rigidity
 from toruspack.closed_form import optimal_centers
-from toruspack.exact_lp import feasible_nonnegative, maximize_free, simplex_max
+from toruspack.errors import CertificateCheckFailed
+from toruspack.exact_lp import feasible_nonnegative, nullspace
 from toruspack.lattice import ModuliPoint, TorusPoint
 from toruspack.packing import Packing, extract_graph
 from toruspack.regions import region_count, sample_interior
@@ -13,6 +15,7 @@ from toruspack.rigidity import (
     StrutFramework,
     build_framework,
     classify_packing,
+    decide_rigidity,
     find_nontrivial_flex,
     find_proper_stress,
     verify_flex,
@@ -28,53 +31,54 @@ def optimal_packing(n, m):
 
 
 class TestExactLP:
-    def test_simple_max(self):
-        # max x+y st x<=2, y<=3
-        status, x, val = simplex_max([1, 1], [[1, 0], [0, 1]], [2, 3])
-        assert status == "optimal"
-        assert val == Fraction(5)
-
-    def test_unbounded(self):
-        status, _, _ = simplex_max([1], [[-1]], [0])
-        assert status == "unbounded"
-
-    def test_degenerate_origin(self):
-        # two constraints tight at the origin; Bland's rule must not cycle
-        status, x, val = simplex_max(
-            [1, 1],
-            [[1, -1], [-1, 1], [1, 0], [0, 1]],
-            [0, 0, 1, 1],
-        )
-        assert status == "optimal"
-        assert val == Fraction(2)
-
-    def test_free_box(self):
-        status, x, val = maximize_free([-1, 2], [[1, 1]], [Fraction(1)], Fraction(1))
-        assert status == "optimal"
-        assert val == Fraction(3)  # x=-1, y=1
-
     def test_feasibility(self):
         # x1 + x2 = 2, x1 - x2 = 0  ->  x = (1, 1)
-        x = feasible_nonnegative([[1, 1], [1, -1]], [2, 0])
-        assert x == [Fraction(1), Fraction(1)]
-        assert feasible_nonnegative([[1, 1]], [-1]) is None
+        x, y = feasible_nonnegative([[1, 1], [1, -1]], [2, 0])
+        assert x == [Fraction(1), Fraction(1)] and y is None
+        x, y = feasible_nonnegative([[1, 1]], [-1])
+        assert x is None and _is_farkas([[1, 1]], [-1], y)
+
+    def test_degenerate_origin(self):
+        # rows tight at zero and a redundant pair; Bland's rule must not cycle
+        A = [[1, -1, 0], [-1, 1, 0], [1, 1, 1], [2, 2, 2]]
+        x, y = feasible_nonnegative(A, [0, 0, 2, 4])
+        assert y is None and min(x) >= 0
+        assert [sum(a * v for a, v in zip(row, x)) for row in A] == [0, 0, 2, 4]
+        x, y = feasible_nonnegative(A, [0, 0, 2, 3])
+        assert x is None and _is_farkas(A, [0, 0, 2, 3], y)
 
     def test_against_scipy(self):
         from scipy.optimize import linprog
 
         rng = np.random.default_rng(79)
-        for _ in range(40):
-            nvar, ncon = 3, 5
+        outcomes = set()
+        for _ in range(60):
+            ncon, nvar = int(rng.integers(2, 5)), int(rng.integers(2, 6))
             A = rng.integers(-4, 5, (ncon, nvar))
-            b = rng.integers(0, 6, ncon)
-            c = rng.integers(-3, 4, nvar)
-            status, x, val = simplex_max(list(c), A.tolist(), b.tolist())
-            ref = linprog(-c, A_ub=A, b_ub=b, bounds=[(0, None)] * nvar, method="highs")
-            if status == "optimal":
-                assert ref.status == 0
-                assert float(val) == pytest.approx(-ref.fun, abs=1e-9)
+            b = rng.integers(-5, 6, ncon)
+            x, y = feasible_nonnegative(A.tolist(), b.tolist())
+            ref = linprog(np.zeros(nvar), A_eq=A, b_eq=b, bounds=[(0, None)] * nvar, method="highs")
+            assert ref.status in (0, 2)
+            outcomes.add(ref.status)
+            if ref.status == 0:
+                assert y is None and min(x) >= 0
+                assert [sum(int(a) * v for a, v in zip(row, x)) for row in A] == b.tolist()
             else:
-                assert ref.status == 3  # unbounded
+                assert x is None and _is_farkas(A.tolist(), b.tolist(), y)
+        assert outcomes == {0, 2}
+
+    def test_nullspace_rank(self):
+        # rank 2 of 3 columns: one kernel vector, exactly annihilated
+        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        (v,) = nullspace(rows, 3)
+        assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert nullspace([[1, 0], [0, 3]], 2) == []
+        assert len(nullspace([], 2)) == 2
+
+
+def _is_farkas(A, b, y) -> bool:
+    yA = [sum(yi * Fraction(row[j]) for yi, row in zip(y, A)) for j in range(len(A[0]))]
+    return max(yA) <= 0 and sum(yi * bi for yi, bi in zip(y, b)) > 0
 
 
 class TestFramework:
@@ -206,3 +210,114 @@ class TestClassify:
             )
             f2 = StrutFramework(vertices=f.vertices, struts=struts)
             assert (find_nontrivial_flex(f2) is None) == base
+
+
+def horizontal_pair():
+    return Packing(
+        m=ModuliPoint(0, 1),
+        centers=(TorusPoint(0, 0), TorusPoint(0.5, 0)),
+        radius=0.25,
+    )
+
+
+def _reference_flexible(f) -> bool:
+    """Box search: maximize +-v_k over {v : (v_j - v_i).e >= 0, |v| <= 1}."""
+    from scipy.optimize import linprog
+
+    nv = 2 * (f.n - 1)
+    rows = []
+    for i, j, e in f.struts:
+        row = np.zeros(nv)
+        if j:
+            row[2 * j - 2 : 2 * j] -= e
+        if i:
+            row[2 * i - 2 : 2 * i] += e
+        rows.append(row)
+    for k in range(nv):
+        for sign in (1.0, -1.0):
+            c = np.zeros(nv)
+            c[k] = -sign
+            res = linprog(c, A_ub=np.array(rows), b_ub=np.zeros(len(rows)),
+                          bounds=[(-1, 1)] * nv, method="highs")
+            if res.status == 0 and -res.fun > 1e-7:
+                return True
+    return False
+
+
+def _reference_stress_and_rank(f) -> tuple[bool, int]:
+    """Stress LP by scipy (w <= -1, equilibrium) and the numpy rank of the
+    rigidity matrix with vertex 0 pinned."""
+    from scipy.optimize import linprog
+
+    n, m = f.n, len(f.struts)
+    A = np.zeros((2 * n, m))
+    R = np.zeros((m, 2 * n))
+    for k, (i, j, e) in enumerate(f.struts):
+        A[2 * i : 2 * i + 2, k] += e
+        A[2 * j : 2 * j + 2, k] -= e
+        R[k, 2 * j : 2 * j + 2] += e
+        R[k, 2 * i : 2 * i + 2] -= e
+    res = linprog(np.zeros(m), A_eq=A, b_eq=np.zeros(2 * n),
+                  bounds=[(None, -1)] * m, method="highs")
+    return res.status == 0, int(np.linalg.matrix_rank(R[:, 2:], tol=1e-9))
+
+
+class TestDecision:
+    def test_random_frameworks_against_reference(self):
+        rng = np.random.default_rng(97)
+        verdicts = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 4))
+            struts = []
+            for _ in range(int(rng.integers(2, 9))):
+                i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+                t = rng.uniform(0, 2 * math.pi)
+                struts.append((i, j, (0.5 * math.cos(t), 0.5 * math.sin(t))))
+            f = StrutFramework(vertices=((0.0, 0.0),) * n, struts=tuple(struts))
+            decision = decide_rigidity(f)
+            flexible = _reference_flexible(f)
+            has_stress, rank = _reference_stress_and_rank(f)
+            assert decision.rigid == (not flexible)
+            assert (decision.stress is not None) == has_stress
+            # Roth-Whiteley, checked on the reference side alone
+            assert flexible == (not has_stress or rank < 2 * (n - 1))
+            if decision.flex is not None:
+                assert verify_flex(f, decision.flex)
+            verdicts.add((decision.rigid, has_stress))
+        # rigid, Farkas flex, and stress-but-rank-short all occur
+        assert {(True, True), (False, False), (False, True)} <= verdicts
+
+    def test_horizontal_pair_kernel_flex(self):
+        p = horizontal_pair()
+        decision = decide_rigidity(build_framework(p, extract_graph(p)))
+        assert decision.stress is not None and not decision.rigid
+        vx, vy = decision.flex.velocities[1]
+        assert abs(vx) < 1e-9 and abs(vy) > 0.5
+
+    def test_stress_but_rank_short(self):
+        # three circles in a horizontal row on the square torus: the
+        # constant stress balances, but nothing holds them vertically
+        p = Packing(
+            m=ModuliPoint(0, 1),
+            centers=(TorusPoint(0, 0), TorusPoint(1 / 3, 0), TorusPoint(2 / 3, 0)),
+            radius=1 / 6,
+        )
+        f = build_framework(p, extract_graph(p))
+        decision = decide_rigidity(f)
+        assert decision.stress is not None and verify_stress(f, decision.stress)
+        assert not decision.rigid and verify_flex(f, decision.flex)
+        assert all(abs(vx) < 1e-9 for vx, _ in decision.flex.velocities)
+
+    def test_failed_float_check_raises(self, monkeypatch):
+        p = horizontal_pair()
+        pair = build_framework(p, extract_graph(p))
+        q = optimal_packing(2, ModuliPoint(0, 1))
+        square = build_framework(q, extract_graph(q))
+        monkeypatch.setattr(rigidity, "verify_flex", lambda *a, **k: False)
+        with pytest.raises(CertificateCheckFailed):
+            decide_rigidity(pair)
+        monkeypatch.setattr(rigidity, "verify_stress", lambda *a, **k: False)
+        with pytest.raises(CertificateCheckFailed):
+            decide_rigidity(square)
+        with pytest.raises(CertificateCheckFailed):
+            classify_packing(q)
