@@ -68,6 +68,9 @@ class EcgEntry:
     realization_class: str | None  # 'rigid', 'flexible', 'none' (survivors only)
     # the probe's retained realizations (unanchored survivors only)
     samples: tuple[RealizationSample, ...] = ()
+    # anchored names: the torus whose closed-form optimum realizes this
+    # embedding, a globally optimal witness
+    anchor: ModuliPoint | None = None
 
 
 @dataclass(frozen=True)
@@ -137,11 +140,8 @@ def identify(n: int) -> EcgCatalog:
             )
         per_graph.append({"graph": g, "info": info})
 
-    anchors = {
-        name: _anchor_form(an, mk())
-        for name, (an, mk) in _GMD_ANCHORS.items()
-        if an == n
-    }
+    anchor_points = {name: mk() for name, (an, mk) in _GMD_ANCHORS.items() if an == n}
+    anchors = {name: _anchor_form(n, m) for name, m in anchor_points.items()}
     form_to_anchor = {}
     for name, form in anchors.items():
         form_to_anchor.setdefault(form, name)
@@ -245,6 +245,7 @@ def identify(n: int) -> EcgCatalog:
                     named[ii] = f"ECG{cg}-{k + 1}"
         for ii, i in enumerate(info):
             rc, samples = probes.get(ii, (None, ()))  # probed survivors only
+            anchor_name = form_to_anchor.get(i["embedding"].canonical_form)
             entries.append(
                 EcgEntry(
                     name=named.get(ii),
@@ -257,6 +258,7 @@ def identify(n: int) -> EcgCatalog:
                     else i["chain"].reason,
                     realization_class=rc,
                     samples=samples,
+                    anchor=anchor_points[anchor_name] if anchor_name else None,
                 )
             )
     return EcgCatalog(n=n, cg_ids=cg_ids, entries=tuple(entries))

@@ -1,3 +1,6 @@
+import pytest
+
+from toruspack.closed_form import optimal_centers
 from toruspack.ecg import (
     EXPECTED_FLEXIBLE,
     EXPECTED_GMD,
@@ -6,6 +9,9 @@ from toruspack.ecg import (
     EXPECTED_NOT_REALIZABLE,
     expected_class,
 )
+from toruspack.geometry_embed import embedding_from_packing
+from toruspack.oracle import realize_embedding
+from toruspack.packing import Packing, extract_graph
 
 
 def test_three_vertex_names(catalog3):
@@ -51,6 +57,25 @@ def test_probe_classes_match_published(catalog4):
             assert e.realization_class == "flexible", e.name
         elif e.name in EXPECTED_LMD_NOT_GMD:
             assert e.realization_class == "rigid", e.name
+
+
+@pytest.mark.parametrize("seed", [1, 2026])
+def test_not_realizable_names_never_realize(catalog4, seed):
+    for name in sorted(EXPECTED_NOT_REALIZABLE):
+        entry = catalog4.by_name(name)
+        assert not realize_embedding(entry.embedding, attempts=1000, seed=seed, max_samples=1), name
+
+
+def test_anchor_points_realize_their_embeddings(catalog3, catalog4):
+    for cat in (catalog3, catalog4):
+        for e in cat.survivors():
+            assert (e.anchor is None) == (e.realization_class is not None), e.name
+            if e.anchor is None:
+                continue
+            sol = optimal_centers(cat.n, e.anchor)
+            p = Packing(m=e.anchor, centers=sol.centers, radius=sol.radius)
+            realized = embedding_from_packing(p, extract_graph(p, tol=1e-9))
+            assert realized.canonical_form == e.embedding.canonical_form, e.name
 
 
 def test_cg_numbering_blocks(catalog4):

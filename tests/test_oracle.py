@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toruspack import oracle
 from toruspack.lattice import ModuliPoint
 from toruspack.oracle import (
     compare_with_closed_form,
@@ -92,3 +96,97 @@ class TestRealize:
         samples = realize_embedding(entry.embedding, attempts=200, seed=11, max_samples=8)
         regions = {classify(3, s.m).name for s in samples}
         assert "R1_3" in regions
+
+    def test_clearance_rejects_limit_point(self, catalog3, monkeypatch):
+        # Solve ECG1-1 with one pair of unjoined neighbours held at 1 + 1e-6
+        # times the edge length: a limit point of the graph with that edge
+        # added (ECG2-1).  Read at the extraction tolerance it is ECG1-1;
+        # at REALIZATION_CLEARANCE it gains the edge and is rejected.
+        e = catalog3.by_name("ECG1-1").embedding
+        A, c, tangents = oracle._realization_system(e)
+        Aq, cq, joined = oracle._tangent_pairs(A, c, tangents)
+        rng = np.random.default_rng(5)
+        u0 = np.column_stack([rng.uniform(-1, 2, (200, 4)), rng.uniform(-0.9, 0.9, 200),
+                              rng.uniform(0.5, 3.6, 200), rng.uniform(0.4, 1.05, 200)])
+        near = []
+        for p in np.flatnonzero(~joined):
+            held = (np.concatenate([A, Aq[p : p + 1] / (1 + 1e-6)]),
+                    np.concatenate([c, cq[p : p + 1] / (1 + 1e-6)]))
+            u, cost = oracle._solve_equal_lengths(*held, u0)
+            near += [x for x, f in zip(u, cost) if f <= oracle.SOLVED_COST]
+        assert near
+        assert not any(oracle._validate_solution(e, x, 0.0) for x in near)
+        monkeypatch.setattr(oracle, "REALIZATION_CLEARANCE", 1e-7)
+        assert any(oracle._validate_solution(e, x, 0.0) for x in near)
+
+
+def _random_system(rng, E, k, P):
+    """Random edge tensors (the length column of A is zero, as in both
+    callers) and starts whose length sits at the median tangent-pair
+    length, so that about half the hinge terms are active."""
+    A = rng.normal(size=(E, 2, k))
+    A[:, :, -1] = 0.0
+    c = rng.normal(size=(E, 2))
+    Aq = rng.normal(size=(P, 2, k))
+    Aq[:, :, -1] = 0.0
+    cq = rng.normal(size=(P, 2))
+    u = rng.normal(size=(3, k))
+    q = oracle._edge_vectors(u, Aq, cq)
+    u[:, -1] = np.median(np.hypot(q[..., 0], q[..., 1]), axis=1) if P else 1.0
+    return A, c, (Aq, cq) if P else None, u
+
+
+class TestEqualLengthSolver:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), E=st.integers(1, 12),
+           k=st.integers(2, 9), P=st.integers(0, 10))
+    def test_jacobian_matches_central_differences(self, seed, E, k, P):
+        A, c, hinge, u = _random_system(np.random.default_rng(seed), E, k, P)
+        r, J = oracle._equal_length_terms(u, A, c, hinge)
+        h = 1e-6
+        fd = np.empty_like(J)
+        for i in range(k):
+            step = np.zeros(k)
+            step[i] = h
+            fd[..., i] = (oracle._equal_length_terms(u + step, A, c, hinge)[0]
+                          - oracle._equal_length_terms(u - step, A, c, hinge)[0]) / (2 * h)
+        # the hinge is not differentiable where it switches on
+        smooth = np.ones_like(r, dtype=bool)
+        if hinge is not None:
+            q = oracle._edge_vectors(u, *hinge)
+            gap = u[:, -1:] ** 2 - (q**2).sum(-1)
+            smooth[:, E:] = np.abs(gap) > 1e-4
+        np.testing.assert_allclose(J[smooth], fd[smooth], rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_scipy_least_squares(self, seed):
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 8))
+        overdetermined = seed % 2 == 0
+        E = k + 3 if overdetermined else k - 2
+        # a consistent system: every edge has length L at u_star
+        u_star = rng.normal(size=k)
+        u_star[-1] = rng.uniform(0.5, 1.5)
+        A = rng.normal(size=(E, 2, k))
+        A[:, :, -1] = 0.0
+        theta = rng.uniform(0, 2 * math.pi, E)
+        c = u_star[-1] * np.stack([np.cos(theta), np.sin(theta)], 1) - A @ u_star
+        u0 = u_star + 0.05 * rng.normal(size=(4, k))
+        u, cost = oracle._solve_equal_lengths(A, c, u0)
+        for b in range(len(u0)):
+            ref = least_squares(
+                lambda v: oracle._equal_length_terms(v[None], A, c, None)[0][0], u0[b],
+                method="lm" if overdetermined else "trf",
+                xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            )
+            assert ref.cost < 1e-20
+            assert cost[b] <= oracle.SOLVED_COST
+            if overdetermined:  # the zero-residual point is locally unique
+                np.testing.assert_allclose(u[b], ref.x, atol=1e-8)
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, toruspack, toruspack.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"

@@ -104,6 +104,18 @@ class TestPipeline:
         names = {v["name"] for v in verdicts["verdicts"]}
         assert names == {"ECG1-1", "ECG1-2", "ECG2-1", "ECG2-2", "ECG2-3", "ECG3-1"}
 
+    def test_n3_verdicts_and_witnesses(self, tmp_path, catalog3):
+        report = run_pipeline(3, str(tmp_path), oracle_restarts=40)
+        assert not report.failures
+        verdicts = {v["name"]: v for v in report.verdicts}
+        for entry in catalog3.survivors():
+            v = verdicts[entry.name]
+            if entry.anchor is not None:
+                assert v["realization"] == "anchored (globally optimal witness)"
+                assert v["witness"] == {"moduli": {"x": entry.anchor.x, "y": entry.anchor.y}}
+        assert verdicts["ECG2-2"]["realization"] == "flexible"
+        assert "flex" in verdicts["ECG2-2"]["witness"]
+
     def test_embedding_records_round_trip(self, tmp_path, catalog3):
         run_pipeline(3, str(tmp_path), skip_oracle=True)
         lines = (tmp_path / "embeddings_n3.jsonl").read_text().splitlines()
