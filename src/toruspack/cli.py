@@ -9,6 +9,7 @@ from .errors import DegenerateLattice
 from .packing import to_json
 from .report import (
     CountMismatch,
+    oracle_disagreements,
     run_pipeline,
     solve_report,
     summary_table,
@@ -109,14 +110,8 @@ def cmd_verify(args) -> int:
         write_oracle_csv(args.csv, rows)
     worst = max((r["gap"] for r in rows), default=0.0)
     print(f"n={args.n}: {len(rows)} samples, worst gap {worst:.3e}, ok={ok}")
-    if not ok:
-        bad = [r for r in rows if r["gap"] > 1e-3 or r["oracle_r"] > r["formula_r"] + 1e-6]
-        for r in bad[:10]:
-            print(
-                f"  region R{r['region']}_{r['n']} at ({r['x']:.6f}, {r['y']:.6f}): "
-                f"formula {r['formula_r']:.9f} oracle {r['oracle_r']:.9f}",
-                file=sys.stderr,
-            )
+    for line in oracle_disagreements(rows)[:10]:
+        print(f"  {line}", file=sys.stderr)
     return 0 if ok else 1
 
 

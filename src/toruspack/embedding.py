@@ -174,6 +174,15 @@ def canonical_vertex_relabeling(g: Multigraph, _cached: bool = True) -> tuple[in
     return best_perm
 
 
+def instance_slots(pairs, edges) -> list[int]:
+    """Index in edges of each vertex pair in pairs, in order: the t-th
+    occurrence of a pair in pairs goes to its t-th instance in edges."""
+    free: dict[tuple[int, int], list[int]] = {}
+    for k in range(len(edges) - 1, -1, -1):
+        free.setdefault(edges[k], []).append(k)
+    return [free[pair].pop() for pair in pairs]
+
+
 def relabel_embedding_data(g: Multigraph, rotation, perm) -> tuple[Multigraph, list[int]]:
     """Apply a vertex permutation to (graph, rotation); instances of a pair
     keep their relative order."""
@@ -186,20 +195,10 @@ def relabel_embedding_data(g: Multigraph, rotation, perm) -> tuple[Multigraph, l
     for (i, j), m in zip(prs, g.multiplicities):
         new_mult[idx[tuple(sorted((perm[i], perm[j])))]] += m
     new_g = Multigraph(n, tuple(new_mult))
-    new_edges = list(new_g.edges)
-    slot: dict[tuple[int, int], int] = {}
+    moved = [(perm[i], perm[j]) for i, j in g.edges]
+    slots = instance_slots([(min(a, b), max(a, b)) for a, b in moved], new_g.edges)
     dart_map = [0] * (2 * g.edge_count)
-    for k, (i, j) in enumerate(g.edges):
-        a, b = perm[i], perm[j]
-        pair = (min(a, b), max(a, b))
-        t = slot.get(pair, 0)
-        slot[pair] = t + 1
-        seen = -1
-        for k2, pr in enumerate(new_edges):
-            if pr == pair:
-                seen += 1
-                if seen == t:
-                    break
+    for k, ((a, b), k2) in enumerate(zip(moved, slots)):
         flip = a > b
         dart_map[2 * k] = 2 * k2 + 1 if flip else 2 * k2
         dart_map[2 * k + 1] = 2 * k2 if flip else 2 * k2 + 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .census import Multigraph, vertex_pairs
-from .embedding import EmbeddedGraph, euler_characteristic, make_embedding
+from .embedding import EmbeddedGraph, euler_characteristic, instance_slots, make_embedding
 from .packing import Packing, PackingGraph
 
 
@@ -28,14 +28,10 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
         mult[pair_index[(i, j)]] += 1
     mg = Multigraph(n, tuple(mult))
     # instance order within a pair follows the packing graph's edge order
-    inst_counter: dict[tuple[int, int], int] = {}
     abstract_edges = list(mg.edges)
-    dart_of: dict[int, int] = {}
+    slots = instance_slots([(i, j) for i, j, _ in g.edges], abstract_edges)
     dart_vec: dict[int, np.ndarray] = {}
-    for eidx, (i, j, d) in enumerate(g.edges):
-        t = inst_counter.get((i, j), 0)
-        inst_counter[(i, j)] = t + 1
-        k = _instance_slot(abstract_edges, (i, j), t)
+    for (i, j, d), k in zip(g.edges, slots):
         vec = (
             p.centers[j].canonical(p.m).coords()
             + d.vector(p.m)
@@ -43,7 +39,6 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
         )
         dart_vec[2 * k] = vec
         dart_vec[2 * k + 1] = -vec
-        dart_of[eidx] = k
     # rotation: counterclockwise angular order at each vertex
     rotation = [0] * (2 * len(abstract_edges))
     for v in range(n):
@@ -60,13 +55,3 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
     if euler_characteristic(mg, emb.faces) != 0:
         raise ValueError("packing drawing is not a 2-cell torus embedding")
     return emb
-
-
-def _instance_slot(abstract_edges, pair, t):
-    count = -1
-    for k, pr in enumerate(abstract_edges):
-        if pr == pair:
-            count += 1
-            if count == t:
-                return k
-    raise KeyError(pair)

@@ -207,6 +207,32 @@ def reduce_to_standard_basis(basis: LatticeBasis, tol: float = 1e-12) -> tuple[M
     return m, rec
 
 
+# a (row 0) and b (row 1) of the 9 translates a v1 + b v2, |a|, |b| <= 1
+TRANSLATE_WINDOW = np.array([np.repeat([-1.0, 0.0, 1.0], 3), np.tile([-1.0, 0.0, 1.0], 3)])
+
+
+def wrapped_translates(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The 9 translates nearest the origin of the fractional differences frac.
+
+    frac (..., 2) holds lattice coordinates (t1, t2); each is wrapped into
+    [-1/2, 1/2]^2 and shifted by the columns of TRANSLATE_WINDOW.  Returns
+    the integer shifts s and the plane vectors (t1 + s1) v1 + (t2 + s2) v2,
+    both (2, ..., 9) with the coordinate axis first.
+
+    In the strip |t1 v1 + t2 v2| >= (sqrt(3)/2) max(|t1|, |t2|) (y^2 >= 3/4;
+    x <= 1/2 and x^2 + y^2 >= 1 give t1^2 + 2x t1 t2 + t2^2 >= (3/4) t1^2),
+    so every translate outside the window is at least 3 sqrt(3)/4 = 1.299
+    long: all tangencies and overlaps (distance <= 1) lie inside it.  So do
+    the nearest translate and its ties, whatever their length: stepping t2
+    toward 0 shortens any translate with |t2| >= 3/2, and for |t2| < 3/2
+    the best t1 lies within 1/2 of -x t2, hence |t1| <= 5/4.
+    """
+    f = np.moveaxis(frac, -1, 0)[..., None]
+    s = TRANSLATE_WINDOW.reshape((2,) + (1,) * (frac.ndim - 1) + (9,)) - np.rint(f)
+    t = f + s
+    return s, np.stack([t[0] + m.x * t[1], m.y * t[1]])
+
+
 def _translate_window(width: int) -> np.ndarray:
     r = np.arange(-width, width + 1)
     return np.stack(np.meshgrid(r, r, indexing="ij"), -1).reshape(-1, 2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruspack.errors import DegenerateLattice, OverlapDetected
 from toruspack.lattice import (
@@ -12,6 +13,7 @@ from toruspack.lattice import (
     reduce_to_standard_basis,
     tangency_displacements,
     torus_distance,
+    wrapped_translates,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -138,6 +140,57 @@ class TestDistance:
             assert torus_distance(p, q, m) == pytest.approx(
                 torus_distance(p, q2, m), abs=1e-12
             )
+
+
+def _strip_points():
+    x = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5))
+    rise = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 50.0))
+    return st.tuples(x, rise).map(
+        lambda p: ModuliPoint(p[0], min(math.sqrt(1.0 - p[0] ** 2) + p[1], 50.0))
+    )
+
+
+_coords = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 1.0, exclude_max=True))
+_cells = st.integers(-5, 5)
+
+
+def _brute_translates(frac, m, window=6):
+    """Lengths of the translates |a|, |b| <= window of frac's canonical
+    representative, labelled by their integer shift from frac."""
+    r = np.arange(-window, window + 1.0)
+    a, b = (g.ravel() for g in np.meshgrid(r, r, indexing="ij"))
+    a, b = a - np.floor(frac[0]), b - np.floor(frac[1])
+    t1, t2 = frac[0] + a, frac[1] + b
+    d = np.sqrt((t1 + m.x * t2) ** 2 + (m.y * t2) ** 2)
+    return {(int(i), int(j)): float(e) for i, j, e in zip(a, b, d)}
+
+
+class TestWrappedTranslates:
+    @settings(max_examples=400, deadline=None)
+    @given(_strip_points(), _coords, _coords, _coords, _coords, _cells, _cells)
+    def test_matches_wide_window(self, m, p1, p2, q1, q2, k1, k2):
+        frac = np.array([q1 - p1 + k1, q2 - p2 + k2])
+        s, v = wrapped_translates(frac, m)
+        got = {(int(a), int(b)): float(e) for a, b, e in zip(*s, np.sqrt(v[0] ** 2 + v[1] ** 2))}
+        brute = _brute_translates(frac, m)
+        assert got.items() <= brute.items()
+        best = min(brute.values())
+        assert min(got.values()) == best
+        for reach in (best + 1e-12, 1.0):  # polish ties; tangencies and overlaps
+            assert {t for t, e in got.items() if e <= reach} == {
+                t for t, e in brute.items() if e <= reach
+            }
+        # the strip bound |t1 v1 + t2 v2| >= (sqrt(3)/2) max(|t1|, |t2|)
+        assert all(e >= 3 * SQRT3 / 4 - 1e-12 for t, e in brute.items() if t not in got)
+
+    def test_batched_shapes(self):
+        rng = np.random.default_rng(21)
+        m = ModuliPoint(0.3, 1.4)
+        frac = rng.uniform(-4, 4, (5, 3, 2))
+        s, v = wrapped_translates(frac, m)
+        assert s.shape == v.shape == (2, 5, 3, 9)
+        one_s, one_v = wrapped_translates(frac[2, 1], m)
+        assert np.array_equal(s[:, 2, 1], one_s) and np.array_equal(v[:, 2, 1], one_v)
 
 
 class TestTangency:

@@ -116,6 +116,12 @@ class TestPipeline:
         assert verdicts["ECG2-2"]["realization"] == "flexible"
         assert "flex" in verdicts["ECG2-2"]["witness"]
 
+    def test_n3_oracle_rows_reach_the_formula(self, tmp_path, catalog3):
+        report = run_pipeline(3, str(tmp_path))
+        assert len(report.oracle_rows) == 9
+        for row in report.oracle_rows:
+            assert row["gap"] <= 1e-9, row
+
     def test_embedding_records_round_trip(self, tmp_path, catalog3):
         run_pipeline(3, str(tmp_path), skip_oracle=True)
         lines = (tmp_path / "embeddings_n3.jsonl").read_text().splitlines()
@@ -135,7 +141,9 @@ class TestChecks:
              "realization": realization.get(name, "anchored (globally optimal witness)")}
             for name in ("ECG1-1", "ECG1-2", "ECG2-1", "ECG2-2", "ECG2-3", "ECG3-1")
         ]
-        return PipelineReport(3, (37, 10, 3), 6, 6, 6, verdicts=verdicts)
+        row = {"n": 3, "x": 0.25, "y": 1.5, "region": 2, "formula_r": 0.25,
+               "oracle_r": 0.25, "gap": 0.0, "restarts": 120, "seed": 0}
+        return PipelineReport(3, (37, 10, 3), 6, 6, 6, verdicts=verdicts, oracle_rows=[row])
 
     def test_published_report_passes(self):
         report = self.published_n3()
@@ -151,10 +159,16 @@ class TestChecks:
         twice.verdicts[1]["name"] = "ECG1-1"
         unrealized = self.published_n3()
         unrealized.verdicts[0]["realization"] = "no realization found in 240 attempts"
+        above = self.published_n3()
+        above.oracle_rows[0].update(oracle_r=0.25 + 1e-5, gap=1e-5)
+        short = self.published_n3()
+        short.oracle_rows[0].update(oracle_r=0.25 - 2e-3, gap=2e-3)
         for report, needle in ((wrong_verdict, "ECG2-2: realization 'rigid'"),
                                (missing, "ECG3-1 missing"),
                                (twice, "ECG1-1 assigned 2 times"),
-                               (unrealized, "ECG1-1: realization")):
+                               (unrealized, "ECG1-1: realization"),
+                               (above, "oracle R2_3 at (0.250000, 1.500000)"),
+                               (short, "formula 0.250000000, oracle 0.248000000")):
             _check_counts(report)
             assert any(needle in f for f in report.failures), report.failures
 
