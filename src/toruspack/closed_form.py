@@ -32,21 +32,47 @@ def _r3_2(x: float, y: float) -> float:
     return math.sqrt(9 * x * x + (y - inner) ** 2) / 6
 
 
+# The hexagonal point h = (1/2, sqrt3/2), where R1_4 pinches to a point and
+# meets R2_4, has height SQRT3 / 2 + _HEX_Y_LO to twice double precision.
+_HEX_Y_LO = 5.0175421109034514e-17
+
+
+def _aux_r4_1(x: float, y: float) -> float:
+    """R = sqrt(16 r^2 - 1) on R1_4.  The branch |z| |z - h| / (2 (y - sqrt3 x))
+    is 0/0 at h; about h it reads r = sqrt(1 + R^2) / 4 with the ratio below,
+    whose numerator vanishes to second order along the region.  Over R1_4,
+    |z - h| / 2 <= R <= |z - h|, so a float point classified into R1_4 a
+    rounding from h, outside that cusp, is clamped into it."""
+    u, v = x - 0.5, (y - SQRT3 / 2) - _HEX_Y_LO
+    den = v - SQRT3 * u
+    R = (u + SQRT3 * v + 2 * (u * u + v * v)) / den if den else 0.0
+    return min(max(R, 0.0), math.hypot(u, v))
+
+
 def _r4_1(x: float, y: float) -> float:
-    # |z| |z - h| / (2 (y - sqrt3 x)) with h = (1/2, sqrt3/2): both |z - h|
-    # and y - sqrt3 x vanish at h, so that product form loses its digits
-    # near h.  In u = x - 1/2, v = y - sqrt3/2 the same branch reads
-    # sqrt(1 + R^2) / 4 with R = (u + sqrt3 v + 2(u^2 + v^2)) / (v - sqrt3 u).
-    u, v = x - 0.5, y - SQRT3 / 2
-    R = (u + SQRT3 * v + 2 * (u * u + v * v)) / (v - SQRT3 * u)
+    R = _aux_r4_1(x, y)
     return math.sqrt(1 + R * R) / 4
 
 
-def _r4_2(x: float, y: float) -> float:
+def _r4_2_terms(x: float, y: float) -> tuple[float, float]:
     a = 2 * (y * SQRT3 - x) ** 2 - ((x - 1) * SQRT3 + y) ** 2 + 3
     b = (x * x + y * y) * ((x - 1.5) ** 2 + (y - SQRT3 / 2) ** 2)
-    disc = math.sqrt(max(a * a - 16 * b, 0.0))
+    return a, math.sqrt(max(a * a - 16 * b, 0.0))
+
+
+def _r4_2(x: float, y: float) -> float:
+    a, disc = _r4_2_terms(x, y)
     return math.sqrt(max(a - disc, 0.0)) / (4 * math.sqrt(2))
+
+
+def _aux_r4_2(x: float, y: float) -> float:
+    """R on R2_4: 16 r^2 - 1 = 2 N / (a - 2 + disc) with N = 4b - a + 1, which
+    vanishes to second order at h; about h, N = (3u + sqrt3 v)^2 + 4 p q with
+    p = |z|^2 - 1 and q = |z - (3/2, sqrt3/2)|^2 - 1."""
+    a, disc = _r4_2_terms(x, y)
+    u, v = x - 0.5, (y - SQRT3 / 2) - _HEX_Y_LO
+    N = (3 * u + SQRT3 * v) ** 2 + 4 * (u * (u + 1) + v * (v + SQRT3)) * (u * (u - 2) + v * v)
+    return math.sqrt(max(2 * N / (a - 2 + disc), 0.0))
 
 
 def _r4_3(x: float, y: float) -> float:
@@ -64,30 +90,12 @@ _BRANCHES = {
 
 
 def radius_branch(n: int, index: int, x: float, y: float) -> float:
-    """Evaluate the radius formula of one region without classifying.
-
-    Returns nan where the branch degenerates (0/0 at pinched corners of its
-    region's closure).
-    """
-    try:
-        return _BRANCHES[n][index - 1](x, y)
-    except ZeroDivisionError:
-        return math.nan
-
-
-# n = 4 at the hexagonal point (1/2, sqrt(3)/2), where R1_4 pinches to a
-# point and _r4_1 is 0/0: the radius is 1/4 there, and R = sqrt(16 r^2 - 1)
-# turns one rounding of r into center errors of order 1e-8 while R < 1e-7.
-# Within HEX_CORNER_TOL the corner value 1/4 is returned (R = 0, the
-# triangular close packing); the true radius exceeds it by at most
-# d^2/6 < 2e-13 at distance d.
-HEX_CORNER_TOL = 1e-6
+    """Evaluate the radius formula of one region without classifying."""
+    return _BRANCHES[n][index - 1](x, y)
 
 
 def optimal_radius(n: int, m: ModuliPoint) -> float:
     """Largest radius of n equal circles packable on the torus m."""
-    if n == 4 and math.hypot(m.x - 0.5, m.y - SQRT3 / 2) <= HEX_CORNER_TOL:
-        return 0.25
     # The region's own branch, on its lower boundary too: adjacent branches
     # agree on the curve, but a neighbour's layout a rounding above it can
     # overlap (by up to 3e-4 near the hexagonal point within BOUNDARY_TOL).
@@ -118,12 +126,16 @@ def optimal_centers(n: int, m: ModuliPoint) -> OptimalSolution:
     appearing exactly on the region's lower boundary.
     """
     region = classify(n, m)
+    r = optimal_radius(n, m)
+    if n == 4 and region.index < 3:
+        # near h, where r comes down to 1/4, sqrt(16 r^2 - 1) would turn one
+        # rounding of r into an error of 4 ulp(r) / R: R from the branch
+        R = (_aux_r4_1, _aux_r4_2)[region.index - 1](m.x, m.y)
+    else:
+        R = math.sqrt(max(16 * r * r - 1.0, 0.0))
     if region.is_free:
         centers = layered_centers(n)
-        r = 0.5
     else:
-        r = optimal_radius(n, m)
-        R = math.sqrt(max(16 * r * r - 1.0, 0.0))
         if n == 2:
             pts = [(0.0, 0.0), (0.5, R / 2)]
         elif n == 3:
@@ -153,7 +165,7 @@ def optimal_centers(n: int, m: ModuliPoint) -> OptimalSolution:
         region=region,
         radius=r,
         centers=tuple(centers),
-        aux_R=math.sqrt(max(16 * r * r - 1.0, 0.0)),
+        aux_R=R,
     )
 
 

@@ -30,7 +30,7 @@ from .errors import UnsupportedN
 from .geometry_embed import embedding_from_packing
 from .lattice import ModuliPoint
 from .oracle import RealizationSample, realize_embedding
-from .packing import Packing, extract_graph
+from .packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
 from .regions import SQRT3, boundary_curve
 from .rigidity import build_framework, decide_rigidity
 
@@ -98,8 +98,8 @@ def _anchor_form(n: int, m: ModuliPoint) -> bytes:
 
 def _sample_is_rigid(sample) -> bool:
     p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
-    g = extract_graph(p, tol=1e-7)
-    f = build_framework(p, g, tol=1e-7)
+    g = extract_graph(p, tol=SAMPLE_TANGENCY_TOL)
+    f = build_framework(p, g, tol=SAMPLE_TANGENCY_TOL)
     return decide_rigidity(f).rigid
 
 

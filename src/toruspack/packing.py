@@ -20,6 +20,14 @@ from .lattice import (
 
 TRIANGULAR_DENSITY = math.pi / math.sqrt(12.0)
 
+# Tangency tolerance for packings that come out of a numerical solve (the
+# realization samples, their frameworks and rigidity witnesses): a sample's
+# edge lengths agree to realize_embedding's residual_tol (1e-10) before the
+# basis reduction rescales them, so 1e-7 reads every solved edge as a
+# tangency with a wide margin for that rescaling, while
+# oracle.REALIZATION_CLEARANCE keeps every other pair 100x farther away.
+SAMPLE_TANGENCY_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class Packing:

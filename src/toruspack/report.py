@@ -21,6 +21,7 @@ from .ecg import REALIZE_ATTEMPTS, expected_class, expected_names, identify
 from .lattice import LatticeBasis, reduce_to_standard_basis
 from .oracle import compare_with_closed_form, oracle_agrees
 from .packing import (
+    SAMPLE_TANGENCY_TOL,
     SCHEMA_VERSION,
     Packing,
     density,
@@ -171,7 +172,8 @@ def run_pipeline(
 def _rigidity_witness(sample) -> dict:
     """Flex or stress certificate of one realization sample, for audit."""
     p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
-    decision = decide_rigidity(build_framework(p, extract_graph(p, tol=1e-7), tol=1e-7))
+    g = extract_graph(p, tol=SAMPLE_TANGENCY_TOL)
+    decision = decide_rigidity(build_framework(p, g, tol=SAMPLE_TANGENCY_TOL))
     out = {"moduli": {"x": sample.m.x, "y": sample.m.y}}
     if decision.flex is not None:
         out["flex"] = [list(v) for v in decision.flex.velocities]

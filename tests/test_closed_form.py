@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -128,6 +129,24 @@ class TestCenters:
         for n, m in points:
             sol = optimal_centers(n, m)
             Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=1e-11)
+        # R1_4 and R2_4 reach the hexagonal point, where r comes down to 1/4:
+        # their R must come from the branch, not from sqrt(16 r^2 - 1)
+        for d in (1e-7, 3e-7, 1e-6, 3e-6, 1e-5):
+            x = 0.5 - d
+            lo, hi = math.sqrt(1 - x * x), boundary_curve(4, 1, x)
+            for m in (ModuliPoint(x, lo + t * (hi - lo)) for t in (0.25, 0.5, 0.75)):
+                sol = optimal_centers(4, m)
+                assert sol.region.name == "R1_4"
+                Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=1e-15)
+                with localcontext(prec=40):  # the branch's ratio, about the exact corner
+                    s3 = Decimal(3).sqrt()
+                    u, v = Decimal(m.x) - Decimal("0.5"), Decimal(m.y) - s3 / 2
+                    exact = (u + s3 * v + 2 * (u * u + v * v)) / (v - s3 * u)
+                    assert abs(Decimal(sol.aux_R) - exact) <= Decimal("1e-15")
+            m = ModuliPoint(x, hi + d)
+            sol = optimal_centers(4, m)
+            assert sol.region.name == "R2_4"
+            Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=1e-15)
 
     def test_interior_semicircle_condition(self):
         from toruspack.packing import angle_spectrum

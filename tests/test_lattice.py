@@ -176,7 +176,7 @@ class TestWrappedTranslates:
         assert got.items() <= brute.items()
         best = min(brute.values())
         assert min(got.values()) == best
-        for reach in (best + 1e-12, 1.0):  # polish ties; tangencies and overlaps
+        for reach in (best + 1e-12, 1.0):  # ties; tangencies and overlaps
             assert {t for t, e in got.items() if e <= reach} == {
                 t for t, e in brute.items() if e <= reach
             }

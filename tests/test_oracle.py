@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruspack import oracle
-from toruspack.lattice import ModuliPoint, wrapped_translates
+from toruspack.closed_form import optimal_radius
+from toruspack.lattice import ModuliPoint
 from toruspack.oracle import (
     compare_with_closed_form,
     maximize_min_distance,
@@ -47,6 +48,8 @@ class TestMaxMin:
         monkeypatch.setenv("TORUSPACK_THREADS", "4")
         threaded = maximize_min_distance(3, m, restarts=24, seed=4)
         assert serial.best_radius == threaded.best_radius
+        assert serial.best_centers == threaded.best_centers
+        assert serial.converged_fraction == threaded.converged_fraction
 
     def test_never_exceeds_formula(self):
         rng = np.random.default_rng(97)
@@ -58,6 +61,19 @@ class TestMaxMin:
                 cmp = compare_with_closed_form(n, m, restarts=40, seed=3)
                 assert cmp.oracle_radius <= cmp.formula_radius + 1e-6
 
+    @pytest.mark.parametrize("x, y", [
+        (0.044922935011779075, 1.116060699989568),
+        (0.024726060575226194, 1.1425781670439192),
+        (0.2524725827819966, 0.9952302128383985),
+    ])
+    def test_lands_on_formula(self, x, y):
+        # n = 4 criterion-3 tori: the first two stayed 6e-6..7e-6 short with
+        # a one-point-at-a-time polish before one refine, the third 6.6e-5
+        # short with a single refine round
+        m = ModuliPoint(x, y)
+        res = maximize_min_distance(4, m, restarts=200, seed=101)
+        assert abs(res.best_radius - optimal_radius(4, m)) <= 1e-9
+
     def test_free_region_caps_at_half(self):
         res = maximize_min_distance(3, ModuliPoint(0, 3), restarts=RESTARTS, seed=2)
         assert res.best_radius == pytest.approx(0.5, abs=1e-6)
@@ -66,66 +82,6 @@ class TestMaxMin:
         )
         g = extract_graph(p, tol=1e-5)
         assert g.loop_count() >= 1
-
-
-def _polish_one_point_at_a_time(F, m, sweeps=80):
-    """Reference for oracle._polish on one configuration: the sequential
-    per-point sweep, candidate by candidate and halving by halving."""
-    F, n = F.copy(), len(F)
-    binv = np.linalg.inv(m.basis)
-    last_step = np.full(n, 0.05)
-
-    def lengths(k, p):
-        _, v = wrapped_translates(F[np.arange(n) != k] - p, m)
-        v = v.reshape(2, -1)
-        return v, np.sqrt(v[0] ** 2 + v[1] ** 2)
-
-    for _ in range(sweeps):
-        improved = False
-        for k in range(n):
-            v, d = lengths(k, F[k])
-            units = (v / d)[:, d <= d.min() + 1e-12].T
-            cands = list(-units)
-            for i in range(len(units)):
-                for j in range(i + 1, len(units)):
-                    s = units[i] + units[j]
-                    nrm = np.sqrt(s[0] ** 2 + s[1] ** 2)
-                    if nrm > 1e-12:
-                        cands.append(-(s / nrm))
-            best, best_rate = None, 1e-9
-            for cand in cands:
-                rate = (-(units[:, 0] * cand[0] + units[:, 1] * cand[1])).min()
-                if rate > best_rate:
-                    best, best_rate = cand, rate
-            if best is None:
-                continue
-            step = min(last_step[k], 0.5 * d.min())
-            while step > 1e-14:
-                trial = (F[k] + step * (best @ binv)) % 1.0
-                if lengths(k, trial)[1].min() > d.min() + 1e-15:
-                    F[k], last_step[k], improved = trial, 1.5 * step, True
-                    break
-                step *= 0.5
-            else:
-                last_step[k] = 0.05
-        if not improved:
-            break
-    return F
-
-
-class TestPolish:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_batch_matches_one_point_at_a_time(self, n):
-        from toruspack.regions import region_count, sample_interior
-
-        rng = np.random.default_rng(70 + n)
-        for idx in range(1, region_count(n) + 1):
-            m = sample_interior(n, idx, rng)
-            T = oracle._ascent_batch(rng.random((40, n, 2)), m)
-            top = T[np.argsort(-oracle._min_distances(T, m), kind="stable")[:12]]
-            batch = oracle._polish(top, m)
-            for F, got in zip(top, batch):
-                assert np.array_equal(got, _polish_one_point_at_a_time(F, m))
 
 
 class TestRealize:
