@@ -34,8 +34,8 @@ from .lattice import (
     TorusPoint,
     fundamental_domain_area,
     reduce_to_standard_basis,
-    tangency_displacements,
     torus_distance,
+    wrapped_translates,
 )
 from .packing import (
     Packing,
@@ -118,7 +118,7 @@ __all__ = [
     "reduce_to_standard_basis",
     "self_tangent_boundary",
     "tangency_census",
-    "tangency_displacements",
     "torus_distance",
     "trace_faces",
+    "wrapped_translates",
 ]

@@ -47,10 +47,6 @@ class Multigraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(self.degree(v) for v in range(self.vertex_count))
 
-    def multiplicity(self, i: int, j: int) -> int:
-        a, b = min(i, j), max(i, j)
-        return self.multiplicities[vertex_pairs(self.vertex_count).index((a, b))]
-
     def is_connected(self) -> bool:
         n = self.vertex_count
         adj = {v: set() for v in range(n)}

@@ -6,6 +6,7 @@ import json
 import sys
 
 from .errors import DegenerateLattice
+from .lattice import DEFAULT_TOL
 from .packing import to_json
 from .report import (
     CountMismatch,
@@ -36,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
     sp.add_argument("--v1", type=_vec, required=True, metavar="ax,ay")
     sp.add_argument("--v2", type=_vec, required=True, metavar="bx,by")
-    sp.add_argument("--tol", type=float, default=1e-9, help="tangency tolerance")
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tangency tolerance")
     sp.add_argument("--json", action="store_true", help="print the full JSON record")
     sp.add_argument("--svg", metavar="PATH", help="write the packing figure")
 

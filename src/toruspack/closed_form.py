@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import ModuliPoint, TorusPoint
+from .lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
 from .regions import RegionId, SQRT3, classify
 
 
@@ -169,7 +169,7 @@ def optimal_centers(n: int, m: ModuliPoint) -> OptimalSolution:
     )
 
 
-def tangency_census(n: int, m: ModuliPoint, tol: float = 1e-9) -> int:
+def tangency_census(n: int, m: ModuliPoint, tol: float = DEFAULT_TOL) -> int:
     """Number of edges of the optimal packing's graph at m."""
     from .packing import Packing, extract_graph
 

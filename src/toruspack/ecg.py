@@ -28,7 +28,7 @@ from .embedding import (
 )
 from .errors import UnsupportedN
 from .geometry_embed import embedding_from_packing
-from .lattice import ModuliPoint
+from .lattice import DEFAULT_TOL, ModuliPoint
 from .oracle import RealizationSample, realize_embedding
 from .packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
 from .regions import SQRT3, boundary_curve
@@ -92,7 +92,7 @@ class EcgCatalog:
 def _anchor_form(n: int, m: ModuliPoint) -> bytes:
     sol = optimal_centers(n, m)
     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
-    g = extract_graph(p, tol=1e-9)
+    g = extract_graph(p, tol=DEFAULT_TOL)
     return embedding_from_packing(p, g).canonical_form
 
 

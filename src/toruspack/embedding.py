@@ -139,9 +139,6 @@ class EmbeddedGraph:
     def face_vector(self) -> tuple[int, ...]:
         return tuple(sorted(len(f) for f in self.faces))
 
-    def has_bigon(self) -> bool:
-        return any(len(f) < 3 for f in self.faces)
-
 
 def _sigma_inverse(sig: np.ndarray) -> np.ndarray:
     inv = np.empty_like(sig)

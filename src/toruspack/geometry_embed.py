@@ -32,11 +32,7 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
     slots = instance_slots([(i, j) for i, j, _ in g.edges], abstract_edges)
     dart_vec: dict[int, np.ndarray] = {}
     for (i, j, d), k in zip(g.edges, slots):
-        vec = (
-            p.centers[j].canonical(p.m).coords()
-            + d.vector(p.m)
-            - p.centers[i].canonical(p.m).coords()
-        )
+        vec = p.edge_vector(i, j, d)
         dart_vec[2 * k] = vec
         dart_vec[2 * k + 1] = -vec
     # rotation: counterclockwise angular order at each vertex

@@ -4,8 +4,11 @@ A flat torus is the quotient of the plane by the lattice spanned by two
 independent vectors.  Any such lattice can be rescaled and relabeled so the
 generators become <1,0> and <x,y> with x^2 + y^2 >= 1, y > 0 and
 0 <= x <= 1/2 (the unoriented moduli strip); everything downstream assumes
-that normal form.  This module performs the reduction and provides distance
-and tangency primitives on the reduced torus.
+that normal form.  This module performs the reduction and holds the one
+distance kernel on the reduced torus, `wrapped_translates`: the 9 lattice
+translates of a difference nearest the origin, which include its nearest
+translate and every translate of length at most 1 (so every tangency and
+overlap of circles of radius at most 1/2).
 """
 from __future__ import annotations
 
@@ -14,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLattice, OutOfModuliStrip, OverlapDetected
+from .errors import DegenerateLattice, OutOfModuliStrip
 
-# Absolute tolerance for tangency detection; configurable per call.
+# Absolute tolerance for reading tangencies off a packing; the default of
+# packing.extract_graph and of every caller that reads a closed-form optimum.
 DEFAULT_TOL = 1e-9
 
 # Slack for validating strip membership (pure float noise, e.g. (1/2, sqrt(3)/2)
@@ -55,16 +59,6 @@ class ModuliPoint:
     def basis(self) -> np.ndarray:
         """Row-stacked generators [[1, 0], [x, y]]."""
         return np.array([[1.0, 0.0], [self.x, self.y]])
-
-    def shortest_vector(self) -> float:
-        """Length of the shortest nonzero lattice vector (1 in the strip)."""
-        best = math.inf
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                if a == 0 and b == 0:
-                    continue
-                best = min(best, math.hypot(a + b * self.x, b * self.y))
-        return best
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,6 @@ class BasisReduction:
     unimodular: tuple[tuple[int, int], tuple[int, int]]
     reflected: bool
     similarity: tuple[tuple[float, float], tuple[float, float]]
-
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        """Map a plane point through the similarity (lattice part excluded)."""
-        return np.asarray(self.similarity) @ np.asarray(point, float)
 
 
 def reduce_to_standard_basis(basis: LatticeBasis, tol: float = 1e-12) -> tuple[ModuliPoint, BasisReduction]:
@@ -233,73 +223,12 @@ def wrapped_translates(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np
     return s, np.stack([t[0] + m.x * t[1], m.y * t[1]])
 
 
-def _translate_window(width: int) -> np.ndarray:
-    r = np.arange(-width, width + 1)
-    return np.stack(np.meshgrid(r, r, indexing="ij"), -1).reshape(-1, 2)
-
-
-def _min_translate(delta: np.ndarray, m: ModuliPoint, width: int = 2) -> tuple[float, np.ndarray, np.ndarray]:
-    """min over |a|,|b| <= width of |delta + a v1 + b v2|, widening on demand.
-
-    The window |a|,|b| <= 2 suffices in the standard strip for canonical
-    representatives (|x| <= 1/2, y >= sqrt(3)/2 bound the drift per step);
-    we still widen whenever the argmin touches the window boundary.
-    """
-    while True:
-        offs = _translate_window(width)
-        vecs = delta + offs[:, :1] * np.array([1.0, 0.0]) + offs[:, 1:] * np.array([m.x, m.y])
-        d = np.hypot(vecs[:, 0], vecs[:, 1])
-        k = int(np.argmin(d))
-        if np.abs(offs[k]).max() < width or width >= 64:
-            return float(d[k]), offs, d
-        width *= 2
-
-
 def torus_distance(p: TorusPoint, q: TorusPoint, m: ModuliPoint) -> float:
     """Distance between the circle centers on the torus."""
     m.validate()
-    pc = p.canonical(m)
-    qc = q.canonical(m)
-    delta = qc.coords() - pc.coords()
-    dist, _, _ = _min_translate(delta, m)
-    return dist
-
-
-def tangency_displacements(
-    p: TorusPoint,
-    q: TorusPoint,
-    m: ModuliPoint,
-    r: float,
-    tol: float = DEFAULT_TOL,
-) -> list[Displacement]:
-    """All lattice translates realizing a tangency |q + t - p| = 2r.
-
-    For p = q (the self-tangency query) t = 0 is excluded and each +-t pair
-    is reported once.  Raises OverlapDetected when some translate comes
-    closer than 2r - tol.
-    """
-    m.validate()
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    pc = p.canonical(m)
-    qc = q.canonical(m)
-    same = np.allclose(pc.coords(), qc.coords(), atol=1e-12)
-    delta = qc.coords() - pc.coords()
-    _, offs, d = _min_translate(delta, m)
-    out = []
-    for (a, b), dist in zip(offs, d):
-        if same and a == 0 and b == 0:
-            continue
-        if dist < 2 * r - tol:
-            raise OverlapDetected(
-                f"centers at distance {dist:.12g} < 2r = {2 * r:.12g}"
-            )
-        if abs(dist - 2 * r) <= tol:
-            if same and (a, b) < (0, 0):
-                continue  # count each self-tangency pair once
-            out.append(Displacement(int(a), int(b)))
-    out.sort(key=lambda t: (t.a, t.b))
-    return out
+    frac = np.subtract(q.lattice_coords(m), p.lattice_coords(m))
+    _, v = wrapped_translates(frac, m)
+    return float(np.hypot(v[0], v[1]).min())
 
 
 def fundamental_domain_area(m: ModuliPoint) -> float:

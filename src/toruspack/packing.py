@@ -14,8 +14,7 @@ from .lattice import (
     ModuliPoint,
     TorusPoint,
     fundamental_domain_area,
-    tangency_displacements,
-    torus_distance,
+    wrapped_translates,
 )
 
 TRIANGULAR_DENSITY = math.pi / math.sqrt(12.0)
@@ -40,14 +39,41 @@ class Packing:
         return len(self.centers)
 
     def validate(self, tol: float = DEFAULT_TOL) -> "Packing":
-        lo = 2 * self.radius - tol
-        for i, p in enumerate(self.centers):
-            if self.m.shortest_vector() < lo:
-                raise OverlapDetected("radius exceeds half the shortest lattice vector")
-            for q in self.centers[i + 1 :]:
-                if torus_distance(p, q, self.m) < lo:
-                    raise OverlapDetected(f"circles {i} overlap at radius {self.radius}")
+        _check_overlap(_pair_translates(self.m, self.centers)[3], self.radius, tol)
         return self
+
+    def edge_vector(self, i: int, j: int, d: Displacement) -> np.ndarray:
+        """Plane vector of the tangency (i, j, d): from center i to the
+        d-translate of center j, both canonical."""
+        return (
+            self.centers[j].canonical(self.m).coords()
+            + d.vector(self.m)
+            - self.centers[i].canonical(self.m).coords()
+        )
+
+
+def _pair_translates(
+    m: ModuliPoint, centers: tuple[TorusPoint, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i <= j of the canonical centers and, per pair, the 9
+    translates of center j nearest center i (lattice.wrapped_translates):
+    I, J (P,), their integer shifts (2, P, 9) and lengths (P, 9).  t = 0
+    of a self pair (window column 4) is no distance and has length inf.
+
+    The window holds every translate of length at most 1; circles of
+    radius above 1/2 overlap their own unit translate, which is in it."""
+    m.validate()
+    frac = np.array([c.canonical(m).lattice_coords(m) for c in centers]).reshape(-1, 2)
+    I, J = np.triu_indices(len(centers))
+    shifts, v = wrapped_translates(frac[J] - frac[I], m)
+    lengths = np.hypot(v[0], v[1])
+    lengths[I == J, 4] = np.inf
+    return I, J, shifts, lengths
+
+
+def _check_overlap(lengths: np.ndarray, r: float, tol: float) -> None:
+    if lengths.size and lengths.min() < 2 * r - tol:
+        raise OverlapDetected(f"centers at distance {lengths.min():.12g} < 2r = {2 * r:.12g}")
 
 
 @dataclass(frozen=True)
@@ -88,15 +114,18 @@ class TangencyReport:
 
 
 def extract_graph(p: Packing, tol: float = DEFAULT_TOL) -> PackingGraph:
-    """All tangencies of the packing, deterministically ordered."""
+    """All tangencies of the packing, deterministically ordered.  Raises
+    OverlapDetected when two circles come closer than 2r - tol."""
+    if p.radius <= 0:
+        raise ValueError("radius must be positive")
+    I, J, shifts, lengths = _pair_translates(p.m, p.centers)
+    _check_overlap(lengths, p.radius, tol)
     edges = []
-    for i in range(p.n):
-        for j in range(i, p.n):
-            disps = tangency_displacements(
-                p.centers[i], p.centers[j], p.m, p.radius, tol=tol
-            )
-            for d in disps:
-                edges.append((i, j, d))
+    for k, c in zip(*np.nonzero(np.abs(lengths - 2 * p.radius) <= tol)):
+        d = Displacement(int(shifts[0, k, c]), int(shifts[1, k, c]))
+        if I[k] == J[k] and (d.a, d.b) < (0, 0):
+            continue  # count each self-tangency pair once
+        edges.append((int(I[k]), int(J[k]), d))
     edges.sort(key=lambda e: (e[0], e[1], e[2].a, e[2].b))
     return PackingGraph(vertex_count=p.n, edges=tuple(edges))
 
@@ -113,11 +142,7 @@ def tangency_report(
     merged = False
     if p is not None:
         for i, j, d in g.edges:
-            vec = (
-                p.centers[j].canonical(p.m).coords()
-                + d.vector(p.m)
-                - p.centers[i].canonical(p.m).coords()
-            )
+            vec = p.edge_vector(i, j, d)
             if abs(float(np.hypot(*vec)) - 2 * p.radius) > tol * 0.1:
                 merged = True
                 break
@@ -136,22 +161,14 @@ def density(p: Packing) -> float:
 
 def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
     """Largest radius for which the centers form a valid packing."""
-    best = m.shortest_vector()
-    for i, p in enumerate(centers):
-        for q in centers[i + 1 :]:
-            best = min(best, torus_distance(p, q, m))
-    return best / 2
+    return float(_pair_translates(m, tuple(centers))[3].min()) / 2
 
 
 def tangency_directions(g: PackingGraph, p: Packing, vertex: int) -> np.ndarray:
     """Unit direction of every tangency at one circle (loops give both signs)."""
     dirs = []
     for i, j, d in g.edges:
-        vec = (
-            p.centers[j].canonical(p.m).coords()
-            + d.vector(p.m)
-            - p.centers[i].canonical(p.m).coords()
-        )
+        vec = p.edge_vector(i, j, d)
         if i == j == vertex:
             dirs += [vec, -vec]
         elif i == vertex:

@@ -18,7 +18,7 @@ import numpy as np
 from .census import enumerate_census, write_census_file
 from .closed_form import optimal_centers
 from .ecg import REALIZE_ATTEMPTS, expected_class, expected_names, identify
-from .lattice import LatticeBasis, reduce_to_standard_basis
+from .lattice import DEFAULT_TOL, LatticeBasis, reduce_to_standard_basis
 from .oracle import compare_with_closed_form, oracle_agrees
 from .packing import (
     SAMPLE_TANGENCY_TOL,
@@ -262,7 +262,7 @@ def summary_table(report: PipelineReport) -> str:
 # solve / verify helpers used by the CLI
 
 
-def solve_report(n: int, v1, v2, tol: float = 1e-9) -> dict:
+def solve_report(n: int, v1, v2, tol: float = DEFAULT_TOL) -> dict:
     m, rec = reduce_to_standard_basis(LatticeBasis(tuple(v1), tuple(v2)))
     region = classify(n, m)
     sol = optimal_centers(n, m)

@@ -76,9 +76,7 @@ def build_framework(p: Packing, g: PackingGraph, tol: float = DEFAULT_TOL) -> St
     for i, j, d in g.edges:
         if i == j:
             continue  # self-tangency: trivial strut inequality
-        vec = (
-            np.asarray(verts[j]) + d.vector(p.m) - np.asarray(verts[i])
-        )
+        vec = p.edge_vector(i, j, d)
         length = float(np.hypot(*vec))
         if abs(length - target) > max(tol, 1e-12):
             raise InconsistentLengths(

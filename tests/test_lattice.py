@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruspack.errors import DegenerateLattice, OverlapDetected
+from toruspack.errors import DegenerateLattice
 from toruspack.lattice import (
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
     fundamental_domain_area,
     reduce_to_standard_basis,
-    tangency_displacements,
     torus_distance,
     wrapped_translates,
 )
@@ -191,29 +190,6 @@ class TestWrappedTranslates:
         assert s.shape == v.shape == (2, 5, 3, 9)
         one_s, one_v = wrapped_translates(frac[2, 1], m)
         assert np.array_equal(s[:, 2, 1], one_s) and np.array_equal(v[:, 2, 1], one_v)
-
-
-class TestTangency:
-    def test_self_tangency_counted_once(self):
-        m = ModuliPoint(0, 2)
-        out = tangency_displacements(TorusPoint(0, 0), TorusPoint(0, 0), m, 0.5)
-        assert len(out) == 1
-        assert (out[0].a, out[0].b) == (1, 0)
-
-    def test_four_diagonal_witnesses(self):
-        m = ModuliPoint(0, 1)
-        out = tangency_displacements(
-            TorusPoint(0, 0), TorusPoint(0.5, 0.5), m, math.sqrt(2) / 4
-        )
-        assert len(out) == 4
-        assert {(d.a, d.b) for d in out} == {(0, 0), (-1, 0), (0, -1), (-1, -1)}
-
-    def test_overlap_detected(self):
-        m = ModuliPoint(0, 1)
-        with pytest.raises(OverlapDetected):
-            tangency_displacements(
-                TorusPoint(0, 0), TorusPoint(0.5, 0.2), m, math.sqrt(2) / 4
-            )
 
 
 def test_fundamental_domain_area():

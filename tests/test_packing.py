@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from test_lattice import _coords, _strip_points
 
 from toruspack.closed_form import optimal_centers
 from toruspack.errors import OverlapDetected
@@ -24,6 +26,23 @@ from toruspack.packing import (
 from toruspack.regions import region_count, sample_interior
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _brute_pair_lengths(m, centers, window=6):
+    """Length of every translate |a|, |b| <= window from canonical center i
+    to canonical center j, i <= j, keyed (i, j, a, b); t = 0 of a self pair
+    is left out."""
+    pts = [c.canonical(m).coords() for c in centers]
+    out = {}
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            for a in range(-window, window + 1):
+                for b in range(-window, window + 1):
+                    if i == j and a == b == 0:
+                        continue
+                    v = pts[j] + np.array([a + b * m.x, b * m.y]) - pts[i]
+                    out[(i, j, a, b)] = float(np.hypot(*v))
+    return out
 
 
 def optimal_packing(n, m):
@@ -57,6 +76,49 @@ class TestExtract:
         )
         with pytest.raises(OverlapDetected):
             extract_graph(p)
+
+    def test_coincident_centers_overlap(self):
+        # two distinct circles at one point, or 1e-13 apart, overlap; the
+        # t = 0 translate is skipped on self pairs only
+        for centers, r in (
+            ((TorusPoint(0, 0), TorusPoint(0, 0)), 0.25),
+            ((TorusPoint(0, 0), TorusPoint(1e-13, 0)), 0.5),
+        ):
+            p = Packing(m=ModuliPoint(0, 1), centers=centers, radius=r)
+            with pytest.raises(OverlapDetected):
+                extract_graph(p)
+            with pytest.raises(OverlapDetected):
+                p.validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _strip_points(),
+        st.lists(st.tuples(_coords, _coords), min_size=1, max_size=4),
+        st.sampled_from((1e-9, 1e-7)),
+        st.integers(0, 30),
+    )
+    # half-lattice ties: each needs its own window column (all nine in all)
+    @example(ModuliPoint(0.0, 1.0), [(0.0, 0.0), (0.5, 0.5)], 1e-9, 0)
+    @example(ModuliPoint(0.0, 1.0), [(0.5, 0.5), (0.0, 0.0)], 1e-9, 0)
+    @example(ModuliPoint(0.5, 1.0), [(0.0, 0.5), (0.5, 0.0)], 1e-9, 0)
+    @example(ModuliPoint(0.5, 1.0), [(0.5, 0.0), (0.0, 0.5)], 1e-9, 0)
+    def test_matches_brute_force(self, m, frac, tol, k):
+        centers = tuple(TorusPoint(t1 + t2 * m.x, t2 * m.y) for t1, t2 in frac)
+        brute = _brute_pair_lengths(m, centers)
+        lengths = sorted({e for e in brute.values() if e / 2 > 0})
+        r = min(lengths[min(k, len(lengths) - 1)] / 2, 0.5)
+        p = Packing(m=m, centers=centers, radius=r)
+        if any(e < 2 * r - tol for e in brute.values()):
+            with pytest.raises(OverlapDetected):
+                extract_graph(p, tol=tol)
+            return
+        want = {
+            (i, j, a, b)
+            for (i, j, a, b), e in brute.items()
+            if abs(e - 2 * r) <= tol and (i < j or (a, b) > (0, 0))
+        }
+        got = extract_graph(p, tol=tol).edges
+        assert [(i, j, d.a, d.b) for i, j, d in got] == sorted(want)
 
     def test_relabel_and_translate_invariance(self):
         rng = np.random.default_rng(61)
@@ -94,6 +156,33 @@ class TestExtract:
                         for i in range(n):
                             for j in range(i + 1, n):
                                 assert g.pair_multiplicity(i, j) <= 2
+
+
+class TestTangency:
+    def test_self_tangency_counted_once(self):
+        p = Packing(m=ModuliPoint(0, 2), centers=(TorusPoint(0, 0),), radius=0.5)
+        out = [d for _, _, d in extract_graph(p).edges]
+        assert len(out) == 1
+        assert (out[0].a, out[0].b) == (1, 0)
+
+    def test_four_diagonal_witnesses(self):
+        p = Packing(
+            m=ModuliPoint(0, 1),
+            centers=(TorusPoint(0, 0), TorusPoint(0.5, 0.5)),
+            radius=math.sqrt(2) / 4,
+        )
+        out = [d for _, _, d in extract_graph(p).edges]
+        assert len(out) == 4
+        assert {(d.a, d.b) for d in out} == {(0, 0), (-1, 0), (0, -1), (-1, -1)}
+
+    def test_overlap_detected(self):
+        p = Packing(
+            m=ModuliPoint(0, 1),
+            centers=(TorusPoint(0, 0), TorusPoint(0.5, 0.2)),
+            radius=math.sqrt(2) / 4,
+        )
+        with pytest.raises(OverlapDetected):
+            extract_graph(p)
 
 
 class TestDensity:

@@ -1,16 +1,22 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toruspack.ecg import expected_class
-from toruspack.regions import boundary_curve
+from toruspack.lattice import ModuliPoint
+from toruspack.packing import graph_from_dict, packing_from_dict, to_json
+from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
+from toruspack.render import render_packing
 from toruspack.report import PipelineReport, _check_counts, run_pipeline, solve_report, verify_run
 
 SQRT3 = math.sqrt(3.0)
+GOLDEN = Path(__file__).with_name("solve_golden.json")
 
 
 def run_cli(*args):
@@ -20,6 +26,50 @@ def run_cli(*args):
         text=True,
         timeout=600,
     )
+
+
+def _disguised_basis(x, y, rng):
+    """A seeded basis of a lattice similar to <1,0>, <x,y>: shears, a
+    rotation, maybe a reflection and a scale 10^U(-2, 2)."""
+    A = np.eye(2)
+    for _ in range(int(rng.integers(1, 5))):
+        shear = int(rng.integers(-3, 4))
+        A = (np.array([[1, shear], [0, 1]]) if rng.random() < 0.5
+             else np.array([[1, 0], [shear, 1]])) @ A
+    t = rng.uniform(0, 2 * math.pi)
+    Q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    if rng.random() < 0.5:
+        Q = Q @ np.diag([1.0, -1.0])
+    scale = 10.0 ** rng.uniform(-2, 2)
+    B = scale * (A @ np.array([[1.0, 0.0], [x, y]])) @ Q.T
+    return tuple(B[0]), tuple(B[1])
+
+
+def _golden_cases():
+    """Seeded disguised bases for n = 2, 3, 4: three interior tori per
+    region, two points on each boundary curve, and every corner (the strip
+    bottom's two and both ends of each curve, so the n = 4 hexagonal corner
+    in both float spellings)."""
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4):
+        curves = range(1, region_count(n))
+        tori = [sample_interior(n, idx, rng) for idx in range(1, region_count(n) + 1) for _ in range(3)]
+        tori += [sample_boundary(n, idx, rng) for idx in curves for _ in range(2)]
+        tori += [ModuliPoint(0.0, 1.0), ModuliPoint(0.5, SQRT3 / 2)]
+        tori += [ModuliPoint(x, boundary_curve(n, idx, x)) for idx in curves for x in (0.0, 0.5)]
+        for k, m in enumerate(tori):
+            yield f"n{n}/{k}", n, _disguised_basis(m.x, m.y, rng)
+
+
+def test_solve_outputs_match_golden():
+    """solve JSON and SVG stay byte-identical: the digests in
+    solve_golden.json were recorded from these cases at 062a75d."""
+    got = {}
+    for label, n, (v1, v2) in _golden_cases():
+        rec = solve_report(n, v1, v2)
+        svg = render_packing(packing_from_dict(rec["packing"]), graph_from_dict(rec["graph"]))
+        got[label] = [hashlib.sha256(text.encode()).hexdigest() for text in (to_json(rec), svg)]
+    assert got == json.loads(GOLDEN.read_text())
 
 
 class TestSolve:
@@ -52,18 +102,7 @@ class TestSolve:
         rng = np.random.default_rng(2024)
         for k in range(20):
             y = SQRT3 / 2 if k % 2 else boundary_curve(4, 1, 0.5)
-            A = np.eye(2)
-            for _ in range(int(rng.integers(1, 5))):
-                shear = int(rng.integers(-3, 4))
-                A = (np.array([[1, shear], [0, 1]]) if rng.random() < 0.5
-                     else np.array([[1, 0], [shear, 1]])) @ A
-            t = rng.uniform(0, 2 * math.pi)
-            Q = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-            if rng.random() < 0.5:
-                Q = Q @ np.diag([1.0, -1.0])
-            scale = 10.0 ** rng.uniform(-2, 2)
-            B = scale * (A @ np.array([[1.0, 0.0], [0.5, y]])) @ Q.T
-            rec = solve_report(4, tuple(B[0]), tuple(B[1]))
+            rec = solve_report(4, *_disguised_basis(0.5, y, rng))
             assert rec["radius"] == pytest.approx(0.25, abs=1e-12)
             assert rec["tangencies"] == 12
 
