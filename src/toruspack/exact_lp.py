@@ -1,6 +1,6 @@
 """Exact-rational linear algebra for the rigidity certificates.
 
-Two routines, both over `fractions.Fraction` so that a yes/no answer is a
+Two routines, both exact over the rationals so that a yes/no answer is a
 certificate rather than a tolerance call:
 
   * `feasible_nonnegative`: phase-1 tableau simplex (Bland's rule, no
@@ -10,19 +10,65 @@ certificate rather than a tolerance call:
   * `nullspace`: a basis of {x : A x = 0} by reduced row echelon form; the
     exact rank is the column count minus its length.
 
+The tableau is kept as integer rows: a row is a pair (N, D) of a list of
+Python ints and one positive int, meaning the entries N[j] / D, brought to
+lowest terms by one gcd of D and all of N after each update.  A tableau of
+one `Fraction` per entry pays a gcd per entry on every update instead.
+Since D > 0, every sign and zero test reads a numerator alone, and the
+ratio test's N_i[-1] / N_i[e] is the entry ratio (D cancels).  So both
+routines take exactly the pivots of a `Fraction` tableau, every entry is
+the same rational, and the `Fraction`s built once at return are identical.
+
 Problem sizes are tiny (at most a few dozen rows and columns), so the dense
 tableau is plenty.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Vec = list[Fraction]
-Mat = list[list[Fraction]]
+Row = tuple[list[int], int]  # (N, D): entries N[j] / D, D > 0
 
 
-def _to_fraction_matrix(rows) -> Mat:
-    return [[Fraction(v) for v in row] for row in rows]
+def _ratio(v) -> tuple[int, int]:
+    """Numerator and positive denominator of an int, Fraction, float or
+    numpy scalar, in lowest terms."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        return int(v), 1
+
+
+def _reduced(N: list[int], D: int) -> Row:
+    g = gcd(D, *N)
+    if g == 1:
+        return N, D
+    return [v // g for v in N], D // g
+
+
+def _row(values) -> Row:
+    """The values as one integer row.  Over the lcm of lowest-terms
+    denominators the row is already in lowest terms."""
+    pairs = [_ratio(v) for v in values]
+    D = lcm(*(d for _, d in pairs))
+    return [n * (D // d) for n, d in pairs], D
+
+
+def _normalized(row: Row, e: int) -> Row:
+    """row / row[e]: the entries N / N[e], with a positive denominator."""
+    N, _ = row
+    if N[e] < 0:
+        N = [-v for v in N]
+    return _reduced(N, N[e])
+
+
+def _eliminate(row: Row, pivot: Row, e: int) -> Row:
+    """row - row[e] * pivot, for a pivot row with pivot[e] == 1."""
+    N, D = row
+    P, Dp = pivot
+    f = N[e]
+    return _reduced([a * Dp - f * b for a, b in zip(N, P)], D * Dp)
 
 
 def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
@@ -34,73 +80,75 @@ def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
     its artificial block is u itself; at the optimum u.A <= 0 (no entering
     column) and u.b equals the remaining infeasibility.
     """
-    A = _to_fraction_matrix(A_eq)
-    b = [Fraction(v) for v in b_eq]
-    m = len(A)
+    m = len(A_eq)
     if m == 0:
         return [], None
-    n = len(A[0])
-    flipped = [bi < 0 for bi in b]
-    for i in range(m):
-        if flipped[i]:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-    # columns: n structural + m artificial, rhs last
-    T = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    n = len(A_eq[0])
+    # columns: n structural + m artificial, rhs last; rows with b < 0 negated
+    T: list[Row] = []
+    flipped = []
+    for i, (a, bi) in enumerate(zip(A_eq, b_eq)):
+        N, D = _row([*a, bi])
+        flip = N[-1] < 0
+        if flip:
+            N = [-v for v in N]
+        flipped.append(flip)
+        artificial = [0] * m
+        artificial[i] = D
+        T.append((N[:n] + artificial + N[n:], D))
     basis = [n + i for i in range(m)]
-    red = [sum(T[i][j] for i in range(m)) for j in range(n + m + 1)]  # u = 1
+    # objective row: the sum of the rows (u = 1) over their common denominator
+    Dr = lcm(*(D for _, D in T))
+    red = _reduced([sum(c) for c in zip(*([v * (Dr // D) for v in N] for N, D in T))], Dr)
     while True:
-        enter = next((j for j in range(n) if red[j] > 0), None)
+        enter = next((j for j in range(n) if red[0][j] > 0), None)
         if enter is None:
             break
         # red[enter] > 0 sums the column over artificial rows, so some entry
         # is positive and the ratio test is never empty
         _, _, piv = min(
-            (T[i][-1] / T[i][enter], basis[i], i) for i in range(m) if T[i][enter] > 0
+            (Fraction(N[-1], N[enter]), basis[i], i)
+            for i, (N, _) in enumerate(T) if N[enter] > 0
         )
-        pv = T[piv][enter]
-        T[piv] = [v / pv for v in T[piv]]
-        for i in range(m):
-            if i != piv and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * b_ for a, b_ in zip(T[i], T[piv])]
-        f = red[enter]
-        red = [a - f * b_ for a, b_ in zip(red, T[piv])]
+        T[piv] = pivot = _normalized(T[piv], enter)
+        for i, row in enumerate(T):
+            if i != piv and row[0][enter]:
+                T[i] = _eliminate(row, pivot, enter)
+        red = _eliminate(red, pivot, enter)
         basis[piv] = enter
-    if red[-1] != 0:  # u.b = remaining infeasibility
-        y = [-u if flip else u for u, flip in zip(red[n:n + m], flipped)]
+    U, Dr = red
+    if U[-1] != 0:  # u.b = remaining infeasibility
+        y = [Fraction(-u if flip else u, Dr) for u, flip in zip(U[n:n + m], flipped)]
         return None, y
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
+    for (N, D), bi in zip(T, basis):
         if bi < n:
-            x[bi] = T[i][-1]
+            x[bi] = Fraction(N[-1], D)
     return x, None
 
 
 def nullspace(rows, ncols: int) -> list[Vec]:
     """Basis of {x : rows . x = 0} over the rationals (empty iff full column
     rank); one vector per non-pivot column of the reduced row echelon form."""
-    R = _to_fraction_matrix(rows)
+    R = [_row(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        p = next((i for i in range(r, len(R)) if R[i][0][c]), None)
         if p is None:
             continue
         R[r], R[p] = R[p], R[r]
-        pv = R[r][c]
-        R[r] = [v / pv for v in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [a - f * b_ for a, b_ in zip(R[i], R[r])]
+        R[r] = pivot = _normalized(R[r], c)
+        for i, row in enumerate(R):
+            if i != r and row[0][c]:
+                R[i] = _eliminate(row, pivot, c)
         pivots.append(c)
         r += 1
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
-        for i, c in enumerate(pivots):
-            x[c] = -R[i][free]
+        for (N, D), c in zip(R, pivots):
+            x[c] = Fraction(-N[free], D)
         basis.append(x)
     return basis

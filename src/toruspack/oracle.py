@@ -27,7 +27,7 @@ from .lattice import (
     reduce_to_standard_basis,
     wrapped_translates,
 )
-from .packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
+from .packing import ANGLE_GAP_TOL, SAMPLE_TANGENCY_TOL, Packing, extract_graph
 
 RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
 
@@ -367,7 +367,7 @@ SOLVED_COST = 1e-22  # 0.5 |r|^2 of a start that counts as solved
 REALIZATION_CLEARANCE = 1e-5
 
 
-def _angle_window_ok(vectors_by_vertex: list[np.ndarray], tol: float = 1e-9) -> np.ndarray:
+def _angle_window_ok(vectors_by_vertex: list[np.ndarray], tol: float = ANGLE_GAP_TOL) -> np.ndarray:
     """Per start: every cyclic gap between the tangent directions at every
     vertex lies in [pi/3, pi).  vectors_by_vertex holds (B, deg, 2) arrays."""
     ok = True

@@ -164,16 +164,28 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
     return float(_pair_translates(m, tuple(centers))[3].min()) / 2
 
 
+# Slack, in radians, on the cyclic gaps between tangency directions: the
+# half-plane test of rigidity (a gap of pi) and the pi/3 .. pi window of a
+# realization.  Gaps that are exactly pi/3 or pi (hexagonal triangles, a
+# straight row of circles) must read as on the bound: closed-form edge
+# vectors carry float rounding near 1e-15, and a realization's edge
+# lengths agree to realize_embedding's residual_tol (1e-10).  1e-9 clears
+# both.
+ANGLE_GAP_TOL = 1e-9
+
+
 def tangency_directions(g: PackingGraph, p: Packing, vertex: int) -> np.ndarray:
     """Unit direction of every tangency at one circle (loops give both signs)."""
     dirs = []
     for i, j, d in g.edges:
+        if vertex != i and vertex != j:
+            continue
         vec = p.edge_vector(i, j, d)
-        if i == j == vertex:
+        if i == j:
             dirs += [vec, -vec]
         elif i == vertex:
             dirs.append(vec)
-        elif j == vertex:
+        else:
             dirs.append(-vec)
     out = np.asarray(dirs, float)
     return out / np.linalg.norm(out, axis=1, keepdims=True) if len(out) else out.reshape(0, 2)

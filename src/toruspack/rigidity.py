@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CertificateCheckFailed, InconsistentLengths
 from .exact_lp import feasible_nonnegative, nullspace
 from .lattice import DEFAULT_TOL
-from .packing import Packing, PackingGraph, extract_graph, tangency_directions
+from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, extract_graph, tangency_directions
 
 RATIONALIZE_DENOMINATOR = 10**12
 FLOAT_CHECK_TOL = 1e-6
@@ -185,7 +185,7 @@ def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TO
     return float(np.abs(resid).max()) <= tol * max(scale, 1.0)
 
 
-def has_halfplane_vertex(g: PackingGraph, p: Packing, tol: float = 1e-9) -> bool:
+def has_halfplane_vertex(g: PackingGraph, p: Packing, tol: float = ANGLE_GAP_TOL) -> bool:
     """Some circle's tangency directions fit in a closed half-plane."""
     for v in range(g.vertex_count):
         dirs = tangency_directions(g, p, v)

@@ -1,17 +1,25 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from toruspack import rigidity
+import fraction_tableau as reference
+from toruspack import exact_lp, rigidity
 from toruspack.closed_form import optimal_centers
 from toruspack.errors import CertificateCheckFailed
 from toruspack.exact_lp import feasible_nonnegative, nullspace
 from toruspack.lattice import ModuliPoint, TorusPoint
+from toruspack.oracle import realize_embedding
 from toruspack.packing import Packing, extract_graph
 from toruspack.regions import region_count, sample_interior
 from toruspack.rigidity import (
+    RATIONALIZE_DENOMINATOR,
     StrutFramework,
     build_framework,
     classify_packing,
@@ -23,6 +31,7 @@ from toruspack.rigidity import (
 )
 
 SQRT3 = math.sqrt(3.0)
+GOLDEN = Path(__file__).with_name("rigidity_golden.json")
 
 
 def optimal_packing(n, m):
@@ -74,6 +83,60 @@ class TestExactLP:
         assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
         assert nullspace([[1, 0], [0, 3]], 2) == []
         assert len(nullspace([], 2)) == 2
+
+
+@st.composite
+def linear_systems(draw, entries):
+    """(A, b) with 1-6 rows and 1-8 columns; rows after the first may be
+    zero, or copies or negations of an earlier row, and right-hand sides may
+    be zero, so the ratio test sees ties."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["new", "zero", "copy", "negated"])) if rows else "new"
+        if kind == "new":
+            rows.append(draw(st.lists(entries, min_size=n + 1, max_size=n + 1)))
+        elif kind == "zero":
+            rows.append([0] * n + [draw(entries)])
+        else:
+            row = draw(st.sampled_from(rows))
+            rows.append(list(row) if kind == "copy" else [-v for v in row])
+    b = [0 if draw(st.booleans()) else row[-1] for row in rows]
+    return [row[:-1] for row in rows], b
+
+
+INTEGERS = st.integers(-4, 4)
+FRACTIONS = st.fractions(-4, 4, max_denominator=RATIONALIZE_DENOMINATOR)
+
+
+class TestIntegerTableau:
+    """The integer-row tableau against the one-`Fraction`-per-entry reference
+    in fraction_tableau.py: the same pivots give the same rationals."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(linear_systems(INTEGERS), linear_systems(FRACTIONS)))
+    # a ratio-test tie that the row index alone breaks differently from
+    # the basis index (a different Farkas certificate)
+    @example(([[0, 0, 0, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 0]], [0, 0, 1]))
+    def test_matches_fraction_tableau(self, system):
+        A, b = system
+        n = len(A[0])
+        Ab = [row + [bi] for row, bi in zip(A, b)]
+        # equal rationals hide unreduced rows, so every row update is also
+        # checked to return lowest terms
+        with mock.patch.object(exact_lp, "_normalized", _lowest_terms(exact_lp._normalized)), \
+                mock.patch.object(exact_lp, "_eliminate", _lowest_terms(exact_lp._eliminate)):
+            assert feasible_nonnegative(A, b) == reference.feasible_nonnegative(A, b)
+            assert nullspace(A, n) == reference.nullspace(A, n)
+            assert nullspace(Ab, n + 1) == reference.nullspace(Ab, n + 1)
+
+
+def _lowest_terms(update):
+    def checked(*args):
+        N, D = row = update(*args)
+        assert D > 0 and math.gcd(D, *N) == 1, row
+        return row
+    return checked
 
 
 def _is_farkas(A, b, y) -> bool:
@@ -321,3 +384,30 @@ class TestDecision:
             decide_rigidity(square)
         with pytest.raises(CertificateCheckFailed):
             classify_packing(q)
+
+
+def _golden_frameworks(catalog3):
+    """The closed-form optimum of every region of n = 2, 3, 4 at two seeded
+    interior tori each, then two realizations of ECG2-2."""
+    rng = np.random.default_rng(101)
+    for n in (2, 3, 4):
+        for idx in range(1, region_count(n) + 1):
+            for k in range(2):
+                p = optimal_packing(n, sample_interior(n, idx, rng))
+                yield f"R{idx}_{n}/{k}", build_framework(p, extract_graph(p))
+    embedding = catalog3.by_name("ECG2-2").embedding
+    samples = realize_embedding(embedding, attempts=250, seed=77, max_samples=2)
+    assert len(samples) == 2
+    for k, s in enumerate(samples):
+        p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
+        yield f"ECG2-2/{k}", build_framework(p, extract_graph(p, tol=1e-7), tol=1e-7)
+
+
+def test_certificates_match_golden(catalog3):
+    """Flex and stress certificates stay identical: the digests in
+    rigidity_golden.json were recorded from these frameworks at 2445afc."""
+    got = {
+        label: hashlib.sha256(repr(decide_rigidity(f)).encode()).hexdigest()
+        for label, f in _golden_frameworks(catalog3)
+    }
+    assert got == json.loads(GOLDEN.read_text())
