@@ -67,19 +67,29 @@ class Multigraph:
         return canonicalize(self)
 
 
-def canonicalize(g: Multigraph) -> bytes:
-    """Relabeling-invariant byte form (minimum over all vertex permutations)."""
+def relabelings(g: Multigraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(p, h) for every vertex permutation p, where h is the multiplicity
+    tuple of g with each vertex v renamed p[v].
+
+    This is the one loop over vertex permutations: the smallest h is the
+    canonical copy and the p that reach it are the isomorphisms onto it; the
+    p with h == g.multiplicities are the automorphisms of g.
+    """
     n = g.vertex_count
     prs = vertex_pairs(n)
     idx = {p: k for k, p in enumerate(prs)}
-    best = None
+    out = []
     for perm in itertools.permutations(range(n)):
-        key = tuple(
-            g.multiplicities[idx[tuple(sorted((perm[i], perm[j])))]] for (i, j) in prs
-        )
-        if best is None or key < best:
-            best = key
-    return bytes([n]) + bytes(best)
+        h = [0] * len(prs)
+        for (i, j), m in zip(prs, g.multiplicities):
+            h[idx[tuple(sorted((perm[i], perm[j])))]] = m
+        out.append((perm, tuple(h)))
+    return out
+
+
+def canonicalize(g: Multigraph) -> bytes:
+    """Relabeling-invariant byte form (minimum over all vertex permutations)."""
+    return bytes([g.vertex_count]) + bytes(min(h for _, h in relabelings(g)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,13 @@ cyclic-order combination (quotiented at one vertex by its stabilizer),
 keeps Euler characteristic zero, and deduplicates up to graph automorphism
 and orientation reversal.
 
+The dedup key is the smallest of phi sigma phi^-1 and phi sigma^-1 phi^-1
+over every dart isomorphism phi from the graph onto its canonical copy.
+Those isomorphisms, like the dart automorphisms, are the vertex
+permutations that census.relabelings finds, each expanded over every
+matching of parallel instances; the set is Aut(canonical copy) . phi_0 for
+any one of them, so the key does not depend on the input labeling.
+
 Embeddings with a face of length two are excluded by default: a bigon's two
 parallel edges would be homotopic, so the two tangency witnesses of an
 equal-length realization would coincide.  Table-style counts match the
@@ -21,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .census import Multigraph
+from .census import Multigraph, relabelings
 
 # A rotation system assigns each vertex a cyclic order of its incident
 # edge-ends; it is stored flat, as the permutation mapping every dart to the
@@ -63,42 +70,53 @@ def dart_structure(g: Multigraph) -> DartStructure:
     return DartStructure(edges=g.edges, n=g.vertex_count)
 
 
+def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> list[tuple[int, ...]]:
+    """Every dart bijection from g onto the graph with multiplicities h that
+    sends each vertex v to perm[v]: one per matching of the parallel
+    instances of each vertex pair."""
+    src: dict[tuple[int, int], list[int]] = {}
+    for k, pair in enumerate(g.edges):
+        src.setdefault(pair, []).append(k)
+    dst: dict[tuple[int, int], list[int]] = {}
+    for k, pair in enumerate(Multigraph(g.vertex_count, h).edges):
+        dst.setdefault(pair, []).append(k)
+    pair_list = list(src)
+    choices = [
+        itertools.permutations(dst[tuple(sorted((perm[i], perm[j])))])
+        for (i, j) in pair_list
+    ]
+    out = []
+    for combo in itertools.product(*choices):
+        dmap = [0] * (2 * g.edge_count)
+        for (i, j), targets in zip(pair_list, combo):
+            flip = int(perm[i] > perm[j])
+            for k, t in zip(src[(i, j)], targets):
+                dmap[2 * k], dmap[2 * k + 1] = 2 * t + flip, 2 * t + 1 - flip
+        out.append(tuple(dmap))
+    return out
+
+
 @lru_cache(maxsize=None)
-def _dart_automorphisms_cached(n: int, mult: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _dart_maps(n: int, mult: tuple[int, ...]):
+    """The dart automorphisms of g, and its dart isomorphisms onto the
+    canonical copy as an array with their inverses."""
     g = Multigraph(n, mult)
-    ds = dart_structure(g)
-    prs = {}
-    for k, (i, j) in enumerate(ds.edges):
-        prs.setdefault((i, j), []).append(k)
-    midx = {p: len(ks) for p, ks in prs.items()}
-    auts = []
-    for perm in itertools.permutations(range(n)):
-        ok = all(
-            midx.get(tuple(sorted((perm[i], perm[j]))), 0) == m
-            for (i, j), m in midx.items()
-        )
-        if not ok:
-            continue
-        pair_list = list(prs)
-        choices = [
-            itertools.permutations(prs[tuple(sorted((perm[i], perm[j])))])
-            for (i, j) in pair_list
-        ]
-        for combo in itertools.product(*choices):
-            dmap = [0] * ds.count
-            for (i, j), targets in zip(pair_list, combo):
-                flip = perm[i] > perm[j]
-                for k, t in zip(prs[(i, j)], targets):
-                    dmap[2 * k] = 2 * t + 1 if flip else 2 * t
-                    dmap[2 * k + 1] = 2 * t if flip else 2 * t + 1
-            auts.append(tuple(dmap))
-    return tuple(auts)
+    rel = relabelings(g)
+    canon = min(h for _, h in rel)
+    auts = tuple(d for perm, h in rel if h == mult for d in _dart_bijections(g, h, perm))
+    iso = np.array(
+        [d for perm, h in rel if h == canon for d in _dart_bijections(g, h, perm)],
+        dtype=np.int64,
+    )
+    iso_inv = np.empty_like(iso)
+    iso_inv[np.arange(len(iso))[:, None], iso] = np.arange(iso.shape[1])
+    return auts, iso, iso_inv
 
 
 def dart_automorphisms(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     """All dart permutations induced by graph automorphisms (including
     permutations of parallel edges)."""
-    return _dart_automorphisms_cached(g.vertex_count, g.multiplicities)
+    return _dart_maps(g.vertex_count, g.multiplicities)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +164,6 @@ def _sigma_inverse(sig: np.ndarray) -> np.ndarray:
     return inv
 
 
-@lru_cache(maxsize=None)
-def _canonical_vertex_relabeling_cached(n: int, mult: tuple[int, ...]) -> tuple[int, ...]:
-    return canonical_vertex_relabeling(Multigraph(n, mult), _cached=False)
-
-
-def canonical_vertex_relabeling(g: Multigraph, _cached: bool = True) -> tuple[int, ...]:
-    """A vertex permutation carrying g onto its canonically labeled copy."""
-    from .census import vertex_pairs
-
-    if _cached:
-        return _canonical_vertex_relabeling_cached(g.vertex_count, g.multiplicities)
-    n = g.vertex_count
-    prs = vertex_pairs(n)
-    idx = {p: k for k, p in enumerate(prs)}
-    best, best_perm = None, None
-    for perm in itertools.permutations(range(n)):
-        key = tuple(
-            g.multiplicities[idx[tuple(sorted((perm.index(i), perm.index(j))))]]
-            for (i, j) in prs
-        )
-        if best is None or key < best:
-            best, best_perm = key, perm
-    return best_perm
-
-
 def instance_slots(pairs, edges) -> list[int]:
     """Index in edges of each vertex pair in pairs, in order: the t-th
     occurrence of a pair in pairs goes to its t-th instance in edges."""
@@ -180,48 +173,19 @@ def instance_slots(pairs, edges) -> list[int]:
     return [free[pair].pop() for pair in pairs]
 
 
-def relabel_embedding_data(g: Multigraph, rotation, perm) -> tuple[Multigraph, list[int]]:
-    """Apply a vertex permutation to (graph, rotation); instances of a pair
-    keep their relative order."""
-    from .census import vertex_pairs
-
-    n = g.vertex_count
-    prs = vertex_pairs(n)
-    idx = {p: k for k, p in enumerate(prs)}
-    new_mult = [0] * len(prs)
-    for (i, j), m in zip(prs, g.multiplicities):
-        new_mult[idx[tuple(sorted((perm[i], perm[j])))]] += m
-    new_g = Multigraph(n, tuple(new_mult))
-    moved = [(perm[i], perm[j]) for i, j in g.edges]
-    slots = instance_slots([(min(a, b), max(a, b)) for a, b in moved], new_g.edges)
-    dart_map = [0] * (2 * g.edge_count)
-    for k, ((a, b), k2) in enumerate(zip(moved, slots)):
-        flip = a > b
-        dart_map[2 * k] = 2 * k2 + 1 if flip else 2 * k2
-        dart_map[2 * k + 1] = 2 * k2 if flip else 2 * k2 + 1
-    new_rot = [0] * len(dart_map)
-    for d, nd in enumerate(dart_map):
-        new_rot[nd] = dart_map[rotation[d]]
-    return new_g, new_rot
-
-
 def canonical_embedding_form(g: Multigraph, rotation) -> bytes:
     """Labeling-invariant byte form of an embedding.
 
-    The graph is first carried onto its canonically labeled copy, then the
-    successor map is minimized over that copy's dart automorphisms and over
-    orientation reversal.
+    The successor map sigma is carried onto g's canonically labeled copy by
+    every dart isomorphism phi onto it; the form is the smallest of
+    phi sigma phi^-1 and phi sigma^-1 phi^-1 (orientation reversal).
     """
-    perm = canonical_vertex_relabeling(g)
-    gc, rot = relabel_embedding_data(g, rotation, perm)
-    auts = np.array(dart_automorphisms(gc), dtype=np.int64)
-    inv = np.empty_like(auts)
-    rows = np.arange(len(auts))[:, None]
-    inv[rows, auts] = np.arange(auts.shape[1])[None, :]
+    _, iso, iso_inv = _dart_maps(g.vertex_count, g.multiplicities)
+    rows = np.arange(len(iso))[:, None]
     best = None
-    sig = np.asarray(rot, dtype=np.int64)
+    sig = np.asarray(rotation, dtype=np.int64)
     for s in (sig, _sigma_inverse(sig)):
-        conj = auts[rows, s[inv]]  # (P, 2E): a . s . a^-1
+        conj = iso[rows, s[iso_inv]]  # (P, 2E): phi . s . phi^-1
         enc = np.ascontiguousarray(conj.astype(np.uint8))
         cand = min(enc[i].tobytes() for i in range(len(enc)))
         if best is None or cand < best:
@@ -288,11 +252,11 @@ def _count_cycles(nxt: np.ndarray) -> np.ndarray:
     return (lab == np.arange(m, dtype=nxt.dtype)).sum(axis=1)
 
 
-def enumerate_toroidal(
-    g: Multigraph,
-    include_bigons: bool = False,
-    batch: int = 1 << 19,
-) -> tuple[EmbeddedGraph, ...]:
+# rotation systems decoded and scanned per numpy batch
+SCAN_BATCH = 1 << 19
+
+
+def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[EmbeddedGraph, ...]:
     """All distinct unlabeled, unoriented 2-cell embeddings on the torus.
 
     Scans every rotation system (cyclic orders quotiented at one vertex by
@@ -325,8 +289,8 @@ def enumerate_toroidal(
     total = int(np.prod(counts, dtype=np.int64))
     target_faces = E - n  # chi = 0
     found: dict[bytes, np.ndarray] = {}
-    for start in range(0, total, batch):
-        idx = np.arange(start, min(start + batch, total), dtype=np.int64)
+    for start in range(0, total, SCAN_BATCH):
+        idx = np.arange(start, min(start + SCAN_BATCH, total), dtype=np.int64)
         B = len(idx)
         sig = np.empty((B, m), np.int16)
         rem = idx

@@ -9,8 +9,6 @@ torus (the evidence used to classify embeddings).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,14 +28,6 @@ from .lattice import (
 from .packing import ANGLE_GAP_TOL, SAMPLE_TANGENCY_TOL, Packing, extract_graph
 
 RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
-
-
-def _thread_count() -> int:
-    env = os.environ.get("TORUSPACK_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -263,10 +253,7 @@ def maximize_min_distance(
         [np.random.default_rng(np.random.SeedSequence((seed, r))).random((n, 2)) for r in range(restarts)]
     )
     T0[:, 0] = 0.0  # translation quotient
-    # each restart's ascent is independent of the batch it runs in
-    chunks = np.array_split(T0, min(_thread_count(), restarts))
-    with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-        T = np.concatenate(list(ex.map(_ascent_batch, chunks, [m] * len(chunks))))
+    T = _ascent_batch(T0, m)
 
     scores = np.minimum(_min_distances(T, m), cap)
     order = np.argsort(-scores, kind="stable")

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CertificateCheckFailed, InconsistentLengths
 from .exact_lp import feasible_nonnegative, nullspace
 from .lattice import DEFAULT_TOL
-from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, extract_graph, tangency_directions
+from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, angle_spectrum, extract_graph
 
 RATIONALIZE_DENOMINATOR = 10**12
 FLOAT_CHECK_TOL = 1e-6
@@ -187,15 +187,7 @@ def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TO
 
 def has_halfplane_vertex(g: PackingGraph, p: Packing, tol: float = ANGLE_GAP_TOL) -> bool:
     """Some circle's tangency directions fit in a closed half-plane."""
-    for v in range(g.vertex_count):
-        dirs = tangency_directions(g, p, v)
-        if len(dirs) == 0:
-            return True
-        ang = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
-        gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * math.pi]]))
-        if gaps.max() >= math.pi - tol:
-            return True
-    return False
+    return any(not gaps or gaps[-1] >= math.pi - tol for gaps in angle_spectrum(g, p))
 
 
 def classify_packing(p: Packing, tol: float = DEFAULT_TOL) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from toruspack.census import Multigraph, enumerate_census
+from toruspack.census import Multigraph, enumerate_census, vertex_pairs
 from toruspack.embedding import (
     canonical_embedding_form,
     dart_automorphisms,
@@ -51,6 +52,45 @@ class TestFaceTracing:
                 assert chi <= 2 and chi % 2 == 0
 
 
+def _relabeled(g: Multigraph, rotation, perm, instance_order, reverse):
+    """Reference relabeling of an embedding: vertex v becomes perm[v], the
+    t-th instance of a pair of g goes to instance instance_order[pair][t] of
+    its image pair, and reverse inverts the successor map."""
+    prs = vertex_pairs(g.vertex_count)
+    mult = [0] * len(prs)
+    for (i, j), m in zip(prs, g.multiplicities):
+        mult[prs.index(tuple(sorted((perm[i], perm[j]))))] = m
+    h = Multigraph(g.vertex_count, tuple(mult))
+    slots: dict[tuple[int, int], list[int]] = {}
+    for k, pair in enumerate(h.edges):
+        slots.setdefault(pair, []).append(k)
+    used: dict[tuple[int, int], int] = {}
+    dart_map = [0] * (2 * g.edge_count)
+    for k, (i, j) in enumerate(g.edges):
+        t = used[(i, j)] = used.get((i, j), -1) + 1
+        image = tuple(sorted((perm[i], perm[j])))
+        k2 = slots[image][instance_order[image][t]]
+        flip = int(perm[i] > perm[j])
+        dart_map[2 * k], dart_map[2 * k + 1] = 2 * k2 + flip, 2 * k2 + 1 - flip
+    sig = list(rotation)
+    if reverse:
+        sig = [sig.index(d) for d in range(len(sig))]
+    new_rot = [0] * len(sig)
+    for d, nd in enumerate(dart_map):
+        new_rot[nd] = dart_map[sig[d]]
+    return h, new_rot
+
+
+@st.composite
+def _relabelings(draw, g: Multigraph):
+    perm = draw(st.permutations(range(g.vertex_count)))
+    order = {}
+    for pair, m in zip(vertex_pairs(g.vertex_count), g.multiplicities):
+        image = tuple(sorted((perm[pair[0]], perm[pair[1]])))
+        order[image] = draw(st.permutations(range(m)))
+    return perm, order, draw(st.booleans())
+
+
 class TestEnumeration:
     def test_theta_single_toroidal_embedding(self):
         assert len(enumerate_toroidal(THETA)) == 1
@@ -85,14 +125,21 @@ class TestEnumeration:
                         orbit.add(tuple(a[s[ainv]]))
                 assert group % len(orbit) == 0
 
-    def test_canonical_form_invariant_under_relabeling(self):
-        g = enumerate_census(3).stage3[0]
-        e = enumerate_toroidal(g)[0]
-        from toruspack.embedding import relabel_embedding_data
-
-        for perm in ((1, 2, 0), (2, 1, 0)):
-            g2, rot2 = relabel_embedding_data(g, e.rotation, perm)
-            assert canonical_embedding_form(g2, rot2) == e.canonical_form
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_canonical_form_invariant_under_relabeling(self, catalog3, catalog4, data):
+        """Relabeling vertices, reordering parallel instances and reversing
+        the orientation keep an embedding's form; distinct embeddings of one
+        graph keep distinct forms."""
+        embeddings = [entry.embedding for entry in catalog3.entries + catalog4.entries]
+        e = data.draw(st.sampled_from(embeddings))
+        e2 = data.draw(st.sampled_from([f for f in embeddings if f.graph == e.graph]))
+        forms = []
+        for x in (e, e2):
+            relabeled = _relabeled(x.graph, x.rotation, *data.draw(_relabelings(x.graph)))
+            forms.append(canonical_embedding_form(*relabeled))
+        assert forms[0] == e.canonical_form
+        assert (forms[0] == forms[1]) == (e2 == e)
 
 
 class TestFilters:

@@ -42,15 +42,6 @@ class TestMaxMin:
             (p.u, p.w) == (q.u, q.w) for p, q in zip(a.best_centers, b.best_centers)
         )
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        m = ModuliPoint(0.2, 1.5)
-        serial = maximize_min_distance(3, m, restarts=24, seed=4)
-        monkeypatch.setenv("TORUSPACK_THREADS", "4")
-        threaded = maximize_min_distance(3, m, restarts=24, seed=4)
-        assert serial.best_radius == threaded.best_radius
-        assert serial.best_centers == threaded.best_centers
-        assert serial.converged_fraction == threaded.converged_fraction
-
     def test_never_exceeds_formula(self):
         rng = np.random.default_rng(97)
         from toruspack.regions import region_count, sample_interior

@@ -72,6 +72,26 @@ def test_solve_outputs_match_golden():
     assert got == json.loads(GOLDEN.read_text())
 
 
+# sha256 of the census and embedding files that run_pipeline(n, dir,
+# skip_oracle=True) writes, recorded at 5dd73f9
+PIPELINE_GOLDEN = {
+    "census_n3.txt": "6ec28d023c9c7bf50ce7b2a029e807b25089abbd757d3446aa68f1240f2e10fc",
+    "embeddings_n3.jsonl": "e61cd2834acd87842babeb428c61d4dfae4c22309f8c8f45c43d6fde02b4718d",
+    "census_n4.txt": "802691eb6d8520455f8797b2be42a52150393ba8a520e6f9f59321ada0ac6e19",
+    "embeddings_n4.jsonl": "aa360423ac1b58dea89f67448f301414a89764117f3474b21ceffdb3d2aa40eb",
+}
+
+
+def test_census_and_embedding_files_match_golden(tmp_path, catalog3, catalog4):
+    """Census and embedding files stay byte-identical for n = 3 and 4."""
+    got = {}
+    for n in (3, 4):
+        run_pipeline(n, str(tmp_path), skip_oracle=True)
+        for name in (f"census_n{n}.txt", f"embeddings_n{n}.jsonl"):
+            got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == PIPELINE_GOLDEN
+
+
 class TestSolve:
     def test_square_torus(self):
         rec = solve_report(2, (1, 0), (0, 1))
