@@ -50,7 +50,9 @@ from .oracle import (
     OracleResult,
     RealizationSample,
     compare_with_closed_form,
+    compare_with_closed_forms,
     maximize_min_distance,
+    maximize_min_distances,
     realize_embedding,
 )
 from .regions import RegionId, classify, in_free_region, self_tangent_boundary
@@ -99,6 +101,7 @@ __all__ = [
     "classify",
     "classify_packing",
     "compare_with_closed_form",
+    "compare_with_closed_forms",
     "decide_rigidity",
     "density",
     "enumerate_census",
@@ -111,6 +114,7 @@ __all__ = [
     "in_free_region",
     "max_radius_for_centers",
     "maximize_min_distance",
+    "maximize_min_distances",
     "optimal_centers",
     "optimal_radius",
     "parallel_chain_filter",

@@ -31,8 +31,7 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
     abstract_edges = list(mg.edges)
     slots = instance_slots([(i, j) for i, j, _ in g.edges], abstract_edges)
     dart_vec: dict[int, np.ndarray] = {}
-    for (i, j, d), k in zip(g.edges, slots):
-        vec = p.edge_vector(i, j, d)
+    for k, vec in zip(slots, p.edge_vectors(g)):
         dart_vec[2 * k] = vec
         dart_vec[2 * k + 1] = -vec
     # rotation: counterclockwise angular order at each vertex

@@ -9,6 +9,7 @@ torus (the evidence used to classify embeddings).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -127,8 +128,36 @@ def _solve_equal_lengths(A, c, u0, hinge=None, active=None):
 # ---------------------------------------------------------------------------
 # max-min distance ascent
 #
-# Points are held in fractional coordinates; every distance comes from
-# lattice.wrapped_translates, whose 9 translates hold each nearest one.
+# Points are held in fractional coordinates.  The ascent runs every torus of
+# a table at once: the tori share the seeded starts, and each torus's
+# iterates read only its own moduli and basis, so a torus ascends the same
+# alone or in any batch.  Its translates are those of
+# lattice.wrapped_translates, written in place; ranking and refining use
+# wrapped_translates itself.
+
+ASCENT_ITERS = 220
+# The soft-min sharpness starts at 64 and doubles every tenth of the
+# schedule up to 65536; the plane step starts at 0.08 and shrinks by 0.75
+# every tenth, to 0.08 * 0.75^9 = 6.0e-3 in the last one.
+ASCENT_BETA = (64.0, 65536.0)
+ASCENT_STEP = (0.08, 0.75)
+# Added to every squared translate length: two coincident points then sit
+# 1e-9 apart, not 0, so the weight w / dist of their pair stays finite.
+DIST_FLOOR_SQ = 1e-18
+# Added to each point's gradient length before the step is normalized: a
+# point with no contact within reach of the soft-min (its weights underflow
+# to 0) has a zero gradient and stays put instead of dividing 0 by 0.
+NORM_FLOOR = 1e-15
+# Soft-min exponents are clamped here before exp: e^-700 = 1e-304 changes
+# no sum that holds the nearest translate's weight 1, and exp of anything
+# below -708 underflows through a path about ten times slower.
+EXP_FLOOR = -700.0
+# A restart counts as converged (converged_fraction) when its ascent
+# endpoint's minimum distance is within this of the refined optimum.  The
+# last tenth's steps of 6.0e-3 leave endpoints up to about 1e-2 below their
+# basin's optimum (median 4.6e-3 on 48 interior tori, 200 restarts), so the
+# fraction is a share of the basin to compare between runs, not its size.
+BASIN_WINDOW = 5e-3
 
 
 @lru_cache(maxsize=None)
@@ -157,32 +186,103 @@ def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     return _lengths(v).min((-2, -1))
 
 
-def _ascent_batch(T: np.ndarray, m: ModuliPoint, iters: int = 220) -> np.ndarray:
+_WINDOW_STEPS = np.array([-1.0, 0.0, 1.0])[:, None, None, None]  # TRANSLATE_WINDOW's rows
+
+
+def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     """Soft-min gradient ascent on the minimum pairwise distance.
 
-    T: (R, n, 2) fractional coordinates.  The sharpness doubles from 64 to
-    65536 over the schedule; steps are taken in plane coordinates and mapped
-    back to fractional coordinates.
+    T0: (R, n, 2) fractional starts, shared by the K tori; returns the
+    (K, R, n, 2) endpoints.  Steps are taken in plane coordinates and
+    mapped back to fractional coordinates.  Every array is allocated once;
+    five of them hold 9 P K R floats (P = n(n - 1)/2 pairs).  Translates
+    and weights are laid out (a, b, pair, torus, restart) for translate
+    a * 3 + b, so that broadcasts and the minimum over pairs and translates
+    are elementwise passes; the weighted sum of unit vectors reads a copy
+    with the translate last.  Every reduction stays within one torus and
+    one restart, in an order that does not depend on K.
     """
-    I, J = _pair_indices(T.shape[1])
-    incidence = _incidence(T.shape[1])
-    binv = np.linalg.inv(m.basis)
-    beta = 64.0
-    step = 0.08
-    for it in range(iters):
-        _, v = wrapped_translates(T[:, J] - T[:, I], m)
-        dist = np.sqrt(v[0] ** 2 + v[1] ** 2 + 1e-18)
-        dmin = dist.min(axis=(1, 2), keepdims=True)
-        w = np.exp(-beta * (dist - dmin))
-        w /= w.sum(axis=(1, 2), keepdims=True) * dist
-        contrib = np.einsum("rpt,crpt->rpc", w, v)  # soft-min of the unit vectors
-        grad = np.einsum("np,rpc->rnc", incidence, contrib)
-        norm = np.sqrt((grad**2).sum(-1, keepdims=True)) + 1e-15
-        T = (T + (step * grad / norm) @ binv) % 1.0
-        if (it + 1) % (iters // 10 or 1) == 0:
-            beta = min(beta * 2, 65536.0)
-            step *= 0.75
-    return T
+    K = len(tori)
+    R, n, _ = T0.shape
+    I, J = _pair_indices(n)
+    P = len(I)
+    x, y = np.array([(m.x, m.y) for m in tori]).T[..., None]
+    binv = np.linalg.inv(np.array([m.basis for m in tori]))
+    T = np.repeat(T0.transpose(2, 1, 0)[:, :, None], K, axis=2)  # (2, n, K, R)
+    frac, near = np.empty((2, P, K, R)), np.empty((2, P, K, R))
+    t0, t1, xt1, yt1 = (np.empty((3, P, K, R)) for _ in range(4))
+    # translate a * 3 + b is (t0[a] + x t1[b], y t1[b]), as in wrapped_translates
+    v0, dist = np.empty((3, 3, P, K, R)), np.empty((3, 3, P, K, R))
+    w = v0  # the weights overwrite v0 once it is copied out
+    by_translate = (9, P, K, R)
+    w9, dmin, total = w.reshape(by_translate), np.empty((K, R)), np.empty((K, R))
+    fours, twos, pair_total = np.empty((4, P, K, R)), np.empty((2, P, K, R)), np.empty((P, K, R))
+    w_last, v_last = np.empty((K, R, P, 9)), np.empty((2, K, R, P, 9))
+    contrib, grad, grad_sq = np.empty((2, P, K, R)), np.empty((2, n, K, R)), np.empty((2, n, K, R))
+    norm, plane_step = np.empty((n, K, R)), np.empty((K, R, n, 2))
+    move = np.empty((K, R * n, 2))
+    beta, beta_cap = ASCENT_BETA
+    step, decay = ASCENT_STEP
+    for it in range(ASCENT_ITERS):
+        # wrapped differences f - rint(f), then their 9 translates
+        for p in range(P):
+            np.subtract(T[:, J[p]], T[:, I[p]], out=frac[:, p])
+        np.rint(frac, out=near)
+        frac -= near
+        np.add(frac[0], _WINDOW_STEPS, out=t0)
+        np.add(frac[1], _WINDOW_STEPS, out=t1)
+        np.multiply(t1, x, out=xt1)
+        np.multiply(t1, y, out=yt1)
+        np.add(t0[:, None], xt1[None], out=v0)
+        # the weighted sum of unit vectors below reads the translates from
+        # copies with the translate last; dist holds y t1[b] until then
+        np.copyto(dist, yt1[None])
+        for c, vc in enumerate((v0, dist)):
+            np.copyto(v_last[c], vc.reshape(by_translate).transpose(2, 3, 1, 0))
+        np.multiply(v0, v0, out=dist)
+        np.multiply(yt1, yt1, out=xt1)
+        dist += xt1[None]
+        dist += DIST_FLOOR_SQ
+        np.sqrt(dist, out=dist)
+        # soft-min weights exp(-beta (dist - dmin)) / (total dist)
+        np.min(dist.reshape(9 * P, K, R), axis=0, out=dmin)
+        np.subtract(dist, dmin, out=w)
+        w *= -beta
+        np.maximum(w, EXP_FLOOR, out=w)
+        np.exp(w, out=w)
+        # total: the 9 translates of each pair added in the tree numpy's
+        # pairwise sum uses for 9 terms, then the pairs in turn, which is
+        # w.sum(-1).sum(-1) with the translate last, bit for bit
+        np.add(w9[0:8:2], w9[1:8:2], out=fours)
+        np.add(fours[0::2], fours[1::2], out=twos)
+        np.add(twos[0], twos[1], out=pair_total)
+        pair_total += w9[8]
+        np.sum(pair_total, axis=0, out=total)
+        dist *= total
+        w /= dist
+        # soft-min of the unit vectors of each pair, then of each point
+        np.copyto(w_last, w9.transpose(2, 3, 1, 0))
+        np.einsum("krpt,ckrpt->cpkr", w_last, v_last, out=contrib)
+        grad.fill(0.0)
+        for p in range(P):
+            grad[:, J[p]] += contrib[:, p]
+            grad[:, I[p]] -= contrib[:, p]
+        np.multiply(grad, grad, out=grad_sq)
+        np.add(grad_sq[0], grad_sq[1], out=norm)
+        np.sqrt(norm, out=norm)
+        norm += NORM_FLOOR
+        grad *= step
+        grad /= norm
+        # the step in fractional coordinates, through inv(basis)
+        np.copyto(plane_step, grad.transpose(2, 3, 1, 0))
+        np.matmul(plane_step.reshape(K, R * n, 2), binv, out=move)
+        T += move.reshape(K, R, n, 2).transpose(3, 2, 0, 1)
+        np.floor(T, out=grad_sq)
+        T -= grad_sq  # T % 1.0
+        if (it + 1) % (ASCENT_ITERS // 10) == 0:
+            beta = min(beta * 2, beta_cap)
+            step *= decay
+    return T.transpose(2, 3, 1, 0)
 
 
 def _active_refine(F: np.ndarray, m: ModuliPoint, slack: float = 2e-3) -> np.ndarray:
@@ -227,34 +327,46 @@ def _active_refine(F: np.ndarray, m: ModuliPoint, slack: float = 2e-3) -> np.nda
 REFINE_ROUNDS = 3
 
 
-def maximize_min_distance(
+def maximize_min_distances(
     n: int,
-    m: ModuliPoint,
+    tori: Sequence[ModuliPoint],
     restarts: int = 200,
     seed: int = 0,
     refine_top: int = 12,
-) -> OracleResult:
-    """Best max-min configuration of n points on the torus over seeded
+) -> list[OracleResult]:
+    """Best max-min configuration of n points on each torus, over seeded
     multi-start ascent, the refine_top best of them refined by up to
-    REFINE_ROUNDS active-set solves.  Deterministic for fixed
-    (seed, restarts)."""
-    m.validate()
-    basis = m.basis
-    cap = 2 * RADIUS_CAP
+    REFINE_ROUNDS active-set solves.
+
+    One ascent runs every torus; the starts depend on (seed, restart) only.
+    Each torus's result is the one it gets alone, so it is deterministic
+    for fixed (seed, restarts) whatever the other tori.
+    """
+    for m in tori:
+        m.validate()
     if n == 1:
-        return OracleResult(
-            best_radius=cap / 2,
+        single = OracleResult(
+            best_radius=RADIUS_CAP,
             best_centers=(TorusPoint(0.0, 0.0),),
             restarts_used=restarts,
             converged_fraction=1.0,
         )
+        return [single for _ in tori]
+    if not tori:
+        return []
     # per-restart deterministic starts
     T0 = np.array(
         [np.random.default_rng(np.random.SeedSequence((seed, r))).random((n, 2)) for r in range(restarts)]
     )
     T0[:, 0] = 0.0  # translation quotient
-    T = _ascent_batch(T0, m)
+    ends = _ascent(T0, tori)
+    return [_best_of(T, m, refine_top) for T, m in zip(ends, tori)]
 
+
+def _best_of(T: np.ndarray, m: ModuliPoint, refine_top: int) -> OracleResult:
+    """Rank one torus's ascent endpoints T (R, n, 2), refine the best and
+    return the winner."""
+    cap = 2 * RADIUS_CAP
     scores = np.minimum(_min_distances(T, m), cap)
     order = np.argsort(-scores, kind="stable")
     top = T[order[: max(1, refine_top)]]
@@ -271,16 +383,24 @@ def maximize_min_distance(
     d = np.minimum(d, cap)
     best = int(np.argmax(d))  # the first of the best candidates
     best_d = float(d[best])
-    # fraction of restarts whose ascent landed in the winning basin (ascent
-    # values sit a few 1e-3 below the refined optimum)
-    converged = float((scores >= best_d - 5e-3).mean())
-    centers = tuple(TorusPoint(*p).canonical(m) for p in top[best] @ basis)
+    centers = tuple(TorusPoint(*p).canonical(m) for p in top[best] @ m.basis)
     return OracleResult(
         best_radius=best_d / 2,
         best_centers=centers,
-        restarts_used=restarts,
-        converged_fraction=converged,
+        restarts_used=len(T),
+        converged_fraction=float((scores >= best_d - BASIN_WINDOW).mean()),
     )
+
+
+def maximize_min_distance(
+    n: int,
+    m: ModuliPoint,
+    restarts: int = 200,
+    seed: int = 0,
+    refine_top: int = 12,
+) -> OracleResult:
+    """maximize_min_distances on the one torus m."""
+    return maximize_min_distances(n, [m], restarts, seed, refine_top)[0]
 
 
 # The oracle is lower-bound evidence: a seeded multi-start may stop short of
@@ -314,20 +434,30 @@ class ComparisonReport:
         return oracle_agrees(self.formula_radius, self.oracle_radius)
 
 
+def compare_with_closed_forms(
+    n: int, tori: Sequence[ModuliPoint], restarts: int = 200, seed: int = 0
+) -> list[ComparisonReport]:
+    """Closed form against the oracle on each torus, one ascent for all."""
+    results = maximize_min_distances(n, tori, restarts=restarts, seed=seed)
+    reports = []
+    for m, res in zip(tori, results):
+        r_formula = optimal_radius(n, m)
+        reports.append(ComparisonReport(
+            n=n,
+            m=m,
+            formula_radius=r_formula,
+            oracle_radius=res.best_radius,
+            gap=abs(res.best_radius - r_formula),
+            restarts=restarts,
+            seed=seed,
+        ))
+    return reports
+
+
 def compare_with_closed_form(
     n: int, m: ModuliPoint, restarts: int = 200, seed: int = 0
 ) -> ComparisonReport:
-    r_formula = optimal_radius(n, m)
-    res = maximize_min_distance(n, m, restarts=restarts, seed=seed)
-    return ComparisonReport(
-        n=n,
-        m=m,
-        formula_radius=r_formula,
-        oracle_radius=res.best_radius,
-        gap=abs(res.best_radius - r_formula),
-        restarts=restarts,
-        seed=seed,
-    )
+    return compare_with_closed_forms(n, [m], restarts, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,11 @@ class Packing:
         _check_overlap(_pair_translates(self.m, self.centers)[3], self.radius, tol)
         return self
 
-    def edge_vector(self, i: int, j: int, d: Displacement) -> np.ndarray:
-        """Plane vector of the tangency (i, j, d): from center i to the
-        d-translate of center j, both canonical."""
-        return (
-            self.centers[j].canonical(self.m).coords()
-            + d.vector(self.m)
-            - self.centers[i].canonical(self.m).coords()
-        )
+    def edge_vectors(self, g: "PackingGraph") -> np.ndarray:
+        """(E, 2): plane vector of every tangency (i, j, d) of g, in g's
+        order: from center i to the d-translate of center j, both canonical."""
+        pts = [c.canonical(self.m).coords() for c in self.centers]
+        return np.array([pts[j] + d.vector(self.m) - pts[i] for i, j, d in g.edges]).reshape(-1, 2)
 
 
 def _pair_translates(
@@ -141,8 +138,7 @@ def tangency_report(
         mult[(i, j)] = mult.get((i, j), 0) + 1
     merged = False
     if p is not None:
-        for i, j, d in g.edges:
-            vec = p.edge_vector(i, j, d)
+        for vec in p.edge_vectors(g):
             if abs(float(np.hypot(*vec)) - 2 * p.radius) > tol * 0.1:
                 merged = True
                 break
@@ -176,16 +172,17 @@ ANGLE_GAP_TOL = 1e-9
 
 def tangency_directions(g: PackingGraph, p: Packing, vertex: int) -> np.ndarray:
     """Unit direction of every tangency at one circle (loops give both signs)."""
+    return _directions(g, p.edge_vectors(g), vertex)
+
+
+def _directions(g: PackingGraph, vectors: np.ndarray, vertex: int) -> np.ndarray:
     dirs = []
-    for i, j, d in g.edges:
-        if vertex != i and vertex != j:
-            continue
-        vec = p.edge_vector(i, j, d)
-        if i == j:
+    for (i, j, _), vec in zip(g.edges, vectors):
+        if i == j == vertex:
             dirs += [vec, -vec]
         elif i == vertex:
             dirs.append(vec)
-        else:
+        elif j == vertex:
             dirs.append(-vec)
     out = np.asarray(dirs, float)
     return out / np.linalg.norm(out, axis=1, keepdims=True) if len(out) else out.reshape(0, 2)
@@ -193,9 +190,14 @@ def tangency_directions(g: PackingGraph, p: Packing, vertex: int) -> np.ndarray:
 
 def angle_spectrum(g: PackingGraph, p: Packing) -> list[list[float]]:
     """Sorted cyclic gaps between consecutive tangency directions, per vertex."""
+    return angle_gaps(g, p.edge_vectors(g))
+
+
+def angle_gaps(g: PackingGraph, vectors: np.ndarray) -> list[list[float]]:
+    """angle_spectrum from the edge vectors of g (Packing.edge_vectors)."""
     out = []
     for v in range(g.vertex_count):
-        dirs = tangency_directions(g, p, v)
+        dirs = _directions(g, vectors, v)
         if len(dirs) == 0:
             out.append([])
             continue

@@ -19,7 +19,8 @@ from .census import enumerate_census, write_census_file
 from .closed_form import optimal_centers
 from .ecg import REALIZE_ATTEMPTS, expected_class, expected_names, identify
 from .lattice import DEFAULT_TOL, LatticeBasis, reduce_to_standard_basis
-from .oracle import compare_with_closed_form, oracle_agrees
+# compare_with_closed_form stays importable from report for its callers
+from .oracle import compare_with_closed_form, compare_with_closed_forms, oracle_agrees  # noqa: F401
 from .packing import (
     SAMPLE_TANGENCY_TOL,
     SCHEMA_VERSION,
@@ -154,11 +155,7 @@ def run_pipeline(
     # formula vs oracle table
     if not skip_oracle:
         rng = np.random.default_rng(np.random.SeedSequence((seed, n, 0xC)))
-        for index in range(1, region_count(n) + 1):
-            for _ in range(3):
-                m = sample_interior(n, index, rng)
-                cmp = compare_with_closed_form(n, m, restarts=oracle_restarts, seed=seed)
-                report.oracle_rows.append(_oracle_row(n, m, index, cmp, seed))
+        report.oracle_rows, _ = _oracle_table(n, 3, rng, oracle_restarts, seed)
         write_oracle_csv(os.path.join(out_dir, f"oracle_n{n}.csv"), report.oracle_rows)
 
     _check_counts(report)
@@ -180,6 +177,15 @@ def _rigidity_witness(sample) -> dict:
     elif decision.stress is not None:
         out["stress"] = list(decision.stress.coefficients)
     return out
+
+
+def _oracle_table(n: int, per_region: int, rng, restarts: int, seed: int):
+    """Formula/oracle rows of per_region tori drawn from each region, all
+    compared in one oracle call, and their ComparisonReports."""
+    drawn = [(index, sample_interior(n, index, rng))
+             for index in range(1, region_count(n) + 1) for _ in range(per_region)]
+    cmps = compare_with_closed_forms(n, [m for _, m in drawn], restarts=restarts, seed=seed)
+    return [_oracle_row(n, m, index, cmp, seed) for (index, m), cmp in zip(drawn, cmps)], cmps
 
 
 def _oracle_row(n: int, m, index: int, cmp, seed: int) -> dict:
@@ -291,12 +297,5 @@ def solve_report(n: int, v1, v2, tol: float = DEFAULT_TOL) -> dict:
 def verify_run(n: int, samples: int, seed: int, restarts: int = 200) -> tuple[list[dict], bool]:
     """Sample each region, compare oracle and formula; returns (rows, ok)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    rows = []
-    ok = True
-    for index in range(1, region_count(n) + 1):
-        for _ in range(samples):
-            m = sample_interior(n, index, rng)
-            cmp = compare_with_closed_form(n, m, restarts=restarts, seed=seed)
-            rows.append(_oracle_row(n, m, index, cmp, seed))
-            ok = ok and cmp.agrees
-    return rows, ok
+    rows, cmps = _oracle_table(n, samples, rng, restarts, seed)
+    return rows, all(cmp.agrees for cmp in cmps)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CertificateCheckFailed, InconsistentLengths
 from .exact_lp import feasible_nonnegative, nullspace
 from .lattice import DEFAULT_TOL
-from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, angle_spectrum, extract_graph
+from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, angle_gaps, extract_graph
 
 RATIONALIZE_DENOMINATOR = 10**12
 FLOAT_CHECK_TOL = 1e-6
@@ -68,15 +68,19 @@ class Stress:
 
 
 def build_framework(p: Packing, g: PackingGraph, tol: float = DEFAULT_TOL) -> StrutFramework:
+    return _framework(p, g, p.edge_vectors(g), tol)
+
+
+def _framework(p: Packing, g: PackingGraph, vectors: np.ndarray, tol: float) -> StrutFramework:
+    """build_framework on the edge vectors of g (Packing.edge_vectors)."""
     verts = tuple(
         tuple(c.canonical(p.m).coords()) for c in p.centers
     )
     struts = []
     target = 2 * p.radius
-    for i, j, d in g.edges:
+    for (i, j, d), vec in zip(g.edges, vectors):
         if i == j:
             continue  # self-tangency: trivial strut inequality
-        vec = p.edge_vector(i, j, d)
         length = float(np.hypot(*vec))
         if abs(length - target) > max(tol, 1e-12):
             raise InconsistentLengths(
@@ -86,16 +90,21 @@ def build_framework(p: Packing, g: PackingGraph, tol: float = DEFAULT_TOL) -> St
     return StrutFramework(vertices=verts, struts=tuple(struts))
 
 
-def _equilibrium_matrix(f: StrutFramework) -> list[list[Fraction]]:
-    """Rows 2v, 2v+1: each strut's rationalized vector pointing away from v.
-    Its transpose without vertex 0's rows is the pinned rigidity matrix."""
-    A = [[Fraction(0)] * len(f.struts) for _ in range(2 * f.n)]
-    for k, (i, j, e) in enumerate(f.struts):
+def _equilibrium_system(f: StrutFramework) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """A and b = -A 1.  Rows 2v, 2v+1 of A: each strut's rationalized vector
+    pointing away from v.  A's transpose without vertex 0's rows is the
+    pinned rigidity matrix."""
+    zero = Fraction(0)
+    A = [[zero] * len(f.struts) for _ in range(2 * f.n)]
+    b = [zero] * (2 * f.n)
+    for k, (i, j, e) in enumerate(f.struts):  # i != j: loops are not struts
         for c in (0, 1):
             x = Fraction(e[c]).limit_denominator(RATIONALIZE_DENOMINATOR)
-            A[2 * i + c][k] += x
-            A[2 * j + c][k] -= x
-    return A
+            A[2 * i + c][k] = x
+            A[2 * j + c][k] = -x
+            b[2 * i + c] -= x
+            b[2 * j + c] += x
+    return A, b
 
 
 @dataclass(frozen=True)
@@ -113,8 +122,8 @@ class RigidityDecision:
 
 def decide_rigidity(f: StrutFramework) -> RigidityDecision:
     """Flex or stress certificate from one phase-1 LP and one exact rank."""
-    A = _equilibrium_matrix(f)
-    stress, flex = _stress_lp(f, A)
+    A, b = _equilibrium_system(f)
+    stress, flex = _stress_lp(f, A, b)
     if flex is None:
         kernel = nullspace(list(zip(*A[2:])), 2 * (f.n - 1))
         if kernel:  # rank short of 2(n - 1)
@@ -131,14 +140,14 @@ def find_nontrivial_flex(f: StrutFramework) -> FlexVector | None:
 
 def find_proper_stress(f: StrutFramework) -> Stress | None:
     """Equilibrium stresses with every strut coefficient <= -1, or None."""
-    return _stress_lp(f, _equilibrium_matrix(f))[0]
+    return _stress_lp(f, *_equilibrium_system(f))[0]
 
 
-def _stress_lp(f: StrutFramework, A) -> tuple[Stress | None, FlexVector | None]:
+def _stress_lp(f: StrutFramework, A, b) -> tuple[Stress | None, FlexVector | None]:
     """(proper stress, None), (None, None) without struts, or (None, flex)
     from the Farkas certificate of the infeasible stress LP."""
-    # substitute w = -1 - s with s >= 0:  A s = -A 1
-    s, y = feasible_nonnegative(A, [-sum(row) for row in A])
+    # substitute w = -1 - s with s >= 0:  A s = -A 1 = b
+    s, y = feasible_nonnegative(A, b)
     if s is None:
         # column k of y.A is -(y_j - y_i) . e_k: y.A <= 0 and
         # y.b = -sum(y.A) > 0 make y a flex, strict on some strut
@@ -185,16 +194,18 @@ def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TO
     return float(np.abs(resid).max()) <= tol * max(scale, 1.0)
 
 
-def has_halfplane_vertex(g: PackingGraph, p: Packing, tol: float = ANGLE_GAP_TOL) -> bool:
-    """Some circle's tangency directions fit in a closed half-plane."""
-    return any(not gaps or gaps[-1] >= math.pi - tol for gaps in angle_spectrum(g, p))
+def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray, tol: float = ANGLE_GAP_TOL) -> bool:
+    """Some circle's tangency directions fit in a closed half-plane; vectors
+    are the edge vectors of g (Packing.edge_vectors)."""
+    return any(not gaps or gaps[-1] >= math.pi - tol for gaps in angle_gaps(g, vectors))
 
 
 def classify_packing(p: Packing, tol: float = DEFAULT_TOL) -> str:
     """'rigid-LMD', 'flexible' or 'free-circle' for the packing's framework."""
     g = extract_graph(p, tol=tol)
-    f = build_framework(p, g, tol=tol)
+    vectors = p.edge_vectors(g)
+    f = _framework(p, g, vectors, tol)
     counts = f.strut_counts()
-    if min(counts, default=0) < 3 or has_halfplane_vertex(g, p):
+    if min(counts, default=0) < 3 or has_halfplane_vertex(g, vectors):
         return "free-circle"
     return "rigid-LMD" if decide_rigidity(f).rigid else "flexible"

@@ -10,7 +10,7 @@ import numpy as np
 from toruspack.census import enumerate_census
 from toruspack.closed_form import optimal_centers, optimal_radius, radius_branch
 from toruspack.lattice import ModuliPoint, TorusPoint
-from toruspack.oracle import maximize_min_distance, realize_embedding
+from toruspack.oracle import maximize_min_distances, realize_embedding
 from toruspack.packing import (
     Packing,
     TRIANGULAR_DENSITY,
@@ -20,6 +20,7 @@ from toruspack.packing import (
 from toruspack.regions import (
     boundary_curve,
     classify,
+    free_boundary_value,
     in_free_region,
     region_count,
     sample_interior,
@@ -80,9 +81,8 @@ def test_criterion_03_formula_oracle_agreement():
     over = False
     for n in (2, 3, 4):
         for idx in range(1, region_count(n) + 1):
-            for _ in range(20):
-                m = sample_interior(n, idx, rng)
-                res = maximize_min_distance(n, m, restarts=200, seed=101)
+            tori = [sample_interior(n, idx, rng) for _ in range(20)]
+            for m, res in zip(tori, maximize_min_distances(n, tori, restarts=200, seed=101)):
                 r_formula = optimal_radius(n, m)
                 note(Packing(m=m, centers=res.best_centers, radius=res.best_radius))
                 worst = max(worst, abs(res.best_radius - r_formula))
@@ -227,23 +227,22 @@ def test_criterion_10_self_tangent_region():
     ok = True
     details = []
     for n in (2, 3, 4):
+        tori = []
         for _ in range(10):
             x = float(rng.uniform(0, 0.5))
-            from toruspack.regions import free_boundary_value
-
             y = free_boundary_value(n, x) + float(rng.uniform(0.05, 1.5))
-            m = ModuliPoint(x, y)
-            assert in_free_region(n, m)
-            res = maximize_min_distance(n, m, restarts=120, seed=110)
+            tori.append(ModuliPoint(x, y))
+            assert in_free_region(n, tori[-1])
+        for m, res in zip(tori, maximize_min_distances(n, tori, restarts=120, seed=110)):
             p = note(Packing(m=m, centers=res.best_centers, radius=res.best_radius))
             if abs(res.best_radius - 0.5) > 1e-6:
                 ok = False
-                details.append(f"n={n} ({x:.3f},{y:.3f}): r={res.best_radius:.8f}")
+                details.append(f"n={n} ({m.x:.3f},{m.y:.3f}): r={res.best_radius:.8f}")
                 continue
             g = extract_graph(p, tol=1e-5)
             if g.loop_count() == 0:
                 ok = False
-                details.append(f"n={n} ({x:.3f},{y:.3f}): no loop")
+                details.append(f"n={n} ({m.x:.3f},{m.y:.3f}): no loop")
     report(
         "criterion 10: free region reaches radius 1/2 with self-tangencies",
         ok,

@@ -1,3 +1,4 @@
+import functools
 import math
 import subprocess
 import sys
@@ -8,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from toruspack import oracle
 from toruspack.closed_form import optimal_radius
-from toruspack.lattice import ModuliPoint
+from toruspack.lattice import ModuliPoint, wrapped_translates
 from toruspack.oracle import (
     compare_with_closed_form,
     maximize_min_distance,
+    maximize_min_distances,
     realize_embedding,
 )
 from toruspack.packing import Packing, extract_graph
+from toruspack.regions import region_count, sample_interior
 
 SQRT3 = math.sqrt(3.0)
 
@@ -73,6 +76,69 @@ class TestMaxMin:
         )
         g = extract_graph(p, tol=1e-5)
         assert g.loop_count() >= 1
+
+
+def _reference_ascent(T, m):
+    """The soft-min ascent of one torus written plainly on
+    lattice.wrapped_translates: the arithmetic the buffered, batched
+    kernel keeps, in the same order."""
+    n = T.shape[1]
+    I, J = np.triu_indices(n, k=1)
+    incidence = np.eye(n)[:, J] - np.eye(n)[:, I]
+    binv = np.linalg.inv(m.basis)
+    beta, step = 64.0, 0.08
+    for it in range(220):
+        _, v = wrapped_translates(T[:, J] - T[:, I], m)
+        v = np.ascontiguousarray(v)
+        dist = np.sqrt(v[0] ** 2 + v[1] ** 2 + 1e-18)
+        dmin = dist.min(axis=(1, 2), keepdims=True)
+        w = np.exp(-beta * (dist - dmin))
+        w /= w.sum(-1).sum(-1)[:, None, None] * dist
+        contrib = np.einsum("rpt,crpt->rpc", w, v)
+        grad = np.einsum("np,rpc->rnc", incidence, contrib)
+        norm = np.sqrt((grad**2).sum(-1, keepdims=True)) + 1e-15
+        T = (T + (step * grad / norm) @ binv) % 1.0
+        if (it + 1) % 22 == 0:
+            beta = min(beta * 2, 65536.0)
+            step *= 0.75
+    return T
+
+
+def _tori(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return [sample_interior(n, 1 + k % region_count(n), rng) for k in range(count)]
+
+
+_POOL = {n: _tori(n, 4, 40 + n) for n in (2, 3, 4)}
+
+
+@functools.cache
+def _alone(n, k, seed):
+    return maximize_min_distance(n, _POOL[n][k], restarts=10, seed=seed)
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kernel_matches_reference(self, n):
+        tori = _tori(n, 3, n)
+        T0 = np.random.default_rng(n).random((12, n, 2))
+        ends = oracle._ascent(T0, tori)
+        for m, T in zip(tori, ends):
+            np.testing.assert_array_equal(T, _reference_ascent(T0.copy(), m))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([2, 3, 4]), picks=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+           seed=st.integers(0, 2))
+    def test_batch_gives_each_torus_its_own_result(self, n, picks, seed):
+        # any subset, order and repeats of tori: each result is bit for bit
+        # the one-torus call's
+        batched = maximize_min_distances(n, [_POOL[n][k] for k in picks], restarts=10, seed=seed)
+        assert [repr(r) for r in batched] == [repr(_alone(n, k, seed)) for k in picks]
+
+    def test_empty_table_and_single_circle(self):
+        assert maximize_min_distances(3, [], restarts=5) == []
+        ones = maximize_min_distances(1, _POOL[2][:2], restarts=5)
+        assert [r.best_radius for r in ones] == [0.5, 0.5]
 
 
 class TestRealize:

@@ -17,6 +17,7 @@ from toruspack.report import PipelineReport, _check_counts, run_pipeline, solve_
 
 SQRT3 = math.sqrt(3.0)
 GOLDEN = Path(__file__).with_name("solve_golden.json")
+ORACLE_GOLDEN = Path(__file__).with_name("oracle_golden.json")
 
 
 def run_cli(*args):
@@ -176,10 +177,18 @@ class TestPipeline:
         assert "flex" in verdicts["ECG2-2"]["witness"]
 
     def test_n3_oracle_rows_reach_the_formula(self, tmp_path, catalog3):
+        """Every row lands on the closed form, and on the tori and oracle
+        radii in oracle_golden.json, recorded at 80e77f3."""
         report = run_pipeline(3, str(tmp_path))
         assert len(report.oracle_rows) == 9
         for row in report.oracle_rows:
             assert row["gap"] <= 1e-9, row
+        golden = json.loads(ORACLE_GOLDEN.read_text())
+        assert [(r["x"], r["y"], r["region"]) for r in report.oracle_rows] == [
+            (g["x"], g["y"], g["region"]) for g in golden
+        ]
+        for row, g in zip(report.oracle_rows, golden):
+            assert abs(row["oracle_r"] - g["oracle_r"]) <= 1e-12, (row, g)
 
     def test_embedding_records_round_trip(self, tmp_path, catalog3):
         run_pipeline(3, str(tmp_path), skip_oracle=True)

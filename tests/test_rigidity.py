@@ -405,9 +405,11 @@ def _golden_frameworks(catalog3):
 
 def test_certificates_match_golden(catalog3):
     """Flex and stress certificates stay identical: the digests in
-    rigidity_golden.json were recorded from these frameworks at 2445afc."""
-    got = {
-        label: hashlib.sha256(repr(decide_rigidity(f)).encode()).hexdigest()
-        for label, f in _golden_frameworks(catalog3)
-    }
+    rigidity_golden.json were recorded from these frameworks at 2445afc.
+    The stress LP's right-hand side, built from the struts, is -A 1."""
+    got = {}
+    for label, f in _golden_frameworks(catalog3):
+        A, b = rigidity._equilibrium_system(f)
+        assert b == [-sum(row) for row in A], label
+        got[label] = hashlib.sha256(repr(decide_rigidity(f)).encode()).hexdigest()
     assert got == json.loads(GOLDEN.read_text())
