@@ -46,40 +46,101 @@ class OracleResult:
 # pinned, optionally the torus shape, and last the common length L):
 # d_t = A_t u + c_t.  The residuals are |d_t|^2 - L^2, and optionally one
 # squared hinge (L^2 - |q|^2)_+ per pair of tangents q = s1 d_1 - s2 d_2 at
-# a vertex ("neighbours at least L apart").  Their Jacobian follows from the
-# constant (E, 2, k) tensor A, so damped Gauss-Newton runs on all starts at
-# once.
+# a vertex ("neighbours at least L apart").  Each Jacobian row is w . A_t
+# + s e_k, with w = 2 d_t and s = -2 L for an edge, w = -2 q and s = 2 L for
+# a hinge that is on, and both 0 for a masked edge or an off hinge.  So the
+# Jacobian follows from the constant tensor A by multiply-adds, and damped
+# Gauss-Newton runs on all starts at once.
 
 LM_MAX_ITER = 200
 LM_COST_FLOOR = 1e-30  # 0.5 |r|^2 at machine precision for lengths ~1
 LM_LAMBDA_CEIL = 1e10  # damping beyond which a start counts as stuck
+# The first damping is this share of the largest diagonal entry of J^T J
+# (the tau of Madsen, Nielsen and Tingleff 2004 for a start not known to be
+# near a solution is 1e-3): the first steps are nearly Gauss-Newton ones.
+LM_LAMBDA_INIT = 1e-3
+# The damping never falls below this share of that entry (and never below
+# this absolute value): J^T J is singular on the underdetermined
+# realization systems, and the floor keeps the condition number of
+# J^T J + lam I below about k 1e12, inside double precision.
+LM_LAMBDA_FLOOR = 1e-12
+# An accepted step divides the damping by LM_ACCEPT_SHRINK and a rejected
+# one multiplies it by LM_REJECT_GROW.  Growth outpaces shrinking, so a
+# start that alternates between the two still raises its damping (by 4/3
+# per pair) until it stops or meets LM_LAMBDA_CEIL.
+LM_ACCEPT_SHRINK = 3.0
+LM_REJECT_GROW = 4.0
+# What the callers read from a solve.  _active_refine takes every translate
+# within REFINE_SLACK of the shortest as a contact to hold at one length.
+# A translate that is no contact of the refined optimum sits within 2e-3
+# of the shortest in 0.7% of the ranked ascent endpoints (within 5e-3 in
+# 4.2%; 432 endpoints of 36 interior tori, n = 2-4, 200 restarts).  The
+# contacts it misses (most endpoints have one up to ~2e-2 out) are added
+# by the 2n - 1 floor and by the next of REFINE_ROUNDS.
+REFINE_SLACK = 2e-3
+# realize_embedding drops a solve whose common length L or torus height y
+# fell below DEGENERATE_SCALE: the starts draw L from [0.4, 1.05] and y
+# from [0.5, 1.2 n], and L = 0 (every edge of length zero) or y = 0 (a flat
+# lattice) solve the equations without drawing a packing.
+DEGENERATE_SCALE = 1e-3
+# A realized radius may exceed RADIUS_CAP by this: at the cap two circles
+# touch along the shortest lattice vector, and a sample's lengths agree
+# only to realize_embedding's residual_tol (1e-10).
+RADIUS_CAP_SLACK = 1e-9
 
 
 def _edge_vectors(u: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(B, E, 2) edge vectors A u + c of the starts u (B, k)."""
-    return (u @ A.reshape(-1, A.shape[-1]).T).reshape(len(u), *A.shape[:2]) + c
+    """(B, E, 2) edge vectors A u + c of the starts u (B, k): one (1, k) @
+    (k, 2E) product per start, so a start's vectors do not depend on the
+    batch (a (B, k) @ (k, 2E) product rounds a row differently for
+    different B)."""
+    At = A.reshape(-1, A.shape[-1]).T
+    return (u[:, None, :] @ At).reshape(len(u), *A.shape[:2]) + c
 
 
-def _equal_length_terms(u, A, c, hinge, active=None):
-    """Residuals (B, m) and Jacobian (B, m, k) for the starts u (B, k)."""
-    L = u[:, -1:]
-    d = _edge_vectors(u, A, c)
-    r = (d**2).sum(-1) - L**2
-    J = 2 * np.einsum("bet,etk->bek", d, A)
-    J[:, :, -1] -= 2 * L
-    if active is not None:
-        r *= active
-        J *= active[..., None]
+def _residual_system(A, c, hinge=None, active=None):
+    """The edges and hinges as one system of m residuals: their (m, 2, k)
+    blocks, offsets (m, 2) or (B, m, 2), signs (m,) (+1 for |d|^2 - L^2,
+    -1 for the hinge gap L^2 - |q|^2) and the (B, m) mask of active edges
+    (hinges always 1), if any."""
     if hinge is None:
-        return r, J
+        return A, c, np.ones(len(A)), active
     Aq, cq = hinge
-    q = _edge_vectors(u, Aq, cq)
-    gap = L**2 - (q**2).sum(-1)
-    on = gap > 0
-    Jq = -2 * np.einsum("bpt,ptk->bpk", q, Aq)
-    Jq[:, :, -1] += 2 * L
-    Jq *= on[..., None]
-    return np.concatenate([r, gap * on], 1), np.concatenate([J, Jq], 1)
+    offsets = np.concatenate([c, np.broadcast_to(cq, c.shape[:-2] + cq.shape)], -2)
+    if active is not None:
+        active = np.concatenate([active, np.ones((len(active), len(Aq)))], 1)
+    return np.concatenate([A, Aq]), offsets, np.repeat([1.0, -1.0], [len(A), len(Aq)]), active
+
+
+def _equal_length_terms(u, rows, offsets, sign, active=None):
+    """Residuals r (B, m) of the starts u (B, k), with the factors w (B, m, 2)
+    and s (B, m) of their Jacobian rows w . rows_t + s e_k.  A hinge counts
+    only while its gap is positive."""
+    L = u[:, -1:]
+    v = _edge_vectors(u, rows, offsets)
+    r = sign * (v[..., 0] ** 2 + v[..., 1] ** 2 - L**2)
+    mask = (r > 0) | (sign > 0)
+    if active is not None:
+        mask = mask * active
+    r *= mask
+    w = (2 * sign)[:, None] * v * mask[..., None]
+    s = -2 * sign * L * mask
+    return r, w, s
+
+
+def _jacobian(w: np.ndarray, s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(B, m, k) Jacobian rows w . rows_t + s e_k, by elementwise multiply-adds
+    (so each start's rows are the same in any batch)."""
+    J = w[..., :1] * rows[:, 0]
+    J += w[..., 1:] * rows[:, 1]
+    J[..., -1] += s
+    return J
+
+
+def _normal_equations(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J (B, k, k) and J^T r (B, k): one BLAS product per start each."""
+    Jt = J.transpose(0, 2, 1)
+    return Jt @ J, (Jt @ r[..., None])[..., 0]
 
 
 def _solve_equal_lengths(A, c, u0, hinge=None, active=None):
@@ -93,34 +154,44 @@ def _solve_equal_lengths(A, c, u0, hinge=None, active=None):
     0.5 |r|^2 per start.  Identity damping keeps the step well posed on the
     underdetermined systems the realization solves, where J^T J is always
     singular.
+
+    The kernel: the edge vectors are one (1, k) @ (k, 2m) product per
+    start, the Jacobian J (B, m, k) is formed from them and the constant
+    blocks A by elementwise multiply-adds (_jacobian), and J^T J and J^T r
+    by one BLAS product per start (_normal_equations).  Each start keeps
+    its J^T J and J^T r: a rejected step changes only the damping, so a
+    trial point needs its residuals for the accept test, and its Jacobian
+    and normal equations only once accepted.  No reduction mixes starts,
+    so each start's result is bit for bit the one it gets alone.
     """
     u = np.array(u0, dtype=float)
     k = u.shape[1]
-    r, J = _equal_length_terms(u, A, c, hinge, active)
+    rows, offsets, sign, active = _residual_system(A, c, hinge, active)
+    r, w, s = _equal_length_terms(u, rows, offsets, sign, active)
+    JTJ, JTr = _normal_equations(_jacobian(w, s, rows), r)
     cost = 0.5 * (r**2).sum(1)
-    diag = np.einsum("bmk,bmk->bk", J, J).max(1)
-    floor = 1e-12 * np.maximum(diag, 1.0)  # keeps J^T J + lam I invertible
-    lam = np.maximum(1e-3 * diag, floor)
+    diag = np.diagonal(JTJ, axis1=1, axis2=2).max(1)
+    floor = LM_LAMBDA_FLOOR * np.maximum(diag, 1.0)
+    lam = np.maximum(LM_LAMBDA_INIT * diag, floor)
     done = cost <= LM_COST_FLOOR
     eye = np.eye(k)
     for _ in range(LM_MAX_ITER):
         live = np.flatnonzero(~done)
         if not live.size:
             break
-        Jl, rl = J[live], r[live]
-        H = np.einsum("bmi,bmj->bij", Jl, Jl) + lam[live, None, None] * eye
-        g = np.einsum("bmi,bm->bi", Jl, rl)
-        trial = u[live] - np.linalg.solve(H, g[..., None])[..., 0]
-        rt, Jt = _equal_length_terms(
-            trial, A, c[live] if c.ndim == 3 else c, hinge,
+        H = JTJ[live] + lam[live, None, None] * eye
+        trial = u[live] - np.linalg.solve(H, JTr[live][..., None])[..., 0]
+        rt, wt, st = _equal_length_terms(
+            trial, rows, offsets[live] if offsets.ndim == 3 else offsets, sign,
             None if active is None else active[live],
         )
         ct = 0.5 * (rt**2).sum(1)
         ok = ct < cost[live]
         acc, rej = live[ok], live[~ok]
-        u[acc], r[acc], J[acc], cost[acc] = trial[ok], rt[ok], Jt[ok], ct[ok]
-        lam[acc] = np.maximum(lam[acc] / 3, floor[acc])
-        lam[rej] *= 4
+        u[acc], cost[acc] = trial[ok], ct[ok]
+        JTJ[acc], JTr[acc] = _normal_equations(_jacobian(wt[ok], st[ok], rows), rt[ok])
+        lam[acc] = np.maximum(lam[acc] / LM_ACCEPT_SHRINK, floor[acc])
+        lam[rej] *= LM_REJECT_GROW
         done[live] = (cost[live] <= LM_COST_FLOOR) | (lam[live] > LM_LAMBDA_CEIL)
     return u, cost
 
@@ -158,6 +229,12 @@ EXP_FLOOR = -700.0
 # basin's optimum (median 4.6e-3 on 48 interior tori, 200 restarts), so the
 # fraction is a share of the basin to compare between runs, not its size.
 BASIN_WINDOW = 5e-3
+# maximize_min_distances ascends a table in blocks of tori whose 9 P K R
+# arrays hold at most this many bytes each, so that the five of them stay
+# near the cache: at n = 4 and 200 restarts a torus takes 69, 57, 46, 48,
+# 63 and 83 ms in blocks of 1, 4, 8, 12, 20 and 80 tori (2-vCPU VM, 4 MiB
+# L2), and this budget gives blocks of 12.  Tori ascend alike in any block.
+ASCENT_BLOCK_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -285,15 +362,15 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     return T.transpose(2, 3, 1, 0)
 
 
-def _active_refine(F: np.ndarray, m: ModuliPoint, slack: float = 2e-3) -> np.ndarray:
+def _active_refine(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     """Equalize the near-minimal distances with an equal-length solve.
 
     At a max-min optimum the active tangencies share one length; solving
     |p_j + t - p_i|^2 = d^2 over the active set lands the configuration on
     it to machine precision.  The active set is every translate within
-    slack of the minimum, and at least the 2n - 1 shortest: a local optimum
-    is an infinitesimally rigid strut framework, which needs one more
-    contact than its 2(n - 1) degrees of freedom.  F and the result are
+    REFINE_SLACK of the minimum, and at least the 2n - 1 shortest: a local
+    optimum is an infinitesimally rigid strut framework, which needs one
+    more contact than its 2(n - 1) degrees of freedom.  F and the result are
     fractional coordinates (K, n, 2), all K solved in one batch; a result
     is only adopted by the caller if it actually improves the minimum
     distance.
@@ -303,7 +380,7 @@ def _active_refine(F: np.ndarray, m: ModuliPoint, slack: float = 2e-3) -> np.nda
     shifts, v = wrapped_translates(F[:, J] - F[:, I], m)
     dist = _lengths(v).reshape(K, -1)  # (pair, translate) flattened
     dmin = dist.min(1)
-    cut = np.maximum(dmin + slack, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
+    cut = np.maximum(dmin + REFINE_SLACK, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
     active = (dist <= cut[:, None]).astype(float)
     # unknowns: p_1 .. p_{n-1} (p_0 pinned), then the common length d; the
     # 9 translates of a pair share its rows of A
@@ -359,7 +436,9 @@ def maximize_min_distances(
         [np.random.default_rng(np.random.SeedSequence((seed, r))).random((n, 2)) for r in range(restarts)]
     )
     T0[:, 0] = 0.0  # translation quotient
-    ends = _ascent(T0, tori)
+    P = n * (n - 1) // 2
+    block = max(1, ASCENT_BLOCK_BYTES // (9 * P * restarts * T0.itemsize))
+    ends = [T for at in range(0, len(tori), block) for T in _ascent(T0, tori[at : at + block])]
     return [_best_of(T, m, refine_top) for T, m in zip(ends, tori)]
 
 
@@ -581,7 +660,7 @@ def realize_embedding(
     q = _edge_vectors(u, Aq, cq)
     L = np.abs(u[:, -1])
     residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
-    keep = (cost <= SOLVED_COST) & (L >= 1e-3) & (np.abs(u[:, -2]) >= 1e-3)
+    keep = (cost <= SOLVED_COST) & (L >= DEGENERATE_SCALE) & (np.abs(u[:, -2]) >= DEGENERATE_SCALE)
     keep &= residual <= residual_tol
     keep &= _angle_window_ok(
         [np.array([s for _, s in tv])[:, None] * d[:, [t for t, _ in tv]] for tv in tangents]
@@ -617,7 +696,7 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
         return None
     pts = (np.asarray(rec.similarity) @ p.T).T
     radius = rec.scale * L / 2
-    if radius > RADIUS_CAP + 1e-9:
+    if radius > RADIUS_CAP + RADIUS_CAP_SLACK:
         return None
     centers = tuple(TorusPoint(*q).canonical(m) for q in pts)
     packing = Packing(m=m, centers=centers, radius=radius)

@@ -170,12 +170,8 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
 ANGLE_GAP_TOL = 1e-9
 
 
-def tangency_directions(g: PackingGraph, p: Packing, vertex: int) -> np.ndarray:
-    """Unit direction of every tangency at one circle (loops give both signs)."""
-    return _directions(g, p.edge_vectors(g), vertex)
-
-
 def _directions(g: PackingGraph, vectors: np.ndarray, vertex: int) -> np.ndarray:
+    """Unit direction of every tangency at one circle (loops give both signs)."""
     dirs = []
     for (i, j, _), vec in zip(g.edges, vectors):
         if i == j == vertex:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import equal_length_reference as reference
 from toruspack import oracle
 from toruspack.closed_form import optimal_radius
 from toruspack.lattice import ModuliPoint, wrapped_translates
@@ -135,6 +136,14 @@ class TestBatchedAscent:
         batched = maximize_min_distances(n, [_POOL[n][k] for k in picks], restarts=10, seed=seed)
         assert [repr(r) for r in batched] == [repr(_alone(n, k, seed)) for k in picks]
 
+    @pytest.mark.parametrize("budget", [1, 3 * 9 * 3 * 10 * 8])
+    def test_blocks_give_each_torus_its_own_result(self, monkeypatch, budget):
+        # blocks of one torus, then of three (3 + 1 for four tori)
+        whole = maximize_min_distances(3, _POOL[3], restarts=10, seed=1)
+        monkeypatch.setattr(oracle, "ASCENT_BLOCK_BYTES", budget)
+        blocked = maximize_min_distances(3, _POOL[3], restarts=10, seed=1)
+        assert [repr(r) for r in blocked] == [repr(r) for r in whole]
+
     def test_empty_table_and_single_circle(self):
         assert maximize_min_distances(3, [], restarts=5) == []
         ones = maximize_min_distances(1, _POOL[2][:2], restarts=5)
@@ -209,20 +218,112 @@ def _random_system(rng, E, k, P):
     return A, c, (Aq, cq) if P else None, u
 
 
+def _terms(u, A, c, hinge=None, active=None):
+    """The solver's residuals (B, m) and Jacobian (B, m, k) at the starts u."""
+    rows, offsets, sign, mask = oracle._residual_system(A, c, hinge, active)
+    r, w, s = oracle._equal_length_terms(u, rows, offsets, sign, mask)
+    return r, oracle._jacobian(w, s, rows)
+
+
+def _magnitudes(u, A, c, hinge):
+    """For each entry of r (B, m) and J (B, m, k), the sum of the magnitudes
+    of the terms its formula adds up: its rounding error is a small
+    multiple of machine epsilon times this."""
+    rows, offsets, _, _ = oracle._residual_system(
+        np.abs(A), np.abs(c), None if hinge is None else (np.abs(hinge[0]), np.abs(hinge[1]))
+    )
+    D = reference.edge_vectors(np.abs(u), rows, offsets)
+    L = np.abs(u[:, -1:])
+    size_J = 2 * np.einsum("bet,etk->bek", D, np.abs(rows))
+    size_J[..., -1] += 2 * L
+    return (D**2).sum(-1) + L**2, size_J
+
+
+def _solver_systems():
+    """Three systems of six starts: hinges with a shared c and a consistent
+    solution, per-start c with active masks, and both at once.  Every
+    other start's c is perturbed off the solution, so that starts finish
+    at different iterations."""
+    rng = np.random.default_rng(29)
+    systems = []
+    for k, E, P, per_start in ((7, 6, 9, False), (5, 8, 0, True), (6, 5, 4, True)):
+        A, c, hinge, _ = _random_system(rng, E, k, P)
+        u_star = rng.normal(size=k)
+        u_star[-1] = rng.uniform(0.5, 1.5)
+        theta = rng.uniform(0, 2 * math.pi, E)
+        c = u_star[-1] * np.stack([np.cos(theta), np.sin(theta)], 1) - A @ u_star
+        u0 = u_star + 0.3 * rng.normal(size=(6, k))
+        active = None
+        if per_start:
+            c = c + 0.1 * rng.normal(size=(6, E, 2)) * (np.arange(6) % 2)[:, None, None]
+            active = (rng.random((6, E)) < 0.8).astype(float)
+        systems.append((A, c, hinge, active, u0))
+    return systems
+
+
+_SYSTEMS = _solver_systems()
+
+
+def _solve_picks(which, picks):
+    A, c, hinge, active, u0 = _SYSTEMS[which]
+    sel = np.array(picks)
+    return oracle._solve_equal_lengths(
+        A, c[sel] if c.ndim == 3 else c, u0[sel], hinge, None if active is None else active[sel]
+    )
+
+
+@functools.cache
+def _solved_alone(which, b):
+    u, cost = _solve_picks(which, [b])
+    return u[0].tobytes(), cost[0]
+
+
 class TestEqualLengthSolver:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), E=st.integers(1, 12), k=st.integers(2, 9),
+           P=st.integers(0, 10), per_start_c=st.booleans(), masked=st.booleans())
+    def test_kernel_matches_einsum_reference(self, seed, E, k, P, per_start_c, masked):
+        rng = np.random.default_rng(seed)
+        A, c, hinge, u = _random_system(rng, E, k, P)
+        u[:, -1] *= 1.001  # off the median hinge, which _random_system puts on its switch
+        if per_start_c:
+            c = c + rng.normal(size=(len(u), E, 2))
+        active = (rng.random((len(u), E)) < 0.7).astype(float) if masked else None
+        r, J = _terms(u, A, c, hinge, active)
+        JTJ, JTr = oracle._normal_equations(J, r)
+        r_ref, J_ref = reference.equal_length_terms(u, A, c, hinge, active)
+        JTJ_ref, JTr_ref = reference.normal_equations(J_ref, r_ref)
+        # every entry within 1e-12 of the sum of the magnitudes it adds up
+        size_r, size_J = _magnitudes(u, A, c, hinge)
+        size_JTJ, size_JTr = reference.normal_equations(size_J, size_r)
+        for got, ref, size in [(r, r_ref, size_r), (J, J_ref, size_J),
+                               (JTJ, JTJ_ref, size_JTJ), (JTr, JTr_ref, size_JTr)]:
+            assert got.shape == ref.shape
+            assert (np.abs(got - ref) <= 1e-12 * size).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(which=st.integers(0, len(_SYSTEMS) - 1),
+           picks=st.lists(st.integers(0, 5), min_size=1, max_size=8))
+    def test_each_start_solves_as_alone(self, which, picks):
+        # any subset, order and repeats of starts: each start's u and cost
+        # are bit for bit its one-start result
+        u, cost = _solve_picks(which, picks)
+        got = [(x.tobytes(), f) for x, f in zip(u, cost)]
+        assert got == [_solved_alone(which, b) for b in picks]
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), E=st.integers(1, 12),
            k=st.integers(2, 9), P=st.integers(0, 10))
     def test_jacobian_matches_central_differences(self, seed, E, k, P):
         A, c, hinge, u = _random_system(np.random.default_rng(seed), E, k, P)
-        r, J = oracle._equal_length_terms(u, A, c, hinge)
+        r, J = _terms(u, A, c, hinge)
         h = 1e-6
         fd = np.empty_like(J)
         for i in range(k):
             step = np.zeros(k)
             step[i] = h
-            fd[..., i] = (oracle._equal_length_terms(u + step, A, c, hinge)[0]
-                          - oracle._equal_length_terms(u - step, A, c, hinge)[0]) / (2 * h)
+            fd[..., i] = (_terms(u + step, A, c, hinge)[0]
+                          - _terms(u - step, A, c, hinge)[0]) / (2 * h)
         # the hinge is not differentiable where it switches on
         smooth = np.ones_like(r, dtype=bool)
         if hinge is not None:
@@ -249,7 +350,7 @@ class TestEqualLengthSolver:
         u, cost = oracle._solve_equal_lengths(A, c, u0)
         for b in range(len(u0)):
             ref = least_squares(
-                lambda v: oracle._equal_length_terms(v[None], A, c, None)[0][0], u0[b],
+                lambda v: _terms(v[None], A, c)[0][0], u0[b],
                 method="lm" if overdetermined else "trf",
                 xtol=1e-15, ftol=1e-15, gtol=1e-15,
             )
