@@ -121,14 +121,17 @@ def enumerate_census(n: int) -> CensusResult:
     stage1: dict[bytes, Multigraph] = {}
     stage2: dict[bytes, Multigraph] = {}
     stage3: dict[bytes, Multigraph] = {}
+    # relabelings of the classes found: each class keeps its first composition
+    reached: set[tuple[int, ...]] = set()
     for total in range(lo, hi + 1):
         for mult in _compositions(total, len(prs)):
+            if mult in reached:
+                continue
             g = Multigraph(n, mult)
             if not g.is_connected():
                 continue
+            reached.update(h for _, h in relabelings(g))
             c = g.canonical_form
-            if c in stage1:
-                continue
             stage1[c] = g
             if not all(3 <= d <= 6 for d in g.degrees()):
                 continue

@@ -168,27 +168,18 @@ def identify(n: int) -> EcgCatalog:
             for gi in range(len(per_graph))
         }
 
-        def pick(edge_count: int, count: int, taken: set[int]) -> int:
+        for edge_count, count, cg_num in ((7, 4, 4), (7, 1, 6), (8, 2, 10), (8, 1, 12)):
             cands = [
                 gi
                 for gi in by_edges[edge_count]
-                if gi not in taken and surv[gi] == count
+                if gi not in anchored_cg and surv[gi] == count
             ]
             if len(cands) != 1:
                 raise AssertionError(
                     f"survivor fingerprint ({edge_count} edges, {count} survivors)"
                     f" matched {len(cands)} graphs"
                 )
-            return cands[0]
-
-        taken = set(anchored_cg)
-        anchored_cg[pick(7, 4, taken)] = 4
-        taken = set(anchored_cg)
-        anchored_cg[pick(7, 1, taken)] = 6
-        taken = set(anchored_cg)
-        anchored_cg[pick(8, 2, taken)] = 10
-        taken = set(anchored_cg)
-        anchored_cg[pick(8, 1, taken)] = 12
+            anchored_cg[cands[0]] = cg_num
     # remaining ids filled inside each edge-count block, canonical order
     cg_of: dict[int, int] = dict(anchored_cg)
     start = offset

@@ -2,10 +2,11 @@
 
 Edges carry two darts (2k for i->j, 2k+1 for j->i); a rotation system is the
 permutation sending each dart to the next dart out of the same vertex, and
-faces are the orbits of d -> rotation[rev(d)].  Enumeration scans every
-cyclic-order combination (quotiented at one vertex by its stabilizer),
-keeps Euler characteristic zero, and deduplicates up to graph automorphism
-and orientation reversal.
+faces are the orbits of d -> rotation[rev(d)].  Enumeration is a
+depth-first search over the cyclic orders at each vertex (quotiented at one
+vertex by its stabilizer), in place of a scan of every rotation system; it
+prunes as soon as Euler characteristic zero is out of reach and
+deduplicates up to graph automorphism and orientation reversal.
 
 The dedup key is the smallest of phi sigma phi^-1 and phi sigma^-1 phi^-1
 over every dart isomorphism phi from the graph onto its canonical copy.
@@ -23,6 +24,7 @@ unrestricted dedup count.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -238,82 +240,79 @@ def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
     return reps
 
 
-def _count_cycles(nxt: np.ndarray) -> np.ndarray:
-    """Number of cycles per row of a batch of permutations (pointer doubling)."""
-    B, m = nxt.shape
-    f = nxt
-    lab = np.broadcast_to(np.arange(m, dtype=nxt.dtype), (B, m)).copy()
-    step = 1
-    while step < m:
-        lab = np.minimum(lab, np.take_along_axis(lab, f, axis=1))
-        f = np.take_along_axis(f, f, axis=1)
-        step *= 2
-    lab = np.minimum(lab, np.take_along_axis(lab, f, axis=1))
-    return (lab == np.arange(m, dtype=nxt.dtype)).sum(axis=1)
-
-
-# rotation systems decoded and scanned per numpy batch
-SCAN_BATCH = 1 << 19
-
-
 def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[EmbeddedGraph, ...]:
     """All distinct unlabeled, unoriented 2-cell embeddings on the torus.
 
-    Scans every rotation system (cyclic orders quotiented at one vertex by
-    its stabilizer), keeps chi = 0, drops bigon faces unless requested, and
-    deduplicates by the canonical embedding form.
+    A depth-first search over each vertex's cyclic orders, vertex 0 first
+    and dart by dart, in the order a scan of every rotation system takes.
+    Setting sigma[x] = y closes a face or extends an open chain of
+    phi(d) = sigma[d ^ 1].  With E - n faces needed (chi = 0) and
+    short = 3 (2 with include_bigons), a partial rotation is dropped when
+      - a face closes with fewer than short darts;
+      - the faces still needed are none while darts are open, or more than
+        the unset darts or than open darts // short;
+      - an open chain is longer than the open darts less short darts per
+        other face still needed.
+    The first rotation found of each canonical embedding form is kept.
     """
-    ds = dart_structure(g)
-    vdarts = ds.vertex_darts()
+    vdarts = dart_structure(g).vertex_darts()
     n = g.vertex_count
-    E = g.edge_count
-    m = ds.count
-    orders = [_cyclic_orders(vd) for vd in vdarts]
-    # quotient at the vertex where it saves the most work
-    best_q, best_cost = 0, None
-    for q in range(n):
-        reps = _order_reps_at_vertex(g, q, vdarts, orders[q])
-        cost = len(reps) * int(
-            np.prod([len(orders[v]) for v in range(n) if v != q], dtype=np.int64)
-        )
-        if best_cost is None or cost < best_cost:
-            best_q, best_cost, best_reps = q, cost, reps
-    q = best_q
-    choice_lists = [best_reps if v == q else orders[v] for v in range(n)]
-    counts = [len(c) for c in choice_lists]
-    varrs = [
-        np.array([[succ[d] for d in vdarts[v]] for succ in choice_lists[v]], np.int16)
-        for v in range(n)
-    ]
-    rev = (np.arange(m) ^ 1).astype(np.int16)
-    total = int(np.prod(counts, dtype=np.int64))
-    target_faces = E - n  # chi = 0
-    found: dict[bytes, np.ndarray] = {}
-    for start in range(0, total, SCAN_BATCH):
-        idx = np.arange(start, min(start + SCAN_BATCH, total), dtype=np.int64)
-        B = len(idx)
-        sig = np.empty((B, m), np.int16)
-        rem = idx
-        for v in range(n - 1, -1, -1):
-            sel = rem % counts[v]
-            rem = rem // counts[v]
-            sig[:, vdarts[v]] = varrs[v][sel]
-        nxt = sig[:, rev]
-        if not include_bigons:
-            # bigon <=> some face orbit of length 2
-            two = np.take_along_axis(nxt, nxt, axis=1) == np.arange(m, dtype=np.int16)
-            keep = ~two.any(axis=1)
-            sig = sig[keep]
-            nxt = nxt[keep]
-            if not len(sig):
-                continue
-        F = _count_cycles(nxt)
-        good = np.nonzero(F == target_faces)[0]
-        for k in good:
-            row = sig[k].astype(np.int64)
-            c = canonical_embedding_form(g, row)
-            if c not in found:
-                found[c] = row
+    choices = [_cyclic_orders(vd) for vd in vdarts]
+    reps = [_order_reps_at_vertex(g, v, vdarts, choices[v]) for v in range(n)]
+    total = math.prod(map(len, choices))
+    q = min(range(n), key=lambda v: len(reps[v]) * total // len(choices[v]))
+    choices[q] = reps[q]  # quotient where it saves the most work
+    # one prefix tree of (dart, successor) pairs over all orders; the last
+    # pair at vertex v leads to the orders at v + 1, or to None at the end
+    tree = None
+    for orders in reversed(choices):
+        root: dict = {}
+        for succ in orders:
+            *pairs, last = succ.items()
+            node = root
+            for pair in pairs:
+                node = node.setdefault(pair, {})
+            node[last] = tree
+        tree = root
+    need = g.edge_count - n  # faces at chi = 0
+    short = 2 if include_bigons else 3
+    sigma = [-1] * (2 * g.edge_count)
+    back = list(sigma)  # back[sigma[x]] = x
+    found: dict[bytes, list[int]] = {}
+
+    def place(x, y, closed, free, unset):
+        """Set sigma[x] = y: the new (closed, open, unset) counts, or None."""
+        sigma[x], back[y] = y, x
+        unset -= 1
+        a, d, length = x ^ 1, y, 1
+        while d != a and sigma[d ^ 1] >= 0:
+            d = sigma[d ^ 1]
+            length += 1
+        if d == a:  # phi(a) = y closes a face
+            if length < short:
+                return None
+            closed, free = closed + 1, free - length
+        else:
+            d, length = a, length + 1  # a, then back to its chain's start
+            while back[d] >= 0:
+                d = back[d] ^ 1
+                length += 1
+            if length > free - short * (need - closed - 1):
+                return None
+        if not min(free, 1) <= need - closed <= min(unset, free // short):
+            return None
+        return closed, free, unset
+
+    def search(node, state):
+        for (x, y), child in node.items():
+            after = place(x, y, *state)
+            if after and child is None:
+                found.setdefault(canonical_embedding_form(g, sigma), list(sigma))
+            elif after:
+                search(child, after)
+            sigma[x] = back[y] = -1
+
+    search(tree, (0, len(sigma), len(sigma)))
     return tuple(make_embedding(g, found[c]) for c in sorted(found))
 
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
+
+import rotation_scan_reference as reference
 
 from toruspack.census import Multigraph, enumerate_census, vertex_pairs
 from toruspack.embedding import (
@@ -193,6 +197,41 @@ class TestHomology:
             for e in enumerate_toroidal(g):
                 labels = np.array(homology_labels(e))
                 assert np.linalg.matrix_rank(labels) == 2
+
+
+def _small_multigraphs() -> list[Multigraph]:
+    """Connected multigraphs on 2-4 vertices with pair multiplicities up to
+    3 and every degree in 1..5."""
+    out = []
+    for n in (2, 3, 4):
+        for mult in itertools.product(range(4), repeat=len(vertex_pairs(n))):
+            g = Multigraph(n, mult)
+            if g.is_connected() and all(1 <= d <= 5 for d in g.degrees()):
+                out.append(g)
+    return out
+
+
+def _records(embeddings):
+    return [(e.rotation, e.faces, e.canonical_form) for e in embeddings]
+
+
+class TestSearchMatchesScan:
+    """The pruned search gives the scan's embeddings, representative
+    rotations and forms (rotation_scan_reference.py holds the scan)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.sampled_from(_small_multigraphs()), include_bigons=st.booleans())
+    def test_small_multigraphs(self, g, include_bigons):
+        assert _records(enumerate_toroidal(g, include_bigons)) == _records(
+            reference.enumerate_toroidal(g, include_bigons)
+        )
+
+    def test_three_vertex_census_with_bigons(self):
+        got = [_records(enumerate_toroidal(g, True)) for g in enumerate_census(3).stage3]
+        want = [
+            _records(reference.enumerate_toroidal(g, True)) for g in enumerate_census(3).stage3
+        ]
+        assert got == want
 
 
 def test_unrestricted_dedup_one_four_vertex_graph():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toruspack import cli
 from toruspack.ecg import expected_class
 from toruspack.lattice import ModuliPoint
 from toruspack.packing import graph_from_dict, packing_from_dict, to_json
@@ -279,3 +280,9 @@ class TestRoundTrips:
         r = run_cli("pipeline", "--n", "3", "--out", str(tmp_path), "--skip-oracle")
         assert r.returncode == 0
         assert "census 37/10/3; embeddings 6; filters 6/6" in r.stdout
+
+    def test_cli_pipeline_n4_strict(self, tmp_path, catalog4, capsys):
+        """Strict mode exits 0 only if every published n = 4 count, name,
+        verdict class and oracle row holds."""
+        assert cli.main(["pipeline", "--n", "4", "--out", str(tmp_path)]) == 0
+        assert "census 825/102/20; embeddings 97; filters 31/21" in capsys.readouterr().out
