@@ -222,12 +222,13 @@ def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
     """Orbit representatives of the cyclic orders at v under the stabilizer
     of v in the dart automorphism group, together with inversion."""
     dartset = set(vdarts[v])
+    darts = sorted(dartset)  # the keys of every order at v, mapped or not
     stab = [a for a in dart_automorphisms(g) if all(a[d] in dartset for d in dartset)]
     seen: set[tuple] = set()
     reps = []
 
     def key(succ):
-        return tuple(succ[d] for d in sorted(succ))
+        return tuple(succ[d] for d in darts)
 
     for succ in orders:
         if key(succ) in seen:

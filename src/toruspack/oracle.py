@@ -561,6 +561,13 @@ SOLVED_COST = 1e-22  # 0.5 |r|^2 of a start that counts as solved
 # graph with more edges (seen: ECG9-3 "realized" on the hexagonal torus with
 # non-edges 1.6e-7..6.5e-7 from tangency and an angle gap of pi - 3e-6).
 REALIZATION_CLEARANCE = 1e-5
+# realize_embedding solves this many starts per wanted sample before the
+# rest.  The ECG2-2 probe holds its 8th sample at start 20 of 240, so its
+# first block of 24 ends it in about a third of the time of all 240; a
+# probe that retains nothing pays one more solver loop.  A doubling
+# schedule (24, 48, 96, ...) made the 12 n = 4 probes 1.0-1.34 s against
+# 0.82-1.08 s: four solver loops for each probe that retains nothing.
+FIRST_BLOCK_PER_SAMPLE = 3
 
 
 def _angle_window_ok(vectors_by_vertex: list[np.ndarray], tol: float = ANGLE_GAP_TOL) -> np.ndarray:
@@ -627,53 +634,51 @@ def realize_embedding(
 
     Unknowns: vertex positions (vertex 0 pinned), the moduli point and the
     common length; edge offsets come from the embedding's face structure.
-    All starts are solved as one batch, with a hinge term per pair of
-    tangents at a vertex that keeps their angle at least pi/3.  A solution
-    is retained only if it is a genuine packing whose extracted graph
-    reproduces the embedding (same canonical form) and whose tangency
-    angles lie in the admissible window.  An empty list is evidence of
-    non-realizability, never proof.
+    Each start is solved with a hinge term per pair of tangents at a vertex
+    that keeps their angle at least pi/3.  A solution is retained only if
+    it is a genuine packing whose extracted graph reproduces the embedding
+    (same canonical form) and whose tangency angles lie in the admissible
+    window.  The first max_samples retained starts are returned, in start
+    order.  The first FIRST_BLOCK_PER_SAMPLE * max_samples starts are
+    solved as one batch, the rest as a second only if those fall short;
+    each start solves as it would alone, so the samples are those of one
+    batch of all starts.  An empty list is evidence of non-realizability,
+    never proof.
     """
     nv = e.graph.vertex_count
     A, c, tangents = _realization_system(e)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
-    u0 = np.array([
-        np.concatenate(
-            [
-                rng.uniform(-1.0, 2.0, 2 * (nv - 1)),
-                [rng.uniform(-0.9, 0.9)],
-                [rng.uniform(0.5, 1.2 * nv)],
-                [rng.uniform(0.4, 1.05)],
-            ]
-        )
-        for _ in range(attempts)
-    ]).reshape(attempts, 2 * nv + 1)
     Aq, cq, joined = _tangent_pairs(A, c, tangents)
-    u, cost = _solve_equal_lengths(A, c, u0, (Aq, cq))
-    # cheap rejections on the whole batch: unsolved, degenerate, unequal
-    # lengths, tangent angles outside the window, and two neighbours that
-    # are not joined but touch.  Within the radius cap the reduction scales
-    # lengths by less than 2 / L, so such a pair comes within
-    # REALIZATION_CLEARANCE of touching and _validate_solution would reject
-    # the start as well.
-    d = _edge_vectors(u, A, c)
-    q = _edge_vectors(u, Aq, cq)
-    L = np.abs(u[:, -1])
-    residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
-    keep = (cost <= SOLVED_COST) & (L >= DEGENERATE_SCALE) & (np.abs(u[:, -2]) >= DEGENERATE_SCALE)
-    keep &= residual <= residual_tol
-    keep &= _angle_window_ok(
-        [np.array([s for _, s in tv])[:, None] * d[:, [t for t, _ in tv]] for tv in tangents]
-    )
-    touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + REALIZATION_CLEARANCE / 2)
-    keep &= ~(touch & ~joined).any(1)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
+    # per start: positions, then x, y and L, each uniform on [lo, hi)
+    lo = np.array([-1.0] * (2 * nv - 2) + [-0.9, 0.5, 0.4])
+    hi = np.array([2.0] * (2 * nv - 2) + [0.9, 1.2 * nv, 1.05])
+    starts = lo + (hi - lo) * rng.random((attempts, 2 * nv + 1))
     samples: list[RealizationSample] = []
-    for b in np.flatnonzero(keep):
-        sample = _validate_solution(e, u[b], float(residual[b]))
-        if sample is not None:
-            samples.append(sample)
-            if len(samples) >= max_samples:
-                break
+    for u0 in np.split(starts, [FIRST_BLOCK_PER_SAMPLE * max_samples]):
+        u, cost = _solve_equal_lengths(A, c, u0, (Aq, cq))
+        # cheap rejections on the whole block: unsolved, degenerate, unequal
+        # lengths, tangent angles outside the window, and two neighbours
+        # that are not joined but touch.  Within the radius cap the
+        # reduction scales lengths by less than 2 / L, so such a pair comes
+        # within REALIZATION_CLEARANCE of touching and _validate_solution
+        # would reject the start as well.
+        d = _edge_vectors(u, A, c)
+        q = _edge_vectors(u, Aq, cq)
+        L = np.abs(u[:, -1])
+        residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
+        keep = (cost <= SOLVED_COST) & (L >= DEGENERATE_SCALE) & (np.abs(u[:, -2]) >= DEGENERATE_SCALE)
+        keep &= residual <= residual_tol
+        keep &= _angle_window_ok(
+            [np.array([s for _, s in tv])[:, None] * d[:, [t for t, _ in tv]] for tv in tangents]
+        )
+        touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + REALIZATION_CLEARANCE / 2)
+        keep &= ~(touch & ~joined).any(1)
+        for b in np.flatnonzero(keep):
+            sample = _validate_solution(e, u[b], float(residual[b]))
+            if sample is not None:
+                samples.append(sample)
+                if len(samples) >= max_samples:
+                    return samples
     return samples
 
 

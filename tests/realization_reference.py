@@ -1,0 +1,52 @@
+"""Reference for `toruspack.oracle.realize_embedding`: every start drawn
+one by one and solved in one batch, then screened and validated in start
+order until max_samples are held.
+
+realize_embedding solves its starts in blocks and stops at its last
+sample; the property test in test_oracle.py asserts that both return the
+same samples.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from toruspack import oracle
+
+
+def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10):
+    nv = e.graph.vertex_count
+    A, c, tangents = oracle._realization_system(e)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
+    u0 = np.array([
+        np.concatenate(
+            [
+                rng.uniform(-1.0, 2.0, 2 * (nv - 1)),
+                [rng.uniform(-0.9, 0.9)],
+                [rng.uniform(0.5, 1.2 * nv)],
+                [rng.uniform(0.4, 1.05)],
+            ]
+        )
+        for _ in range(attempts)
+    ]).reshape(attempts, 2 * nv + 1)
+    Aq, cq, joined = oracle._tangent_pairs(A, c, tangents)
+    u, cost = oracle._solve_equal_lengths(A, c, u0, (Aq, cq))
+    d = oracle._edge_vectors(u, A, c)
+    q = oracle._edge_vectors(u, Aq, cq)
+    L = np.abs(u[:, -1])
+    residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
+    keep = (cost <= oracle.SOLVED_COST) & (L >= oracle.DEGENERATE_SCALE)
+    keep &= np.abs(u[:, -2]) >= oracle.DEGENERATE_SCALE
+    keep &= residual <= residual_tol
+    keep &= oracle._angle_window_ok(
+        [np.array([s for _, s in tv])[:, None] * d[:, [t for t, _ in tv]] for tv in tangents]
+    )
+    touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + oracle.REALIZATION_CLEARANCE / 2)
+    keep &= ~(touch & ~joined).any(1)
+    samples = []
+    for b in np.flatnonzero(keep):
+        sample = oracle._validate_solution(e, u[b], float(residual[b]))
+        if sample is not None:
+            samples.append(sample)
+            if len(samples) >= max_samples:
+                break
+    return samples

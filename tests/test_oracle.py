@@ -5,11 +5,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import equal_length_reference as reference
+import realization_reference
 from toruspack import oracle
 from toruspack.closed_form import optimal_radius
+from toruspack.ecg import EXPECTED_NOT_REALIZABLE, REALIZE_ATTEMPTS, REALIZE_SEED
 from toruspack.lattice import ModuliPoint, wrapped_translates
 from toruspack.oracle import (
     compare_with_closed_form,
@@ -200,6 +202,40 @@ class TestRealize:
         assert not any(oracle._validate_solution(e, x, 0.0) for x in near)
         monkeypatch.setattr(oracle, "REALIZATION_CLEARANCE", 1e-7)
         assert any(oracle._validate_solution(e, x, 0.0) for x in near)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pick=st.integers(0, 26), seed=st.integers(0, 2**16),
+           attempts=st.integers(1, 300), max_samples=st.integers(1, 10))
+    # the first block holds some samples and the second the rest
+    @example(pick=16, seed=29745, attempts=36, max_samples=4)  # ECG13-2: 2 + 2
+    @example(pick=6, seed=55848, attempts=58, max_samples=8)  # ECG6-1: 4 + 4
+    def test_blocks_match_one_batch(self, catalog3, catalog4, pick, seed, attempts, max_samples):
+        # the blocks' samples, in order, are those of one batch of all starts
+        e = (catalog3.survivors() + catalog4.survivors())[pick].embedding
+        got = realize_embedding(e, attempts=attempts, seed=seed, max_samples=max_samples)
+        ref = realization_reference.realize_embedding(e, attempts, seed, max_samples)
+        assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize("name", ["ECG2-2", sorted(EXPECTED_NOT_REALIZABLE)[0]])
+    def test_solves_starts_until_last_sample(self, catalog3, catalog4, monkeypatch, name):
+        # the ECG2-2 probe holds its 8 samples before its last start; a
+        # name that realizes nothing solves every start
+        solved = []
+        solve = oracle._solve_equal_lengths
+
+        def counting(A, c, u0, *args):
+            solved.append(len(u0))
+            return solve(A, c, u0, *args)
+
+        monkeypatch.setattr(oracle, "_solve_equal_lengths", counting)
+        entry = (catalog3 if name == "ECG2-2" else catalog4).by_name(name)
+        samples = realize_embedding(entry.embedding, attempts=REALIZE_ATTEMPTS,
+                                    seed=REALIZE_SEED, max_samples=8)
+        assert samples == list(entry.samples)
+        if name == "ECG2-2":
+            assert len(samples) == 8 and sum(solved) < REALIZE_ATTEMPTS
+        else:
+            assert not samples and sum(solved) == REALIZE_ATTEMPTS
 
 
 def _random_system(rng, E, k, P):

@@ -94,6 +94,23 @@ def test_census_and_embedding_files_match_golden(tmp_path, catalog3, catalog4):
     assert got == PIPELINE_GOLDEN
 
 
+# sha256 of the verdict and oracle files that `toruspack pipeline --n {3, 4}`
+# writes at seed 0, recorded at 328adc2.  They pass through the equal-length
+# solver (realization samples, oracle refine), so a change to its rounding
+# re-records these digests and says so in CHANGES.md.
+RUN_GOLDEN = {
+    "verdicts_n3.json": "935b0d19e78d5bb537ea838ec8319bad5d3ab2d8243515742353f83f70b71dbc",
+    "oracle_n3.csv": "6860314e11ce99fee535d5b77570279fc1c8996289f5acfe609b8468d9c9424e",
+    "verdicts_n4.json": "9f42a97e312c13094923285917654f79b1ea69c8141439e0b840630210991f83",
+    "oracle_n4.csv": "d5485239fb61c534addcb49a9aa1118f4006d64960bce9f3def70d017bae1e9c",
+}
+
+
+def _assert_run_golden(out_dir, n):
+    for name in (f"verdicts_n{n}.json", f"oracle_n{n}.csv"):
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == RUN_GOLDEN[name], name
+
+
 class TestSolve:
     def test_square_torus(self):
         rec = solve_report(2, (1, 0), (0, 1))
@@ -179,7 +196,8 @@ class TestPipeline:
 
     def test_n3_oracle_rows_reach_the_formula(self, tmp_path, catalog3):
         """Every row lands on the closed form, and on the tori and oracle
-        radii in oracle_golden.json, recorded at 80e77f3."""
+        radii in oracle_golden.json, recorded at 80e77f3; the verdict and
+        oracle files match RUN_GOLDEN."""
         report = run_pipeline(3, str(tmp_path))
         assert len(report.oracle_rows) == 9
         for row in report.oracle_rows:
@@ -190,6 +208,7 @@ class TestPipeline:
         ]
         for row, g in zip(report.oracle_rows, golden):
             assert abs(row["oracle_r"] - g["oracle_r"]) <= 1e-12, (row, g)
+        _assert_run_golden(tmp_path, 3)
 
     def test_embedding_records_round_trip(self, tmp_path, catalog3):
         run_pipeline(3, str(tmp_path), skip_oracle=True)
@@ -283,6 +302,8 @@ class TestRoundTrips:
 
     def test_cli_pipeline_n4_strict(self, tmp_path, catalog4, capsys):
         """Strict mode exits 0 only if every published n = 4 count, name,
-        verdict class and oracle row holds."""
+        verdict class and oracle row holds; the verdict and oracle files
+        match RUN_GOLDEN."""
         assert cli.main(["pipeline", "--n", "4", "--out", str(tmp_path)]) == 0
         assert "census 825/102/20; embeddings 97; filters 31/21" in capsys.readouterr().out
+        _assert_run_golden(tmp_path, 4)
