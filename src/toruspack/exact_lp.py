@@ -3,21 +3,26 @@
 Two routines, both exact over the rationals so that a yes/no answer is a
 certificate rather than a tolerance call:
 
-  * `feasible_nonnegative`: phase-1 tableau simplex (Bland's rule, no
-    cycling) for  A x = b, x >= 0.  It returns either a solution x or a
-    Farkas certificate y with  y.A <= 0  and  y.b > 0, read off the final
-    simplex multipliers, so infeasibility is proved, not just reported.
+  * `feasible_rows`: phase-1 tableau simplex (Bland's rule, no cycling)
+    for  A x = b, x >= 0.  It returns either a solution x or a Farkas
+    certificate y with  y.A <= 0  and  y.b > 0, read off the final simplex
+    multipliers, so infeasibility is proved, not just reported.
+    `feasible_nonnegative` is the same on a matrix and a vector of ints,
+    `Fraction`s or floats.
   * `nullspace`: a basis of {x : A x = 0} by reduced row echelon form; the
     exact rank is the column count minus its length.
 
-The tableau is kept as integer rows: a row is a pair (N, D) of a list of
-Python ints and one positive int, meaning the entries N[j] / D, brought to
-lowest terms by one gcd of D and all of N after each update.  A tableau of
-one `Fraction` per entry pays a gcd per entry on every update instead.
-Since D > 0, every sign and zero test reads a numerator alone, and the
-ratio test's N_i[-1] / N_i[e] is the entry ratio (D cancels).  So both
-routines take exactly the pivots of a `Fraction` tableau, every entry is
-the same rational, and the `Fraction`s built once at return are identical.
+Both work on integer rows: a row is a pair (N, D) of a list of Python ints
+and one positive int, meaning the entries N[j] / D in lowest terms.  The
+rigidity module builds its rows in this form straight from the strut
+coordinates; `_row` converts any other numbers.  After each update one gcd
+of D and all of N brings a row back to lowest terms, where a tableau of one
+`Fraction` per entry pays a gcd per entry instead.  Since D > 0, every sign
+and zero test reads a numerator alone, and the ratio test compares
+N_i[-1] / N_i[e] (D cancels) by cross-multiplying, ties to the least basis
+index.  So both routines take exactly the pivots of a `Fraction` tableau,
+every entry is the same rational, and the `Fraction`s built once at return
+are identical.
 
 Problem sizes are tiny (at most a few dozen rows and columns), so the dense
 tableau is plenty.
@@ -73,22 +78,26 @@ def _eliminate(row: Row, pivot: Row, e: int) -> Row:
 
 def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
     """Decide  A_eq x = b_eq, x >= 0:  (x, None) if feasible, else (None, y)
-    with  y.A_eq <= 0  componentwise and  y.b_eq > 0  (Farkas' lemma).
+    with  y.A_eq <= 0  componentwise and  y.b_eq > 0  (Farkas' lemma)."""
+    return feasible_rows([_row([*a, bi]) for a, bi in zip(A_eq, b_eq)])
+
+
+def feasible_rows(rows: list[Row]) -> tuple[Vec | None, Vec | None]:
+    """feasible_nonnegative on the integer rows of [A_eq | b_eq].
 
     Phase 1 minimizes the sum of artificials from the artificial basis.  The
     objective row is kept as u.[A | I | b] for the simplex multipliers u, so
     its artificial block is u itself; at the optimum u.A <= 0 (no entering
     column) and u.b equals the remaining infeasibility.
     """
-    m = len(A_eq)
+    m = len(rows)
     if m == 0:
         return [], None
-    n = len(A_eq[0])
+    n = len(rows[0][0]) - 1
     # columns: n structural + m artificial, rhs last; rows with b < 0 negated
     T: list[Row] = []
     flipped = []
-    for i, (a, bi) in enumerate(zip(A_eq, b_eq)):
-        N, D = _row([*a, bi])
+    for i, (N, D) in enumerate(rows):
         flip = N[-1] < 0
         if flip:
             N = [-v for v in N]
@@ -104,12 +113,19 @@ def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
         enter = next((j for j in range(n) if red[0][j] > 0), None)
         if enter is None:
             break
+        # Bland's ratio test: the least N[-1] / N[enter] over N[enter] > 0
+        # (compared by cross-multiplying), ties to the least basis index.
         # red[enter] > 0 sums the column over artificial rows, so some entry
-        # is positive and the ratio test is never empty
-        _, _, piv = min(
-            (Fraction(N[-1], N[enter]), basis[i], i)
-            for i, (N, _) in enumerate(T) if N[enter] > 0
-        )
+        # is positive and the test is never empty.
+        piv = None
+        for i, (N, _) in enumerate(T):
+            if N[enter] > 0:
+                if piv is None:
+                    piv, P = i, N
+                    continue
+                lhs, rhs = N[-1] * P[enter], P[-1] * N[enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[piv]):
+                    piv, P = i, N
         T[piv] = pivot = _normalized(T[piv], enter)
         for i, row in enumerate(T):
             if i != piv and row[0][enter]:
@@ -127,10 +143,11 @@ def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
     return x, None
 
 
-def nullspace(rows, ncols: int) -> list[Vec]:
-    """Basis of {x : rows . x = 0} over the rationals (empty iff full column
-    rank); one vector per non-pivot column of the reduced row echelon form."""
-    R = [_row(row) for row in rows]
+def nullspace(rows: list[Row], ncols: int) -> list[Vec]:
+    """Basis of {x : rows . x = 0} over the rationals for integer rows (empty
+    iff full column rank); one vector per non-pivot column of the reduced
+    row echelon form."""
+    R = list(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,6 +224,16 @@ def wrapped_translates(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np
     s = TRANSLATE_WINDOW.reshape((2,) + (1,) * (frac.ndim - 1) + (9,)) - np.rint(f)
     t = f + s
     return s, np.stack([t[0] + m.x * t[1], m.y * t[1]])
+
+
+@lru_cache(maxsize=None)
+def pair_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k), built once per (n, k) for the pairwise
+    callers of wrapped_translates: the pairs i <= j (k = 0) or i < j
+    (k = 1) of n points."""
+    I, J = np.triu_indices(n, k)
+    I.flags.writeable = J.flags.writeable = False  # shared by every caller
+    return I, J
 
 
 def torus_distance(p: TorusPoint, q: TorusPoint, m: ModuliPoint) -> float:

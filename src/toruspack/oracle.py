@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .lattice import (
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
+    pair_indices,
     reduce_to_standard_basis,
     wrapped_translates,
 )
@@ -237,16 +237,9 @@ BASIN_WINDOW = 5e-3
 ASCENT_BLOCK_BYTES = 1 << 20
 
 
-@lru_cache(maxsize=None)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    I, J = np.triu_indices(n, k=1)
-    I.flags.writeable = J.flags.writeable = False  # shared by every caller
-    return I, J
-
-
 def _incidence(n: int) -> np.ndarray:
     """(n, pairs): +1 at each pair's head j, -1 at its tail i."""
-    I, J = _pair_indices(n)
+    I, J = pair_indices(n, 1)
     return np.eye(n)[:, J] - np.eye(n)[:, I]
 
 
@@ -258,7 +251,7 @@ def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     """Minimum pairwise toroidal distance of each configuration F (..., n, 2)
     (n >= 2); the self distance is the shortest lattice vector, capped by
     the caller."""
-    I, J = _pair_indices(F.shape[-2])
+    I, J = pair_indices(F.shape[-2], 1)
     _, v = wrapped_translates(F[..., J, :] - F[..., I, :], m)
     return _lengths(v).min((-2, -1))
 
@@ -281,7 +274,7 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     """
     K = len(tori)
     R, n, _ = T0.shape
-    I, J = _pair_indices(n)
+    I, J = pair_indices(n, 1)
     P = len(I)
     x, y = np.array([(m.x, m.y) for m in tori]).T[..., None]
     binv = np.linalg.inv(np.array([m.basis for m in tori]))
@@ -376,7 +369,7 @@ def _active_refine(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     distance.
     """
     K, n, _ = F.shape
-    I, J = _pair_indices(n)
+    I, J = pair_indices(n, 1)
     shifts, v = wrapped_translates(F[:, J] - F[:, I], m)
     dist = _lengths(v).reshape(K, -1)  # (pair, translate) flattened
     dmin = dist.min(1)

@@ -14,6 +14,7 @@ from .lattice import (
     ModuliPoint,
     TorusPoint,
     fundamental_domain_area,
+    pair_indices,
     wrapped_translates,
 )
 
@@ -61,7 +62,7 @@ def _pair_translates(
     radius above 1/2 overlap their own unit translate, which is in it."""
     m.validate()
     frac = np.array([c.canonical(m).lattice_coords(m) for c in centers]).reshape(-1, 2)
-    I, J = np.triu_indices(len(centers))
+    I, J = pair_indices(len(centers), 0)
     shifts, v = wrapped_translates(frac[J] - frac[I], m)
     lengths = np.hypot(v[0], v[1])
     lengths[I == J, 4] = np.inf

@@ -13,7 +13,10 @@ a kernel vector of the pinned rigidity matrix is a flex, and without one
 the stress certifies rigidity.
 
 The exact work runs on strut vectors rationalized to denominators at most
-1e12, and every certificate is re-checked against the original floats; a
+1e12 (the rational `Fraction.limit_denominator` gives, found in integers,
+once per distinct coordinate), from which `_equilibrium_system` writes the
+stress LP and the pinned rigidity matrix directly as `exact_lp` integer
+rows.  Every certificate is re-checked against the original floats; a
 failed re-check raises `CertificateCheckFailed` instead of passing for a
 verdict.
 """
@@ -21,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CertificateCheckFailed, InconsistentLengths
-from .exact_lp import feasible_nonnegative, nullspace
+from .exact_lp import Row, feasible_rows, nullspace
 from .lattice import DEFAULT_TOL
 from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, angle_gaps, extract_graph
 
@@ -90,21 +92,62 @@ def _framework(p: Packing, g: PackingGraph, vectors: np.ndarray, tol: float) -> 
     return StrutFramework(vertices=verts, struts=tuple(struts))
 
 
-def _equilibrium_system(f: StrutFramework) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """A and b = -A 1.  Rows 2v, 2v+1 of A: each strut's rationalized vector
-    pointing away from v.  A's transpose without vertex 0's rows is the
-    pinned rigidity matrix."""
-    zero = Fraction(0)
-    A = [[zero] * len(f.struts) for _ in range(2 * f.n)]
-    b = [zero] * (2 * f.n)
+def _rationalize(x: float) -> tuple[int, int]:
+    """Numerator and denominator of Fraction(x).limit_denominator(
+    RATIONALIZE_DENOMINATOR), in integers: the same continued-fraction
+    bounds, and the closer one, the convergent p1/q1 on a tie."""
+    n0, d0 = x.as_integer_ratio()
+    if d0 <= RATIONALIZE_DENOMINATOR:
+        return n0, d0
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = n0, d0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > RATIONALIZE_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (RATIONALIZE_DENOMINATOR - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p2/q2 - x|, times d0 q1 q2 > 0
+    if abs(p1 * d0 - n0 * q1) * q2 <= abs(p2 * d0 - n0 * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[Row]]:
+    """The integer rows (exact_lp) of [A | b] with b = -A 1, and of the
+    pinned rigidity matrix.  Rows 2v, 2v+1 of A: each strut's rationalized
+    vector pointing away from v; the pinned rigidity matrix is A's transpose
+    without vertex 0's rows.  Each distinct coordinate is rationalized once,
+    and each row is put over the lcm of its denominators, where it is in
+    lowest terms."""
+    rational: dict[float, tuple[int, int]] = {}
+    entries: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * f.n)]
+    pinned = []
     for k, (i, j, e) in enumerate(f.struts):  # i != j: loops are not struts
-        for c in (0, 1):
-            x = Fraction(e[c]).limit_denominator(RATIONALIZE_DENOMINATOR)
-            A[2 * i + c][k] = x
-            A[2 * j + c][k] = -x
-            b[2 * i + c] -= x
-            b[2 * j + c] += x
-    return A, b
+        for x in e:
+            if x not in rational:
+                rational[x] = _rationalize(x)
+        (p0, q0), (p1, q1) = rational[e[0]], rational[e[1]]
+        for v, sign in ((i, 1), (j, -1)):
+            entries[2 * v].append((k, sign * p0, q0))
+            entries[2 * v + 1].append((k, sign * p1, q1))
+        D = math.lcm(q0, q1)
+        N = [0] * (2 * f.n)
+        N[2 * i], N[2 * i + 1] = a, b = p0 * (D // q0), p1 * (D // q1)
+        N[2 * j], N[2 * j + 1] = -a, -b
+        pinned.append((N[2:], D))
+    rows = []
+    for row in entries:
+        D = math.lcm(*(q for _, _, q in row))
+        N = [0] * (len(f.struts) + 1)
+        for k, p, q in row:
+            N[k] = p * (D // q)
+        N[-1] = -sum(N)
+        rows.append((N, D))
+    return rows, pinned
 
 
 @dataclass(frozen=True)
@@ -122,10 +165,10 @@ class RigidityDecision:
 
 def decide_rigidity(f: StrutFramework) -> RigidityDecision:
     """Flex or stress certificate from one phase-1 LP and one exact rank."""
-    A, b = _equilibrium_system(f)
-    stress, flex = _stress_lp(f, A, b)
+    rows, pinned = _equilibrium_system(f)
+    stress, flex = _stress_lp(f, rows)
     if flex is None:
-        kernel = nullspace(list(zip(*A[2:])), 2 * (f.n - 1))
+        kernel = nullspace(pinned, 2 * (f.n - 1))
         if kernel:  # rank short of 2(n - 1)
             v = [0, 0] + kernel[0]
             flex = _checked_flex(f, list(zip(v[::2], v[1::2])))
@@ -140,14 +183,15 @@ def find_nontrivial_flex(f: StrutFramework) -> FlexVector | None:
 
 def find_proper_stress(f: StrutFramework) -> Stress | None:
     """Equilibrium stresses with every strut coefficient <= -1, or None."""
-    return _stress_lp(f, *_equilibrium_system(f))[0]
+    return _stress_lp(f, _equilibrium_system(f)[0])[0]
 
 
-def _stress_lp(f: StrutFramework, A, b) -> tuple[Stress | None, FlexVector | None]:
+def _stress_lp(f: StrutFramework, rows: list[Row]) -> tuple[Stress | None, FlexVector | None]:
     """(proper stress, None), (None, None) without struts, or (None, flex)
-    from the Farkas certificate of the infeasible stress LP."""
+    from the Farkas certificate of the infeasible stress LP on the rows of
+    [A | b]."""
     # substitute w = -1 - s with s >= 0:  A s = -A 1 = b
-    s, y = feasible_nonnegative(A, b)
+    s, y = feasible_rows(rows)
     if s is None:
         # column k of y.A is -(y_j - y_i) . e_k: y.A <= 0 and
         # y.b = -sum(y.A) > 0 make y a flex, strict on some strut

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraction_equilibrium
 import fraction_tableau as reference
 from toruspack import exact_lp, rigidity
 from toruspack.closed_form import optimal_centers
 from toruspack.errors import CertificateCheckFailed
 from toruspack.exact_lp import feasible_nonnegative, nullspace
-from toruspack.lattice import ModuliPoint, TorusPoint
+from toruspack.lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
 from toruspack.oracle import realize_embedding
 from toruspack.packing import Packing, extract_graph
 from toruspack.regions import region_count, sample_interior
@@ -79,10 +80,14 @@ class TestExactLP:
     def test_nullspace_rank(self):
         # rank 2 of 3 columns: one kernel vector, exactly annihilated
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        (v,) = nullspace(rows, 3)
+        (v,) = nullspace(_rows(rows), 3)
         assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in rows)
-        assert nullspace([[1, 0], [0, 3]], 2) == []
+        assert nullspace(_rows([[1, 0], [0, 3]]), 2) == []
         assert len(nullspace([], 2)) == 2
+
+
+def _rows(matrix):
+    return [exact_lp._row(row) for row in matrix]
 
 
 @st.composite
@@ -127,8 +132,8 @@ class TestIntegerTableau:
         with mock.patch.object(exact_lp, "_normalized", _lowest_terms(exact_lp._normalized)), \
                 mock.patch.object(exact_lp, "_eliminate", _lowest_terms(exact_lp._eliminate)):
             assert feasible_nonnegative(A, b) == reference.feasible_nonnegative(A, b)
-            assert nullspace(A, n) == reference.nullspace(A, n)
-            assert nullspace(Ab, n + 1) == reference.nullspace(Ab, n + 1)
+            assert nullspace(_rows(A), n) == reference.nullspace(A, n)
+            assert nullspace(_rows(Ab), n + 1) == reference.nullspace(Ab, n + 1)
 
 
 def _lowest_terms(update):
@@ -397,21 +402,29 @@ def _recorded_packing(rec):
     return Packing(m=ModuliPoint(x, y), centers=centers, radius=radius)
 
 
-def _golden_frameworks():
-    """The closed-form optimum of every region of n = 2, 3, 4 at two seeded
-    interior tori each, then two realizations of ECG2-2.  Those two are
-    read from ecg22_samples.json: realize_embedding's samples (250
-    attempts, seed 77) as the solver drew them at 2c8e7d2, so the digests
-    do not follow the solver's last bits."""
-    rng = np.random.default_rng(101)
+def _closed_form_packings(seed, per_region):
+    """The closed-form optimum of every region of n = 2, 3, 4 at seeded
+    interior tori, with the tangency tolerance of a closed form."""
+    rng = np.random.default_rng(seed)
     for n in (2, 3, 4):
         for idx in range(1, region_count(n) + 1):
-            for k in range(2):
-                p = optimal_packing(n, sample_interior(n, idx, rng))
-                yield f"R{idx}_{n}/{k}", build_framework(p, extract_graph(p))
+            for k in range(per_region):
+                yield f"R{idx}_{n}/{k}", optimal_packing(n, sample_interior(n, idx, rng)), DEFAULT_TOL
+
+
+def _golden_packings():
+    """The closed-form optimum of every region at two tori each, then two
+    realizations of ECG2-2.  Those two are read from ecg22_samples.json:
+    realize_embedding's samples (250 attempts, seed 77) as the solver drew
+    them at 2c8e7d2, so the digests do not follow the solver's last bits."""
+    yield from _closed_form_packings(101, 2)
     for label, rec in sorted(json.loads(ECG22_SAMPLES.read_text()).items()):
-        p = _recorded_packing(rec)
-        yield label, build_framework(p, extract_graph(p, tol=1e-7), tol=1e-7)
+        yield label, _recorded_packing(rec), 1e-7
+
+
+def _golden_frameworks():
+    for label, p, tol in _golden_packings():
+        yield label, build_framework(p, extract_graph(p, tol=tol), tol=tol)
 
 
 def test_ecg22_realizations_flex(catalog3):
@@ -434,7 +447,52 @@ def test_certificates_match_golden():
     The stress LP's right-hand side, built from the struts, is -A 1."""
     got = {}
     for label, f in _golden_frameworks():
-        A, b = rigidity._equilibrium_system(f)
-        assert b == [-sum(row) for row in A], label
+        rows, _ = rigidity._equilibrium_system(f)
+        assert all(N[-1] == -sum(N[:-1]) for N, _ in rows), label
         got[label] = hashlib.sha256(repr(decide_rigidity(f)).encode()).hexdigest()
     assert got == json.loads(GOLDEN.read_text())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-2, 2)))
+@example(0.0)
+@example(-0.0)
+@example(-0.7)
+@example(5e-324)  # subnormal: rounds to 0 or 1 / RATIONALIZE_DENOMINATOR
+@example(0.5)  # denominator already at most RATIONALIZE_DENOMINATOR
+@example(1 / 3)
+@example(SQRT3 / 2)
+@example(-SQRT3 / 2)
+def test_rationalize_matches_limit_denominator(x):
+    q = Fraction(x).limit_denominator(RATIONALIZE_DENOMINATOR)
+    assert rigidity._rationalize(x) == (q.numerator, q.denominator)
+
+
+def test_rows_match_fraction_construction():
+    """The integer rows of the stress LP and of the pinned rigidity matrix
+    are exact_lp._row of the Fraction matrices in fraction_equilibrium.py,
+    on the golden frameworks and on the closed-form optima of every region
+    at three more tori each."""
+    more = (
+        (label, build_framework(p, extract_graph(p, tol=tol), tol=tol))
+        for label, p, tol in _closed_form_packings(103, 3)
+    )
+    for label, f in (*_golden_frameworks(), *more):
+        A, b = fraction_equilibrium.equilibrium_system(f)
+        rows, pinned = rigidity._equilibrium_system(f)
+        assert rows == [exact_lp._row([*a, bi]) for a, bi in zip(A, b)], label
+        assert pinned == [exact_lp._row(column) for column in zip(*A[2:])], label
+
+
+def test_classify_makes_no_fraction_round_trip():
+    """classify_packing reaches every verdict without rationalizing through
+    Fraction.limit_denominator or converting numbers by exact_lp._row."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction round trip in classify_packing")
+
+    with mock.patch.object(Fraction, "limit_denominator", forbidden), \
+            mock.patch.object(exact_lp, "_row", forbidden):
+        verdicts = {label: classify_packing(p, tol=tol) for label, p, tol in _golden_packings()}
+    assert {verdicts.pop(f"ECG2-2/{k}") for k in range(2)} == {"flexible"}
+    assert set(verdicts.values()) == {"rigid-LMD", "free-circle"}
