@@ -63,8 +63,6 @@ from .rigidity import (
     build_framework,
     classify_packing,
     decide_rigidity,
-    find_nontrivial_flex,
-    find_proper_stress,
 )
 
 __version__ = "0.1.0"
@@ -107,8 +105,6 @@ __all__ = [
     "enumerate_census",
     "enumerate_toroidal",
     "extract_graph",
-    "find_nontrivial_flex",
-    "find_proper_stress",
     "forbidden_face_filter",
     "fundamental_domain_area",
     "in_free_region",

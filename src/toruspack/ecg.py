@@ -32,7 +32,7 @@ from .lattice import DEFAULT_TOL, ModuliPoint
 from .oracle import RealizationSample, realize_embedding
 from .packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
 from .regions import SQRT3, boundary_curve
-from .rigidity import build_framework, decide_rigidity
+from .rigidity import RigidityDecision, build_framework, decide_rigidity
 
 # anchor tori: (name, n, moduli point) -> realize the closed-form optimum
 # there and extract its embedding
@@ -68,6 +68,8 @@ class EcgEntry:
     realization_class: str | None  # 'rigid', 'flexible', 'none' (survivors only)
     # the probe's retained realizations (unanchored survivors only)
     samples: tuple[RealizationSample, ...] = ()
+    # the rigidity decision of samples[0], its witness
+    decision: RigidityDecision | None = None
     # anchored names: the torus whose closed-form optimum realizes this
     # embedding, a globally optimal witness
     anchor: ModuliPoint | None = None
@@ -96,23 +98,26 @@ def _anchor_form(n: int, m: ModuliPoint) -> bytes:
     return embedding_from_packing(p, g).canonical_form
 
 
-def _sample_is_rigid(sample) -> bool:
-    p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
-    g = extract_graph(p, tol=SAMPLE_TANGENCY_TOL)
-    f = build_framework(p, g, tol=SAMPLE_TANGENCY_TOL)
-    return decide_rigidity(f).rigid
-
-
-def _probe_realization(e: EmbeddedGraph) -> tuple[str, tuple[RealizationSample, ...]]:
+def _probe_realization(
+    e: EmbeddedGraph,
+) -> tuple[str, tuple[RealizationSample, ...], RigidityDecision | None]:
     """The retained samples, classed 'rigid' if any of them is
     infinitesimally rigid (the family is locally maximally dense
-    somewhere), else 'flexible', or 'none' when nothing realized."""
+    somewhere), else 'flexible', or 'none' when nothing realized, and the
+    rigidity decision of the first.  Samples are decided in order, up to
+    the first rigid one."""
     samples = tuple(
         realize_embedding(e, attempts=REALIZE_ATTEMPTS, seed=REALIZE_SEED, max_samples=8)
     )
     if not samples:
-        return "none", samples
-    return ("rigid" if any(_sample_is_rigid(s) for s in samples) else "flexible"), samples
+        return "none", samples, None
+    decisions = []
+    for s in samples:
+        p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
+        decisions.append(decide_rigidity(build_framework(p, s.graph, tol=SAMPLE_TANGENCY_TOL)))
+        if decisions[-1].rigid:
+            break
+    return ("rigid" if decisions[-1].rigid else "flexible"), samples, decisions[0]
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +219,7 @@ def identify(n: int) -> EcgCatalog:
         surv_idx = [ii for ii, i in enumerate(info) if i["survives"]]
         unnamed_surv = [ii for ii in surv_idx if ii not in named]
         probes = {ii: _probe_realization(info[ii]["embedding"]) for ii in unnamed_surv}
-        real_class = {ii: cls for ii, (cls, _) in probes.items()}
+        real_class = {ii: cls for ii, (cls, _, _) in probes.items()}
         if unnamed_surv:
             if n == 3 and cg == 2:
                 named[unnamed_surv[0]] = "ECG2-2"
@@ -235,7 +240,7 @@ def identify(n: int) -> EcgCatalog:
                 for k, ii in enumerate(unnamed_surv):
                     named[ii] = f"ECG{cg}-{k + 1}"
         for ii, i in enumerate(info):
-            rc, samples = probes.get(ii, (None, ()))  # probed survivors only
+            rc, samples, decision = probes.get(ii, (None, (), None))  # probed survivors only
             anchor_name = form_to_anchor.get(i["embedding"].canonical_form)
             entries.append(
                 EcgEntry(
@@ -249,6 +254,7 @@ def identify(n: int) -> EcgCatalog:
                     else i["chain"].reason,
                     realization_class=rc,
                     samples=samples,
+                    decision=decision,
                     anchor=anchor_points[anchor_name] if anchor_name else None,
                 )
             )

@@ -38,38 +38,16 @@ from .census import Multigraph, relabelings
 RotationSystem = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
-# dart structure
+# darts
 
 
-@dataclass(frozen=True)
-class DartStructure:
-    edges: tuple[tuple[int, int], ...]
-    n: int
-
-    @property
-    def count(self) -> int:
-        return 2 * len(self.edges)
-
-    def rev(self, d: int) -> int:
-        return d ^ 1
-
-    def tail(self, d: int) -> int:
-        i, j = self.edges[d // 2]
-        return i if d % 2 == 0 else j
-
-    def head(self, d: int) -> int:
-        return self.tail(d ^ 1)
-
-    def vertex_darts(self) -> list[list[int]]:
-        out = [[] for _ in range(self.n)]
-        for k, (i, j) in enumerate(self.edges):
-            out[i].append(2 * k)
-            out[j].append(2 * k + 1)
-        return out
-
-
-def dart_structure(g: Multigraph) -> DartStructure:
-    return DartStructure(edges=g.edges, n=g.vertex_count)
+def vertex_darts(g: Multigraph) -> list[list[int]]:
+    """The darts leaving each vertex, in edge order."""
+    out = [[] for _ in range(g.vertex_count)]
+    for k, (i, j) in enumerate(g.edges):
+        out[i].append(2 * k)
+        out[j].append(2 * k + 1)
+    return out
 
 
 def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> list[tuple[int, ...]]:
@@ -127,11 +105,10 @@ def dart_automorphisms(g: Multigraph) -> tuple[tuple[int, ...], ...]:
 
 def trace_faces(g: Multigraph, rotation) -> tuple[tuple[int, ...], ...]:
     """Orbits of d -> rotation[rev(d)], each starting at its smallest dart."""
-    ds = dart_structure(g)
     rot = list(rotation)
-    seen = [False] * ds.count
+    seen = [False] * (2 * g.edge_count)
     faces = []
-    for d0 in range(ds.count):
+    for d0 in range(len(seen)):
         if seen[d0]:
             continue
         walk = []
@@ -256,7 +233,7 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
         other face still needed.
     The first rotation found of each canonical embedding form is kept.
     """
-    vdarts = dart_structure(g).vertex_darts()
+    vdarts = vertex_darts(g)
     n = g.vertex_count
     choices = [_cyclic_orders(vd) for vd in vdarts]
     reps = [_order_reps_at_vertex(g, v, vdarts, choices[v]) for v in range(n)]
@@ -330,10 +307,9 @@ def homology_labels(e: EmbeddedGraph) -> tuple[tuple[int, int], ...]:
     the label, dart 2k+1 subtracts it.
     """
     g = e.graph
-    ds = dart_structure(g)
     E = g.edge_count
     adj: dict[int, list[tuple[int, int]]] = {}
-    for k, (i, j) in enumerate(ds.edges):
+    for k, (i, j) in enumerate(g.edges):
         adj.setdefault(i, []).append((j, k))
         adj.setdefault(j, []).append((i, k))
     tree: set[int] = set()
@@ -412,15 +388,11 @@ class FilterVerdict:
 
 # forbidden corner patterns: exact multiset of face lengths around a vertex
 def corner_profiles(e: EmbeddedGraph) -> list[list[int]]:
-    ds = dart_structure(e.graph)
     flen = {}
     for f in e.faces:
         for d in f:
             flen[d] = len(f)
-    prof: list[list[int]] = [[] for _ in range(e.graph.vertex_count)]
-    for d in range(ds.count):
-        prof[ds.tail(d)].append(flen[d])
-    return [sorted(p) for p in prof]
+    return [sorted(flen[d] for d in darts) for darts in vertex_darts(e.graph)]
 
 
 def forbidden_face_filter(e: EmbeddedGraph) -> FilterVerdict:

@@ -26,7 +26,16 @@ from .lattice import (
     reduce_to_standard_basis,
     wrapped_translates,
 )
-from .packing import ANGLE_GAP_TOL, SAMPLE_TANGENCY_TOL, Packing, extract_graph
+from .packing import (
+    ANGLE_GAP_TOL,
+    SAMPLE_TANGENCY_TOL,
+    Packing,
+    PackingGraph,
+    cyclic_gaps,
+    extract_graph,
+    tangent_vectors,
+    vertex_tangents,
+)
 
 RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
 
@@ -543,6 +552,7 @@ class RealizationSample:
     centers: tuple[TorusPoint, ...]
     edge_length: float
     residual: float
+    graph: PackingGraph  # the tangencies at SAMPLE_TANGENCY_TOL
 
 
 ANGLE_LO = math.pi / 3
@@ -563,17 +573,6 @@ REALIZATION_CLEARANCE = 1e-5
 FIRST_BLOCK_PER_SAMPLE = 3
 
 
-def _angle_window_ok(vectors_by_vertex: list[np.ndarray], tol: float = ANGLE_GAP_TOL) -> np.ndarray:
-    """Per start: every cyclic gap between the tangent directions at every
-    vertex lies in [pi/3, pi).  vectors_by_vertex holds (B, deg, 2) arrays."""
-    ok = True
-    for vecs in vectors_by_vertex:
-        ang = np.sort(np.arctan2(vecs[..., 1], vecs[..., 0]), axis=1)
-        gaps = np.diff(np.concatenate([ang, ang[:, :1] + 2 * math.pi], 1), axis=1)
-        ok = ok & (gaps.min(1) >= ANGLE_LO - tol) & (gaps.max(1) < ANGLE_HI - tol)
-    return ok
-
-
 def _realization_system(e: EmbeddedGraph):
     """Edge-vector tensor A (E, 2, k), offsets c (E, 2) and the tangents
     (edge, sign) at each vertex.  Unknowns: p_1 .. p_{nv-1}, x, y, L."""
@@ -583,7 +582,6 @@ def _realization_system(e: EmbeddedGraph):
     k = 2 * nv + 1
     A = np.zeros((g.edge_count, 2, k))
     c = np.zeros((g.edge_count, 2))
-    tangents: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for t, ((i, j), (a, b)) in enumerate(zip(g.edges, labels)):
         # d_t = p_j - p_i + (a + b x, b y)
         if j:
@@ -592,9 +590,7 @@ def _realization_system(e: EmbeddedGraph):
             A[t, :, 2 * i - 2 : 2 * i] -= np.eye(2)
         A[t, 0, k - 3] = A[t, 1, k - 2] = b
         c[t] = (a, 0.0)
-        tangents[i].append((t, 1))
-        tangents[j].append((t, -1))
-    return A, c, tangents
+    return A, c, vertex_tangents(g.edges, nv)
 
 
 def _tangent_pairs(A: np.ndarray, c: np.ndarray, tangents):
@@ -661,9 +657,8 @@ def realize_embedding(
         residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
         keep = (cost <= SOLVED_COST) & (L >= DEGENERATE_SCALE) & (np.abs(u[:, -2]) >= DEGENERATE_SCALE)
         keep &= residual <= residual_tol
-        keep &= _angle_window_ok(
-            [np.array([s for _, s in tv])[:, None] * d[:, [t for t, _ in tv]] for tv in tangents]
-        )
+        for gaps in map(cyclic_gaps, tangent_vectors(d, tangents)):
+            keep &= (gaps.min(1) >= ANGLE_LO - ANGLE_GAP_TOL) & (gaps.max(1) < ANGLE_HI - ANGLE_GAP_TOL)
         touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + REALIZATION_CLEARANCE / 2)
         keep &= ~(touch & ~joined).any(1)
         for b in np.flatnonzero(keep):
@@ -703,8 +698,8 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
         loose = extract_graph(packing, tol=REALIZATION_CLEARANCE)
     except (TorusPackError, ValueError):
         return None
-    if extracted.loop_count() or extracted.vertex_count != nv:
-        return None
+    # extracted has nv vertices, and its edges are among loose's, so the
+    # loose check also rejects every loop
     if len(extracted.edges) != g.edge_count:
         return None
     if loose.loop_count() or len(loose.edges) != g.edge_count:
@@ -722,4 +717,5 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
         centers=centers,
         edge_length=2 * radius,
         residual=residual * rec.scale,
+        graph=extracted,
     )

@@ -171,18 +171,31 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
 ANGLE_GAP_TOL = 1e-9
 
 
-def _directions(g: PackingGraph, vectors: np.ndarray, vertex: int) -> np.ndarray:
-    """Unit direction of every tangency at one circle (loops give both signs)."""
-    dirs = []
-    for (i, j, _), vec in zip(g.edges, vectors):
-        if i == j == vertex:
-            dirs += [vec, -vec]
-        elif i == vertex:
-            dirs.append(vec)
-        elif j == vertex:
-            dirs.append(-vec)
-    out = np.asarray(dirs, float)
-    return out / np.linalg.norm(out, axis=1, keepdims=True) if len(out) else out.reshape(0, 2)
+def vertex_tangents(pairs, n: int) -> list[list[tuple[int, int]]]:
+    """The tangents (t, s) at each of n vertices, in edge order: s d_t leaves
+    the vertex along edge t = (i, j, ...) of vector d_t, so s = 1 at i and
+    -1 at j, and a loop gives both."""
+    tangents: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for t, (i, j, *_) in enumerate(pairs):
+        tangents[i].append((t, 1))
+        tangents[j].append((t, -1))
+    return tangents
+
+
+def tangent_vectors(vectors: np.ndarray, tangents) -> list[np.ndarray]:
+    """Per vertex, the (..., deg, 2) vectors s d_t of its tangents, from the
+    (..., E, 2) edge vectors d."""
+    return [
+        np.array([s for _, s in tv])[:, None] * vectors[..., [t for t, _ in tv], :]
+        for tv in tangents
+    ]
+
+
+def cyclic_gaps(vectors: np.ndarray) -> np.ndarray:
+    """(..., k): the angles between consecutive directions of the vectors
+    (..., k, 2) in counterclockwise order, the last closing the full turn."""
+    ang = np.sort(np.arctan2(vectors[..., 1], vectors[..., 0]), axis=-1)
+    return np.diff(np.concatenate([ang, ang[..., :1] + 2 * math.pi], -1), axis=-1)
 
 
 def angle_spectrum(g: PackingGraph, p: Packing) -> list[list[float]]:
@@ -192,16 +205,8 @@ def angle_spectrum(g: PackingGraph, p: Packing) -> list[list[float]]:
 
 def angle_gaps(g: PackingGraph, vectors: np.ndarray) -> list[list[float]]:
     """angle_spectrum from the edge vectors of g (Packing.edge_vectors)."""
-    out = []
-    for v in range(g.vertex_count):
-        dirs = _directions(g, vectors, v)
-        if len(dirs) == 0:
-            out.append([])
-            continue
-        ang = np.sort(np.arctan2(dirs[:, 1], dirs[:, 0]))
-        gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * math.pi]]))
-        out.append(sorted(float(t) for t in gaps))
-    return out
+    tangents = vertex_tangents(g.edges, g.vertex_count)
+    return [sorted(map(float, cyclic_gaps(v))) for v in tangent_vectors(vectors, tangents)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .lattice import DEFAULT_TOL, LatticeBasis, reduce_to_standard_basis
 # compare_with_closed_form stays importable from report for its callers
 from .oracle import compare_with_closed_form, compare_with_closed_forms, oracle_agrees  # noqa: F401
 from .packing import (
-    SAMPLE_TANGENCY_TOL,
     SCHEMA_VERSION,
     Packing,
     density,
@@ -32,7 +31,6 @@ from .packing import (
     to_json,
 )
 from .regions import classify, region_count, sample_interior
-from .rigidity import build_framework, decide_rigidity
 
 EXPECTED_CENSUS = {3: (37, 10, 3), 4: (825, 102, 20)}
 EXPECTED_EMBEDDINGS = {3: 6, 4: 97}
@@ -149,7 +147,7 @@ def run_pipeline(
             verdict["realization"] = cls
             if cls in ("rigid", "flexible"):
                 verdict["regions"] = sorted({classify(n, s.m).name for s in e.samples})
-                verdict["witness"] = _rigidity_witness(e.samples[0])
+                verdict["witness"] = _rigidity_witness(e.samples[0].m, e.decision)
         report.verdicts.append(verdict)
 
     # formula vs oracle table
@@ -166,12 +164,10 @@ def run_pipeline(
     return report
 
 
-def _rigidity_witness(sample) -> dict:
-    """Flex or stress certificate of one realization sample, for audit."""
-    p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
-    g = extract_graph(p, tol=SAMPLE_TANGENCY_TOL)
-    decision = decide_rigidity(build_framework(p, g, tol=SAMPLE_TANGENCY_TOL))
-    out = {"moduli": {"x": sample.m.x, "y": sample.m.y}}
+def _rigidity_witness(m, decision) -> dict:
+    """Flex or stress certificate of a realization sample on the torus m,
+    for audit."""
+    out = {"moduli": {"x": m.x, "y": m.y}}
     if decision.flex is not None:
         out["flex"] = [list(v) for v in decision.flex.velocities]
     elif decision.stress is not None:

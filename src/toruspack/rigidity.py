@@ -30,7 +30,15 @@ import numpy as np
 from .errors import CertificateCheckFailed, InconsistentLengths
 from .exact_lp import Row, feasible_rows, nullspace
 from .lattice import DEFAULT_TOL
-from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, angle_gaps, extract_graph
+from .packing import (
+    ANGLE_GAP_TOL,
+    Packing,
+    PackingGraph,
+    cyclic_gaps,
+    extract_graph,
+    tangent_vectors,
+    vertex_tangents,
+)
 
 RATIONALIZE_DENOMINATOR = 10**12
 FLOAT_CHECK_TOL = 1e-6
@@ -175,17 +183,6 @@ def decide_rigidity(f: StrutFramework) -> RigidityDecision:
     return RigidityDecision(flex=flex, stress=stress)
 
 
-def find_nontrivial_flex(f: StrutFramework) -> FlexVector | None:
-    """A nonzero velocity field (vertex 0 pinned) satisfying every strut
-    inequality, or None when the framework is infinitesimally rigid."""
-    return decide_rigidity(f).flex
-
-
-def find_proper_stress(f: StrutFramework) -> Stress | None:
-    """Equilibrium stresses with every strut coefficient <= -1, or None."""
-    return _stress_lp(f, _equilibrium_system(f)[0])[0]
-
-
 def _stress_lp(f: StrutFramework, rows: list[Row]) -> tuple[Stress | None, FlexVector | None]:
     """(proper stress, None), (None, None) without struts, or (None, flex)
     from the Farkas certificate of the infeasible stress LP on the rows of
@@ -241,7 +238,11 @@ def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TO
 def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray, tol: float = ANGLE_GAP_TOL) -> bool:
     """Some circle's tangency directions fit in a closed half-plane; vectors
     are the edge vectors of g (Packing.edge_vectors)."""
-    return any(not gaps or gaps[-1] >= math.pi - tol for gaps in angle_gaps(g, vectors))
+    tangents = vertex_tangents(g.edges, g.vertex_count)
+    return any(
+        not len(v) or cyclic_gaps(v).max() >= math.pi - tol
+        for v in tangent_vectors(vectors, tangents)
+    )
 
 
 def classify_packing(p: Packing, tol: float = DEFAULT_TOL) -> str:

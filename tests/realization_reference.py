@@ -4,13 +4,28 @@ order until max_samples are held.
 
 realize_embedding solves its starts in blocks and stops at its last
 sample; the property test in test_oracle.py asserts that both return the
-same samples.
+same samples.  The angle window keeps its own sort and diff, so that test
+also holds realize_embedding's window (packing.cyclic_gaps) to that
+arithmetic.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from toruspack import oracle
+
+
+def _angle_window_ok(vectors_by_vertex, tol=oracle.ANGLE_GAP_TOL):
+    """Per start: every cyclic gap between the tangent directions at every
+    vertex lies in [pi/3, pi).  vectors_by_vertex holds (B, deg, 2) arrays."""
+    ok = True
+    for vecs in vectors_by_vertex:
+        ang = np.sort(np.arctan2(vecs[..., 1], vecs[..., 0]), axis=1)
+        gaps = np.diff(np.concatenate([ang, ang[:, :1] + 2 * math.pi], 1), axis=1)
+        ok = ok & (gaps.min(1) >= oracle.ANGLE_LO - tol) & (gaps.max(1) < oracle.ANGLE_HI - tol)
+    return ok
 
 
 def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10):
@@ -37,7 +52,7 @@ def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10
     keep = (cost <= oracle.SOLVED_COST) & (L >= oracle.DEGENERATE_SCALE)
     keep &= np.abs(u[:, -2]) >= oracle.DEGENERATE_SCALE
     keep &= residual <= residual_tol
-    keep &= oracle._angle_window_ok(
+    keep &= _angle_window_ok(
         [np.array([s for _, s in tv])[:, None] * d[:, [t for t, _ in tv]] for tv in tangents]
     )
     touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + oracle.REALIZATION_CLEARANCE / 2)

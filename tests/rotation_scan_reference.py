@@ -18,8 +18,8 @@ from toruspack.embedding import (
     _cyclic_orders,
     _order_reps_at_vertex,
     canonical_embedding_form,
-    dart_structure,
     make_embedding,
+    vertex_darts,
 )
 
 
@@ -48,11 +48,10 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
     its stabilizer), keeps chi = 0, drops bigon faces unless requested, and
     deduplicates by the canonical embedding form.
     """
-    ds = dart_structure(g)
-    vdarts = ds.vertex_darts()
+    vdarts = vertex_darts(g)
     n = g.vertex_count
     E = g.edge_count
-    m = ds.count
+    m = 2 * g.edge_count
     orders = [_cyclic_orders(vd) for vd in vdarts]
     # quotient at the vertex where it saves the most work
     best_q, best_cost = 0, None

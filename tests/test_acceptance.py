@@ -25,7 +25,7 @@ from toruspack.regions import (
     region_count,
     sample_interior,
 )
-from toruspack.rigidity import build_framework, classify_packing, find_nontrivial_flex
+from toruspack.rigidity import build_framework, classify_packing, decide_rigidity
 
 SQRT3 = math.sqrt(3.0)
 
@@ -186,7 +186,7 @@ def test_criterion_07_rigidity_suite(catalog3):
         centers=(TorusPoint(0, 0), TorusPoint(0.5, 0)),
         radius=0.25,
     )
-    flex = find_nontrivial_flex(build_framework(pair, extract_graph(pair)))
+    flex = decide_rigidity(build_framework(pair, extract_graph(pair))).flex
     if flex is None:
         ok = False
         details.append("horizontal pair produced no flex witness")

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from toruspack import ecg, packing, rigidity
 from toruspack.closed_form import optimal_centers
 from toruspack.ecg import (
     EXPECTED_FLEXIBLE,
@@ -11,7 +14,9 @@ from toruspack.ecg import (
 )
 from toruspack.geometry_embed import embedding_from_packing
 from toruspack.oracle import realize_embedding
-from toruspack.packing import Packing, extract_graph
+from toruspack.packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
+from toruspack.report import run_pipeline
+from toruspack.rigidity import build_framework, decide_rigidity
 
 
 def test_three_vertex_names(catalog3):
@@ -112,3 +117,48 @@ def test_triangular_close_packing_embeddings(catalog4):
         catalog4.by_name("ECG23-1").embedding.canonical_form
         != catalog4.by_name("ECG23-2").embedding.canonical_form
     )
+
+
+def _callers(monkeypatch, fn) -> list[str]:
+    """Route every toruspack module's binding of fn through a wrapper; the
+    list it returns fills with the module of each caller."""
+    callers = []
+
+    def wrapped(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("toruspack") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, wrapped)
+    return callers
+
+
+def test_probe_decides_each_sample_once(catalog3, monkeypatch):
+    """The ECG2-2 probe decides each of its 8 samples once, on the graph
+    its realization extracted, and extracts no graph itself."""
+    decided = _callers(monkeypatch, rigidity.decide_rigidity)
+    extracted = _callers(monkeypatch, packing.extract_graph)
+    cls, samples, decision = ecg._probe_realization(catalog3.by_name("ECG2-2").embedding)
+    assert cls == "flexible" and len(samples) == 8
+    assert decided == ["toruspack.ecg"] * 8
+    assert "toruspack.ecg" not in extracted
+    assert decision == catalog3.by_name("ECG2-2").decision
+
+
+def test_pipeline_witness_is_the_probe_decision(catalog3, monkeypatch, tmp_path):
+    """On a warm catalog the pipeline writes the ECG2-2 witness without
+    extracting or deciding anything, and it is the decision of samples[0]."""
+    s = catalog3.by_name("ECG2-2").samples[0]
+    p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
+    g = extract_graph(p, SAMPLE_TANGENCY_TOL)
+    want = decide_rigidity(build_framework(p, g, SAMPLE_TANGENCY_TOL))
+    decided = _callers(monkeypatch, rigidity.decide_rigidity)
+    extracted = _callers(monkeypatch, packing.extract_graph)
+    report = run_pipeline(3, str(tmp_path))
+    assert "toruspack.report" not in decided + extracted
+    (verdict,) = [v for v in report.verdicts if v["name"] == "ECG2-2"]
+    assert verdict["witness"] == {
+        "moduli": {"x": s.m.x, "y": s.m.y},
+        "flex": [list(v) for v in want.flex.velocities],
+    }

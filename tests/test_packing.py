@@ -8,10 +8,12 @@ from test_lattice import _coords, _strip_points
 
 from toruspack.closed_form import optimal_centers
 from toruspack.errors import OverlapDetected
-from toruspack.lattice import ModuliPoint, TorusPoint
+from toruspack.lattice import Displacement, ModuliPoint, TorusPoint
 from toruspack.packing import (
     Packing,
+    PackingGraph,
     angle_spectrum,
+    cyclic_gaps,
     density,
     extract_graph,
     graph_from_dict,
@@ -24,6 +26,7 @@ from toruspack.packing import (
     TRIANGULAR_DENSITY,
 )
 from toruspack.regions import region_count, sample_interior
+from toruspack.rigidity import has_halfplane_vertex
 
 SQRT3 = math.sqrt(3.0)
 
@@ -261,6 +264,57 @@ class TestAngles:
         g = extract_graph(p)
         for gaps in angle_spectrum(g, p):
             assert gaps[-1] == pytest.approx(math.pi, abs=1e-12)
+
+
+def _fits_half_turn(dirs) -> bool:
+    """Every vector lies within the half-turn counterclockwise from some v_i."""
+    return any(all(a[0] * b[1] - a[1] * b[0] >= 0 for b in dirs) for a in dirs)
+
+
+# Tangencies at circle 0 of a two-circle graph: an edge to circle 1 gives
+# one direction, a loop its +-v, and a pair of edges an exactly opposite
+# pair.  Circle 1 also carries three loops 60 degrees apart, so it never
+# fits in a half-plane and the verdict is circle 0's.
+TANGENCY = st.tuples(
+    st.floats(0, 2 * math.pi, exclude_max=True),
+    st.floats(0.5, 2.0),
+    st.sampled_from(["edge", "loop", "pair"]),
+)
+HEXAGONAL_LOOPS = [(1.0, 0.0), (0.5, SQRT3 / 2), (-0.5, SQRT3 / 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(TANGENCY, min_size=1, max_size=7))
+def test_cyclic_gaps_and_halfplane_test(tangencies):
+    edges, vectors, dirs = [], [], []
+    for k, (theta, length, kind) in enumerate(tangencies):
+        v = (length * math.cos(theta), length * math.sin(theta))
+        minus = (-v[0], -v[1])
+        if kind == "loop":
+            edges.append((0, 0, Displacement(k, 0)))
+        else:
+            edges.append((0, 1, Displacement(k, 0)))
+        vectors.append(v)
+        dirs += [v] if kind == "edge" else [v, minus]
+        if kind == "pair":
+            edges.append((0, 1, Displacement(k, 1)))
+            vectors.append(minus)
+    assume(len(dirs) <= 7)
+    # off the tolerance edge: two directions are exactly opposite or their
+    # angle is more than 1e-6 away from pi
+    for a in dirs:
+        for b in dirs:
+            if b != (-a[0], -a[1]):
+                angle = math.atan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1])
+                assume(abs(abs(angle) - math.pi) > 1e-6)
+    edges += [(1, 1, Displacement(9, k)) for k in range(3)]
+    vectors += HEXAGONAL_LOOPS
+    gaps = cyclic_gaps(np.array([dirs, [(-x, -y) for x, y in dirs]]))
+    assert gaps.shape == (2, len(dirs)) and (gaps >= 0).all()
+    assert np.abs(gaps.sum(-1) - 2 * math.pi).max() <= 1e-12
+    np.testing.assert_allclose(np.sort(gaps[1]), np.sort(gaps[0]), atol=1e-12)
+    g = PackingGraph(vertex_count=2, edges=tuple(edges))
+    assert has_halfplane_vertex(g, np.array(vectors)) == _fits_half_turn(dirs)
 
 
 class TestSerialization:

@@ -25,8 +25,6 @@ from toruspack.rigidity import (
     build_framework,
     classify_packing,
     decide_rigidity,
-    find_nontrivial_flex,
-    find_proper_stress,
     verify_flex,
     verify_stress,
 )
@@ -168,15 +166,15 @@ class TestFramework:
 
     def test_empty(self):
         f = StrutFramework(vertices=((0.0, 0.0),), struts=())
-        assert find_nontrivial_flex(f) is None
-        assert find_proper_stress(f) is None
+        decision = decide_rigidity(f)
+        assert decision.flex is None and decision.stress is None
 
 
 class TestFlex:
     def test_square_torus_rigid(self):
         p = optimal_packing(2, ModuliPoint(0, 1))
         f = build_framework(p, extract_graph(p))
-        assert find_nontrivial_flex(f) is None
+        assert decide_rigidity(f).flex is None
 
     def test_horizontal_pair_flexes(self):
         p = Packing(
@@ -185,7 +183,7 @@ class TestFlex:
             radius=0.25,
         )
         f = build_framework(p, extract_graph(p))
-        flex = find_nontrivial_flex(f)
+        flex = decide_rigidity(f).flex
         assert flex is not None
         assert verify_flex(f, flex)
         vx, vy = flex.velocities[1]
@@ -198,7 +196,7 @@ class TestFlex:
             radius=0.25,
         )
         f = build_framework(p, extract_graph(p))
-        flex = find_nontrivial_flex(f)
+        flex = decide_rigidity(f).flex
         shifted = type(flex)(tuple((vx + 0.3, vy - 0.1) for vx, vy in flex.velocities))
         for i, j, e in f.struts:
             v = np.asarray(shifted.velocities[j]) - np.asarray(shifted.velocities[i])
@@ -209,7 +207,7 @@ class TestStress:
     def test_square_torus_proper_stress(self):
         p = optimal_packing(2, ModuliPoint(0, 1))
         f = build_framework(p, extract_graph(p))
-        stress = find_proper_stress(f)
+        stress = decide_rigidity(f).stress
         assert stress is not None
         assert verify_stress(f, stress)
         assert all(w == pytest.approx(-1.0) for w in stress.coefficients)
@@ -223,19 +221,19 @@ class TestStress:
             radius=0.25,
         )
         f = build_framework(p, extract_graph(p))
-        stress = find_proper_stress(f)
-        assert stress is not None and verify_stress(f, stress)
-        assert find_nontrivial_flex(f) is not None
+        decision = decide_rigidity(f)
+        assert decision.stress is not None and verify_stress(f, decision.stress)
+        assert decision.flex is not None
 
     def test_single_strut_no_stress(self):
         f = StrutFramework(vertices=((0.0, 0.0), (0.5, 0.0)), struts=((0, 1, (0.5, 0.0)),))
-        assert find_proper_stress(f) is None
+        assert decide_rigidity(f).stress is None
 
     def test_triangular_three_circle_stress(self):
         m = ModuliPoint(0.5, SQRT3 / 2)
         p = optimal_packing(3, m)
         f = build_framework(p, extract_graph(p))
-        stress = find_proper_stress(f)
+        stress = decide_rigidity(f).stress
         assert stress is not None
         assert verify_stress(f, stress)
 
@@ -261,23 +259,22 @@ class TestClassify:
                 m = sample_interior(n, idx, rng)
                 p = optimal_packing(n, m)
                 f = build_framework(p, extract_graph(p))
-                flex = find_nontrivial_flex(f)
-                stress = find_proper_stress(f)
-                assert flex is None
-                assert stress is not None
+                decision = decide_rigidity(f)
+                assert decision.flex is None
+                assert decision.stress is not None
 
     def test_rationalization_stability(self):
         rng = np.random.default_rng(89)
         p = optimal_packing(3, ModuliPoint(0.2, 1.2))
         f = build_framework(p, extract_graph(p))
-        base = find_nontrivial_flex(f) is None
+        base = decide_rigidity(f).rigid
         for _ in range(5):
             struts = tuple(
                 (i, j, (e[0] + rng.uniform(-1e-13, 1e-13), e[1] + rng.uniform(-1e-13, 1e-13)))
                 for i, j, e in f.struts
             )
             f2 = StrutFramework(vertices=f.vertices, struts=struts)
-            assert (find_nontrivial_flex(f2) is None) == base
+            assert decide_rigidity(f2).rigid == base
 
 
 def horizontal_pair():
