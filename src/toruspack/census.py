@@ -37,15 +37,12 @@ class Multigraph:
             out.extend([(i, j)] * m)
         return tuple(out)
 
-    def degree(self, v: int) -> int:
-        return sum(
-            m
-            for (i, j), m in zip(vertex_pairs(self.vertex_count), self.multiplicities)
-            if v in (i, j)
-        )
-
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(v) for v in range(self.vertex_count))
+        deg = [0] * self.vertex_count
+        for i, j in self.edges:
+            deg[i] += 1
+            deg[j] += 1
+        return tuple(deg)
 
     def is_connected(self) -> bool:
         n = self.vertex_count
@@ -67,13 +64,14 @@ class Multigraph:
         return canonicalize(self)
 
 
-def relabelings(g: Multigraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@lru_cache(maxsize=None)
+def relabelings(g: Multigraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(p, h) for every vertex permutation p, where h is the multiplicity
     tuple of g with each vertex v renamed p[v].
 
-    This is the one loop over vertex permutations: the smallest h is the
-    canonical copy and the p that reach it are the isomorphisms onto it; the
-    p with h == g.multiplicities are the automorphisms of g.
+    The one loop over vertex permutations, once per graph: the smallest h
+    is the canonical copy and the p that reach it are the isomorphisms onto
+    it; the p with h == g.multiplicities are the automorphisms of g.
     """
     n = g.vertex_count
     prs = vertex_pairs(n)
@@ -84,7 +82,7 @@ def relabelings(g: Multigraph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         for (i, j), m in zip(prs, g.multiplicities):
             h[idx[tuple(sorted((perm[i], perm[j])))]] = m
         out.append((perm, tuple(h)))
-    return out
+    return tuple(out)
 
 
 def canonicalize(g: Multigraph) -> bytes:

@@ -8,12 +8,12 @@ vertex by its stabilizer), in place of a scan of every rotation system; it
 prunes as soon as Euler characteristic zero is out of reach and
 deduplicates up to graph automorphism and orientation reversal.
 
-The dedup key is the smallest of phi sigma phi^-1 and phi sigma^-1 phi^-1
-over every dart isomorphism phi from the graph onto its canonical copy.
-Those isomorphisms, like the dart automorphisms, are the vertex
-permutations that census.relabelings finds, each expanded over every
-matching of parallel instances; the set is Aut(canonical copy) . phi_0 for
-any one of them, so the key does not depend on the input labeling.
+The search dedupes by orbit: the conjugates phi sigma^+-1 phi^-1 of a
+class's first rotation over the dart automorphisms phi.  The form, computed
+once per class, is the smallest conjugate over the dart isomorphisms onto
+the canonical copy: the vertex permutations census.relabelings finds, each
+expanded over every matching of parallel instances.  They are
+Aut(canonical copy) . phi_0 for any one phi_0, so the form is invariant.
 
 Embeddings with a face of length two are excluded by default: a bigon's two
 parallel edges would be homotopic, so the two tangency witnesses of an
@@ -77,26 +77,35 @@ def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> list[tuple[int,
 
 
 @lru_cache(maxsize=None)
-def _dart_maps(n: int, mult: tuple[int, ...]):
+def _dart_maps(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     """The dart automorphisms of g, and its dart isomorphisms onto the
-    canonical copy as an array with their inverses."""
-    g = Multigraph(n, mult)
+    canonical copy, one permutation per row."""
     rel = relabelings(g)
-    canon = min(h for _, h in rel)
-    auts = tuple(d for perm, h in rel if h == mult for d in _dart_bijections(g, h, perm))
-    iso = np.array(
-        [d for perm, h in rel if h == canon for d in _dart_bijections(g, h, perm)],
-        dtype=np.int64,
-    )
-    iso_inv = np.empty_like(iso)
-    iso_inv[np.arange(len(iso))[:, None], iso] = np.arange(iso.shape[1])
-    return auts, iso, iso_inv
+
+    def onto(target):
+        maps = [d for perm, h in rel if h == target for d in _dart_bijections(g, h, perm)]
+        return np.array(maps, dtype=np.int64)
+
+    return onto(g.multiplicities), onto(min(h for _, h in rel))
 
 
-def dart_automorphisms(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+def dart_automorphisms(g: Multigraph) -> np.ndarray:
     """All dart permutations induced by graph automorphisms (including
-    permutations of parallel edges)."""
-    return _dart_maps(g.vertex_count, g.multiplicities)[0]
+    permutations of parallel edges), one per row."""
+    return _dart_maps(g)[0]
+
+
+def _conjugates(sigma, perms: np.ndarray) -> np.ndarray:
+    """The rows phi sigma phi^-1, then phi sigma^-1 phi^-1, for each dart
+    permutation phi in the rows of perms, as a (2P, 2E) uint8 array.  Darts
+    that sigma leaves unset (-1) stay unset, at 255."""
+    sig = np.asarray(sigma, dtype=np.int64)
+    d = np.flatnonzero(sig >= 0)
+    rows = np.arange(len(perms))[:, None]
+    out = np.full((2, len(perms), len(sig)), 255, dtype=np.uint8)
+    out[0, rows, perms[:, d]] = perms[:, sig[d]]  # phi(d) -> phi(sigma(d))
+    out[1, rows, perms[:, sig[d]]] = perms[:, d]
+    return out.reshape(-1, len(sig))
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +146,6 @@ class EmbeddedGraph:
         return tuple(sorted(len(f) for f in self.faces))
 
 
-def _sigma_inverse(sig: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(sig)
-    inv[sig] = np.arange(len(sig))
-    return inv
-
-
 def instance_slots(pairs, edges) -> list[int]:
     """Index in edges of each vertex pair in pairs, in order: the t-th
     occurrence of a pair in pairs goes to its t-th instance in edges."""
@@ -159,17 +162,8 @@ def canonical_embedding_form(g: Multigraph, rotation) -> bytes:
     every dart isomorphism phi onto it; the form is the smallest of
     phi sigma phi^-1 and phi sigma^-1 phi^-1 (orientation reversal).
     """
-    _, iso, iso_inv = _dart_maps(g.vertex_count, g.multiplicities)
-    rows = np.arange(len(iso))[:, None]
-    best = None
-    sig = np.asarray(rotation, dtype=np.int64)
-    for s in (sig, _sigma_inverse(sig)):
-        conj = iso[rows, s[iso_inv]]  # (P, 2E): phi . s . phi^-1
-        enc = np.ascontiguousarray(conj.astype(np.uint8))
-        cand = min(enc[i].tobytes() for i in range(len(enc)))
-        if best is None or cand < best:
-            best = cand
-    return best
+    iso = _dart_maps(g)[1]
+    return min(row.tobytes() for row in _conjugates(rotation, iso))
 
 
 def make_embedding(g: Multigraph, rotation) -> EmbeddedGraph:
@@ -198,23 +192,17 @@ def _cyclic_orders(darts: list[int]) -> list[dict[int, int]]:
 def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
     """Orbit representatives of the cyclic orders at v under the stabilizer
     of v in the dart automorphism group, together with inversion."""
-    dartset = set(vdarts[v])
-    darts = sorted(dartset)  # the keys of every order at v, mapped or not
-    stab = [a for a in dart_automorphisms(g) if all(a[d] in dartset for d in dartset)]
-    seen: set[tuple] = set()
+    auts = dart_automorphisms(g)
+    stab = auts[np.isin(auts[:, vdarts[v]], vdarts[v]).all(axis=1)]
+    seen: set[bytes] = set()
     reps = []
-
-    def key(succ):
-        return tuple(succ[d] for d in darts)
-
     for succ in orders:
-        if key(succ) in seen:
+        sig = np.full(2 * g.edge_count, -1)
+        sig[list(succ)] = list(succ.values())
+        if sig.astype(np.uint8).tobytes() in seen:
             continue
         reps.append(succ)
-        for a in stab:
-            mapped = {a[d]: a[succ[d]] for d in succ}
-            seen.add(key(mapped))
-            seen.add(key({w: u for u, w in mapped.items()}))
+        seen.update(row.tobytes() for row in _conjugates(sig, stab))
     return reps
 
 
@@ -231,7 +219,8 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
         the unset darts or than open darts // short;
       - an open chain is longer than the open darts less short darts per
         other face still needed.
-    The first rotation found of each canonical embedding form is kept.
+    The first rotation found of each class is kept: a leaf outside the
+    orbits reached so far starts a class, and its orbit joins them.
     """
     vdarts = vertex_darts(g)
     n = g.vertex_count
@@ -256,7 +245,8 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
     short = 2 if include_bigons else 3
     sigma = [-1] * (2 * g.edge_count)
     back = list(sigma)  # back[sigma[x]] = x
-    found: dict[bytes, list[int]] = {}
+    reached: set[bytes] = set()
+    found: list[list[int]] = []
 
     def place(x, y, closed, free, unset):
         """Set sigma[x] = y: the new (closed, open, unset) counts, or None."""
@@ -285,13 +275,15 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
         for (x, y), child in node.items():
             after = place(x, y, *state)
             if after and child is None:
-                found.setdefault(canonical_embedding_form(g, sigma), list(sigma))
+                if bytes(sigma) not in reached:
+                    found.append(list(sigma))
+                    reached.update(r.tobytes() for r in _conjugates(sigma, dart_automorphisms(g)))
             elif after:
                 search(child, after)
             sigma[x] = back[y] = -1
 
     search(tree, (0, len(sigma), len(sigma)))
-    return tuple(make_embedding(g, found[c]) for c in sorted(found))
+    return tuple(sorted((make_embedding(g, s) for s in found), key=lambda e: e.canonical_form))
 
 
 # ---------------------------------------------------------------------------

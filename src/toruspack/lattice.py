@@ -26,6 +26,10 @@ from .errors import DegenerateLattice, OutOfModuliStrip
 # packing.extract_graph and of every caller that reads a closed-form optimum.
 DEFAULT_TOL = 1e-9
 
+# A basis is degenerate when |v1 x v2| <= DEGENERATE_BASIS_TOL |v|^2 (v the
+# longer vector): a sine of their angle that small is cross-product rounding.
+DEGENERATE_BASIS_TOL = 1e-12
+
 # Slack for validating strip membership (pure float noise, e.g. (1/2, sqrt(3)/2)
 # has x^2 + y^2 = 1 - 1e-16).
 _STRIP_EPS = 1e-9
@@ -124,7 +128,7 @@ class BasisReduction:
     similarity: tuple[tuple[float, float], tuple[float, float]]
 
 
-def reduce_to_standard_basis(basis: LatticeBasis, tol: float = 1e-12) -> tuple[ModuliPoint, BasisReduction]:
+def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisReduction]:
     """Lagrange-Gauss reduce, scale the short vector to 1, fold unoriented.
 
     Returns the strip point (x, y) plus the full transform record.  x = 0 and
@@ -133,7 +137,7 @@ def reduce_to_standard_basis(basis: LatticeBasis, tol: float = 1e-12) -> tuple[M
     u1 = np.array(basis.v1, float)
     u2 = np.array(basis.v2, float)
     norm = max(np.linalg.norm(u1), np.linalg.norm(u2))
-    if norm == 0.0 or abs(basis.cross()) <= tol * norm * norm:
+    if norm == 0.0 or abs(basis.cross()) <= DEGENERATE_BASIS_TOL * norm * norm:
         raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate")
     if basis.v1 == (1.0, 0.0):
         # already-standard inputs reduce to themselves exactly

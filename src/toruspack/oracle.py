@@ -16,7 +16,7 @@ import numpy as np
 
 from .closed_form import optimal_radius
 from .embedding import EmbeddedGraph, homology_labels
-from .errors import TorusPackError
+from .errors import OverlapDetected, TorusPackError
 from .geometry_embed import embedding_from_packing
 from .lattice import (
     LatticeBasis,
@@ -94,7 +94,7 @@ REFINE_SLACK = 2e-3
 DEGENERATE_SCALE = 1e-3
 # A realized radius may exceed RADIUS_CAP by this: at the cap two circles
 # touch along the shortest lattice vector, and a sample's lengths agree
-# only to realize_embedding's residual_tol (1e-10).
+# only to RESIDUAL_TOL (1e-10).
 RADIUS_CAP_SLACK = 1e-9
 
 
@@ -404,6 +404,8 @@ def _active_refine(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
 # criterion-3 tori (200 restarts, seed 101) one round leaves 2 of them up
 # to 4.1e-4 short of the closed form, three rounds land all 180 within 1e-9.
 REFINE_ROUNDS = 3
+# The ascent endpoints refined per torus, best first by min distance.
+REFINE_TOP = 12
 
 
 def maximize_min_distances(
@@ -411,10 +413,9 @@ def maximize_min_distances(
     tori: Sequence[ModuliPoint],
     restarts: int = 200,
     seed: int = 0,
-    refine_top: int = 12,
 ) -> list[OracleResult]:
     """Best max-min configuration of n points on each torus, over seeded
-    multi-start ascent, the refine_top best of them refined by up to
+    multi-start ascent, the REFINE_TOP best of them refined by up to
     REFINE_ROUNDS active-set solves.
 
     One ascent runs every torus; the starts depend on (seed, restart) only.
@@ -441,16 +442,16 @@ def maximize_min_distances(
     P = n * (n - 1) // 2
     block = max(1, ASCENT_BLOCK_BYTES // (9 * P * restarts * T0.itemsize))
     ends = [T for at in range(0, len(tori), block) for T in _ascent(T0, tori[at : at + block])]
-    return [_best_of(T, m, refine_top) for T, m in zip(ends, tori)]
+    return [_best_of(T, m) for T, m in zip(ends, tori)]
 
 
-def _best_of(T: np.ndarray, m: ModuliPoint, refine_top: int) -> OracleResult:
+def _best_of(T: np.ndarray, m: ModuliPoint) -> OracleResult:
     """Rank one torus's ascent endpoints T (R, n, 2), refine the best and
     return the winner."""
     cap = 2 * RADIUS_CAP
     scores = np.minimum(_min_distances(T, m), cap)
     order = np.argsort(-scores, kind="stable")
-    top = T[order[: max(1, refine_top)]]
+    top = T[order[:REFINE_TOP]]
     d = _min_distances(top, m)
     live = np.arange(len(top))
     for _ in range(REFINE_ROUNDS):
@@ -478,10 +479,9 @@ def maximize_min_distance(
     m: ModuliPoint,
     restarts: int = 200,
     seed: int = 0,
-    refine_top: int = 12,
 ) -> OracleResult:
     """maximize_min_distances on the one torus m."""
-    return maximize_min_distances(n, [m], restarts, seed, refine_top)[0]
+    return maximize_min_distances(n, [m], restarts, seed)[0]
 
 
 # The oracle is lower-bound evidence: a seeded multi-start may stop short of
@@ -547,7 +547,6 @@ def compare_with_closed_form(
 
 @dataclass(frozen=True)
 class RealizationSample:
-    embedding_form: bytes
     m: ModuliPoint
     centers: tuple[TorusPoint, ...]
     edge_length: float
@@ -558,6 +557,8 @@ class RealizationSample:
 ANGLE_LO = math.pi / 3
 ANGLE_HI = math.pi
 SOLVED_COST = 1e-22  # 0.5 |r|^2 of a start that counts as solved
+# A retained sample's edge lengths agree with L to this, in the solve's units.
+RESIDUAL_TOL = 1e-10
 # A realization must stay a realization of the same graph when tangency is
 # read 100x more loosely than at extraction (SAMPLE_TANGENCY_TOL): a sample
 # with another pair within this distance of touching is a limit point of a
@@ -617,7 +618,6 @@ def realize_embedding(
     attempts: int = 200,
     seed: int = 0,
     max_samples: int = 8,
-    residual_tol: float = 1e-10,
 ) -> list[RealizationSample]:
     """Seeded attempts to draw the embedding as an equal-length packing graph.
 
@@ -656,7 +656,7 @@ def realize_embedding(
         L = np.abs(u[:, -1])
         residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
         keep = (cost <= SOLVED_COST) & (L >= DEGENERATE_SCALE) & (np.abs(u[:, -2]) >= DEGENERATE_SCALE)
-        keep &= residual <= residual_tol
+        keep &= residual <= RESIDUAL_TOL
         for gaps in map(cyclic_gaps, tangent_vectors(d, tangents)):
             keep &= (gaps.min(1) >= ANGLE_LO - ANGLE_GAP_TOL) & (gaps.max(1) < ANGLE_HI - ANGLE_GAP_TOL)
         touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + REALIZATION_CLEARANCE / 2)
@@ -682,11 +682,9 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     if y < 0:
         p[:, 1] *= -1
         y = -y
-    # reduce the torus to the standard strip and map the points through
-    try:
-        m, rec = reduce_to_standard_basis(LatticeBasis((1.0, 0.0), (x, y)))
-    except (TorusPackError, ValueError):
-        return None
+    # reduce the torus to the standard strip and map the points through (the
+    # screen's |y|, L >= DEGENERATE_SCALE: a sound basis, a positive radius)
+    m, rec = reduce_to_standard_basis(LatticeBasis((1.0, 0.0), (x, y)))
     pts = (np.asarray(rec.similarity) @ p.T).T
     radius = rec.scale * L / 2
     if radius > RADIUS_CAP + RADIUS_CAP_SLACK:
@@ -696,7 +694,7 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     try:
         extracted = extract_graph(packing, tol=SAMPLE_TANGENCY_TOL)
         loose = extract_graph(packing, tol=REALIZATION_CLEARANCE)
-    except (TorusPackError, ValueError):
+    except OverlapDetected:
         return None
     # extracted has nv vertices, and its edges are among loose's, so the
     # loose check also rejects every loop
@@ -712,7 +710,6 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     if realized.canonical_form != e.canonical_form:
         return None
     return RealizationSample(
-        embedding_form=e.canonical_form,
         m=m,
         centers=centers,
         edge_length=2 * radius,

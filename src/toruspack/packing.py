@@ -22,8 +22,8 @@ TRIANGULAR_DENSITY = math.pi / math.sqrt(12.0)
 
 # Tangency tolerance for packings that come out of a numerical solve (the
 # realization samples, their frameworks and rigidity witnesses): a sample's
-# edge lengths agree to realize_embedding's residual_tol (1e-10) before the
-# basis reduction rescales them, so 1e-7 reads every solved edge as a
+# edge lengths agree to oracle.RESIDUAL_TOL (1e-10) before the basis
+# reduction rescales them, so 1e-7 reads every solved edge as a
 # tangency with a wide margin for that rescaling, while
 # oracle.REALIZATION_CLEARANCE keeps every other pair 100x farther away.
 SAMPLE_TANGENCY_TOL = 1e-7
@@ -166,8 +166,7 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
 # realization.  Gaps that are exactly pi/3 or pi (hexagonal triangles, a
 # straight row of circles) must read as on the bound: closed-form edge
 # vectors carry float rounding near 1e-15, and a realization's edge
-# lengths agree to realize_embedding's residual_tol (1e-10).  1e-9 clears
-# both.
+# lengths agree to oracle.RESIDUAL_TOL (1e-10).  1e-9 clears both.
 ANGLE_GAP_TOL = 1e-9
 
 

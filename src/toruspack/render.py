@@ -16,6 +16,9 @@ from .packing import Packing, PackingGraph
 from .regions import SQRT3, boundary_curve, free_boundary_value, region_count
 
 _FMT = "{:.6f}"
+# A disk touching the domain up to rounding (about 1e-16 at unit scale)
+# meets it, so whether a touching translate is drawn does not hang on a bit.
+_DOMAIN_TOUCH_SLACK = 1e-12
 
 
 def _f(x: float) -> str:
@@ -25,7 +28,6 @@ def _f(x: float) -> str:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    kind: str = "packing"  # or "moduli"
     size: int = 480
     stroke_width: float = 1.5
     labels: bool = True
@@ -123,13 +125,13 @@ def _disk_meets_domain(q, r, m: ModuliPoint) -> bool:
         ab = b - a
         t = float(np.clip((q - a) @ ab / (ab @ ab), 0.0, 1.0))
         best = min(best, float(np.hypot(*(a + t * ab - q))))
-    return best <= r + 1e-12
+    return best <= r + _DOMAIN_TOUCH_SLACK
 
 
 _CURVE_SAMPLES = 512
 
 
-def render_moduli(n: int, spec: FigureSpec = FigureSpec(kind="moduli")) -> str:
+def render_moduli(n: int, spec: FigureSpec = FigureSpec()) -> str:
     """The unoriented moduli strip with the region boundary curves, region
     labels, and markers at the triangular-close-packing boundary tori."""
     k = region_count(n)

@@ -42,6 +42,9 @@ from .packing import (
 
 RATIONALIZE_DENOMINATOR = 10**12
 FLOAT_CHECK_TOL = 1e-6
+# Least slack on a strut's length against 2r: even at tol = 0, a tangency
+# of exact data has a float length rounded by about 1e-16.
+STRUT_LENGTH_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def _framework(p: Packing, g: PackingGraph, vectors: np.ndarray, tol: float) -> 
         if i == j:
             continue  # self-tangency: trivial strut inequality
         length = float(np.hypot(*vec))
-        if abs(length - target) > max(tol, 1e-12):
+        if abs(length - target) > max(tol, STRUT_LENGTH_FLOOR):
             raise InconsistentLengths(
                 f"strut ({i},{j},{d.a},{d.b}) has length {length}, expected {target}"
             )

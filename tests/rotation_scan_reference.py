@@ -7,6 +7,11 @@ doubling.  The search in `toruspack.embedding` visits the same rotations in
 the same order and prunes the ones that cannot reach Euler characteristic 0;
 the property test in test_embedding.py asserts that both give identical
 embeddings.
+
+The vertex quotient, the canonical form and the dedup are the scan's own:
+per-order dicts for the quotient, a gather through the inverse isomorphisms
+for the form, and a form at every chi = 0 rotation, independent of the
+conjugation kernel that the search uses for all three.
 """
 from __future__ import annotations
 
@@ -16,11 +21,69 @@ from toruspack.census import Multigraph
 from toruspack.embedding import (
     EmbeddedGraph,
     _cyclic_orders,
-    _order_reps_at_vertex,
-    canonical_embedding_form,
-    make_embedding,
+    _dart_maps,
+    dart_automorphisms,
+    trace_faces,
     vertex_darts,
 )
+
+
+def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
+    """Orbit representatives of the cyclic orders at v under the stabilizer
+    of v in the dart automorphism group, together with inversion."""
+    dartset = set(vdarts[v])
+    darts = sorted(dartset)  # the keys of every order at v, mapped or not
+    auts = [tuple(int(x) for x in a) for a in dart_automorphisms(g)]
+    stab = [a for a in auts if all(a[d] in dartset for d in dartset)]
+    seen: set[tuple] = set()
+    reps = []
+
+    def key(succ):
+        return tuple(succ[d] for d in darts)
+
+    for succ in orders:
+        if key(succ) in seen:
+            continue
+        reps.append(succ)
+        for a in stab:
+            mapped = {a[d]: a[succ[d]] for d in succ}
+            seen.add(key(mapped))
+            seen.add(key({w: u for u, w in mapped.items()}))
+    return reps
+
+
+def _sigma_inverse(sig: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(sig)
+    inv[sig] = np.arange(len(sig))
+    return inv
+
+
+def canonical_embedding_form(g: Multigraph, rotation) -> bytes:
+    """The smallest of phi sigma phi^-1 and phi sigma^-1 phi^-1 over the
+    dart isomorphisms phi onto g's canonical copy."""
+    iso = _dart_maps(g)[1]
+    iso_inv = np.empty_like(iso)
+    iso_inv[np.arange(len(iso))[:, None], iso] = np.arange(iso.shape[1])
+    rows = np.arange(len(iso))[:, None]
+    best = None
+    sig = np.asarray(rotation, dtype=np.int64)
+    for s in (sig, _sigma_inverse(sig)):
+        conj = iso[rows, s[iso_inv]]  # (P, 2E): phi . s . phi^-1
+        enc = np.ascontiguousarray(conj.astype(np.uint8))
+        cand = min(enc[i].tobytes() for i in range(len(enc)))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def make_embedding(g: Multigraph, rotation) -> EmbeddedGraph:
+    faces = trace_faces(g, rotation)
+    return EmbeddedGraph(
+        graph=g,
+        rotation=tuple(int(d) for d in rotation),
+        faces=faces,
+        canonical_form=canonical_embedding_form(g, rotation),
+    )
 
 
 def _count_cycles(nxt: np.ndarray) -> np.ndarray:

@@ -1,6 +1,12 @@
 import pytest
 
-from toruspack.census import Multigraph, canonicalize, enumerate_census
+from toruspack.census import (
+    Multigraph,
+    canonicalize,
+    enumerate_census,
+    relabelings,
+    write_census_file,
+)
 from toruspack.errors import UnsupportedN
 
 
@@ -58,10 +64,15 @@ def test_stage3_edge_distribution():
 
 
 def test_census_file(tmp_path):
-    from toruspack.census import write_census_file
-
     path = tmp_path / "census.txt"
     write_census_file(str(path), [enumerate_census(3)])
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 37
     assert sum(1 for l in lines if "stage=3" in l) == 3
+
+
+def test_relabelings_once_per_class(tmp_path):
+    relabelings.cache_clear()
+    res = enumerate_census(4)
+    write_census_file(str(tmp_path / "census.txt"), [res])
+    assert relabelings.cache_info().misses == len(res.stage1) == 825

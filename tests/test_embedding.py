@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import rotation_scan_reference as reference
 
+from toruspack import embedding
 from toruspack.census import Multigraph, enumerate_census, vertex_pairs
 from toruspack.embedding import (
     canonical_embedding_form,
@@ -111,6 +112,24 @@ class TestEnumeration:
             for g in enumerate_census(3).stage3
         )
         assert total == 36
+
+    def test_unrestricted_count_four_vertices(self):
+        total = sum(
+            len(enumerate_toroidal(g, include_bigons=True))
+            for g in enumerate_census(4).stage3
+        )
+        assert total == 914
+
+    def test_one_form_per_class(self, monkeypatch):
+        calls = []
+
+        def counted(g, rotation):
+            calls.append(g)
+            return canonical_embedding_form(g, rotation)
+
+        monkeypatch.setattr(embedding, "canonical_embedding_form", counted)
+        found = [e for g in enumerate_census(3).stage3 for e in enumerate_toroidal(g)]
+        assert len(calls) == len(found) == 6
 
     def test_orbit_sizes_divide_group_order(self):
         for g in enumerate_census(3).stage3:
