@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import UnsupportedN
 
@@ -59,19 +59,20 @@ class Multigraph:
                     stack.append(w)
         return len(seen) == n
 
-    @property
+    @cached_property
     def canonical_form(self) -> bytes:
+        """canonicalize(self), computed once per graph and kept with it."""
         return canonicalize(self)
 
 
-@lru_cache(maxsize=None)
 def relabelings(g: Multigraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(p, h) for every vertex permutation p, where h is the multiplicity
     tuple of g with each vertex v renamed p[v].
 
-    The one loop over vertex permutations, once per graph: the smallest h
-    is the canonical copy and the p that reach it are the isomorphisms onto
-    it; the p with h == g.multiplicities are the automorphisms of g.
+    The one loop over vertex permutations: the smallest h is the canonical
+    copy and the p that reach it are the isomorphisms onto it; the p with
+    h == g.multiplicities are the automorphisms of g.  Not kept: only the
+    census loop and embedding's dart maps (cached per graph) read them.
     """
     n = g.vertex_count
     prs = vertex_pairs(n)
@@ -85,9 +86,10 @@ def relabelings(g: Multigraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     return tuple(out)
 
 
-def canonicalize(g: Multigraph) -> bytes:
-    """Relabeling-invariant byte form (minimum over all vertex permutations)."""
-    return bytes([g.vertex_count]) + bytes(min(h for _, h in relabelings(g)))
+def canonicalize(g: Multigraph, rel=None) -> bytes:
+    """Relabeling-invariant byte form (minimum over all vertex permutations),
+    from g's relabelings when they are at hand."""
+    return bytes([g.vertex_count]) + bytes(min(h for _, h in rel or relabelings(g)))
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,10 @@ def enumerate_census(n: int) -> CensusResult:
             g = Multigraph(n, mult)
             if not g.is_connected():
                 continue
-            reached.update(h for _, h in relabelings(g))
-            c = g.canonical_form
+            rel = relabelings(g)
+            reached.update(h for _, h in rel)
+            # the form from the same loop, kept where cached_property keeps it
+            c = g.__dict__["canonical_form"] = canonicalize(g, rel)
             stage1[c] = g
             if not all(3 <= d <= 6 for d in g.degrees()):
                 continue

@@ -13,16 +13,18 @@ certificate rather than a tolerance call:
     exact rank is the column count minus its length.
 
 Both work on integer rows: a row is a pair (N, D) of a list of Python ints
-and one positive int, meaning the entries N[j] / D in lowest terms.  The
-rigidity module builds its rows in this form straight from the strut
-coordinates; `_row` converts any other numbers.  After each update one gcd
-of D and all of N brings a row back to lowest terms, where a tableau of one
-`Fraction` per entry pays a gcd per entry instead.  Since D > 0, every sign
-and zero test reads a numerator alone, and the ratio test compares
-N_i[-1] / N_i[e] (D cancels) by cross-multiplying, ties to the least basis
-index.  So both routines take exactly the pivots of a `Fraction` tableau,
-every entry is the same rational, and the `Fraction`s built once at return
-are identical.
+and one positive int, meaning the entries N[j] / D.  The rigidity module
+builds its rows straight from the strut coordinates, in lowest terms;
+`_row` converts any other numbers.  A row is brought to lowest terms (one
+gcd of D and all of N) only when it becomes the pivot row, once per pivot,
+where a tableau of one `Fraction` per entry pays a gcd per entry after
+every update.  An update cuts the row's entry N[e] and the pivot's D by
+their gcd and leaves the row unreduced.  Since D > 0, every sign and zero
+test reads a numerator alone, and the ratio test compares N_i[-1] / N_i[e]
+(D cancels) by cross-multiplying, ties to the least basis index.  So both
+routines take exactly the pivots of a `Fraction` tableau, every entry is
+the same rational, and the `Fraction`s built once at return, which reduce
+it, are identical.
 
 Problem sizes are tiny (at most a few dozen rows and columns), so the dense
 tableau is plenty.
@@ -69,11 +71,13 @@ def _normalized(row: Row, e: int) -> Row:
 
 
 def _eliminate(row: Row, pivot: Row, e: int) -> Row:
-    """row - row[e] * pivot, for a pivot row with pivot[e] == 1."""
+    """row - row[e] * pivot, for a pivot row with pivot[e] == 1, not reduced:
+    (N Dp - f P) / (D Dp) with f = N[e] and Dp cut by gcd(f, Dp)."""
     N, D = row
     P, Dp = pivot
-    f = N[e]
-    return _reduced([a * Dp - f * b for a, b in zip(N, P)], D * Dp)
+    g = gcd(N[e], Dp)
+    f, Dp = N[e] // g, Dp // g
+    return [a * Dp - f * b for a, b in zip(N, P)], D * Dp
 
 
 def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:

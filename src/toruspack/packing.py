@@ -46,8 +46,9 @@ class Packing:
     def edge_vectors(self, g: "PackingGraph") -> np.ndarray:
         """(E, 2): plane vector of every tangency (i, j, d) of g, in g's
         order: from center i to the d-translate of center j, both canonical."""
-        pts = [c.canonical(self.m).coords() for c in self.centers]
-        return np.array([pts[j] + d.vector(self.m) - pts[i] for i, j, d in g.edges]).reshape(-1, 2)
+        pts = np.array([c.canonical(self.m).coords() for c in self.centers]).reshape(-1, 2)
+        I, J, a, b = np.array([(i, j, d.a, d.b) for i, j, d in g.edges], int).reshape(-1, 4).T
+        return pts[J] + np.stack([a + b * self.m.x, b * self.m.y], -1) - pts[I]
 
 
 def _pair_translates(

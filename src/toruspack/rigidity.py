@@ -36,7 +36,6 @@ from .packing import (
     PackingGraph,
     cyclic_gaps,
     extract_graph,
-    tangent_vectors,
     vertex_tangents,
 )
 
@@ -86,15 +85,12 @@ def build_framework(p: Packing, g: PackingGraph, tol: float = DEFAULT_TOL) -> St
 
 def _framework(p: Packing, g: PackingGraph, vectors: np.ndarray, tol: float) -> StrutFramework:
     """build_framework on the edge vectors of g (Packing.edge_vectors)."""
-    verts = tuple(
-        tuple(c.canonical(p.m).coords()) for c in p.centers
-    )
+    verts = tuple(tuple(c.canonical(p.m).coords()) for c in p.centers)
     struts = []
     target = 2 * p.radius
-    for (i, j, d), vec in zip(g.edges, vectors):
+    for (i, j, d), vec, length in zip(g.edges, vectors, np.hypot(vectors[:, 0], vectors[:, 1])):
         if i == j:
             continue  # self-tangency: trivial strut inequality
-        length = float(np.hypot(*vec))
         if abs(length - target) > max(tol, STRUT_LENGTH_FLOOR):
             raise InconsistentLengths(
                 f"strut ({i},{j},{d.a},{d.b}) has length {length}, expected {target}"
@@ -241,10 +237,13 @@ def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TO
 def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray, tol: float = ANGLE_GAP_TOL) -> bool:
     """Some circle's tangency directions fit in a closed half-plane; vectors
     are the edge vectors of g (Packing.edge_vectors)."""
-    tangents = vertex_tangents(g.edges, g.vertex_count)
-    return any(
-        not len(v) or cyclic_gaps(v).max() >= math.pi - tol
-        for v in tangent_vectors(vectors, tangents)
+    by_degree: dict[int, list] = {}
+    for tv in vertex_tangents(g.edges, g.vertex_count):
+        by_degree.setdefault(len(tv), []).append(tv)
+    # one gap call per degree: (k, deg, 2) tangents (t, s), vectors s d_t
+    return 0 in by_degree or any(
+        cyclic_gaps(ts[..., 1:] * vectors[ts[..., 0]]).max() >= math.pi - tol
+        for ts in map(np.array, by_degree.values())
     )
 
 

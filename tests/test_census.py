@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from toruspack import census
 from toruspack.census import (
     Multigraph,
     canonicalize,
@@ -72,7 +75,15 @@ def test_census_file(tmp_path):
 
 
 def test_relabelings_once_per_class(tmp_path):
-    relabelings.cache_clear()
-    res = enumerate_census(4)
-    write_census_file(str(tmp_path / "census.txt"), [res])
-    assert relabelings.cache_info().misses == len(res.stage1) == 825
+    """A cold census and its file run the relabeling loop once per class:
+    each graph's form is kept with it, and the relabelings are not."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return relabelings(g)
+
+    with mock.patch.object(census, "relabelings", counted):
+        res = enumerate_census.__wrapped__(4)
+        write_census_file(str(tmp_path / "census.txt"), [res])
+    assert len(calls) == len(set(calls)) == len(res.stage1) == 825

@@ -125,10 +125,11 @@ class TestIntegerTableau:
         A, b = system
         n = len(A[0])
         Ab = [row + [bi] for row, bi in zip(A, b)]
-        # equal rationals hide unreduced rows, so every row update is also
-        # checked to return lowest terms
+        # equal rationals at return hide a wrong intermediate row, so every
+        # pivot row is also checked to be in lowest terms, and every row
+        # update (left unreduced) to hold row - row[e] * pivot
         with mock.patch.object(exact_lp, "_normalized", _lowest_terms(exact_lp._normalized)), \
-                mock.patch.object(exact_lp, "_eliminate", _lowest_terms(exact_lp._eliminate)):
+                mock.patch.object(exact_lp, "_eliminate", _exact_update(exact_lp._eliminate)):
             assert feasible_nonnegative(A, b) == reference.feasible_nonnegative(A, b)
             assert nullspace(_rows(A), n) == reference.nullspace(A, n)
             assert nullspace(_rows(Ab), n + 1) == reference.nullspace(Ab, n + 1)
@@ -140,6 +141,21 @@ def _lowest_terms(update):
         assert D > 0 and math.gcd(D, *N) == 1, row
         return row
     return checked
+
+
+def _exact_update(eliminate):
+    def checked(row, pivot, e):
+        out = eliminate(row, pivot, e)
+        assert out[1] > 0, out
+        r, p, got = map(_fractions, (row, pivot, out))
+        assert got == [a - r[e] * b for a, b in zip(r, p)], out
+        return out
+    return checked
+
+
+def _fractions(row):
+    N, D = row
+    return [Fraction(v, D) for v in N]
 
 
 def _is_farkas(A, b, y) -> bool:
@@ -448,6 +464,33 @@ def test_certificates_match_golden():
         assert all(N[-1] == -sum(N[:-1]) for N, _ in rows), label
         got[label] = hashlib.sha256(repr(decide_rigidity(f)).encode()).hexdigest()
     assert got == json.loads(GOLDEN.read_text())
+
+
+def test_one_full_row_reduction_per_pivot():
+    """exact_lp brings a row to lowest terms only when it becomes the pivot,
+    plus once for each phase-1 objective row: an updated row is left
+    unreduced.  Counted over decide_rigidity on the golden frameworks and on
+    the closed-form optima of every region at three more tori each."""
+    calls = {"_reduced": 0, "_normalized": 0, "feasible_rows": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return mock.patch.object(module, name, wrapper)
+
+    more = (
+        (label, build_framework(p, extract_graph(p, tol=tol), tol=tol))
+        for label, p, tol in _closed_form_packings(103, 3)
+    )
+    with counted(exact_lp, "_reduced"), counted(exact_lp, "_normalized"), \
+            counted(rigidity, "feasible_rows"):
+        for _, f in (*_golden_frameworks(), *more):
+            decide_rigidity(f)
+    assert calls["feasible_rows"] > 0 and calls["_normalized"] > calls["feasible_rows"]
+    assert calls["_reduced"] == calls["_normalized"] + calls["feasible_rows"]
 
 
 @settings(max_examples=1000, deadline=None)
