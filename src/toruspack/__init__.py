@@ -21,6 +21,7 @@ from .errors import (
     CertificateCheckFailed,
     DegenerateLattice,
     InconsistentLengths,
+    NoTorusEmbedding,
     OutOfModuliStrip,
     OverlapDetected,
     TorusPackError,
@@ -79,6 +80,7 @@ __all__ = [
     "LatticeBasis",
     "ModuliPoint",
     "Multigraph",
+    "NoTorusEmbedding",
     "OptimalSolution",
     "OracleResult",
     "OutOfModuliStrip",

@@ -1,22 +1,25 @@
 """Naming the surviving embedded graphs and their expected classification.
 
 Combinatorial graphs are numbered 1..3 (three vertices) and 4..23 (four
-vertices) in edge-count blocks; embeddings within a graph are numbered so
-that every name used in the published tables lands on the embedding with
-the matching role.  Identification is fully computational:
+vertices) in edge-count blocks, and the embeddings of graph k are named
+ECGk-j.  One rule, computed in one pass, gives every name:
 
-  * realizations of the closed-form optima at fixed anchor tori pin the
-    embeddings that occur as globally optimal packing graphs;
-  * seeded realization attempts plus the rigidity test split the remaining
-    survivors into realizable-rigid, realizable-flexible and
-    not-realized classes;
-  * leftover ids are assigned in canonical-form order (they carry no
-    published name).
+  * graphs: the closed-form optimum at a fixed anchor torus fixes the CG
+    number of the graph its embedding lies on, and survivor-count
+    fingerprints fix a few more; each edge-count block takes its free
+    numbers in canonical order;
+  * embeddings: an anchored embedding takes its anchor's name (a globally
+    optimal packing graph).  The other survivors of a CG are probed by
+    seeded realization attempts plus the rigidity test (classes 'rigid',
+    'flexible', 'none') and take the indices j that its anchors leave free,
+    in canonical order, or by probe class where a published table orders
+    them.  A probe class missing from that table raises.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, groupby
 
 from .census import enumerate_census
 from .closed_form import optimal_centers
@@ -34,24 +37,33 @@ from .packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
 from .regions import SQRT3, boundary_curve
 from .rigidity import RigidityDecision, build_framework, decide_rigidity
 
-# anchor tori: (name, n, moduli point) -> realize the closed-form optimum
-# there and extract its embedding
+# the CG numbers of each vertex count
+_CG_NUMBERS = {3: range(1, 4), 4: range(4, 24)}
+
+# anchor tori: the closed-form optimum there realizes the named embedding
 _GMD_ANCHORS = {
-    "ECG1-1": (3, lambda: ModuliPoint(0.15, 1.05)),
-    "ECG1-2": (3, lambda: ModuliPoint(0.15, 1.5)),
-    "ECG2-1": (3, lambda: ModuliPoint(0.15, boundary_curve(3, 1, 0.15))),
-    "ECG2-3": (3, lambda: ModuliPoint(0.5, 1.5)),
-    "ECG3-1": (3, lambda: ModuliPoint(0.5, SQRT3 / 2)),
-    "ECG18-1": (4, lambda: ModuliPoint(0.1, 1.0)),
-    "ECG20-1": (4, lambda: ModuliPoint(0.0, 1.05)),
-    "ECG20-2": (4, lambda: ModuliPoint(0.25, boundary_curve(4, 1, 0.25))),
-    "ECG23-1": (4, lambda: ModuliPoint(0.5, SQRT3 / 2)),
-    "ECG23-2": (4, lambda: ModuliPoint(0.0, 2 / SQRT3)),
-    "ECG9-1": (4, lambda: ModuliPoint(0.25, 1.3)),
-    "ECG16-1": (4, lambda: ModuliPoint(0.25, boundary_curve(4, 2, 0.25))),
-    "ECG7-1": (4, lambda: ModuliPoint(0.25, 2.0)),
-    "ECG13-1": (4, lambda: ModuliPoint(0.0, 2.0)),
+    "ECG1-1": ModuliPoint(0.15, 1.05),
+    "ECG1-2": ModuliPoint(0.15, 1.5),
+    "ECG2-1": ModuliPoint(0.15, boundary_curve(3, 1, 0.15)),
+    "ECG2-3": ModuliPoint(0.5, 1.5),
+    "ECG3-1": ModuliPoint(0.5, SQRT3 / 2),
+    "ECG18-1": ModuliPoint(0.1, 1.0),
+    "ECG20-1": ModuliPoint(0.0, 1.05),
+    "ECG20-2": ModuliPoint(0.25, boundary_curve(4, 1, 0.25)),
+    "ECG23-1": ModuliPoint(0.5, SQRT3 / 2),
+    "ECG23-2": ModuliPoint(0.0, 2 / SQRT3),
+    "ECG9-1": ModuliPoint(0.25, 1.3),
+    "ECG16-1": ModuliPoint(0.25, boundary_curve(4, 2, 0.25)),
+    "ECG7-1": ModuliPoint(0.25, 2.0),
+    "ECG13-1": ModuliPoint(0.0, 2.0),
 }
+
+# (edge count, survivors, CG number): the one unanchored graph of that edge
+# count with that many surviving embeddings
+_FINGERPRINTS = ((7, 4, 4), (7, 1, 6), (8, 2, 10), (8, 1, 12))
+
+# unanchored survivors of these CGs take their free indices by probe class
+_CLASS_ORDER = {4: ("flexible", "rigid", "none"), 9: ("none", "flexible")}
 
 REALIZE_ATTEMPTS = 240
 REALIZE_SEED = 2026
@@ -62,7 +74,6 @@ class EcgEntry:
     name: str | None
     cg: int
     embedding: EmbeddedGraph
-    survives_filters: bool
     forbidden_reason: str | None
     chain_reason: str | None
     realization_class: str | None  # 'rigid', 'flexible', 'none' (survivors only)
@@ -74,11 +85,14 @@ class EcgEntry:
     # embedding, a globally optimal witness
     anchor: ModuliPoint | None = None
 
+    @property
+    def survives_filters(self) -> bool:
+        return self.forbidden_reason is None and self.chain_reason is None
+
 
 @dataclass(frozen=True)
 class EcgCatalog:
     n: int
-    cg_ids: dict[bytes, int]  # multigraph canonical form -> CG number
     entries: tuple[EcgEntry, ...]
 
     def by_name(self, name: str) -> EcgEntry:
@@ -91,11 +105,27 @@ class EcgCatalog:
         return tuple(e for e in self.entries if e.survives_filters)
 
 
+def _cg_j(name: str) -> tuple[int, int]:
+    """(k, j) of the name ECGk-j."""
+    k, j = name[3:].split("-")
+    return int(k), int(j)
+
+
 def _anchor_form(n: int, m: ModuliPoint) -> bytes:
     sol = optimal_centers(n, m)
     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
     g = extract_graph(p, tol=DEFAULT_TOL)
     return embedding_from_packing(p, g).canonical_form
+
+
+def _filter_reasons(e: EmbeddedGraph) -> tuple[str | None, str | None]:
+    """Why the forbidden-face and the parallel-chain filter drop e, None
+    where one keeps it; the chain filter sees only what the first keeps."""
+    fv = forbidden_face_filter(e)
+    if not fv.keep:
+        return fv.reason, None
+    cv = parallel_chain_filter(e)
+    return None, None if cv.keep else cv.reason
 
 
 def _probe_realization(
@@ -120,157 +150,77 @@ def _probe_realization(
     return ("rigid" if decisions[-1].rigid else "flexible"), samples, decisions[0]
 
 
+def _class_rank(cg: int, cls: str) -> int:
+    """Place of a probe class in the CG's published order (0 without one)."""
+    order = _CLASS_ORDER.get(cg, (cls,))
+    if cls not in order:
+        raise AssertionError(f"ECG{cg}: probe class {cls!r} is not in the published order {order}")
+    return order.index(cls)
+
+
 @lru_cache(maxsize=None)
 def identify(n: int) -> EcgCatalog:
-    if n not in (3, 4):
+    if n not in _CG_NUMBERS:
         raise UnsupportedN(f"the census pipeline handles n in {{3, 4}}, got {n}")
-    census = enumerate_census(n)
-    graphs = sorted(census.stage3, key=lambda g: (g.edge_count, g.canonical_form))
+    numbers = _CG_NUMBERS[n]
+    graphs = sorted(enumerate_census(n).stage3, key=lambda g: (g.edge_count, g.canonical_form))
+    embeddings = [[(e, *_filter_reasons(e)) for e in enumerate_toroidal(g)] for g in graphs]
+    survivors = [[e for e, fr, cr in embs if fr is None and cr is None] for embs in embeddings]
+    anchors = {_anchor_form(n, m): name
+               for name, m in _GMD_ANCHORS.items() if _cg_j(name)[0] in numbers}
 
-    # per-graph embeddings and filter verdicts
-    per_graph: list[dict] = []
-    for g in graphs:
-        embs = enumerate_toroidal(g)
-        info = []
-        for e in embs:
-            fv = forbidden_face_filter(e)
-            cv = parallel_chain_filter(e) if fv.keep else None
-            info.append(
-                {
-                    "embedding": e,
-                    "forbidden": fv,
-                    "chain": cv,
-                    "survives": bool(fv.keep and cv and cv.keep),
-                }
-            )
-        per_graph.append({"graph": g, "info": info})
-
-    anchor_points = {name: mk() for name, (an, mk) in _GMD_ANCHORS.items() if an == n}
-    anchors = {name: _anchor_form(n, m) for name, m in anchor_points.items()}
-    form_to_anchor = {}
-    for name, form in anchors.items():
-        form_to_anchor.setdefault(form, name)
-
-    # CG numbering
-    offset = 1 if n == 3 else 4
-    anchored_cg: dict[int, int] = {}  # graph idx -> cg id
-    for name, form in anchors.items():
-        cg_num = int(name.split("-")[0][3:])
-        for gi, rec in enumerate(per_graph):
-            if any(i["embedding"].canonical_form == form for i in rec["info"]):
-                anchored_cg[gi] = cg_num
-                break
-        else:
+    # graphs: anchors and fingerprints fix some CG numbers
+    graph_of = {e.canonical_form: k for k, embs in enumerate(embeddings) for e, _, _ in embs}
+    cg_of = {}
+    for form, name in anchors.items():
+        if form not in graph_of:
             raise AssertionError(f"anchor {name} did not match any embedding")
-    # survivor-count fingerprints pin the non-anchored graphs that carry
-    # published names (CG4/CG6 among 7-edge; CG10/CG12 among 8-edge)
-    if n == 4:
-        by_edges: dict[int, list[int]] = {}
-        for gi, rec in enumerate(per_graph):
-            by_edges.setdefault(rec["graph"].edge_count, []).append(gi)
-        surv = {
-            gi: sum(1 for i in per_graph[gi]["info"] if i["survives"])
-            for gi in range(len(per_graph))
-        }
-
-        for edge_count, count, cg_num in ((7, 4, 4), (7, 1, 6), (8, 2, 10), (8, 1, 12)):
-            cands = [
-                gi
-                for gi in by_edges[edge_count]
-                if gi not in anchored_cg and surv[gi] == count
-            ]
+        cg_of[graph_of[form]] = _cg_j(name)[0]
+    for edges, surviving, cg in _FINGERPRINTS:
+        if cg in numbers:
+            cands = [k for k, g in enumerate(graphs) if k not in cg_of
+                     and g.edge_count == edges and len(survivors[k]) == surviving]
             if len(cands) != 1:
                 raise AssertionError(
-                    f"survivor fingerprint ({edge_count} edges, {count} survivors)"
+                    f"survivor fingerprint ({edges} edges, {surviving} survivors)"
                     f" matched {len(cands)} graphs"
                 )
-            anchored_cg[cands[0]] = cg_num
-    # remaining ids filled inside each edge-count block, canonical order
-    cg_of: dict[int, int] = dict(anchored_cg)
-    start = offset
-    gi = 0
-    while gi < len(per_graph):
-        ec = per_graph[gi]["graph"].edge_count
-        block = [k for k in range(len(per_graph)) if per_graph[k]["graph"].edge_count == ec]
-        ids = set(range(start, start + len(block)))
+            cg_of[cands[0]] = cg
+    # each edge-count block takes its free numbers in canonical order
+    for _, block in groupby(range(len(graphs)), key=lambda k: graphs[k].edge_count):
+        block = list(block)
+        ids = numbers[block[0]:block[-1] + 1]
         fixed = {cg_of[k] for k in block if k in cg_of}
-        if not fixed <= ids:
-            raise AssertionError("anchored CG id escaped its edge-count block")
-        free = sorted(ids - fixed)
-        for k in block:
-            if k not in cg_of:
-                cg_of[k] = free.pop(0)
-        start += len(block)
-        gi = block[-1] + 1
+        if not fixed <= set(ids):
+            raise AssertionError("a fixed CG number escaped its edge-count block")
+        cg_of.update(zip([k for k in block if k not in cg_of], (j for j in ids if j not in fixed)))
 
-    # embedding numbers
-    entries: list[EcgEntry] = []
-    cg_ids: dict[bytes, int] = {}
-    for gi, rec in enumerate(per_graph):
-        cg = cg_of[gi]
-        cg_ids[rec["graph"].canonical_form] = cg
-        info = rec["info"]
-        named: dict[int, str] = {}
-        # anchored embeddings first
-        for ii, i in enumerate(info):
-            name = form_to_anchor.get(i["embedding"].canonical_form)
-            if name:
-                named[ii] = name
-        surv_idx = [ii for ii, i in enumerate(info) if i["survives"]]
-        unnamed_surv = [ii for ii in surv_idx if ii not in named]
-        probes = {ii: _probe_realization(info[ii]["embedding"]) for ii in unnamed_surv}
-        real_class = {ii: cls for ii, (cls, _, _) in probes.items()}
-        if unnamed_surv:
-            if n == 3 and cg == 2:
-                named[unnamed_surv[0]] = "ECG2-2"
-            elif cg == 13 and len(unnamed_surv) == 1:
-                named[unnamed_surv[0]] = "ECG13-2"
-            elif cg in (6, 12) and len(unnamed_surv) == 1:
-                named[unnamed_surv[0]] = f"ECG{cg}-1"
-            elif cg == 4:
-                _assign_by_class(named, real_class, unnamed_surv, cg,
-                                 rigid_name="ECG4-2", flex_name="ECG4-1",
-                                 none_start=3)
-            elif cg == 9:
-                _assign_by_class(named, real_class, unnamed_surv, cg,
-                                 rigid_name=None, flex_name="ECG9-4",
-                                 none_start=2)
-            else:
-                # no published anchor distinguishes these; canonical order
-                for k, ii in enumerate(unnamed_surv):
-                    named[ii] = f"ECG{cg}-{k + 1}"
-        for ii, i in enumerate(info):
-            rc, samples, decision = probes.get(ii, (None, (), None))  # probed survivors only
-            anchor_name = form_to_anchor.get(i["embedding"].canonical_form)
-            entries.append(
-                EcgEntry(
-                    name=named.get(ii),
-                    cg=cg,
-                    embedding=i["embedding"],
-                    survives_filters=i["survives"],
-                    forbidden_reason=None if i["forbidden"].keep else i["forbidden"].reason,
-                    chain_reason=None
-                    if (i["chain"] is None or i["chain"].keep)
-                    else i["chain"].reason,
-                    realization_class=rc,
-                    samples=samples,
-                    decision=decision,
-                    anchor=anchor_points[anchor_name] if anchor_name else None,
-                )
-            )
-    return EcgCatalog(n=n, cg_ids=cg_ids, entries=tuple(entries))
-
-
-def _assign_by_class(named, real_class, unnamed, cg, rigid_name, flex_name, none_start):
-    nones = [ii for ii in unnamed if real_class.get(ii) == "none"]
-    for ii in unnamed:
-        cls = real_class.get(ii)
-        if cls == "rigid" and rigid_name:
-            named[ii] = rigid_name
-        elif cls == "flexible" and flex_name:
-            named[ii] = flex_name
-    for k, ii in enumerate(nones):
-        named[ii] = f"ECG{cg}-{none_start + k}"
+    # embeddings: anchored ones take their anchor's name, the other
+    # survivors the indices j their anchors leave free
+    entries = []
+    for k, embs in enumerate(embeddings):
+        cg = cg_of[k]
+        probes = {e.canonical_form: _probe_realization(e)
+                  for e in survivors[k] if e.canonical_form not in anchors}
+        taken = {_cg_j(anchors[e.canonical_form])[1]
+                 for e, _, _ in embs if e.canonical_form in anchors}
+        unnamed = sorted(probes, key=lambda f: _class_rank(cg, probes[f][0]))
+        names = dict(zip(unnamed, (f"ECG{cg}-{j}" for j in count(1) if j not in taken)))
+        for e, fr, cr in embs:
+            anchor = anchors.get(e.canonical_form)
+            cls, samples, decision = probes.get(e.canonical_form, (None, (), None))
+            entries.append(EcgEntry(
+                name=anchor or names.get(e.canonical_form),
+                cg=cg,
+                embedding=e,
+                forbidden_reason=fr,
+                chain_reason=cr,
+                realization_class=cls,
+                samples=samples,
+                decision=decision,
+                anchor=_GMD_ANCHORS[anchor] if anchor else None,
+            ))
+    return EcgCatalog(n=n, entries=tuple(entries))
 
 
 # classification expected from the published analysis (used as the pipeline's
@@ -301,29 +251,23 @@ EXPECTED_GMD = {
     "ECG23-1",
     "ECG23-2",
 }
+_EXPECTED_CLASS = {
+    name: cls
+    for names, cls in (
+        (EXPECTED_NOT_REALIZABLE, "not realizable"),
+        (EXPECTED_FLEXIBLE, "realizable, never locally maximally dense"),
+        (EXPECTED_LMD_NOT_GMD, "locally but never globally maximally dense"),
+        (EXPECTED_MIXED_GMD, "globally maximally dense on part of the moduli strip"),
+        (EXPECTED_GMD, "globally maximally dense"),
+    )
+    for name in names
+}
 
 
 def expected_names(n: int) -> set[str]:
     """Published names of n-vertex embeddings (CG1-CG3 have three vertices)."""
-    every = (
-        EXPECTED_NOT_REALIZABLE
-        | EXPECTED_FLEXIBLE
-        | EXPECTED_LMD_NOT_GMD
-        | EXPECTED_MIXED_GMD
-        | EXPECTED_GMD
-    )
-    return {name for name in every if (int(name[3:].split("-")[0]) <= 3) == (n == 3)}
+    return {name for name in _EXPECTED_CLASS if _cg_j(name)[0] in _CG_NUMBERS[n]}
 
 
 def expected_class(name: str) -> str:
-    if name in EXPECTED_NOT_REALIZABLE:
-        return "not realizable"
-    if name in EXPECTED_FLEXIBLE:
-        return "realizable, never locally maximally dense"
-    if name in EXPECTED_LMD_NOT_GMD:
-        return "locally but never globally maximally dense"
-    if name in EXPECTED_MIXED_GMD:
-        return "globally maximally dense on part of the moduli strip"
-    if name in EXPECTED_GMD:
-        return "globally maximally dense"
-    return "unnamed"
+    return _EXPECTED_CLASS.get(name, "unnamed")

@@ -21,6 +21,11 @@ class OverlapDetected(TorusPackError):
     """Two circles (or a circle and its own translate) overlap."""
 
 
+class NoTorusEmbedding(TorusPackError, ValueError):
+    """A packing's drawing carries no 2-cell torus embedding (a loop edge,
+    or faces that are not disks)."""
+
+
 class InconsistentLengths(TorusPackError):
     """Strut lengths disagree with the packing diameter."""
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .census import Multigraph, vertex_pairs
 from .embedding import EmbeddedGraph, euler_characteristic, instance_slots, make_embedding
+from .errors import NoTorusEmbedding
 from .packing import Packing, PackingGraph
 
 
@@ -17,10 +18,10 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
     """EmbeddedGraph carried by the packing's straight-segment drawing.
 
     Loops are not supported (self-tangent packings are handled analytically
-    elsewhere); raises ValueError on loops or non-2-cell drawings.
+    elsewhere); raises NoTorusEmbedding on loops or non-2-cell drawings.
     """
     if any(i == j for i, j, _ in g.edges):
-        raise ValueError("loop edges have no rotation-system embedding here")
+        raise NoTorusEmbedding("loop edges have no rotation-system embedding here")
     n = g.vertex_count
     mult = [0] * len(vertex_pairs(n))
     pair_index = {pr: k for k, pr in enumerate(vertex_pairs(n))}
@@ -48,5 +49,5 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
             rotation[d] = order[(t + 1) % len(order)]
     emb = make_embedding(mg, rotation)
     if euler_characteristic(mg, emb.faces) != 0:
-        raise ValueError("packing drawing is not a 2-cell torus embedding")
+        raise NoTorusEmbedding("packing drawing is not a 2-cell torus embedding")
     return emb

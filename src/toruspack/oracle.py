@@ -16,7 +16,7 @@ import numpy as np
 
 from .closed_form import optimal_radius
 from .embedding import EmbeddedGraph, homology_labels
-from .errors import OverlapDetected, TorusPackError
+from .errors import NoTorusEmbedding, OverlapDetected
 from .geometry_embed import embedding_from_packing
 from .lattice import (
     LatticeBasis,
@@ -510,10 +510,6 @@ class ComparisonReport:
     restarts: int
     seed: int
 
-    @property
-    def agrees(self) -> bool:
-        return oracle_agrees(self.formula_radius, self.oracle_radius)
-
 
 def compare_with_closed_forms(
     n: int, tori: Sequence[ModuliPoint], restarts: int = 200, seed: int = 0
@@ -705,7 +701,7 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     # the realized embedding (geometric rotation) must match e
     try:
         realized = embedding_from_packing(packing, extracted)
-    except (TorusPackError, ValueError):
+    except NoTorusEmbedding:
         return None
     if realized.canonical_form != e.canonical_form:
         return None

@@ -153,7 +153,7 @@ def run_pipeline(
     # formula vs oracle table
     if not skip_oracle:
         rng = np.random.default_rng(np.random.SeedSequence((seed, n, 0xC)))
-        report.oracle_rows, _ = _oracle_table(n, 3, rng, oracle_restarts, seed)
+        report.oracle_rows = _oracle_table(n, 3, rng, oracle_restarts, seed)
         write_oracle_csv(os.path.join(out_dir, f"oracle_n{n}.csv"), report.oracle_rows)
 
     _check_counts(report)
@@ -177,11 +177,11 @@ def _rigidity_witness(m, decision) -> dict:
 
 def _oracle_table(n: int, per_region: int, rng, restarts: int, seed: int):
     """Formula/oracle rows of per_region tori drawn from each region, all
-    compared in one oracle call, and their ComparisonReports."""
+    compared in one oracle call."""
     drawn = [(index, sample_interior(n, index, rng))
              for index in range(1, region_count(n) + 1) for _ in range(per_region)]
     cmps = compare_with_closed_forms(n, [m for _, m in drawn], restarts=restarts, seed=seed)
-    return [_oracle_row(n, m, index, cmp, seed) for (index, m), cmp in zip(drawn, cmps)], cmps
+    return [_oracle_row(n, m, index, cmp, seed) for (index, m), cmp in zip(drawn, cmps)]
 
 
 def _oracle_row(n: int, m, index: int, cmp, seed: int) -> dict:
@@ -293,5 +293,5 @@ def solve_report(n: int, v1, v2, tol: float = DEFAULT_TOL) -> dict:
 def verify_run(n: int, samples: int, seed: int, restarts: int = 200) -> tuple[list[dict], bool]:
     """Sample each region, compare oracle and formula; returns (rows, ok)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    rows, cmps = _oracle_table(n, samples, rng, restarts, seed)
-    return rows, all(cmp.agrees for cmp in cmps)
+    rows = _oracle_table(n, samples, rng, restarts, seed)
+    return rows, not oracle_disagreements(rows)

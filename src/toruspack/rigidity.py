@@ -211,26 +211,31 @@ def _checked_flex(f: StrutFramework, velocities) -> FlexVector:
     return flex
 
 
+def _strut_arrays(f: StrutFramework) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The struts' endpoints i, j and vectors e, as (k,), (k,) and (k, 2)
+    arrays."""
+    t = np.array([x for i, j, e in f.struts for x in (i, j, *e)], float).reshape(-1, 4)
+    return t[:, 0].astype(np.intp), t[:, 1].astype(np.intp), t[:, 2:]
+
+
 def verify_flex(f: StrutFramework, flex: FlexVector, tol: float = FLOAT_CHECK_TOL) -> bool:
     v = np.asarray(flex.velocities, float)
     if np.abs(v).max() <= tol:
         return False
-    for i, j, e in f.struts:
-        if (v[j] - v[i]) @ np.asarray(e) < -tol:
-            return False
-    return True
+    i, j, e = _strut_arrays(f)
+    return not (np.vecdot(v[j] - v[i], e) < -tol).any()
 
 
 def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TOL) -> bool:
-    if any(w > -1 + tol for w in stress.coefficients):
+    w = np.asarray(stress.coefficients, float)
+    if (w > -1 + tol).any():
         return False
+    i, j, e = _strut_arrays(f)
+    we = w[:, None] * e
     resid = np.zeros((f.n, 2))
-    scale = 0.0
-    for (i, j, e), w in zip(f.struts, stress.coefficients):
-        ev = np.asarray(e)
-        resid[i] += w * ev
-        resid[j] -= w * ev
-        scale += abs(w) * float(np.hypot(*e))
+    np.add.at(resid, i, we)
+    np.add.at(resid, j, -we)
+    scale = float(np.abs(w) @ np.hypot(e[:, 0], e[:, 1]))
     return float(np.abs(resid).max()) <= tol * max(scale, 1.0)
 
 

@@ -102,6 +102,21 @@ def test_anchored_graph_sizes(catalog4):
         assert catalog4.by_name(name).embedding.graph.edge_count == want
 
 
+def test_unlisted_probe_class_raises(catalog4, monkeypatch):
+    """A CG 9 survivor that probes 'rigid', a class CG 9's published order
+    does not list, stops identify instead of staying unnamed."""
+    entries = {e.embedding.canonical_form: e for e in catalog4.entries}
+
+    def probe(e):
+        entry = entries[e.canonical_form]
+        cls = "rigid" if entry.cg == 9 else entry.realization_class
+        return cls, entry.samples, entry.decision
+
+    monkeypatch.setattr(ecg, "_probe_realization", probe)
+    with pytest.raises(AssertionError, match="ECG9: probe class 'rigid'"):
+        ecg.identify.__wrapped__(4)
+
+
 def test_expected_class_strings():
     assert expected_class("ECG10-1") == "not realizable"
     assert expected_class("ECG4-2") == "locally but never globally maximally dense"

@@ -12,6 +12,7 @@ import realization_reference
 from toruspack import oracle
 from toruspack.closed_form import optimal_radius
 from toruspack.ecg import EXPECTED_NOT_REALIZABLE, REALIZE_ATTEMPTS, REALIZE_SEED
+from toruspack.errors import NoTorusEmbedding
 from toruspack.lattice import ModuliPoint, wrapped_translates
 from toruspack.oracle import (
     compare_with_closed_form,
@@ -236,6 +237,22 @@ class TestRealize:
             assert len(samples) == 8 and sum(solved) < REALIZE_ATTEMPTS
         else:
             assert not samples and sum(solved) == REALIZE_ATTEMPTS
+
+    @pytest.mark.parametrize("error", [NoTorusEmbedding("not 2-cell"), ValueError("shapes")],
+                             ids=["no-embedding", "other"])
+    def test_only_a_drawing_without_embedding_is_rejected(self, catalog3, monkeypatch, error):
+        # a drawing with no torus embedding rejects its start; any other
+        # ValueError (a numpy shape bug, say) is no verdict and propagates
+        def embedding_from_packing(p, g):
+            raise error
+
+        monkeypatch.setattr(oracle, "embedding_from_packing", embedding_from_packing)
+        e = catalog3.by_name("ECG1-1").embedding
+        if isinstance(error, NoTorusEmbedding):
+            assert realize_embedding(e, attempts=120, seed=3, max_samples=4) == []
+        else:
+            with pytest.raises(ValueError, match="shapes"):
+                realize_embedding(e, attempts=120, seed=3, max_samples=4)
 
 
 def _random_system(rng, E, k, P):
