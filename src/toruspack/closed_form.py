@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
+from .packing import Packing, extract_graph
 from .regions import RegionId, SQRT3, classify
 
 
@@ -126,7 +127,7 @@ def optimal_centers(n: int, m: ModuliPoint) -> OptimalSolution:
     appearing exactly on the region's lower boundary.
     """
     region = classify(n, m)
-    r = optimal_radius(n, m)
+    r = radius_branch(n, region.index, m.x, m.y)
     if n == 4 and region.index < 3:
         # near h, where r comes down to 1/4, sqrt(16 r^2 - 1) would turn one
         # rounding of r into an error of 4 ulp(r) / R: R from the branch
@@ -171,8 +172,6 @@ def optimal_centers(n: int, m: ModuliPoint) -> OptimalSolution:
 
 def tangency_census(n: int, m: ModuliPoint, tol: float = DEFAULT_TOL) -> int:
     """Number of edges of the optimal packing's graph at m."""
-    from .packing import Packing, extract_graph
-
     sol = optimal_centers(n, m)
     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
     return len(extract_graph(p, tol=tol).edges)

@@ -1,12 +1,12 @@
 """2-cell toroidal embeddings of the census graphs via rotation systems.
 
-Edges carry two darts (2k for i->j, 2k+1 for j->i); a rotation system is the
-permutation sending each dart to the next dart out of the same vertex, and
-faces are the orbits of d -> rotation[rev(d)].  Enumeration is a
-depth-first search over the cyclic orders at each vertex (quotiented at one
-vertex by its stabilizer), in place of a scan of every rotation system; it
-prunes as soon as Euler characteristic zero is out of reach and
-deduplicates up to graph automorphism and orientation reversal.
+Edges carry two darts (2k for i->j, 2k+1 for j->i: packing.vertex_darts);
+a rotation system is the permutation sending each dart to the next dart out
+of the same vertex, and faces are the orbits of d -> rotation[rev(d)].
+Enumeration is a depth-first search over the cyclic orders at each vertex
+(quotiented at one vertex by its stabilizer), in place of a scan of every
+rotation system; it prunes as soon as Euler characteristic zero is out of
+reach and deduplicates up to graph automorphism and orientation reversal.
 
 The search dedupes by orbit: the conjugates phi sigma^+-1 phi^-1 of a
 class's first rotation over the dart automorphisms phi.  The form, computed
@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .census import Multigraph, relabelings
+from .packing import vertex_darts
 
 # A rotation system assigns each vertex a cyclic order of its incident
 # edge-ends; it is stored flat, as the permutation mapping every dart to the
@@ -39,15 +40,6 @@ RotationSystem = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # darts
-
-
-def vertex_darts(g: Multigraph) -> list[list[int]]:
-    """The darts leaving each vertex, in edge order."""
-    out = [[] for _ in range(g.vertex_count)]
-    for k, (i, j) in enumerate(g.edges):
-        out[i].append(2 * k)
-        out[j].append(2 * k + 1)
-    return out
 
 
 def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> list[tuple[int, ...]]:
@@ -146,15 +138,6 @@ class EmbeddedGraph:
         return tuple(sorted(len(f) for f in self.faces))
 
 
-def instance_slots(pairs, edges) -> list[int]:
-    """Index in edges of each vertex pair in pairs, in order: the t-th
-    occurrence of a pair in pairs goes to its t-th instance in edges."""
-    free: dict[tuple[int, int], list[int]] = {}
-    for k in range(len(edges) - 1, -1, -1):
-        free.setdefault(edges[k], []).append(k)
-    return [free[pair].pop() for pair in pairs]
-
-
 def canonical_embedding_form(g: Multigraph, rotation) -> bytes:
     """Labeling-invariant byte form of an embedding.
 
@@ -222,7 +205,7 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
     The first rotation found of each class is kept: a leaf outside the
     orbits reached so far starts a class, and its orbit joins them.
     """
-    vdarts = vertex_darts(g)
+    vdarts = vertex_darts(g.edges, g.vertex_count)
     n = g.vertex_count
     choices = [_cyclic_orders(vd) for vd in vdarts]
     reps = [_order_reps_at_vertex(g, v, vdarts, choices[v]) for v in range(n)]
@@ -384,7 +367,8 @@ def corner_profiles(e: EmbeddedGraph) -> list[list[int]]:
     for f in e.faces:
         for d in f:
             flen[d] = len(f)
-    return [sorted(flen[d] for d in darts) for darts in vertex_darts(e.graph)]
+    g = e.graph
+    return [sorted(flen[d] for d in darts) for darts in vertex_darts(g.edges, g.vertex_count)]
 
 
 def forbidden_face_filter(e: EmbeddedGraph) -> FilterVerdict:

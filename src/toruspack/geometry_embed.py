@@ -1,52 +1,43 @@
 """Recover the abstract toroidal embedding of a geometric packing.
 
-The rotation system is read off the tangency directions at each circle;
-the result is comparable (via canonical forms) with the combinatorially
-enumerated embeddings.
+The rotation system is read off the tangency directions at each circle:
+its darts, sorted counterclockwise by the angles of their vectors.  Edge t
+of the packing graph is edge t of the multigraph, since both list edges by
+vertex pair; the result is comparable (via canonical forms) with the
+combinatorially enumerated embeddings.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .census import Multigraph, vertex_pairs
-from .embedding import EmbeddedGraph, euler_characteristic, instance_slots, make_embedding
+from .embedding import EmbeddedGraph, euler_characteristic, make_embedding
 from .errors import NoTorusEmbedding
-from .packing import Packing, PackingGraph
+from .packing import Packing, PackingGraph, dart_vectors, vertex_darts
 
 
 def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
     """EmbeddedGraph carried by the packing's straight-segment drawing.
 
     Loops are not supported (self-tangent packings are handled analytically
-    elsewhere); raises NoTorusEmbedding on loops or non-2-cell drawings.
+    elsewhere); raises NoTorusEmbedding on loops or non-2-cell drawings, and
+    ValueError when g's edges are not in extract_graph's order.
     """
     if any(i == j for i, j, _ in g.edges):
         raise NoTorusEmbedding("loop edges have no rotation-system embedding here")
     n = g.vertex_count
-    mult = [0] * len(vertex_pairs(n))
-    pair_index = {pr: k for k, pr in enumerate(vertex_pairs(n))}
-    for i, j, _ in g.edges:
-        mult[pair_index[(i, j)]] += 1
-    mg = Multigraph(n, tuple(mult))
-    # instance order within a pair follows the packing graph's edge order
-    abstract_edges = list(mg.edges)
-    slots = instance_slots([(i, j) for i, j, _ in g.edges], abstract_edges)
-    dart_vec: dict[int, np.ndarray] = {}
-    for k, vec in zip(slots, p.edge_vectors(g)):
-        dart_vec[2 * k] = vec
-        dart_vec[2 * k + 1] = -vec
+    pairs = tuple((i, j) for i, j, _ in g.edges)
+    mg = Multigraph(n, tuple(map(pairs.count, vertex_pairs(n))))
+    if pairs != mg.edges:
+        raise ValueError("packing graph edges are not in vertex-pair order")
+    dv = dart_vectors(p.edge_vectors(g))
+    angle = np.arctan2(dv[:, 1], dv[:, 0])
     # rotation: counterclockwise angular order at each vertex
-    rotation = [0] * (2 * len(abstract_edges))
-    for v in range(n):
-        darts = [
-            2 * k if abstract_edges[k][0] == v else 2 * k + 1
-            for k in range(len(abstract_edges))
-            if v in abstract_edges[k]
-        ]
-        ang = {d: float(np.arctan2(dart_vec[d][1], dart_vec[d][0])) for d in darts}
-        order = sorted(darts, key=lambda d: ang[d])
-        for t, d in enumerate(order):
-            rotation[d] = order[(t + 1) % len(order)]
+    rotation = [0] * len(angle)
+    for darts in vertex_darts(pairs, n):
+        order = [darts[k] for k in np.argsort(angle[darts], kind="stable")]
+        for d, succ in zip(order, order[1:] + order[:1]):
+            rotation[d] = succ
     emb = make_embedding(mg, rotation)
     if euler_characteristic(mg, emb.faces) != 0:
         raise NoTorusEmbedding("packing drawing is not a 2-cell torus embedding")

@@ -32,9 +32,9 @@ from .packing import (
     Packing,
     PackingGraph,
     cyclic_gaps,
+    dart_vectors,
     extract_graph,
-    tangent_vectors,
-    vertex_tangents,
+    vertex_darts,
 )
 
 RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
@@ -54,12 +54,12 @@ class OracleResult:
 # Every edge vector d_t is affine in the unknowns u (positions with vertex 0
 # pinned, optionally the torus shape, and last the common length L):
 # d_t = A_t u + c_t.  The residuals are |d_t|^2 - L^2, and optionally one
-# squared hinge (L^2 - |q|^2)_+ per pair of tangents q = s1 d_1 - s2 d_2 at
-# a vertex ("neighbours at least L apart").  Each Jacobian row is w . A_t
-# + s e_k, with w = 2 d_t and s = -2 L for an edge, w = -2 q and s = 2 L for
-# a hinge that is on, and both 0 for a masked edge or an off hinge.  So the
-# Jacobian follows from the constant tensor A by multiply-adds, and damped
-# Gauss-Newton runs on all starts at once.
+# squared hinge (L^2 - |q|^2)_+ per pair of darts at a vertex, q the
+# difference of their vectors ("neighbours at least L apart").  Each
+# Jacobian row is w . A_t + s e_k, with w = 2 d_t and s = -2 L for an edge,
+# w = -2 q and s = 2 L for a hinge that is on, and both 0 for a masked edge
+# or an off hinge.  So the Jacobian follows from the constant tensor A by
+# multiply-adds, and damped Gauss-Newton runs on all starts at once.
 
 LM_MAX_ITER = 200
 LM_COST_FLOOR = 1e-30  # 0.5 |r|^2 at machine precision for lengths ~1
@@ -159,7 +159,7 @@ def _solve_equal_lengths(A, c, u0, hinge=None, active=None):
     A (E, 2, k) and c (E, 2), or one c (B, E, 2) per start, define the edge
     vectors; active, if given, is a (B, E) 0/1 mask of the edges each start
     solves for.  hinge, if given, is the pair (Aq, cq) of shared shapes
-    defining the tangent-pair vectors q.  Returns the final u and its cost
+    defining the dart-pair vectors q.  Returns the final u and its cost
     0.5 |r|^2 per start.  Identity damping keeps the step well posed on the
     underdetermined systems the realization solves, where J^T J is always
     singular.
@@ -571,8 +571,8 @@ FIRST_BLOCK_PER_SAMPLE = 3
 
 
 def _realization_system(e: EmbeddedGraph):
-    """Edge-vector tensor A (E, 2, k), offsets c (E, 2) and the tangents
-    (edge, sign) at each vertex.  Unknowns: p_1 .. p_{nv-1}, x, y, L."""
+    """Edge-vector tensor A (E, 2, k), offsets c (E, 2) and the darts at
+    each vertex.  Unknowns: p_1 .. p_{nv-1}, x, y, L."""
     g = e.graph
     nv = g.vertex_count
     labels = homology_labels(e)
@@ -587,25 +587,21 @@ def _realization_system(e: EmbeddedGraph):
             A[t, :, 2 * i - 2 : 2 * i] -= np.eye(2)
         A[t, 0, k - 3] = A[t, 1, k - 2] = b
         c[t] = (a, 0.0)
-    return A, c, vertex_tangents(g.edges, nv)
+    return A, c, vertex_darts(g.edges, nv)
 
 
-def _tangent_pairs(A: np.ndarray, c: np.ndarray, tangents):
-    """Hinge tensors (Aq, cq) of the vectors q = s1 d1 - s2 d2 that join
-    two neighbours of a vertex, one per pair of tangents there, and whether
-    an edge of the graph already joins them (those are meant to touch)."""
-    e1, s1, e2, s2 = np.array([
-        (t1, s1, t2, s2)
-        for tv in tangents
-        for a, (t1, s1) in enumerate(tv)
-        for t2, s2 in tv[a + 1 :]
-    ]).reshape(-1, 4).T
-    Aq = s1[:, None, None] * A[e1] - s2[:, None, None] * A[e2]
-    cq = s1[:, None] * c[e1] - s2[:, None] * c[e2]
-    joined = np.zeros(len(Aq), dtype=bool)
-    for s in (1, -1):
-        same = (Aq[:, None] == s * A[None]).all((2, 3)) & (cq[:, None] == s * c[None]).all(2)
-        joined |= same.any(1)
+def _tangent_pairs(A: np.ndarray, c: np.ndarray, darts):
+    """Hinge tensors (Aq, cq) of the vectors q = d1 - d2 that join two
+    neighbours of a vertex, one per pair of its darts d1, d2, and whether an
+    edge of the graph already joins them (those are meant to touch)."""
+    d1, d2 = np.array([
+        (a, b) for ds in darts for x, a in enumerate(ds) for b in ds[x + 1 :]
+    ]).reshape(-1, 2).T
+    # row d: dart d's tensor and offset, edge t's for d = 2t, negated for 2t + 1
+    Ad = np.stack([A, -A], 1).reshape(-1, *A.shape[1:])
+    cd = dart_vectors(c)
+    Aq, cq = Ad[d1] - Ad[d2], cd[d1] - cd[d2]
+    joined = ((Aq[:, None] == Ad[None]).all((2, 3)) & (cq[:, None] == cd[None]).all(2)).any(1)
     return Aq, cq, joined
 
 
@@ -619,7 +615,7 @@ def realize_embedding(
 
     Unknowns: vertex positions (vertex 0 pinned), the moduli point and the
     common length; edge offsets come from the embedding's face structure.
-    Each start is solved with a hinge term per pair of tangents at a vertex
+    Each start is solved with a hinge term per pair of darts at a vertex
     that keeps their angle at least pi/3.  A solution is retained only if
     it is a genuine packing whose extracted graph reproduces the embedding
     (same canonical form) and whose tangency angles lie in the admissible
@@ -631,8 +627,8 @@ def realize_embedding(
     never proof.
     """
     nv = e.graph.vertex_count
-    A, c, tangents = _realization_system(e)
-    Aq, cq, joined = _tangent_pairs(A, c, tangents)
+    A, c, darts = _realization_system(e)
+    Aq, cq, joined = _tangent_pairs(A, c, darts)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     # per start: positions, then x, y and L, each uniform on [lo, hi)
     lo = np.array([-1.0] * (2 * nv - 2) + [-0.9, 0.5, 0.4])
@@ -653,7 +649,9 @@ def realize_embedding(
         residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
         keep = (cost <= SOLVED_COST) & (L >= DEGENERATE_SCALE) & (np.abs(u[:, -2]) >= DEGENERATE_SCALE)
         keep &= residual <= RESIDUAL_TOL
-        for gaps in map(cyclic_gaps, tangent_vectors(d, tangents)):
+        dv = dart_vectors(d)
+        for ds in darts:
+            gaps = cyclic_gaps(dv[:, ds])
             keep &= (gaps.min(1) >= ANGLE_LO - ANGLE_GAP_TOL) & (gaps.max(1) < ANGLE_HI - ANGLE_GAP_TOL)
         touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + REALIZATION_CLEARANCE / 2)
         keep &= ~(touch & ~joined).any(1)

@@ -1,4 +1,9 @@
-"""Packings, packing graphs with displacement labels, density and validity."""
+"""Packings, packing graphs with displacement labels, density and validity.
+
+Edge-ends are darts throughout the package (vertex_darts, dart_vectors):
+dart 2t leaves i along d_t and dart 2t + 1 leaves j along -d_t, for edge
+t = (i, j, ...) with vector d_t.
+"""
 from __future__ import annotations
 
 import json
@@ -87,13 +92,8 @@ class PackingGraph:
     edges: tuple[tuple[int, int, Displacement], ...]
 
     def degree(self, v: int) -> int:
-        deg = 0
-        for i, j, _ in self.edges:
-            if i == v:
-                deg += 1
-            if j == v:
-                deg += 1  # loops count both tangency directions
-        return deg
+        """Number of darts at v: a loop counts both tangency directions."""
+        return len(vertex_darts(self.edges, self.vertex_count)[v])
 
     def pair_multiplicity(self, i: int, j: int) -> int:
         a, b = min(i, j), max(i, j)
@@ -134,7 +134,7 @@ def tangency_report(
 ) -> TangencyReport:
     """Summary statistics; with the packing given, flags tangencies that sit
     away from the exact distance (merges that exact arithmetic might split)."""
-    degs = tuple(g.degree(v) for v in range(g.vertex_count))
+    degs = tuple(map(len, vertex_darts(g.edges, g.vertex_count)))
     mult = {}
     for i, j, _ in g.edges:
         mult[(i, j)] = mult.get((i, j), 0) + 1
@@ -171,24 +171,22 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
 ANGLE_GAP_TOL = 1e-9
 
 
-def vertex_tangents(pairs, n: int) -> list[list[tuple[int, int]]]:
-    """The tangents (t, s) at each of n vertices, in edge order: s d_t leaves
-    the vertex along edge t = (i, j, ...) of vector d_t, so s = 1 at i and
-    -1 at j, and a loop gives both."""
-    tangents: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for t, (i, j, *_) in enumerate(pairs):
-        tangents[i].append((t, 1))
-        tangents[j].append((t, -1))
-    return tangents
+def vertex_darts(edges, n: int) -> list[list[int]]:
+    """The darts leaving each of n vertices, in edge order: along edge
+    t = (i, j, ...), dart 2t leaves i and dart 2t + 1 leaves j, so a loop
+    gives both."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for t, (i, j, *_) in enumerate(edges):
+        out[i].append(2 * t)
+        out[j].append(2 * t + 1)
+    return out
 
 
-def tangent_vectors(vectors: np.ndarray, tangents) -> list[np.ndarray]:
-    """Per vertex, the (..., deg, 2) vectors s d_t of its tangents, from the
-    (..., E, 2) edge vectors d."""
-    return [
-        np.array([s for _, s in tv])[:, None] * vectors[..., [t for t, _ in tv], :]
-        for tv in tangents
-    ]
+def dart_vectors(vectors: np.ndarray) -> np.ndarray:
+    """(..., 2E, 2): row d is dart d's vector, d_t for dart 2t and -d_t for
+    dart 2t + 1, from the (..., E, 2) edge vectors d."""
+    *lead, E, _ = vectors.shape
+    return np.stack([vectors, -vectors], -2).reshape(*lead, 2 * E, 2)
 
 
 def cyclic_gaps(vectors: np.ndarray) -> np.ndarray:
@@ -205,8 +203,9 @@ def angle_spectrum(g: PackingGraph, p: Packing) -> list[list[float]]:
 
 def angle_gaps(g: PackingGraph, vectors: np.ndarray) -> list[list[float]]:
     """angle_spectrum from the edge vectors of g (Packing.edge_vectors)."""
-    tangents = vertex_tangents(g.edges, g.vertex_count)
-    return [sorted(map(float, cyclic_gaps(v))) for v in tangent_vectors(vectors, tangents)]
+    dv = dart_vectors(vectors)
+    darts = vertex_darts(g.edges, g.vertex_count)
+    return [sorted(map(float, cyclic_gaps(dv[ds]))) for ds in darts]
 
 
 # ---------------------------------------------------------------------------

@@ -266,8 +266,8 @@ def summary_table(report: PipelineReport) -> str:
 
 def solve_report(n: int, v1, v2, tol: float = DEFAULT_TOL) -> dict:
     m, rec = reduce_to_standard_basis(LatticeBasis(tuple(v1), tuple(v2)))
-    region = classify(n, m)
     sol = optimal_centers(n, m)
+    region = sol.region
     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
     g = extract_graph(p, tol=tol)
     return {

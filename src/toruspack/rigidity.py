@@ -1,9 +1,10 @@
 """Strut frameworks from packings, and their rigidity decided by duality.
 
 A packing graph becomes a strut framework (edges may not shrink to first
-order).  Translations are the only trivial motions on the fixed torus, so
-vertex 0 is pinned: the framework is infinitesimally rigid when no nonzero
-velocity field v has  (v_j - v_i) . e >= 0  on every strut (i, j, e).  By
+order): its loopless edges, kept as the arrays of their ends and vectors.
+Translations are the only trivial motions on the fixed torus, so vertex 0
+is pinned: the framework is infinitesimally rigid when no nonzero velocity
+field v has  (v_j - v_i) . e >= 0  on every strut (i, j, e).  By
 Roth and Whiteley (Trans. AMS 265, 1981; for packings Connelly, Eur. J.
 Combin. 29, 2008) that holds exactly when a proper stress exists (w_e <= -1
 with sum_e w_e e = 0 at every vertex) and the bar framework has full rank
@@ -35,8 +36,9 @@ from .packing import (
     Packing,
     PackingGraph,
     cyclic_gaps,
+    dart_vectors,
     extract_graph,
-    vertex_tangents,
+    vertex_darts,
 )
 
 RATIONALIZE_DENOMINATOR = 10**12
@@ -46,27 +48,22 @@ FLOAT_CHECK_TOL = 1e-6
 STRUT_LENGTH_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrutFramework:
-    """Vertices with plane coordinates and struts with realized edge vectors.
+    """n vertices and k struts: strut s joins vertices ends[s] = (i, j),
+    i != j, along its realized edge vector vectors[s] from i to j; ends is
+    a (k, 2) int array and vectors a (k, 2) float array.
 
     Loops are dropped at build time: a self-tangency constrains nothing to
     first order on the fixed torus.
     """
 
-    vertices: tuple[tuple[float, float], ...]
-    struts: tuple[tuple[int, int, tuple[float, float]], ...]
+    n: int
+    ends: np.ndarray
+    vectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
-    def strut_counts(self) -> list[int]:
-        cnt = [0] * self.n
-        for i, j, _ in self.struts:
-            cnt[i] += 1
-            cnt[j] += 1
-        return cnt
+    def strut_counts(self) -> np.ndarray:
+        return np.bincount(self.ends.ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -85,18 +82,18 @@ def build_framework(p: Packing, g: PackingGraph, tol: float = DEFAULT_TOL) -> St
 
 def _framework(p: Packing, g: PackingGraph, vectors: np.ndarray, tol: float) -> StrutFramework:
     """build_framework on the edge vectors of g (Packing.edge_vectors)."""
-    verts = tuple(tuple(c.canonical(p.m).coords()) for c in p.centers)
-    struts = []
+    ends = np.array([(i, j) for i, j, _ in g.edges], dtype=np.intp).reshape(-1, 2)
+    strut = ends[:, 0] != ends[:, 1]  # a self-tangency is a trivial strut inequality
     target = 2 * p.radius
-    for (i, j, d), vec, length in zip(g.edges, vectors, np.hypot(vectors[:, 0], vectors[:, 1])):
-        if i == j:
-            continue  # self-tangency: trivial strut inequality
-        if abs(length - target) > max(tol, STRUT_LENGTH_FLOOR):
-            raise InconsistentLengths(
-                f"strut ({i},{j},{d.a},{d.b}) has length {length}, expected {target}"
-            )
-        struts.append((i, j, (float(vec[0]), float(vec[1]))))
-    return StrutFramework(vertices=verts, struts=tuple(struts))
+    length = np.hypot(vectors[:, 0], vectors[:, 1])
+    bad = strut & (np.abs(length - target) > max(tol, STRUT_LENGTH_FLOOR))
+    if bad.any():
+        t = int(bad.argmax())
+        i, j, d = g.edges[t]
+        raise InconsistentLengths(
+            f"strut ({i},{j},{d.a},{d.b}) has length {length[t]}, expected {target}"
+        )
+    return StrutFramework(n=g.vertex_count, ends=ends[strut], vectors=vectors[strut])
 
 
 def _rationalize(x: float) -> tuple[int, int]:
@@ -133,7 +130,7 @@ def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[Row]]:
     rational: dict[float, tuple[int, int]] = {}
     entries: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * f.n)]
     pinned = []
-    for k, (i, j, e) in enumerate(f.struts):  # i != j: loops are not struts
+    for k, ((i, j), e) in enumerate(zip(f.ends.tolist(), f.vectors.tolist())):
         for x in e:
             if x not in rational:
                 rational[x] = _rationalize(x)
@@ -149,7 +146,7 @@ def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[Row]]:
     rows = []
     for row in entries:
         D = math.lcm(*(q for _, _, q in row))
-        N = [0] * (len(f.struts) + 1)
+        N = [0] * (len(f.ends) + 1)
         for k, p, q in row:
             N[k] = p * (D // q)
         N[-1] = -sum(N)
@@ -192,7 +189,7 @@ def _stress_lp(f: StrutFramework, rows: list[Row]) -> tuple[Stress | None, FlexV
         # column k of y.A is -(y_j - y_i) . e_k: y.A <= 0 and
         # y.b = -sum(y.A) > 0 make y a flex, strict on some strut
         return None, _checked_flex(f, list(zip(y[::2], y[1::2])))
-    if not f.struts:
+    if not len(f.ends):
         return None, None
     stress = Stress(tuple(-1.0 - float(si) for si in s))
     if not verify_stress(f, stress):
@@ -211,31 +208,24 @@ def _checked_flex(f: StrutFramework, velocities) -> FlexVector:
     return flex
 
 
-def _strut_arrays(f: StrutFramework) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The struts' endpoints i, j and vectors e, as (k,), (k,) and (k, 2)
-    arrays."""
-    t = np.array([x for i, j, e in f.struts for x in (i, j, *e)], float).reshape(-1, 4)
-    return t[:, 0].astype(np.intp), t[:, 1].astype(np.intp), t[:, 2:]
-
-
 def verify_flex(f: StrutFramework, flex: FlexVector, tol: float = FLOAT_CHECK_TOL) -> bool:
     v = np.asarray(flex.velocities, float)
     if np.abs(v).max() <= tol:
         return False
-    i, j, e = _strut_arrays(f)
-    return not (np.vecdot(v[j] - v[i], e) < -tol).any()
+    i, j = f.ends.T
+    return not (np.vecdot(v[j] - v[i], f.vectors) < -tol).any()
 
 
 def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TOL) -> bool:
     w = np.asarray(stress.coefficients, float)
     if (w > -1 + tol).any():
         return False
-    i, j, e = _strut_arrays(f)
-    we = w[:, None] * e
+    i, j = f.ends.T
+    we = w[:, None] * f.vectors
     resid = np.zeros((f.n, 2))
     np.add.at(resid, i, we)
     np.add.at(resid, j, -we)
-    scale = float(np.abs(w) @ np.hypot(e[:, 0], e[:, 1]))
+    scale = float(np.abs(w) @ np.hypot(*f.vectors.T))
     return float(np.abs(resid).max()) <= tol * max(scale, 1.0)
 
 
@@ -243,12 +233,12 @@ def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray, tol: float = ANGL
     """Some circle's tangency directions fit in a closed half-plane; vectors
     are the edge vectors of g (Packing.edge_vectors)."""
     by_degree: dict[int, list] = {}
-    for tv in vertex_tangents(g.edges, g.vertex_count):
-        by_degree.setdefault(len(tv), []).append(tv)
-    # one gap call per degree: (k, deg, 2) tangents (t, s), vectors s d_t
+    for darts in vertex_darts(g.edges, g.vertex_count):
+        by_degree.setdefault(len(darts), []).append(darts)
+    dv = dart_vectors(vectors)
+    # one gap call per degree, on the (k, deg, 2) vectors of k vertices' darts
     return 0 in by_degree or any(
-        cyclic_gaps(ts[..., 1:] * vectors[ts[..., 0]]).max() >= math.pi - tol
-        for ts in map(np.array, by_degree.values())
+        cyclic_gaps(dv[np.array(ds)]).max() >= math.pi - tol for ds in by_degree.values()
     )
 
 

@@ -18,9 +18,9 @@ def equilibrium_system(f) -> tuple[list[list[Fraction]], list[Fraction]]:
     pointing away from v.  A's transpose without vertex 0's rows is the
     pinned rigidity matrix."""
     zero = Fraction(0)
-    A = [[zero] * len(f.struts) for _ in range(2 * f.n)]
+    A = [[zero] * len(f.ends) for _ in range(2 * f.n)]
     b = [zero] * (2 * f.n)
-    for k, (i, j, e) in enumerate(f.struts):  # i != j: loops are not struts
+    for k, ((i, j), e) in enumerate(zip(f.ends.tolist(), f.vectors.tolist())):
         for c in (0, 1):
             x = Fraction(e[c]).limit_denominator(RATIONALIZE_DENOMINATOR)
             A[2 * i + c][k] = x

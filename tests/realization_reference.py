@@ -30,7 +30,7 @@ def _angle_window_ok(vectors_by_vertex, tol=oracle.ANGLE_GAP_TOL):
 
 def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10):
     nv = e.graph.vertex_count
-    A, c, tangents = oracle._realization_system(e)
+    A, c, darts = oracle._realization_system(e)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     u0 = np.array([
         np.concatenate(
@@ -43,7 +43,7 @@ def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10
         )
         for _ in range(attempts)
     ]).reshape(attempts, 2 * nv + 1)
-    Aq, cq, joined = oracle._tangent_pairs(A, c, tangents)
+    Aq, cq, joined = oracle._tangent_pairs(A, c, darts)
     u, cost = oracle._solve_equal_lengths(A, c, u0, (Aq, cq))
     d = oracle._edge_vectors(u, A, c)
     q = oracle._edge_vectors(u, Aq, cq)
@@ -52,8 +52,9 @@ def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10
     keep = (cost <= oracle.SOLVED_COST) & (L >= oracle.DEGENERATE_SCALE)
     keep &= np.abs(u[:, -2]) >= oracle.DEGENERATE_SCALE
     keep &= residual <= residual_tol
+    # dart 2t leaves along d_t and dart 2t + 1 along -d_t
     keep &= _angle_window_ok(
-        [np.array([s for _, s in tv])[:, None] * d[:, [t for t, _ in tv]] for tv in tangents]
+        [(1 - 2 * (ds % 2))[:, None] * d[:, ds // 2] for ds in map(np.array, darts)]
     )
     touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + oracle.REALIZATION_CLEARANCE / 2)
     keep &= ~(touch & ~joined).any(1)

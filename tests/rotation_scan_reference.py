@@ -24,8 +24,8 @@ from toruspack.embedding import (
     _dart_maps,
     dart_automorphisms,
     trace_faces,
-    vertex_darts,
 )
+from toruspack.packing import vertex_darts
 
 
 def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
@@ -111,7 +111,7 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
     its stabilizer), keeps chi = 0, drops bigon faces unless requested, and
     deduplicates by the canonical embedding form.
     """
-    vdarts = vertex_darts(g)
+    vdarts = vertex_darts(g.edges, g.vertex_count)
     n = g.vertex_count
     E = g.edge_count
     m = 2 * g.edge_count

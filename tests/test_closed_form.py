@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from toruspack import closed_form
 from toruspack.closed_form import (
     layered_centers,
     optimal_centers,
@@ -90,6 +91,15 @@ class TestCenters:
         p = Packing(m=m, centers=sol.centers, radius=0.5)
         g = extract_graph(p, tol=1e-9)
         assert g.loop_count() == 4  # every circle self-tangent
+
+    def test_classifies_once(self, monkeypatch):
+        calls = []
+        classify = closed_form.classify
+        monkeypatch.setattr(closed_form, "classify", lambda n, m: calls.append(m) or classify(n, m))
+        m = ModuliPoint(0.1, 1.0)
+        sol = optimal_centers(4, m)
+        assert calls == [m]
+        assert sol.radius == radius_branch(4, sol.region.index, m.x, m.y)
 
     def test_first_center_is_origin(self):
         rng = np.random.default_rng(47)

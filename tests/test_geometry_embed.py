@@ -5,7 +5,7 @@ import pytest
 from toruspack.closed_form import optimal_centers
 from toruspack.geometry_embed import embedding_from_packing
 from toruspack.lattice import ModuliPoint, TorusPoint
-from toruspack.packing import Packing, extract_graph
+from toruspack.packing import Packing, PackingGraph, extract_graph
 from toruspack.regions import boundary_curve
 
 SQRT3 = math.sqrt(3.0)
@@ -39,6 +39,16 @@ def test_rejects_loops():
     g = extract_graph(p)
     with pytest.raises(ValueError):
         embedding_from_packing(p, g)
+
+
+def test_rejects_edges_out_of_pair_order():
+    # edge t of the packing graph must be edge t of its multigraph
+    sol = optimal_centers(4, ModuliPoint(0.1, 1.0))
+    p = Packing(m=sol.m, centers=sol.centers, radius=sol.radius)
+    g = extract_graph(p, tol=1e-9)
+    embedding_from_packing(p, g)
+    with pytest.raises(ValueError, match="vertex-pair order"):
+        embedding_from_packing(p, PackingGraph(g.vertex_count, g.edges[::-1]))
 
 
 def test_matches_enumerated_catalog(catalog4):

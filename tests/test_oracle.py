@@ -188,8 +188,8 @@ class TestRealize:
         # added (ECG2-1).  Read at the extraction tolerance it is ECG1-1;
         # at REALIZATION_CLEARANCE it gains the edge and is rejected.
         e = catalog3.by_name("ECG1-1").embedding
-        A, c, tangents = oracle._realization_system(e)
-        Aq, cq, joined = oracle._tangent_pairs(A, c, tangents)
+        A, c, darts = oracle._realization_system(e)
+        Aq, cq, joined = oracle._tangent_pairs(A, c, darts)
         rng = np.random.default_rng(5)
         u0 = np.column_stack([rng.uniform(-1, 2, (200, 4)), rng.uniform(-0.9, 0.9, 200),
                               rng.uniform(0.5, 3.6, 200), rng.uniform(0.4, 1.05, 200)])

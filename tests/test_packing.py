@@ -12,6 +12,7 @@ from toruspack.lattice import Displacement, ModuliPoint, TorusPoint
 from toruspack.packing import (
     Packing,
     PackingGraph,
+    angle_gaps,
     angle_spectrum,
     cyclic_gaps,
     density,
@@ -314,6 +315,7 @@ def test_cyclic_gaps_and_halfplane_test(tangencies):
     assert np.abs(gaps.sum(-1) - 2 * math.pi).max() <= 1e-12
     np.testing.assert_allclose(np.sort(gaps[1]), np.sort(gaps[0]), atol=1e-12)
     g = PackingGraph(vertex_count=2, edges=tuple(edges))
+    assert angle_gaps(g, np.array(vectors))[0] == sorted(map(float, gaps[0]))
     assert has_halfplane_vertex(g, np.array(vectors)) == _fits_half_turn(dirs)
 
 

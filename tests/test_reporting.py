@@ -118,6 +118,18 @@ class TestSolve:
         assert rec["radius"] == pytest.approx(0.35355339, abs=1e-7)
         assert rec["tangencies"] == 4
 
+    def test_classifies_once(self, monkeypatch):
+        from toruspack import closed_form, report
+
+        calls = []
+        for module in (closed_form, report):
+            classify = module.classify
+            monkeypatch.setattr(
+                module, "classify", lambda n, m, f=classify: calls.append(m) or f(n, m)
+            )
+        rec = solve_report(4, (1, 0), (0.1, 1.0))
+        assert len(calls) == 1 and rec["region"] == "R1_4"
+
     def test_radius_half_regime(self):
         rec = solve_report(4, (1, 0), (0, 2 * SQRT3))
         assert rec["region"] == "R4_4"

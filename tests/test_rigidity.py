@@ -38,6 +38,13 @@ def optimal_packing(n, m):
     return Packing(m=m, centers=sol.centers, radius=sol.radius)
 
 
+def framework_of(n, struts):
+    """The StrutFramework on n vertices with struts (i, j, (ex, ey))."""
+    ends = np.array([(i, j) for i, j, _ in struts], dtype=np.intp).reshape(-1, 2)
+    vectors = np.array([e for _, _, e in struts], float).reshape(-1, 2)
+    return StrutFramework(n=n, ends=ends, vectors=vectors)
+
+
 class TestExactLP:
     def test_feasibility(self):
         # x1 + x2 = 2, x1 - x2 = 0  ->  x = (1, 1)
@@ -168,8 +175,8 @@ class TestFramework:
         p = optimal_packing(2, ModuliPoint(0, 1))
         g = extract_graph(p)
         f = build_framework(p, g)
-        assert f.n == 2 and len(f.struts) == 4
-        dirs = {tuple(np.sign(np.round(e, 9)).astype(int)) for _, _, e in f.struts}
+        assert f.n == 2 and len(f.ends) == 4
+        dirs = {tuple(np.sign(np.round(e, 9)).astype(int)) for e in f.vectors}
         assert dirs == {(1, 1), (-1, 1), (1, -1), (-1, -1)}
 
     def test_layered_loops_dropped(self):
@@ -178,10 +185,10 @@ class TestFramework:
         g = extract_graph(p)
         f = build_framework(p, g)
         assert g.loop_count() == 3
-        assert len(f.struts) == 5  # two double tangencies plus one single
+        assert len(f.ends) == 5  # two double tangencies plus one single
 
     def test_empty(self):
-        f = StrutFramework(vertices=((0.0, 0.0),), struts=())
+        f = framework_of(1, [])
         decision = decide_rigidity(f)
         assert decision.flex is None and decision.stress is None
 
@@ -214,7 +221,7 @@ class TestFlex:
         f = build_framework(p, extract_graph(p))
         flex = decide_rigidity(f).flex
         shifted = type(flex)(tuple((vx + 0.3, vy - 0.1) for vx, vy in flex.velocities))
-        for i, j, e in f.struts:
+        for (i, j), e in zip(f.ends, f.vectors):
             v = np.asarray(shifted.velocities[j]) - np.asarray(shifted.velocities[i])
             assert v @ np.asarray(e) >= -1e-9
 
@@ -242,7 +249,7 @@ class TestStress:
         assert decision.flex is not None
 
     def test_single_strut_no_stress(self):
-        f = StrutFramework(vertices=((0.0, 0.0), (0.5, 0.0)), struts=((0, 1, (0.5, 0.0)),))
+        f = framework_of(2, [(0, 1, (0.5, 0.0))])
         assert decide_rigidity(f).stress is None
 
     def test_triangular_three_circle_stress(self):
@@ -257,6 +264,16 @@ class TestStress:
 class TestClassify:
     def test_interior_optimum_rigid(self):
         assert classify_packing(optimal_packing(4, ModuliPoint(0.25, 1.3))) == "rigid-LMD"
+
+    def test_centers_canonicalized_twice(self, monkeypatch):
+        # once for the tangencies (extract_graph) and once for their vectors
+        # (Packing.edge_vectors); the framework needs no third pass
+        p = optimal_packing(4, ModuliPoint(0.25, 1.3))
+        calls = []
+        canonical = TorusPoint.canonical
+        monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
+        assert classify_packing(p) == "rigid-LMD"
+        assert len(calls) == 2 * p.n
 
     def test_untouched_circle_free(self):
         p = Packing(
@@ -285,11 +302,11 @@ class TestClassify:
         f = build_framework(p, extract_graph(p))
         base = decide_rigidity(f).rigid
         for _ in range(5):
-            struts = tuple(
-                (i, j, (e[0] + rng.uniform(-1e-13, 1e-13), e[1] + rng.uniform(-1e-13, 1e-13)))
-                for i, j, e in f.struts
-            )
-            f2 = StrutFramework(vertices=f.vertices, struts=struts)
+            vectors = np.array([
+                (e[0] + rng.uniform(-1e-13, 1e-13), e[1] + rng.uniform(-1e-13, 1e-13))
+                for e in f.vectors.tolist()
+            ])
+            f2 = StrutFramework(n=f.n, ends=f.ends, vectors=vectors)
             assert decide_rigidity(f2).rigid == base
 
 
@@ -307,7 +324,7 @@ def _reference_flexible(f) -> bool:
 
     nv = 2 * (f.n - 1)
     rows = []
-    for i, j, e in f.struts:
+    for (i, j), e in zip(f.ends.tolist(), f.vectors):
         row = np.zeros(nv)
         if j:
             row[2 * j - 2 : 2 * j] -= e
@@ -330,10 +347,10 @@ def _reference_stress_and_rank(f) -> tuple[bool, int]:
     rigidity matrix with vertex 0 pinned."""
     from scipy.optimize import linprog
 
-    n, m = f.n, len(f.struts)
+    n, m = f.n, len(f.ends)
     A = np.zeros((2 * n, m))
     R = np.zeros((m, 2 * n))
-    for k, (i, j, e) in enumerate(f.struts):
+    for k, ((i, j), e) in enumerate(zip(f.ends.tolist(), f.vectors)):
         A[2 * i : 2 * i + 2, k] += e
         A[2 * j : 2 * j + 2, k] -= e
         R[k, 2 * j : 2 * j + 2] += e
@@ -354,7 +371,7 @@ class TestDecision:
                 i, j = (int(v) for v in rng.choice(n, 2, replace=False))
                 t = rng.uniform(0, 2 * math.pi)
                 struts.append((i, j, (0.5 * math.cos(t), 0.5 * math.sin(t))))
-            f = StrutFramework(vertices=((0.0, 0.0),) * n, struts=tuple(struts))
+            f = framework_of(n, struts)
             decision = decide_rigidity(f)
             flexible = _reference_flexible(f)
             has_stress, rank = _reference_stress_and_rank(f)
