@@ -42,29 +42,25 @@ RotationSystem = tuple[int, ...]
 # darts
 
 
-def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> list[tuple[int, ...]]:
+def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> np.ndarray:
     """Every dart bijection from g onto the graph with multiplicities h that
-    sends each vertex v to perm[v]: one per matching of the parallel
-    instances of each vertex pair."""
-    src: dict[tuple[int, int], list[int]] = {}
-    for k, pair in enumerate(g.edges):
-        src.setdefault(pair, []).append(k)
-    dst: dict[tuple[int, int], list[int]] = {}
-    for k, pair in enumerate(Multigraph(g.vertex_count, h).edges):
-        dst.setdefault(pair, []).append(k)
-    pair_list = list(src)
-    choices = [
-        itertools.permutations(dst[tuple(sorted((perm[i], perm[j])))])
-        for (i, j) in pair_list
-    ]
-    out = []
-    for combo in itertools.product(*choices):
-        dmap = [0] * (2 * g.edge_count)
-        for (i, j), targets in zip(pair_list, combo):
-            flip = int(perm[i] > perm[j])
-            for k, t in zip(src[(i, j)], targets):
-                dmap[2 * k], dmap[2 * k + 1] = 2 * t + flip, 2 * t + 1 - flip
-        out.append(tuple(dmap))
+    sends each vertex v to perm[v], one row per matching of the parallel
+    instances of each vertex pair, in itertools.product's order."""
+
+    def instances(mult):  # the numbers of each vertex pair's edges
+        edges = enumerate(Multigraph(g.vertex_count, mult).edges)
+        return {pair: [k for k, _ in ks] for pair, ks in itertools.groupby(edges, lambda e: e[1])}
+
+    src, dst = instances(g.multiplicities), instances(h)
+    images = [dst[tuple(sorted((perm[i], perm[j])))] for i, j in src]
+    choices = [np.array(list(itertools.permutations(image))) for image in images]
+    counts = [len(c) for c in choices]
+    picks = np.indices(counts).reshape(len(counts), math.prod(counts))  # C order: product's
+    out = np.empty((picks.shape[1], 2 * g.edge_count), dtype=np.int64)
+    for (i, j), targets, pick in zip(src, choices, picks):
+        flip, k = int(perm[i] > perm[j]), np.array(src[(i, j)])
+        out[:, 2 * k] = 2 * targets[pick] + flip
+        out[:, 2 * k + 1] = 2 * targets[pick] + 1 - flip
     return out
 
 
@@ -75,8 +71,7 @@ def _dart_maps(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     rel = relabelings(g)
 
     def onto(target):
-        maps = [d for perm, h in rel if h == target for d in _dart_bijections(g, h, perm)]
-        return np.array(maps, dtype=np.int64)
+        return np.concatenate([_dart_bijections(g, h, perm) for perm, h in rel if h == target])
 
     return onto(g.multiplicities), onto(min(h for _, h in rel))
 

@@ -240,9 +240,10 @@ EXP_FLOOR = -700.0
 BASIN_WINDOW = 5e-3
 # maximize_min_distances ascends a table in blocks of tori whose 9 P K R
 # arrays hold at most this many bytes each, so that the five of them stay
-# near the cache: at n = 4 and 200 restarts a torus takes 69, 57, 46, 48,
-# 63 and 83 ms in blocks of 1, 4, 8, 12, 20 and 80 tori (2-vCPU VM, 4 MiB
-# L2), and this budget gives blocks of 12.  Tori ascend alike in any block.
+# near the cache: at n = 4 and 200 restarts a torus takes 46, 35, 31, 34,
+# 35 and 45 ms in blocks of 1, 4, 8, 12, 20 and 80 tori (best of 6, 2-vCPU
+# VM, 4 MiB L2; blocks of 8 to 20 within the run-to-run spread), and this
+# budget gives blocks of 12.  Tori ascend alike in any block.
 ASCENT_BLOCK_BYTES = 1 << 20
 
 
@@ -268,18 +269,34 @@ def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
 _WINDOW_STEPS = np.array([-1.0, 0.0, 1.0])[:, None, None, None]  # TRANSLATE_WINDOW's rows
 
 
+def _translate_sum(p: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Sum p (9, ...) over its translate axis into out (odd: scratch of its
+    shape) in the order np.einsum sums 9 products, its SSE2 loop of two
+    lanes unrolled four times: even = ((((p6 + 0) + p4) + p2) + p0) + p8,
+    odd = (((p7 + 0) + p5) + p3) + p1, then even + odd.  Rounding follows
+    the order, and the ascent is chaotic: its endpoints stay those of an
+    einsum over the translates, bit for bit."""
+    np.add(p[6], 0.0, out=out)
+    for t in (4, 2, 0, 8):
+        out += p[t]
+    np.add(p[7], 0.0, out=odd)
+    for t in (5, 3, 1):
+        odd += p[t]
+    return np.add(out, odd, out=out)
+
+
 def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     """Soft-min gradient ascent on the minimum pairwise distance.
 
     T0: (R, n, 2) fractional starts, shared by the K tori; returns the
     (K, R, n, 2) endpoints.  Steps are taken in plane coordinates and
     mapped back to fractional coordinates.  Every array is allocated once;
-    five of them hold 9 P K R floats (P = n(n - 1)/2 pairs).  Translates
-    and weights are laid out (a, b, pair, torus, restart) for translate
-    a * 3 + b, so that broadcasts and the minimum over pairs and translates
-    are elementwise passes; the weighted sum of unit vectors reads a copy
-    with the translate last.  Every reduction stays within one torus and
-    one restart, in an order that does not depend on K.
+    five of them hold 9 P K R floats (P = n(n - 1)/2 pairs).  Translates,
+    weights and their products are laid out (a, b, pair, torus, restart)
+    for translate a * 3 + b, so that broadcasts, the minimum over pairs and
+    translates and the weighted sum of unit vectors (_translate_sum) are
+    elementwise passes.  Every reduction stays within one torus and one
+    restart, in an order that does not depend on K.
     """
     K = len(tori)
     R, n, _ = T0.shape
@@ -291,12 +308,11 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     frac, near = np.empty((2, P, K, R)), np.empty((2, P, K, R))
     t0, t1, xt1, yt1 = (np.empty((3, P, K, R)) for _ in range(4))
     # translate a * 3 + b is (t0[a] + x t1[b], y t1[b]), as in wrapped_translates
-    v0, dist = np.empty((3, 3, P, K, R)), np.empty((3, 3, P, K, R))
-    w = v0  # the weights overwrite v0 once it is copied out
-    by_translate = (9, P, K, R)
-    w9, dmin, total = w.reshape(by_translate), np.empty((K, R)), np.empty((K, R))
+    v0, dist, w = (np.empty((3, 3, P, K, R)) for _ in range(3))
+    prod = np.empty((2, 3, 3, P, K, R))  # w times each coordinate of the translates
+    w9, dmin, total = w.reshape(9, P, K, R), np.empty((K, R)), np.empty((K, R))
+    prod9 = prod.reshape(2, 9, P, K, R).swapaxes(0, 1)
     fours, twos, pair_total = np.empty((4, P, K, R)), np.empty((2, P, K, R)), np.empty((P, K, R))
-    w_last, v_last = np.empty((K, R, P, 9)), np.empty((2, K, R, P, 9))
     contrib, grad, grad_sq = np.empty((2, P, K, R)), np.empty((2, n, K, R)), np.empty((2, n, K, R))
     norm, plane_step = np.empty((n, K, R)), np.empty((K, R, n, 2))
     move = np.empty((K, R * n, 2))
@@ -313,11 +329,6 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
         np.multiply(t1, x, out=xt1)
         np.multiply(t1, y, out=yt1)
         np.add(t0[:, None], xt1[None], out=v0)
-        # the weighted sum of unit vectors below reads the translates from
-        # copies with the translate last; dist holds y t1[b] until then
-        np.copyto(dist, yt1[None])
-        for c, vc in enumerate((v0, dist)):
-            np.copyto(v_last[c], vc.reshape(by_translate).transpose(2, 3, 1, 0))
         np.multiply(v0, v0, out=dist)
         np.multiply(yt1, yt1, out=xt1)
         dist += xt1[None]
@@ -340,8 +351,9 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
         dist *= total
         w /= dist
         # soft-min of the unit vectors of each pair, then of each point
-        np.copyto(w_last, w9.transpose(2, 3, 1, 0))
-        np.einsum("krpt,ckrpt->cpkr", w_last, v_last, out=contrib)
+        np.multiply(w, v0, out=prod[0])
+        np.multiply(w, yt1[None], out=prod[1])
+        _translate_sum(prod9, contrib, twos)
         grad.fill(0.0)
         for p in range(P):
             grad[:, J[p]] += contrib[:, p]
@@ -364,7 +376,7 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     return T.transpose(2, 3, 1, 0)
 
 
-def _active_refine(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
+def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[np.ndarray]:
     """Equalize the near-minimal distances with an equal-length solve.
 
     At a max-min optimum the active tangencies share one length; solving
@@ -372,29 +384,33 @@ def _active_refine(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     it to machine precision.  The active set is every translate within
     REFINE_SLACK of the minimum, and at least the 2n - 1 shortest: a local
     optimum is an infinitesimally rigid strut framework, which needs one
-    more contact than its 2(n - 1) degrees of freedom.  F and the result are
-    fractional coordinates (K, n, 2), all K solved in one batch; a result
-    is only adopted by the caller if it actually improves the minimum
-    distance.
+    more contact than its 2(n - 1) degrees of freedom.  Each F of Fs and
+    its result are fractional coordinates (K, n, 2) on its torus; all are
+    solved in one batch, each as it would be alone, with each torus's basis
+    products taken per torus.  A result is only adopted by the caller if it
+    actually improves the minimum distance.
     """
-    K, n, _ = F.shape
+    n = Fs[0].shape[1]
     I, J = pair_indices(n, 1)
-    shifts, v = wrapped_translates(F[:, J] - F[:, I], m)
-    dist = _lengths(v).reshape(K, -1)  # (pair, translate) flattened
-    dmin = dist.min(1)
-    cut = np.maximum(dmin + REFINE_SLACK, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
-    active = (dist <= cut[:, None]).astype(float)
     # unknowns: p_1 .. p_{n-1} (p_0 pinned), then the common length d; the
     # 9 translates of a pair share its rows of A
     A = np.kron(_incidence(n)[1:].T, np.eye(2)).reshape(len(I), 2, 2 * n - 2)
-    A = np.repeat(np.concatenate([A, np.zeros((len(I), 2, 1))], 2), shifts.shape[-1], axis=0)
-    basis = m.basis
-    c = np.moveaxis(shifts, 0, -1).reshape(K, -1, 2) @ basis
-    pts = F @ basis
-    u0 = np.concatenate([(pts[:, 1:] - pts[:, :1]).reshape(K, -1), dmin[:, None]], 1)
-    u, _ = _solve_equal_lengths(A, c, u0, active=active)
-    refined = np.concatenate([np.zeros((K, 1, 2)), u[:, :-1].reshape(K, -1, 2)], 1) + pts[:, :1]
-    return refined @ np.linalg.inv(basis)
+    A = np.repeat(np.concatenate([A, np.zeros((len(I), 2, 1))], 2), 9, axis=0)
+    c, dmin, active, pts = [], [], [], []
+    for F, m in zip(Fs, tori):
+        shifts, v = wrapped_translates(F[:, J] - F[:, I], m)
+        dist = _lengths(v).reshape(len(F), -1)  # (pair, translate) flattened
+        dmin.append(dist.min(1))
+        cut = np.maximum(dmin[-1] + REFINE_SLACK, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
+        active.append(dist <= cut[:, None])
+        c.append(np.moveaxis(shifts, 0, -1).reshape(len(F), -1, 2) @ m.basis)
+        pts.append(F @ m.basis)
+    pts = np.concatenate(pts)
+    u0 = np.concatenate([(pts[:, 1:] - pts[:, :1]).reshape(len(pts), -1), np.concatenate(dmin)[:, None]], 1)
+    u, _ = _solve_equal_lengths(A, np.concatenate(c), u0, active=np.concatenate(active).astype(float))
+    refined = np.concatenate([np.zeros((len(u), 1, 2)), u[:, :-1].reshape(len(u), -1, 2)], 1) + pts[:, :1]
+    parts = np.split(refined, np.cumsum([len(F) for F in Fs])[:-1])
+    return [r @ np.linalg.inv(m.basis) for r, m in zip(parts, tori)]
 
 
 # Each refine lands on the tangency configuration of the active set read
@@ -416,7 +432,7 @@ def maximize_min_distances(
 ) -> list[OracleResult]:
     """Best max-min configuration of n points on each torus, over seeded
     multi-start ascent, the REFINE_TOP best of them refined by up to
-    REFINE_ROUNDS active-set solves.
+    REFINE_ROUNDS active-set solves, each one batch for the whole table.
 
     One ascent runs every torus; the starts depend on (seed, restart) only.
     Each torus's result is the one it gets alone, so it is deterministic
@@ -425,13 +441,8 @@ def maximize_min_distances(
     for m in tori:
         m.validate()
     if n == 1:
-        single = OracleResult(
-            best_radius=RADIUS_CAP,
-            best_centers=(TorusPoint(0.0, 0.0),),
-            restarts_used=restarts,
-            converged_fraction=1.0,
-        )
-        return [single for _ in tori]
+        one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),), restarts, converged_fraction=1.0)
+        return [one for _ in tori]
     if not tori:
         return []
     # per-restart deterministic starts
@@ -442,36 +453,40 @@ def maximize_min_distances(
     P = n * (n - 1) // 2
     block = max(1, ASCENT_BLOCK_BYTES // (9 * P * restarts * T0.itemsize))
     ends = [T for at in range(0, len(tori), block) for T in _ascent(T0, tori[at : at + block])]
-    return [_best_of(T, m) for T, m in zip(ends, tori)]
+    return _best_of(ends, tori)
 
 
-def _best_of(T: np.ndarray, m: ModuliPoint) -> OracleResult:
-    """Rank one torus's ascent endpoints T (R, n, 2), refine the best and
-    return the winner."""
+def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[OracleResult]:
+    """Rank each torus's ascent endpoints T (R, n, 2), refine the best of
+    every torus in one _active_refine per round, and return the winners.
+    A torus takes part in a round while some candidate of it gained in the
+    last one."""
     cap = 2 * RADIUS_CAP
-    scores = np.minimum(_min_distances(T, m), cap)
-    order = np.argsort(-scores, kind="stable")
-    top = T[order[:REFINE_TOP]]
-    d = _min_distances(top, m)
-    live = np.arange(len(top))
+    scores = [np.minimum(_min_distances(T, m), cap) for T, m in zip(ends, tori)]
+    tops = [T[np.argsort(-s, kind="stable")[:REFINE_TOP]] for T, s in zip(ends, scores)]
+    ds = [_min_distances(top, m) for top, m in zip(tops, tori)]
+    lives = [np.arange(len(top)) for top in tops]
     for _ in range(REFINE_ROUNDS):
-        refined = _active_refine(top[live], m)
-        d_refined = _min_distances(refined, m)
-        better = d_refined > d[live]  # a round is kept only if it gains
-        live = live[better]
-        top[live], d[live] = refined[better], d_refined[better]
-        if not live.size:
+        on = [k for k, live in enumerate(lives) if live.size]
+        if not on:
             break
-    d = np.minimum(d, cap)
-    best = int(np.argmax(d))  # the first of the best candidates
-    best_d = float(d[best])
-    centers = tuple(TorusPoint(*p).canonical(m) for p in top[best] @ m.basis)
-    return OracleResult(
-        best_radius=best_d / 2,
-        best_centers=centers,
-        restarts_used=len(T),
-        converged_fraction=float((scores >= best_d - BASIN_WINDOW).mean()),
-    )
+        refined = _active_refine([tops[k][lives[k]] for k in on], [tori[k] for k in on])
+        for k, r in zip(on, refined):
+            d_refined = _min_distances(r, tori[k])
+            better = d_refined > ds[k][lives[k]]  # a round is kept only if it gains
+            live = lives[k] = lives[k][better]
+            tops[k][live], ds[k][live] = r[better], d_refined[better]
+    results = []
+    for T, m, s, top, d in zip(ends, tori, scores, tops, ds):
+        best = int(np.argmax(np.minimum(d, cap)))  # the first of the best candidates
+        best_d = min(float(d[best]), cap)
+        results.append(OracleResult(
+            best_radius=best_d / 2,
+            best_centers=tuple(TorusPoint(*p).canonical(m) for p in top[best] @ m.basis),
+            restarts_used=len(T),
+            converged_fraction=float((s >= best_d - BASIN_WINDOW).mean()),
+        ))
+    return results
 
 
 def maximize_min_distance(

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import dart_bijection_reference
 import rotation_scan_reference as reference
 
 from toruspack import embedding
-from toruspack.census import Multigraph, enumerate_census, vertex_pairs
+from toruspack.census import Multigraph, enumerate_census, relabelings, vertex_pairs
 from toruspack.embedding import (
     canonical_embedding_form,
     dart_automorphisms,
@@ -251,6 +252,26 @@ class TestSearchMatchesScan:
             _records(reference.enumerate_toroidal(g, True)) for g in enumerate_census(3).stage3
         ]
         assert got == want
+
+
+class TestDartBijectionsMatchReference:
+    """The gather builds the per-matching reference's rows
+    (dart_bijection_reference.py), in its order."""
+
+    def test_every_relabeling_of_the_census(self):
+        for g in enumerate_census(3).stage3 + enumerate_census(4).stage3:
+            for perm, h in relabelings(g):
+                got = embedding._dart_bijections(g, h, perm)
+                want = dart_bijection_reference.dart_bijections(g, h, perm)
+                assert got.dtype == np.int64
+                assert got.shape == (len(want), 2 * g.edge_count)
+                assert [tuple(row) for row in got.tolist()] == want
+
+    def test_graph_without_edges_gives_one_empty_row(self):
+        g = Multigraph(3, (0, 0, 0))
+        got = embedding._dart_bijections(g, g.multiplicities, (2, 0, 1))
+        assert got.shape == (1, 0)
+        assert dart_bijection_reference.dart_bijections(g, g.multiplicities, (2, 0, 1)) == [()]
 
 
 def test_unrestricted_dedup_one_four_vertex_graph():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import equal_length_reference as reference
 import realization_reference
@@ -147,10 +148,57 @@ class TestBatchedAscent:
         blocked = maximize_min_distances(3, _POOL[3], restarts=10, seed=1)
         assert [repr(r) for r in blocked] == [repr(r) for r in whole]
 
+    def test_ascent_makes_no_einsum_call(self, monkeypatch):
+        def einsum(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        assert len(maximize_min_distances(3, _POOL[3][:2], restarts=10, seed=1)) == 2
+
+    def test_refine_is_one_solve_per_round(self, monkeypatch):
+        # four tori: one batched solve per round, not one per torus
+        calls = []
+        solve = oracle._solve_equal_lengths
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_solve_equal_lengths", counting)
+        batched = maximize_min_distances(4, _POOL[4], restarts=10, seed=0)
+        assert 1 <= len(calls) <= oracle.REFINE_ROUNDS
+        assert calls[0] == len(_POOL[4]) * 10  # every candidate of every torus
+        assert [repr(r) for r in batched] == [repr(_alone(4, k, 0)) for k in range(4)]
+
     def test_empty_table_and_single_circle(self):
         assert maximize_min_distances(3, [], restarts=5) == []
         ones = maximize_min_distances(1, _POOL[2][:2], restarts=5)
         assert [r.best_radius for r in ones] == [0.5, 0.5]
+
+
+_MAGNITUDE = st.floats(1e-300, 1e4)
+_TERM = st.one_of(st.sampled_from([0.0, -0.0]), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wv=hnp.arrays(float, st.tuples(st.just(3), *[st.integers(1, 3)] * 3, st.just(9)), elements=_TERM))
+@example(wv=np.concatenate([np.zeros((1, 1, 1, 1, 9)), np.full((2, 1, 1, 1, 9), -0.0)]))
+def test_translate_sum_is_einsum_order(wv):
+    """_translate_sum adds the 9 products in np.einsum's order for a sum of
+    9 products: numpy's SSE2 loop keeps two lanes, unrolled four times, so
+    even = ((((p6 + 0) + p4) + p2) + p0) + p8 and odd = (((p7 + 0) + p5) +
+    p3) + p1, then even + odd.  Rounding depends on the order of the adds
+    (a plain or pairwise sum differs in the last bits), and the ascent is
+    chaotic, so only this order keeps its endpoints those of the einsum.
+    Weights (K, R, P, 9) broadcast over both coordinates, as in the ascent;
+    the sums must agree bit for bit, signed zeros included (a sum of -0.0
+    products is +0.0, as the lanes start from +0.0)."""
+    w, v = wv[0], wv[1:]
+    want = np.einsum("...t,...t->...", w, v)
+    out, odd = np.empty(want.shape), np.empty(want.shape)
+    got = oracle._translate_sum(np.moveaxis(w * v, -1, 0), out, odd)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestRealize:
