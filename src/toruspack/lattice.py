@@ -8,9 +8,9 @@ that normal form.  This module performs the reduction and holds the one
 distance kernel on the reduced torus, `wrapped_translates`: the 9 lattice
 translates of a difference nearest the origin, which include its nearest
 translate and every translate of length at most 1 (so every tangency and
-overlap of circles of radius at most 1/2).  The oracle's ascent writes the
-same translates into arrays it reuses; its tests check it against this
-kernel bit for bit.
+overlap of circles of radius at most 1/2).  The oracle's ascent reads 4 of
+them, the corners of each difference's lattice cell, which hold the
+nearest; its tests check that window against this kernel bit for bit.
 """
 from __future__ import annotations
 

@@ -211,9 +211,7 @@ def _solve_equal_lengths(A, c, u0, hinge=None, active=None):
 # Points are held in fractional coordinates.  The ascent runs every torus of
 # a table at once: the tori share the seeded starts, and each torus's
 # iterates read only its own moduli and basis, so a torus ascends the same
-# alone or in any batch.  Its translates are those of
-# lattice.wrapped_translates, written in place; ranking and refining use
-# wrapped_translates itself.
+# alone or in any batch.  Ranking and refining read lattice.wrapped_translates.
 
 ASCENT_ITERS = 220
 # The soft-min sharpness starts at 64 and doubles every tenth of the
@@ -234,23 +232,17 @@ NORM_FLOOR = 1e-15
 EXP_FLOOR = -700.0
 # A restart counts as converged (converged_fraction) when its ascent
 # endpoint's minimum distance is within this of the refined optimum.  The
-# last tenth's steps of 6.0e-3 leave endpoints up to about 1e-2 below their
-# basin's optimum (median 4.6e-3 on 48 interior tori, 200 restarts), so the
-# fraction is a share of the basin to compare between runs, not its size.
+# last tenth's steps of 6.0e-3 leave endpoints a median 4.0e-3 below their
+# basin's refined optimum (p90 8.7e-3, p99 1.4e-2; 48 interior tori, 16 per
+# n, 200 restarts), so the fraction is a share of the basin, not its size.
 BASIN_WINDOW = 5e-3
-# maximize_min_distances ascends a table in blocks of tori whose 9 P K R
-# arrays hold at most this many bytes each, so that the five of them stay
-# near the cache: at n = 4 and 200 restarts a torus takes 46, 35, 31, 34,
-# 35 and 45 ms in blocks of 1, 4, 8, 12, 20 and 80 tori (best of 6, 2-vCPU
-# VM, 4 MiB L2; blocks of 8 to 20 within the run-to-run spread), and this
-# budget gives blocks of 12.  Tori ascend alike in any block.
+# maximize_min_distances ascends a table in blocks of tori whose 4 P K R
+# arrays hold at most this many bytes each, near the cache: at n = 4 and 200
+# restarts a torus takes 31/46, 22/26, 23/24, 23/23, 23/24, 21/22, 22/22 and
+# 26/24 ms in blocks of 1, 4, 8, 12, 20, 27, 40 and 80 tori (best of 6, two
+# runs, 2-vCPU VM, 4 MiB L2), and this budget gives blocks of 27.  Tori
+# ascend alike in any block.
 ASCENT_BLOCK_BYTES = 1 << 20
-
-
-def _incidence(n: int) -> np.ndarray:
-    """(n, pairs): +1 at each pair's head j, -1 at its tail i."""
-    I, J = pair_indices(n, 1)
-    return np.eye(n)[:, J] - np.eye(n)[:, I]
 
 
 def _lengths(v: np.ndarray) -> np.ndarray:
@@ -266,23 +258,12 @@ def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     return _lengths(v).min((-2, -1))
 
 
-_WINDOW_STEPS = np.array([-1.0, 0.0, 1.0])[:, None, None, None]  # TRANSLATE_WINDOW's rows
-
-
-def _translate_sum(p: np.ndarray, out: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Sum p (9, ...) over its translate axis into out (odd: scratch of its
-    shape) in the order np.einsum sums 9 products, its SSE2 loop of two
-    lanes unrolled four times: even = ((((p6 + 0) + p4) + p2) + p0) + p8,
-    odd = (((p7 + 0) + p5) + p3) + p1, then even + odd.  Rounding follows
-    the order, and the ascent is chaotic: its endpoints stay those of an
-    einsum over the translates, bit for bit."""
-    np.add(p[6], 0.0, out=out)
-    for t in (4, 2, 0, 8):
-        out += p[t]
-    np.add(p[7], 0.0, out=odd)
-    for t in (5, 3, 1):
-        odd += p[t]
-    return np.add(out, odd, out=out)
+def _corner_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """((p00 + p01) + p10) + p11 over the corner axes of p (2, 2, ...)."""
+    np.add(p[0, 0], p[0, 1], out=out)
+    out += p[1, 0]
+    out += p[1, 1]
+    return out
 
 
 def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
@@ -290,13 +271,26 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
 
     T0: (R, n, 2) fractional starts, shared by the K tori; returns the
     (K, R, n, 2) endpoints.  Steps are taken in plane coordinates and
-    mapped back to fractional coordinates.  Every array is allocated once;
-    five of them hold 9 P K R floats (P = n(n - 1)/2 pairs).  Translates,
-    weights and their products are laid out (a, b, pair, torus, restart)
-    for translate a * 3 + b, so that broadcasts, the minimum over pairs and
-    translates and the weighted sum of unit vectors (_translate_sum) are
-    elementwise passes.  Every reduction stays within one torus and one
-    restart, in an order that does not depend on K.
+    mapped back to fractional coordinates.
+
+    A pair reads the 4 corners of its lattice cell: after the wrap
+    f = d - rint(d), with s = copysign(1, f), the translates (t1, t2) in
+    {f1, f1 - s1} x {f2, f2 - s2}, the corners of the cell holding -f.
+    Each rounds d plus an integer once, as lattice.wrapped_translates does,
+    so they are 4 of its 9 bit for bit; and they hold the nearest, as a
+    point's nearest lattice point is a vertex of its Delaunay cell (Conway
+    & Sloane, Sphere Packings, Lattices and Groups, ch. 2).  In the strip
+    the shorter diagonal cuts a cell into two non-obtuse triangles (0, v1,
+    v2 has angle cosines in the ratios x : 1 - x : x^2 + y^2 - x >= 0; the
+    other cells hold translates of it, or of its mirror image when x < 0),
+    and in a non-obtuse lattice triangle each vertex's convex Voronoi cell
+    holds the vertex, the circumcenter and its edges' midpoints (whose
+    diametral disks lie in empty circumdisks), hence its share of it.
+
+    Every array is allocated once; five hold 4 P K R floats (P = n(n - 1)/2
+    pairs), laid out (a, b, pair, torus, restart): broadcasts, minima and
+    corner sums are elementwise passes, and every reduction stays within one
+    torus and one restart, in an order that does not depend on K.
     """
     K = len(tori)
     R, n, _ = T0.shape
@@ -305,55 +299,42 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     x, y = np.array([(m.x, m.y) for m in tori]).T[..., None]
     binv = np.linalg.inv(np.array([m.basis for m in tori]))
     T = np.repeat(T0.transpose(2, 1, 0)[:, :, None], K, axis=2)  # (2, n, K, R)
-    frac, near = np.empty((2, P, K, R)), np.empty((2, P, K, R))
-    t0, t1, xt1, yt1 = (np.empty((3, P, K, R)) for _ in range(4))
-    # translate a * 3 + b is (t0[a] + x t1[b], y t1[b]), as in wrapped_translates
-    v0, dist, w = (np.empty((3, 3, P, K, R)) for _ in range(3))
-    prod = np.empty((2, 3, 3, P, K, R))  # w times each coordinate of the translates
-    w9, dmin, total = w.reshape(9, P, K, R), np.empty((K, R)), np.empty((K, R))
-    prod9 = prod.reshape(2, 9, P, K, R).swapaxes(0, 1)
-    fours, twos, pair_total = np.empty((4, P, K, R)), np.empty((2, P, K, R)), np.empty((P, K, R))
+    # corner (a, b) is (t[0, a] + x t[1, b], y t[1, b]), t[c] = (f_c, f_c - s_c)
+    t, xyt, v0, dist, w = (np.empty((2, 2, P, K, R)) for _ in range(5))
+    f, xy = t[:, 0], np.stack([x, y])[:, None, None]  # xyt = (x t[1], y t[1])
+    dmin, total, pair_total = np.empty((K, R)), np.empty((K, R)), np.empty((P, K, R))
     contrib, grad, grad_sq = np.empty((2, P, K, R)), np.empty((2, n, K, R)), np.empty((2, n, K, R))
     norm, plane_step = np.empty((n, K, R)), np.empty((K, R, n, 2))
     move = np.empty((K, R * n, 2))
     beta, beta_cap = ASCENT_BETA
     step, decay = ASCENT_STEP
     for it in range(ASCENT_ITERS):
-        # wrapped differences f - rint(f), then their 9 translates
-        for p in range(P):
-            np.subtract(T[:, J[p]], T[:, I[p]], out=frac[:, p])
-        np.rint(frac, out=near)
-        frac -= near
-        np.add(frac[0], _WINDOW_STEPS, out=t0)
-        np.add(frac[1], _WINDOW_STEPS, out=t1)
-        np.multiply(t1, x, out=xt1)
-        np.multiply(t1, y, out=yt1)
-        np.add(t0[:, None], xt1[None], out=v0)
+        # wrapped differences f - rint(f), then the corners of their cells
+        np.subtract(T[:, J], T[:, I], out=f)
+        np.rint(f, out=t[:, 1])
+        f -= t[:, 1]
+        np.copysign(1.0, f, out=t[:, 1])
+        np.subtract(f, t[:, 1], out=t[:, 1])
+        np.multiply(t[1], xy, out=xyt)
+        np.add(t[0][:, None], xyt[0][None], out=v0)
         np.multiply(v0, v0, out=dist)
-        np.multiply(yt1, yt1, out=xt1)
-        dist += xt1[None]
+        np.multiply(xyt[1], xyt[1], out=xyt[0])
+        dist += xyt[0][None]
         dist += DIST_FLOOR_SQ
         np.sqrt(dist, out=dist)
-        # soft-min weights exp(-beta (dist - dmin)) / (total dist)
-        np.min(dist.reshape(9 * P, K, R), axis=0, out=dmin)
+        # soft-min weights exp(-beta (dist - dmin)) / (total dist); total
+        # adds each pair's corners, then the pairs in turn
+        np.min(dist.reshape(4 * P, K, R), axis=0, out=dmin)
         np.subtract(dist, dmin, out=w)
         w *= -beta
         np.maximum(w, EXP_FLOOR, out=w)
         np.exp(w, out=w)
-        # total: the 9 translates of each pair added in the tree numpy's
-        # pairwise sum uses for 9 terms, then the pairs in turn, which is
-        # w.sum(-1).sum(-1) with the translate last, bit for bit
-        np.add(w9[0:8:2], w9[1:8:2], out=fours)
-        np.add(fours[0::2], fours[1::2], out=twos)
-        np.add(twos[0], twos[1], out=pair_total)
-        pair_total += w9[8]
-        np.sum(pair_total, axis=0, out=total)
+        np.sum(_corner_sum(w, pair_total), axis=0, out=total)
         dist *= total
         w /= dist
         # soft-min of the unit vectors of each pair, then of each point
-        np.multiply(w, v0, out=prod[0])
-        np.multiply(w, yt1[None], out=prod[1])
-        _translate_sum(prod9, contrib, twos)
+        _corner_sum(np.multiply(w, v0, out=v0), contrib[0])
+        _corner_sum(np.multiply(w, xyt[1][None], out=dist), contrib[1])
         grad.fill(0.0)
         for p in range(P):
             grad[:, J[p]] += contrib[:, p]
@@ -394,7 +375,8 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
     I, J = pair_indices(n, 1)
     # unknowns: p_1 .. p_{n-1} (p_0 pinned), then the common length d; the
     # 9 translates of a pair share its rows of A
-    A = np.kron(_incidence(n)[1:].T, np.eye(2)).reshape(len(I), 2, 2 * n - 2)
+    incidence = np.eye(n)[:, J] - np.eye(n)[:, I]  # +1 at each pair's head j, -1 at its tail i
+    A = np.kron(incidence[1:].T, np.eye(2)).reshape(len(I), 2, 2 * n - 2)
     A = np.repeat(np.concatenate([A, np.zeros((len(I), 2, 1))], 2), 9, axis=0)
     c, dmin, active, pts = [], [], [], []
     for F, m in zip(Fs, tori):
@@ -417,8 +399,8 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
 # from its input.  From an ascent output that set can miss a contact of the
 # optimum, and the landed configuration then has other shortest translates;
 # reading the set again and solving again picks them up.  On the 180
-# criterion-3 tori (200 restarts, seed 101) one round leaves 2 of them up
-# to 4.1e-4 short of the closed form, three rounds land all 180 within 1e-9.
+# criterion-3 tori (200 restarts, seed 101) one round lands all 180 within
+# 1e-9; the later rounds run only while some candidate gains.
 REFINE_ROUNDS = 3
 # The ascent endpoints refined per torus, best first by min distance.
 REFINE_TOP = 12
@@ -451,7 +433,7 @@ def maximize_min_distances(
     )
     T0[:, 0] = 0.0  # translation quotient
     P = n * (n - 1) // 2
-    block = max(1, ASCENT_BLOCK_BYTES // (9 * P * restarts * T0.itemsize))
+    block = max(1, ASCENT_BLOCK_BYTES // (4 * P * restarts * T0.itemsize))
     ends = [T for at in range(0, len(tori), block) for T in _ascent(T0, tori[at : at + block])]
     return _best_of(ends, tori)
 

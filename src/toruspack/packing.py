@@ -45,20 +45,28 @@ class Packing:
         return len(self.centers)
 
     def validate(self, tol: float = DEFAULT_TOL) -> "Packing":
-        _check_overlap(_pair_translates(self.m, self.centers)[3], self.radius, tol)
+        _check_overlap(_pair_translates(self.m, _canonical(self.m, self.centers))[3], self.radius, tol)
         return self
 
     def edge_vectors(self, g: "PackingGraph") -> np.ndarray:
         """(E, 2): plane vector of every tangency (i, j, d) of g, in g's
         order: from center i to the d-translate of center j, both canonical."""
-        pts = np.array([c.canonical(self.m).coords() for c in self.centers]).reshape(-1, 2)
-        I, J, a, b = np.array([(i, j, d.a, d.b) for i, j, d in g.edges], int).reshape(-1, 4).T
-        return pts[J] + np.stack([a + b * self.m.x, b * self.m.y], -1) - pts[I]
+        return _edge_vectors(self.m, _canonical(self.m, self.centers), g)
 
 
-def _pair_translates(
-    m: ModuliPoint, centers: tuple[TorusPoint, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _canonical(m: ModuliPoint, centers) -> tuple[TorusPoint, ...]:
+    """The centers' canonical representatives, read by both the graph and its edge vectors."""
+    m.validate()
+    return tuple(c.canonical(m) for c in centers)
+
+
+def _edge_vectors(m: ModuliPoint, canon: tuple[TorusPoint, ...], g: "PackingGraph") -> np.ndarray:
+    pts = np.array([c.coords() for c in canon]).reshape(-1, 2)
+    I, J, a, b = np.array([(i, j, d.a, d.b) for i, j, d in g.edges], int).reshape(-1, 4).T
+    return pts[J] + np.stack([a + b * m.x, b * m.y], -1) - pts[I]
+
+
+def _pair_translates(m: ModuliPoint, canon: tuple[TorusPoint, ...]) -> tuple[np.ndarray, ...]:
     """The pairs i <= j of the canonical centers and, per pair, the 9
     translates of center j nearest center i (lattice.wrapped_translates):
     I, J (P,), their integer shifts (2, P, 9) and lengths (P, 9).  t = 0
@@ -66,9 +74,8 @@ def _pair_translates(
 
     The window holds every translate of length at most 1; circles of
     radius above 1/2 overlap their own unit translate, which is in it."""
-    m.validate()
-    frac = np.array([c.canonical(m).lattice_coords(m) for c in centers]).reshape(-1, 2)
-    I, J = pair_indices(len(centers), 0)
+    frac = np.array([c.lattice_coords(m) for c in canon]).reshape(-1, 2)
+    I, J = pair_indices(len(canon), 0)
     shifts, v = wrapped_translates(frac[J] - frac[I], m)
     lengths = np.hypot(v[0], v[1])
     lengths[I == J, 4] = np.inf
@@ -115,9 +122,21 @@ class TangencyReport:
 def extract_graph(p: Packing, tol: float = DEFAULT_TOL) -> PackingGraph:
     """All tangencies of the packing, deterministically ordered.  Raises
     OverlapDetected when two circles come closer than 2r - tol."""
+    return _extract(p, _canonical(p.m, p.centers), tol)
+
+
+def contacts(p: Packing, tol: float = DEFAULT_TOL) -> tuple[PackingGraph, np.ndarray]:
+    """extract_graph and the edge vectors of its graph (Packing.edge_vectors)
+    from one canonicalization of the centers."""
+    canon = _canonical(p.m, p.centers)
+    g = _extract(p, canon, tol)
+    return g, _edge_vectors(p.m, canon, g)
+
+
+def _extract(p: Packing, canon: tuple[TorusPoint, ...], tol: float) -> PackingGraph:
     if p.radius <= 0:
         raise ValueError("radius must be positive")
-    I, J, shifts, lengths = _pair_translates(p.m, p.centers)
+    I, J, shifts, lengths = _pair_translates(p.m, canon)
     _check_overlap(lengths, p.radius, tol)
     edges = []
     for k, c in zip(*np.nonzero(np.abs(lengths - 2 * p.radius) <= tol)):
@@ -159,7 +178,7 @@ def density(p: Packing) -> float:
 
 def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
     """Largest radius for which the centers form a valid packing."""
-    return float(_pair_translates(m, tuple(centers))[3].min()) / 2
+    return float(_pair_translates(m, _canonical(m, centers))[3].min()) / 2
 
 
 # Slack, in radians, on the cyclic gaps between tangency directions: the

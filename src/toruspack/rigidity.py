@@ -35,9 +35,9 @@ from .packing import (
     ANGLE_GAP_TOL,
     Packing,
     PackingGraph,
+    contacts,
     cyclic_gaps,
     dart_vectors,
-    extract_graph,
     vertex_darts,
 )
 
@@ -244,8 +244,7 @@ def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray, tol: float = ANGL
 
 def classify_packing(p: Packing, tol: float = DEFAULT_TOL) -> str:
     """'rigid-LMD', 'flexible' or 'free-circle' for the packing's framework."""
-    g = extract_graph(p, tol=tol)
-    vectors = p.edge_vectors(g)
+    g, vectors = contacts(p, tol)
     f = _framework(p, g, vectors, tol)
     counts = f.strut_counts()
     if min(counts, default=0) < 3 or has_halfplane_vertex(g, vectors):

@@ -83,24 +83,41 @@ class TestMaxMin:
         assert g.loop_count() >= 1
 
 
+def _corners(d, m):
+    """The 4 corners of the lattice cell of each difference d (..., 2),
+    plainly: wrap f = d - rint(d), take t_c in {f_c, f_c - copysign(1, f_c)}
+    for each coordinate, and return the 4 plane vectors (2, ...) in the
+    order (f1, f2), (f1, g2), (g1, f2), (g1, g2), g = f - copysign(1, f)."""
+    f = d - np.rint(d)
+    g = f - np.copysign(1.0, f)
+    return [
+        np.stack([t1 + m.x * t2, m.y * t2])
+        for t1 in (f[..., 0], g[..., 0])
+        for t2 in (f[..., 1], g[..., 1])
+    ]
+
+
 def _reference_ascent(T, m):
-    """The soft-min ascent of one torus written plainly on
-    lattice.wrapped_translates: the arithmetic the buffered, batched
-    kernel keeps, in the same order."""
+    """The soft-min ascent of one torus written plainly on the corner
+    window, every sum a left-to-right Python sum: the arithmetic the
+    buffered, batched kernel keeps, in the same order."""
     n = T.shape[1]
     I, J = np.triu_indices(n, k=1)
-    incidence = np.eye(n)[:, J] - np.eye(n)[:, I]
     binv = np.linalg.inv(m.basis)
     beta, step = 64.0, 0.08
     for it in range(220):
-        _, v = wrapped_translates(T[:, J] - T[:, I], m)
-        v = np.ascontiguousarray(v)
-        dist = np.sqrt(v[0] ** 2 + v[1] ** 2 + 1e-18)
-        dmin = dist.min(axis=(1, 2), keepdims=True)
-        w = np.exp(-beta * (dist - dmin))
-        w /= w.sum(-1).sum(-1)[:, None, None] * dist
-        contrib = np.einsum("rpt,crpt->rpc", w, v)
-        grad = np.einsum("np,rpc->rnc", incidence, contrib)
+        v = _corners(T[:, J] - T[:, I], m)  # 4 x (2, R, P)
+        dist = [np.sqrt(c[0] ** 2 + c[1] ** 2 + 1e-18) for c in v]
+        dmin = np.min(dist, axis=(0, 2))[:, None]
+        w = [np.exp(-beta * (d - dmin)) for d in dist]
+        total = sum(sum(w).T)  # each pair's 4 corners, then the pairs in turn
+        w = [wc / (total[:, None] * d) for wc, d in zip(w, dist)]
+        contrib = sum(wc * c for wc, c in zip(w, v))  # (2, R, P)
+        grad = np.zeros((2,) + T.shape[:2])
+        for p, (i, j) in enumerate(zip(I, J)):
+            grad[:, :, j] += contrib[:, :, p]
+            grad[:, :, i] -= contrib[:, :, p]
+        grad = np.moveaxis(grad, 0, -1)
         norm = np.sqrt((grad**2).sum(-1, keepdims=True)) + 1e-15
         T = (T + (step * grad / norm) @ binv) % 1.0
         if (it + 1) % 22 == 0:
@@ -140,7 +157,7 @@ class TestBatchedAscent:
         batched = maximize_min_distances(n, [_POOL[n][k] for k in picks], restarts=10, seed=seed)
         assert [repr(r) for r in batched] == [repr(_alone(n, k, seed)) for k in picks]
 
-    @pytest.mark.parametrize("budget", [1, 3 * 9 * 3 * 10 * 8])
+    @pytest.mark.parametrize("budget", [1, 3 * 4 * 3 * 10 * 8])
     def test_blocks_give_each_torus_its_own_result(self, monkeypatch, budget):
         # blocks of one torus, then of three (3 + 1 for four tori)
         whole = maximize_min_distances(3, _POOL[3], restarts=10, seed=1)
@@ -176,29 +193,36 @@ class TestBatchedAscent:
         assert [r.best_radius for r in ones] == [0.5, 0.5]
 
 
-_MAGNITUDE = st.floats(1e-300, 1e4)
-_TERM = st.one_of(st.sampled_from([0.0, -0.0]), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+_X = st.one_of(st.sampled_from([0.0, 0.5, -1e-9]), st.floats(0.0, 0.5))
 
 
-@settings(max_examples=200, deadline=None)
-@given(wv=hnp.arrays(float, st.tuples(st.just(3), *[st.integers(1, 3)] * 3, st.just(9)), elements=_TERM))
-@example(wv=np.concatenate([np.zeros((1, 1, 1, 1, 9)), np.full((2, 1, 1, 1, 9), -0.0)]))
-def test_translate_sum_is_einsum_order(wv):
-    """_translate_sum adds the 9 products in np.einsum's order for a sum of
-    9 products: numpy's SSE2 loop keeps two lanes, unrolled four times, so
-    even = ((((p6 + 0) + p4) + p2) + p0) + p8 and odd = (((p7 + 0) + p5) +
-    p3) + p1, then even + odd.  Rounding depends on the order of the adds
-    (a plain or pairwise sum differs in the last bits), and the ascent is
-    chaotic, so only this order keeps its endpoints those of the einsum.
-    Weights (K, R, P, 9) broadcast over both coordinates, as in the ascent;
-    the sums must agree bit for bit, signed zeros included (a sum of -0.0
-    products is +0.0, as the lanes start from +0.0)."""
-    w, v = wv[0], wv[1:]
-    want = np.einsum("...t,...t->...", w, v)
-    out, odd = np.empty(want.shape), np.empty(want.shape)
-    got = oracle._translate_sum(np.moveaxis(w * v, -1, 0), out, odd)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+@st.composite
+def _strip_tori(draw):
+    x = draw(_X)
+    y_min = math.sqrt(max(1.0 - x * x, 0.75))
+    y = draw(st.one_of(st.just(y_min), st.floats(y_min, 2.0), st.floats(2.0, 1e3)))
+    return ModuliPoint(x, y).validate()
+
+
+_DIFF = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(-1e12, 1e12),
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 1e-300, -1e-300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_strip_tori(), d=hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=_DIFF))
+@example(m=ModuliPoint(0.5, SQRT3 / 2), d=np.array([[1 / 3, 1 / 3], [0.5, 0.5], [-0.5, 0.5]]))
+@example(m=ModuliPoint(0.0, 1.0), d=np.array([[0.5, 0.5], [0.5, -0.0], [-0.0, 0.5]]))
+def test_corner_window_holds_the_nearest_translate(m, d):
+    """The ascent's 4 corners hold the minimum of wrapped_translates's 9
+    bit for bit, on every torus of the strip and every difference."""
+    _, v = wrapped_translates(d, m)
+    corners = np.stack(_corners(d, m), -1)
+    nine = np.sqrt(v[0] ** 2 + v[1] ** 2).min(-1)
+    four = np.sqrt(corners[0] ** 2 + corners[1] ** 2).min(-1)
+    np.testing.assert_array_equal(four, nine)
 
 
 class TestRealize:

@@ -265,15 +265,15 @@ class TestClassify:
     def test_interior_optimum_rigid(self):
         assert classify_packing(optimal_packing(4, ModuliPoint(0.25, 1.3))) == "rigid-LMD"
 
-    def test_centers_canonicalized_twice(self, monkeypatch):
-        # once for the tangencies (extract_graph) and once for their vectors
-        # (Packing.edge_vectors); the framework needs no third pass
+    def test_centers_canonicalized_once(self, monkeypatch):
+        # one set of canonical points serves the tangencies and their
+        # vectors (packing.contacts); the framework needs no further pass
         p = optimal_packing(4, ModuliPoint(0.25, 1.3))
         calls = []
         canonical = TorusPoint.canonical
         monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
         assert classify_packing(p) == "rigid-LMD"
-        assert len(calls) == 2 * p.n
+        assert len(calls) == p.n
 
     def test_untouched_circle_free(self):
         p = Packing(
