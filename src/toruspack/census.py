@@ -159,14 +159,13 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def write_census_file(path: str, results: list[CensusResult]) -> None:
+def write_census_file(path: str, res: CensusResult) -> None:
     """One canonical form per line with its highest surviving stage."""
+    s2 = {g.canonical_form for g in res.stage2}
+    s3 = {g.canonical_form for g in res.stage3}
     with open(path, "w", encoding="utf-8") as fh:
-        for res in results:
-            s2 = {g.canonical_form for g in res.stage2}
-            s3 = {g.canonical_form for g in res.stage3}
-            fh.write(f"# n={res.n} counts={res.counts}\n")
-            for g in res.stage1:
-                c = g.canonical_form
-                stage = 3 if c in s3 else (2 if c in s2 else 1)
-                fh.write(f"{c.hex()} stage={stage} edges={g.edge_count}\n")
+        fh.write(f"# n={res.n} counts={res.counts}\n")
+        for g in res.stage1:
+            c = g.canonical_form
+            stage = 3 if c in s3 else (2 if c in s2 else 1)
+            fh.write(f"{c.hex()} stage={stage} edges={g.edge_count}\n")

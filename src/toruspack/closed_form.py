@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
+from .lattice import ModuliPoint, TorusPoint
 from .packing import Packing, extract_graph
 from .regions import RegionId, SQRT3, classify
 
@@ -170,8 +170,8 @@ def optimal_centers(n: int, m: ModuliPoint) -> OptimalSolution:
     )
 
 
-def tangency_census(n: int, m: ModuliPoint, tol: float = DEFAULT_TOL) -> int:
+def tangency_census(n: int, m: ModuliPoint) -> int:
     """Number of edges of the optimal packing's graph at m."""
     sol = optimal_centers(n, m)
     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
-    return len(extract_graph(p, tol=tol).edges)
+    return len(extract_graph(p).edges)

@@ -31,9 +31,9 @@ from .embedding import (
 )
 from .errors import UnsupportedN
 from .geometry_embed import embedding_from_packing
-from .lattice import DEFAULT_TOL, ModuliPoint
+from .lattice import ModuliPoint
 from .oracle import RealizationSample, realize_embedding
-from .packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
+from .packing import SAMPLE_TANGENCY_TOL, Packing, contacts
 from .regions import SQRT3, boundary_curve
 from .rigidity import RigidityDecision, build_framework, decide_rigidity
 
@@ -114,8 +114,7 @@ def _cg_j(name: str) -> tuple[int, int]:
 def _anchor_form(n: int, m: ModuliPoint) -> bytes:
     sol = optimal_centers(n, m)
     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
-    g = extract_graph(p, tol=DEFAULT_TOL)
-    return embedding_from_packing(p, g).canonical_form
+    return embedding_from_packing(*contacts(p)).canonical_form
 
 
 def _filter_reasons(e: EmbeddedGraph) -> tuple[str | None, str | None]:

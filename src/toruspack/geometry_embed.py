@@ -13,11 +13,12 @@ import numpy as np
 from .census import Multigraph, vertex_pairs
 from .embedding import EmbeddedGraph, euler_characteristic, make_embedding
 from .errors import NoTorusEmbedding
-from .packing import Packing, PackingGraph, dart_vectors, vertex_darts
+from .packing import PackingGraph, dart_vectors, vertex_darts
 
 
-def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
-    """EmbeddedGraph carried by the packing's straight-segment drawing.
+def embedding_from_packing(g: PackingGraph, vectors: np.ndarray) -> EmbeddedGraph:
+    """EmbeddedGraph carried by a packing's straight-segment drawing: its
+    graph g and the edge vectors of g (packing.contacts).
 
     Loops are not supported (self-tangent packings are handled analytically
     elsewhere); raises NoTorusEmbedding on loops or non-2-cell drawings, and
@@ -30,7 +31,7 @@ def embedding_from_packing(p: Packing, g: PackingGraph) -> EmbeddedGraph:
     mg = Multigraph(n, tuple(map(pairs.count, vertex_pairs(n))))
     if pairs != mg.edges:
         raise ValueError("packing graph edges are not in vertex-pair order")
-    dv = dart_vectors(p.edge_vectors(g))
+    dv = dart_vectors(vectors)
     angle = np.arctan2(dv[:, 1], dv[:, 0])
     # rotation: counterclockwise angular order at each vertex
     rotation = [0] * len(angle)

@@ -4,11 +4,12 @@ A flat torus is the quotient of the plane by the lattice spanned by two
 independent vectors.  Any such lattice can be rescaled and relabeled so the
 generators become <1,0> and <x,y> with x^2 + y^2 >= 1, y > 0 and
 0 <= x <= 1/2 (the unoriented moduli strip); everything downstream assumes
-that normal form.  This module performs the reduction and holds the one
-distance kernel on the reduced torus, `wrapped_translates`: the 9 lattice
-translates of a difference nearest the origin, which include its nearest
-translate and every translate of length at most 1 (so every tangency and
-overlap of circles of radius at most 1/2).  The oracle's ascent reads 4 of
+that normal form, and a ModuliPoint cannot be built outside it.  This
+module performs the reduction and holds the one distance kernel on the
+reduced torus, `wrapped_translates`: the 9 lattice translates of a
+difference nearest the origin, which include its nearest translate and
+every translate of length at most 1 (so every tangency and overlap of
+circles of radius at most 1/2).  The oracle's ascent reads 4 of
 them, the corners of each difference's lattice cell, which hold the
 nearest; its tests check that window against this kernel bit for bit.
 """
@@ -48,19 +49,19 @@ class LatticeBasis:
 
 @dataclass(frozen=True)
 class ModuliPoint:
-    """Normalized torus: generators <1,0> and <x,y> in the unoriented strip."""
+    """Normalized torus: generators <1,0> and <x,y> in the unoriented strip,
+    checked once, when it is built (outside it raises OutOfModuliStrip)."""
 
     x: float
     y: float
 
-    def validate(self) -> "ModuliPoint":
+    def __post_init__(self):
         if not (
             self.x * self.x + self.y * self.y >= 1.0 - _STRIP_EPS
             and self.y > 0.0
             and -_STRIP_EPS <= self.x <= 0.5 + _STRIP_EPS
         ):
             raise OutOfModuliStrip(f"({self.x}, {self.y}) outside the moduli strip")
-        return self
 
     @property
     def basis(self) -> np.ndarray:
@@ -107,9 +108,6 @@ class Displacement:
     def vector(self, m: ModuliPoint) -> np.ndarray:
         return np.array([self.a + self.b * m.x, self.b * m.y])
 
-    def __neg__(self) -> "Displacement":
-        return Displacement(-self.a, -self.b)
-
 
 @dataclass(frozen=True)
 class BasisReduction:
@@ -142,7 +140,7 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
     if basis.v1 == (1.0, 0.0):
         # already-standard inputs reduce to themselves exactly
         try:
-            m = ModuliPoint(float(u2[0]), float(u2[1])).validate()
+            m = ModuliPoint(float(u2[0]), float(u2[1]))
             return m, BasisReduction(
                 moduli=m,
                 scale=1.0,
@@ -193,7 +191,7 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
         # negating the first axis flips v1; restore with the unimodular part
         U[0] = -U[0]
         u1 = -u1
-    m = ModuliPoint(float(w[0]), float(w[1])).validate()
+    m = ModuliPoint(float(w[0]), float(w[1]))
     rec = BasisReduction(
         moduli=m,
         scale=s,
@@ -242,7 +240,6 @@ def pair_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def torus_distance(p: TorusPoint, q: TorusPoint, m: ModuliPoint) -> float:
     """Distance between the circle centers on the torus."""
-    m.validate()
     frac = np.subtract(q.lattice_coords(m), p.lattice_coords(m))
     _, v = wrapped_translates(frac, m)
     return float(np.hypot(v[0], v[1]).min())
@@ -250,5 +247,4 @@ def torus_distance(p: TorusPoint, q: TorusPoint, m: ModuliPoint) -> float:
 
 def fundamental_domain_area(m: ModuliPoint) -> float:
     """Area of the torus; with v1 = <1,0> this is just y."""
-    m.validate()
     return m.y

@@ -31,6 +31,7 @@ from .packing import (
     SAMPLE_TANGENCY_TOL,
     Packing,
     PackingGraph,
+    contacts,
     cyclic_gaps,
     dart_vectors,
     extract_graph,
@@ -420,8 +421,6 @@ def maximize_min_distances(
     Each torus's result is the one it gets alone, so it is deterministic
     for fixed (seed, restarts) whatever the other tori.
     """
-    for m in tori:
-        m.validate()
     if n == 1:
         one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),), restarts, converged_fraction=1.0)
         return [one for _ in tori]
@@ -683,7 +682,7 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     centers = tuple(TorusPoint(*q).canonical(m) for q in pts)
     packing = Packing(m=m, centers=centers, radius=radius)
     try:
-        extracted = extract_graph(packing, tol=SAMPLE_TANGENCY_TOL)
+        extracted, vectors = contacts(packing, SAMPLE_TANGENCY_TOL)
         loose = extract_graph(packing, tol=REALIZATION_CLEARANCE)
     except OverlapDetected:
         return None
@@ -695,7 +694,7 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
         return None
     # the realized embedding (geometric rotation) must match e
     try:
-        realized = embedding_from_packing(packing, extracted)
+        realized = embedding_from_packing(extracted, vectors)
     except NoTorusEmbedding:
         return None
     if realized.canonical_form != e.canonical_form:

@@ -56,7 +56,6 @@ class Packing:
 
 def _canonical(m: ModuliPoint, centers) -> tuple[TorusPoint, ...]:
     """The centers' canonical representatives, read by both the graph and its edge vectors."""
-    m.validate()
     return tuple(c.canonical(m) for c in centers)
 
 

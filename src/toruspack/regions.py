@@ -2,8 +2,10 @@
 
 The optimal radius is piecewise-analytic over the strip; the pieces are
 stacked vertically and separated by circle/line arcs.  Region membership
-uses closed lower bounds and open upper bounds, evaluated exactly on the
-input floats; boundary flags are advisory (1e-9 residual tolerance).
+uses closed lower bounds and open upper bounds on each curve's float value
+at x, so within a few ulps of a curve the rounding decides:
+(0.49999957015004626, 0.8660256519584252) lies above y = (2 - x)/sqrt(3)
+yet lands in R1_4.  Such tori carry an advisory boundary flag (BOUNDARY_TOL).
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, OutOfModuliStrip, UnsupportedN
+from .errors import AlphaOutOfRange, UnsupportedN
 from .lattice import ModuliPoint
 
 SQRT3 = math.sqrt(3.0)
@@ -27,8 +29,9 @@ def _strip_bottom(x: float) -> float:
     return math.sqrt(max(1.0 - x * x, 0.0))
 
 
-# Upper boundary curves of the regions, bottom-up; the last region is
-# unbounded above.  Region i (1-based) is  curve[i-1](x) <= y < curve[i](x).
+# The strip bottom, then the upper boundary curves of the regions, bottom-up;
+# the last region is unbounded above.  Region i (1-based) is
+# curve[i-1](x) <= y < curve[i](x).
 _CURVES = {
     2: [
         _strip_bottom,
@@ -54,10 +57,11 @@ def region_count(n: int) -> int:
 
 
 def boundary_curve(n: int, index: int, x: float) -> float:
-    """y-value of the upper boundary of region `index` (1-based) at x."""
+    """y-value of the upper boundary of region `index` (1-based) at x;
+    index 0 gives the strip bottom, the lower bound of region 1."""
     _check_n(n)
     curves = _CURVES[n]
-    if not 1 <= index < len(curves):
+    if not 0 <= index < len(curves):
         raise ValueError(f"region {index} of n={n} has no upper boundary curve")
     return curves[index](x)
 
@@ -89,13 +93,11 @@ class RegionId:
 def classify(n: int, m: ModuliPoint) -> RegionId:
     """Locate m in the region table for n circles.
 
-    Lower bounds are closed, upper bounds open, evaluated exactly on the
-    floats; at irrational corner points the float representations decide
-    (documented convention).  Points within strip validation slack below
+    Lower bounds are closed, upper bounds open, on the curves' float values
+    (see the module docstring).  Points within strip validation slack below
     the bottom curve fall into region 1.
     """
     _check_n(n)
-    m.validate()
     curves = _CURVES[n]
     x, y = m.x, m.y
     index = len(curves)  # top region if nothing below matches
@@ -132,18 +134,15 @@ def self_tangent_boundary(n: int, alpha: float) -> ModuliPoint:
 
 
 def free_boundary_value(n: int, x: float) -> float:
-    """y of the self-tangent boundary curve at x (same curve as the top
-    region's lower bound)."""
+    """y of the self-tangent boundary curve at x: the top region's lower
+    bound."""
     _check_n(n)
-    c = x - 0.5 if n % 2 == 0 else x
-    return (n - 1) / 2 * SQRT3 + math.sqrt(max(1.0 - c * c, 0.0))
+    return _CURVES[n][-1](x)
 
 
 def in_free_region(n: int, m: ModuliPoint) -> bool:
     """True iff every optimal packing consists of free self-tangent circles
     (strictly above the self-tangent boundary curve)."""
-    _check_n(n)
-    m.validate()
     return m.y > free_boundary_value(n, m.x)
 
 
@@ -153,7 +152,11 @@ def in_free_region(n: int, m: ModuliPoint) -> bool:
 _TOP_REGION_HEIGHT = 2.0
 
 
-def sample_interior(n: int, index: int, rng: np.random.Generator, margin: float = 1e-3) -> ModuliPoint:
+# Share of a column's height kept clear of its region's curves when sampling.
+_INTERIOR_MARGIN = 1e-3
+
+
+def sample_interior(n: int, index: int, rng: np.random.Generator) -> ModuliPoint:
     """Uniform-ish sample strictly inside region `index`."""
     _check_n(n)
     curves = _CURVES[n]
@@ -164,9 +167,9 @@ def sample_interior(n: int, index: int, rng: np.random.Generator, margin: float 
         lo = curves[index - 1](x)
         hi = curves[index](x) if index < len(curves) else lo + _TOP_REGION_HEIGHT
         gap = hi - lo
-        if gap <= 4 * margin * max(gap, 1.0):
+        if gap <= 4 * _INTERIOR_MARGIN * max(gap, 1.0):
             continue  # pinched column (e.g. R2_4 near x = 0)
-        pad = margin * gap
+        pad = _INTERIOR_MARGIN * gap
         y = float(rng.uniform(lo + pad, hi - pad))
         m = ModuliPoint(x, y)
         if classify(n, m).index == index:
@@ -176,6 +179,5 @@ def sample_interior(n: int, index: int, rng: np.random.Generator, margin: float 
 
 def sample_boundary(n: int, index: int, rng: np.random.Generator) -> ModuliPoint:
     """Point exactly on the upper boundary curve of region `index`."""
-    _check_n(n)
     x = float(rng.uniform(0.0, 0.5))
     return ModuliPoint(x, boundary_curve(n, index, x))

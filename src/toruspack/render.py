@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModuliPoint
+from .lattice import ModuliPoint, TorusPoint
 from .packing import Packing, PackingGraph
 from .regions import SQRT3, boundary_curve, free_boundary_value, region_count
 
 _FMT = "{:.6f}"
+_STROKE_WIDTH = 1.5
 # A disk touching the domain up to rounding (about 1e-16 at unit scale)
 # meets it, so whether a touching translate is drawn does not hang on a bit.
 _DOMAIN_TOUCH_SLACK = 1e-12
@@ -29,8 +30,6 @@ def _f(x: float) -> str:
 @dataclass(frozen=True)
 class FigureSpec:
     size: int = 480
-    stroke_width: float = 1.5
-    labels: bool = True
 
     def __post_init__(self):
         if self.size <= 0:
@@ -68,10 +67,10 @@ def render_packing(p: Packing, g: PackingGraph, spec: FigureSpec = FigureSpec())
     parts.append(
         '<rect width="100%" height="100%" fill="white"/>\n'
     )
+    canon = [c.canonical(m).coords() for c in p.centers]
     # circle lifts whose disk meets the closed fundamental domain
     lifts = []
-    for idx, c in enumerate(p.centers):
-        base = c.canonical(m).coords()
+    for idx, base in enumerate(canon):
         for a in range(-2, 3):
             for b in range(-2, 3):
                 q = base + a * v1 + b * v2
@@ -80,43 +79,34 @@ def render_packing(p: Packing, g: PackingGraph, spec: FigureSpec = FigureSpec())
     for idx, q in sorted(lifts, key=lambda t: (t[0], round(t[1][0], 9), round(t[1][1], 9))):
         parts.append(
             f'<circle cx="{_f(X(q))}" cy="{_f(Y(q))}" r="{_f(p.radius * scale)}" '
-            f'fill="#dce9f5" stroke="#39618f" stroke-width="{_f(spec.stroke_width)}"/>\n'
+            f'fill="#dce9f5" stroke="#39618f" stroke-width="{_f(_STROKE_WIDTH)}"/>\n'
         )
     # fundamental domain outline
     pts = " ".join(f"{_f(X(q))},{_f(Y(q))}" for q in corners)
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="black" '
-        f'stroke-width="{_f(spec.stroke_width)}"/>\n'
+        f'stroke-width="{_f(_STROKE_WIDTH)}"/>\n'
     )
     # tangency edges from each canonical representative
     for i, j, d in g.edges:
-        a = p.centers[i].canonical(m).coords()
-        b = p.centers[j].canonical(m).coords() + d.vector(m)
+        a, b = canon[i], canon[j] + d.vector(m)
         parts.append(
             f'<line x1="{_f(X(a))}" y1="{_f(Y(a))}" x2="{_f(X(b))}" y2="{_f(Y(b))}" '
-            f'stroke="#c0392b" stroke-width="{_f(spec.stroke_width)}"/>\n'
+            f'stroke="#c0392b" stroke-width="{_f(_STROKE_WIDTH)}"/>\n'
         )
-    if spec.labels:
-        for idx, c in enumerate(p.centers):
-            q = c.canonical(m).coords()
-            parts.append(
-                f'<text x="{_f(X(q))}" y="{_f(Y(q))}" font-size="{_f(scale * 0.08)}" '
-                f'text-anchor="middle" dominant-baseline="middle">{idx}</text>\n'
-            )
+    for idx, q in enumerate(canon):
+        parts.append(
+            f'<text x="{_f(X(q))}" y="{_f(Y(q))}" font-size="{_f(scale * 0.08)}" '
+            f'text-anchor="middle" dominant-baseline="middle">{idx}</text>\n'
+        )
     parts.append("</svg>\n")
     return "".join(parts)
-
-
-def _dom_coord(q, m: ModuliPoint):
-    t2 = q[1] / m.y
-    t1 = q[0] - t2 * m.x
-    return t1, t2
 
 
 def _disk_meets_domain(q, r, m: ModuliPoint) -> bool:
     """Disk of radius r at q intersects the closed fundamental domain."""
     corners = np.array([[0, 0], [1, 0], [1 + m.x, m.y], [m.x, m.y]], float)
-    t1, t2 = _dom_coord(q, m)
+    t1, t2 = TorusPoint(*q).lattice_coords(m)
     if 0 <= t1 <= 1 and 0 <= t2 <= 1:
         return True
     best = math.inf
@@ -156,26 +146,22 @@ def render_moduli(n: int, spec: FigureSpec = FigureSpec()) -> str:
             'stroke="#888888" stroke-width="1.0"/>\n'
         )
     # boundary curves (index 0 = strip bottom, then the region tops)
-    curves = [lambda x: math.sqrt(max(1 - x * x, 0.0))] + [
-        (lambda idx: (lambda x: boundary_curve(n, idx, x)))(i) for i in range(1, k)
-    ]
-    for fn in curves:
-        xs = np.linspace(0.0, 0.5, _CURVE_SAMPLES)
-        pts = " ".join(f"{_f(X(x))},{_f(Y(fn(float(x))))}" for x in xs)
+    xs = np.linspace(0.0, 0.5, _CURVE_SAMPLES)
+    for i in range(k):
+        pts = " ".join(f"{_f(X(x))},{_f(Y(boundary_curve(n, i, float(x))))}" for x in xs)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="black" '
-            f'stroke-width="{_f(spec.stroke_width)}"/>\n'
+            f'stroke-width="{_f(_STROKE_WIDTH)}"/>\n'
         )
-    if spec.labels:
-        for i in range(1, k + 1):
-            xm = 0.25
-            ylo = curves[i - 1](xm)
-            yhi = boundary_curve(n, i, xm) if i < k else ylo + 1.0
-            ym = (ylo + yhi) / 2
-            parts.append(
-                f'<text x="{_f(X(xm))}" y="{_f(Y(ym))}" font-size="16" '
-                f'text-anchor="middle">R{i}_{n}</text>\n'
-            )
+    for i in range(1, k + 1):
+        xm = 0.25
+        ylo = boundary_curve(n, i - 1, xm)
+        yhi = boundary_curve(n, i, xm) if i < k else ylo + 1.0
+        ym = (ylo + yhi) / 2
+        parts.append(
+            f'<text x="{_f(X(xm))}" y="{_f(Y(ym))}" font-size="16" '
+            f'text-anchor="middle">R{i}_{n}</text>\n'
+        )
     # unfilled markers: tori whose optimum is the triangular close packing
     for x, y in _triangular_markers(n):
         parts.append(

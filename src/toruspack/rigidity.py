@@ -208,17 +208,17 @@ def _checked_flex(f: StrutFramework, velocities) -> FlexVector:
     return flex
 
 
-def verify_flex(f: StrutFramework, flex: FlexVector, tol: float = FLOAT_CHECK_TOL) -> bool:
+def verify_flex(f: StrutFramework, flex: FlexVector) -> bool:
     v = np.asarray(flex.velocities, float)
-    if np.abs(v).max() <= tol:
+    if np.abs(v).max() <= FLOAT_CHECK_TOL:
         return False
     i, j = f.ends.T
-    return not (np.vecdot(v[j] - v[i], f.vectors) < -tol).any()
+    return not (np.vecdot(v[j] - v[i], f.vectors) < -FLOAT_CHECK_TOL).any()
 
 
-def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TOL) -> bool:
+def verify_stress(f: StrutFramework, stress: Stress) -> bool:
     w = np.asarray(stress.coefficients, float)
-    if (w > -1 + tol).any():
+    if (w > -1 + FLOAT_CHECK_TOL).any():
         return False
     i, j = f.ends.T
     we = w[:, None] * f.vectors
@@ -226,10 +226,10 @@ def verify_stress(f: StrutFramework, stress: Stress, tol: float = FLOAT_CHECK_TO
     np.add.at(resid, i, we)
     np.add.at(resid, j, -we)
     scale = float(np.abs(w) @ np.hypot(*f.vectors.T))
-    return float(np.abs(resid).max()) <= tol * max(scale, 1.0)
+    return float(np.abs(resid).max()) <= FLOAT_CHECK_TOL * max(scale, 1.0)
 
 
-def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray, tol: float = ANGLE_GAP_TOL) -> bool:
+def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray) -> bool:
     """Some circle's tangency directions fit in a closed half-plane; vectors
     are the edge vectors of g (Packing.edge_vectors)."""
     by_degree: dict[int, list] = {}
@@ -238,7 +238,7 @@ def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray, tol: float = ANGL
     dv = dart_vectors(vectors)
     # one gap call per degree, on the (k, deg, 2) vectors of k vertices' darts
     return 0 in by_degree or any(
-        cyclic_gaps(dv[np.array(ds)]).max() >= math.pi - tol for ds in by_degree.values()
+        cyclic_gaps(dv[np.array(ds)]).max() >= math.pi - ANGLE_GAP_TOL for ds in by_degree.values()
     )
 
 

@@ -68,7 +68,7 @@ def test_stage3_edge_distribution():
 
 def test_census_file(tmp_path):
     path = tmp_path / "census.txt"
-    write_census_file(str(path), [enumerate_census(3)])
+    write_census_file(str(path), enumerate_census(3))
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 37
     assert sum(1 for l in lines if "stage=3" in l) == 3
@@ -85,5 +85,5 @@ def test_relabelings_once_per_class(tmp_path):
 
     with mock.patch.object(census, "relabelings", counted):
         res = enumerate_census.__wrapped__(4)
-        write_census_file(str(tmp_path / "census.txt"), [res])
+        write_census_file(str(tmp_path / "census.txt"), res)
     assert len(calls) == len(set(calls)) == len(res.stage1) == 825

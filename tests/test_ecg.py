@@ -13,6 +13,7 @@ from toruspack.ecg import (
     expected_class,
 )
 from toruspack.geometry_embed import embedding_from_packing
+from toruspack.lattice import TorusPoint
 from toruspack.oracle import realize_embedding
 from toruspack.packing import SAMPLE_TANGENCY_TOL, Packing, extract_graph
 from toruspack.report import run_pipeline
@@ -79,7 +80,8 @@ def test_anchor_points_realize_their_embeddings(catalog3, catalog4):
                 continue
             sol = optimal_centers(cat.n, e.anchor)
             p = Packing(m=e.anchor, centers=sol.centers, radius=sol.radius)
-            realized = embedding_from_packing(p, extract_graph(p, tol=1e-9))
+            g = extract_graph(p, tol=1e-9)
+            realized = embedding_from_packing(g, p.edge_vectors(g))
             assert realized.canonical_form == e.embedding.canonical_form, e.name
 
 
@@ -147,6 +149,18 @@ def _callers(monkeypatch, fn) -> list[str]:
         if name.startswith("toruspack") and getattr(mod, fn.__name__, None) is fn:
             monkeypatch.setattr(mod, fn.__name__, wrapped)
     return callers
+
+
+def test_anchor_form_canonicalizes_each_center_twice(monkeypatch):
+    # once for the closed-form optimum, once for its graph and edge vectors
+    # (packing.contacts)
+    calls = []
+    canonical = TorusPoint.canonical
+    monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
+    for n, name in ((3, "ECG1-1"), (4, "ECG18-1")):
+        calls.clear()
+        ecg._anchor_form(n, ecg._GMD_ANCHORS[name])
+        assert len(calls) == 2 * n, name
 
 
 def test_probe_decides_each_sample_once(catalog3, monkeypatch):

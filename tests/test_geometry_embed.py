@@ -15,7 +15,7 @@ def embed_at(n, m, tol=1e-9):
     sol = optimal_centers(n, m)
     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
     g = extract_graph(p, tol=tol)
-    return embedding_from_packing(p, g)
+    return embedding_from_packing(g, p.edge_vectors(g))
 
 
 def test_face_vectors_of_published_optima():
@@ -38,7 +38,7 @@ def test_rejects_loops():
     p = Packing(m=ModuliPoint(0, 2), centers=(TorusPoint(0, 0),), radius=0.5)
     g = extract_graph(p)
     with pytest.raises(ValueError):
-        embedding_from_packing(p, g)
+        embedding_from_packing(g, p.edge_vectors(g))
 
 
 def test_rejects_edges_out_of_pair_order():
@@ -46,9 +46,10 @@ def test_rejects_edges_out_of_pair_order():
     sol = optimal_centers(4, ModuliPoint(0.1, 1.0))
     p = Packing(m=sol.m, centers=sol.centers, radius=sol.radius)
     g = extract_graph(p, tol=1e-9)
-    embedding_from_packing(p, g)
+    embedding_from_packing(g, p.edge_vectors(g))
+    reversed_g = PackingGraph(g.vertex_count, g.edges[::-1])
     with pytest.raises(ValueError, match="vertex-pair order"):
-        embedding_from_packing(p, PackingGraph(g.vertex_count, g.edges[::-1]))
+        embedding_from_packing(reversed_g, p.edge_vectors(reversed_g))
 
 
 def test_matches_enumerated_catalog(catalog4):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruspack.errors import DegenerateLattice
+from toruspack.errors import DegenerateLattice, OutOfModuliStrip
 from toruspack.lattice import (
     LatticeBasis,
     ModuliPoint,
@@ -28,6 +28,25 @@ def brute_min_distance(p, q, m, window=6):
             v = qc + a * np.array([1.0, 0.0]) + b * np.array([m.x, m.y]) - pc
             best = min(best, float(np.hypot(*v)))
     return best
+
+
+class TestModuliPoint:
+    def test_checked_when_built(self):
+        # the strip is an invariant: outside it the 9-translate window of
+        # wrapped_translates can miss the nearest translate (at (3.0, 0.1)
+        # it reports 0.48452 for [0.5, 0.34], where 0.48120 is nearest)
+        for x, y in ((3.0, 0.1), (0.3, 0.4), (0.7, 2.0), (-0.1, 1.5), (0.2, 0.0), (0.2, -1.5)):
+            with pytest.raises(OutOfModuliStrip):
+                ModuliPoint(x, y)
+        # its closed edges, up to float noise
+        for x, y in ((0.0, 1.0), (0.5, SQRT3 / 2), (-1e-10, 1.0), (0.5 + 1e-10, 1.0)):
+            m = ModuliPoint(x, y)
+            assert (m.x, m.y) == (x, y)
+
+    def test_standard_basis_outside_strip_is_reduced(self):
+        m, rec = reduce_to_standard_basis(LatticeBasis((1.0, 0.0), (3.0, 0.1)))
+        assert (m.x, m.y) == pytest.approx((0.0, 10.0), abs=1e-9)
+        assert rec.scale == pytest.approx(10.0)
 
 
 class TestReduce:

@@ -14,7 +14,7 @@ from toruspack import oracle
 from toruspack.closed_form import optimal_radius
 from toruspack.ecg import EXPECTED_NOT_REALIZABLE, REALIZE_ATTEMPTS, REALIZE_SEED
 from toruspack.errors import NoTorusEmbedding
-from toruspack.lattice import ModuliPoint, wrapped_translates
+from toruspack.lattice import ModuliPoint, TorusPoint, wrapped_translates
 from toruspack.oracle import (
     compare_with_closed_form,
     maximize_min_distance,
@@ -201,7 +201,7 @@ def _strip_tori(draw):
     x = draw(_X)
     y_min = math.sqrt(max(1.0 - x * x, 0.75))
     y = draw(st.one_of(st.just(y_min), st.floats(y_min, 2.0), st.floats(2.0, 1e3)))
-    return ModuliPoint(x, y).validate()
+    return ModuliPoint(x, y)
 
 
 _DIFF = st.one_of(
@@ -310,12 +310,22 @@ class TestRealize:
         else:
             assert not samples and sum(solved) == REALIZE_ATTEMPTS
 
+    def test_probe_canonicalizes_each_center_three_times(self, catalog3, monkeypatch):
+        # per validated start: the sample's centers, their graph and edge
+        # vectors (packing.contacts), and the REALIZATION_CLEARANCE graph
+        calls = []
+        canonical = TorusPoint.canonical
+        monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
+        samples = realize_embedding(catalog3.by_name("ECG2-2").embedding, attempts=REALIZE_ATTEMPTS,
+                                    seed=REALIZE_SEED, max_samples=8)
+        assert len(samples) == 8 and len(calls) == 72
+
     @pytest.mark.parametrize("error", [NoTorusEmbedding("not 2-cell"), ValueError("shapes")],
                              ids=["no-embedding", "other"])
     def test_only_a_drawing_without_embedding_is_rejected(self, catalog3, monkeypatch, error):
         # a drawing with no torus embedding rejects its start; any other
         # ValueError (a numpy shape bug, say) is no verdict and propagates
-        def embedding_from_packing(p, g):
+        def embedding_from_packing(g, vectors):
             raise error
 
         monkeypatch.setattr(oracle, "embedding_from_packing", embedding_from_packing)

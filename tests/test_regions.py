@@ -64,6 +64,17 @@ class TestClassify:
                     assert region.index == idx + 1
                     assert "lower" in region.boundary_flags
 
+    def test_one_formula_per_curve(self):
+        # curve 0 is the strip bottom, and the free boundary is the top
+        # region's lower curve, bit for bit
+        for n in (2, 3, 4):
+            for x in np.linspace(0.0, 0.5, 101):
+                x = float(x)
+                assert boundary_curve(n, 0, x) == math.sqrt(1.0 - x * x)
+                assert free_boundary_value(n, x) == boundary_curve(n, region_count(n) - 1, x)
+            with pytest.raises(ValueError):
+                boundary_curve(n, region_count(n), 0.25)
+
 
 class TestSelfTangentBoundary:
     def test_paper_values(self):
@@ -101,7 +112,7 @@ class TestFreeRegion:
                 x = rng.uniform(0, 0.5)
                 y = rng.uniform(1.0, 4.6)
                 try:
-                    m = ModuliPoint(x, y).validate()
+                    m = ModuliPoint(x, y)
                 except OutOfModuliStrip:
                     continue
                 top = region_count(n)

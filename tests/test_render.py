@@ -55,6 +55,18 @@ def test_selftangent_loop_rendered():
     assert svg.count("<line") == 1
 
 
+def test_centers_canonicalized_once(monkeypatch):
+    # the lifts, the tangency edges and the labels share one canonical
+    # point per center
+    p = optimal_packing(4, ModuliPoint(0.1, 1.0))
+    g = extract_graph(p)
+    calls = []
+    canonical = TorusPoint.canonical
+    monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
+    render_packing(p, g)
+    assert len(calls) == p.n == 4
+
+
 def test_empty_packing():
     p = Packing(m=ModuliPoint(0, 1), centers=(), radius=0.1)
     g = extract_graph(p)

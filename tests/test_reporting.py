@@ -197,7 +197,7 @@ class TestPipeline:
         assert names == {"ECG1-1", "ECG1-2", "ECG2-1", "ECG2-2", "ECG2-3", "ECG3-1"}
 
     def test_n3_verdicts_and_witnesses(self, tmp_path, catalog3):
-        report = run_pipeline(3, str(tmp_path), oracle_restarts=40)
+        report = run_pipeline(3, str(tmp_path))
         assert not report.failures
         verdicts = {v["name"]: v for v in report.verdicts}
         for entry in catalog3.survivors():
