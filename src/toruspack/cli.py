@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import DegenerateLattice
@@ -26,6 +27,22 @@ def _vec(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
+def _at_least(low: float, kind: type):
+    """The argparse type of a finite number of the given kind that is at
+    least low."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if not low <= value < math.inf:  # a NaN fails too
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} in [{low}, inf), got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="toruspack",
@@ -37,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
     sp.add_argument("--v1", type=_vec, required=True, metavar="ax,ay")
     sp.add_argument("--v2", type=_vec, required=True, metavar="bx,by")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="tangency tolerance")
+    sp.add_argument("--tol", type=_at_least(0.0, float), default=DEFAULT_TOL, help="tangency tolerance")
     sp.add_argument("--json", action="store_true", help="print the full JSON record")
     sp.add_argument("--svg", metavar="PATH", help="write the packing figure")
 
@@ -45,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--n", type=int, required=True, choices=(3, 4))
     pp.add_argument("--out", required=True, metavar="DIR")
     pp.add_argument("--skip-oracle", action="store_true")
-    pp.add_argument("--seed", type=int, default=0)
+    pp.add_argument("--seed", type=_at_least(0, int), default=0)
     pp.add_argument(
         "--lenient",
         action="store_true",
@@ -54,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="formula vs numerical oracle over sampled tori")
     vp.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
-    vp.add_argument("--samples", type=int, default=20)
-    vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--restarts", type=int, default=200)
+    vp.add_argument("--samples", type=_at_least(1, int), default=20)
+    vp.add_argument("--seed", type=_at_least(0, int), default=0)
+    vp.add_argument("--restarts", type=_at_least(1, int), default=200)
     vp.add_argument("--csv", metavar="PATH", help="write the comparison table")
     return ap
 

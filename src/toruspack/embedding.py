@@ -268,6 +268,15 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
 # homology labels (tree-cotree) and filters
 
 
+def _face_of(e: EmbeddedGraph) -> list[int]:
+    """The index in e.faces of each dart's face."""
+    face_of = [0] * (2 * e.graph.edge_count)
+    for fi, f in enumerate(e.faces):
+        for d in f:
+            face_of[d] = fi
+    return face_of
+
+
 def homology_labels(e: EmbeddedGraph) -> tuple[tuple[int, int], ...]:
     """Integer lattice offsets per edge making every face walk close.
 
@@ -278,75 +287,57 @@ def homology_labels(e: EmbeddedGraph) -> tuple[tuple[int, int], ...]:
     """
     g = e.graph
     E = g.edge_count
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for k, (i, j) in enumerate(g.edges):
-        adj.setdefault(i, []).append((j, k))
-        adj.setdefault(j, []).append((i, k))
+    vdarts = vertex_darts(g.edges, g.vertex_count)
     tree: set[int] = set()
     seen = {0}
     frontier = [0]
     while frontier:
-        v = frontier.pop(0)
-        for w, k in adj[v]:
+        for d in vdarts[frontier.pop(0)]:
+            w = g.edges[d // 2][1 - d % 2]  # the head of d
             if w not in seen:
                 seen.add(w)
-                tree.add(k)
+                tree.add(d // 2)
                 frontier.append(w)
-    dart_face = {}
-    for fi, f in enumerate(e.faces):
-        for d in f:
-            dart_face[d] = fi
-    cotree: set[int] = set()
+    face_of = _face_of(e)
+    # the dual tree: each cotree edge with the dart that brought its face in
+    grown: list[tuple[int, int]] = []
     dual_seen = {0}
     nontree = [k for k in range(E) if k not in tree]
     changed = True
     while changed:
         changed = False
         for k in nontree:
-            if k in cotree:
-                continue
-            f1, f2 = dart_face[2 * k], dart_face[2 * k + 1]
+            f1, f2 = face_of[2 * k], face_of[2 * k + 1]
             if (f1 in dual_seen) ^ (f2 in dual_seen):
-                cotree.add(k)
-                dual_seen.update((f1, f2))
+                d = 2 * k + (f1 in dual_seen)
+                grown.append((k, d))
+                dual_seen.add(face_of[d])
                 changed = True
+    cotree = {k for k, _ in grown}
     leftover = [k for k in nontree if k not in cotree]
     if len(leftover) != 2:
         raise ValueError("embedding is not a 2-cell torus embedding")
-    lab = {k: (0, 0) for k in range(E)}
+    lab = [(0, 0)] * E
     lab[leftover[0]] = (1, 0)
     lab[leftover[1]] = (0, 1)
-    unknown = set(cotree)
-    while unknown:
-        progressed = False
-        for f in e.faces:
-            unk = [d for d in f if d // 2 in unknown]
-            if len(unk) != 1:
-                continue
-            sa = sb = 0
-            for d in f:
-                if d // 2 in unknown:
-                    continue
-                a, b = lab[d // 2]
-                s = 1 if d % 2 == 0 else -1
-                sa += s * a
-                sb += s * b
-            d = unk[0]
-            lab[d // 2] = (-sa, -sb) if d % 2 == 0 else (sa, sb)
-            unknown.discard(d // 2)
-            progressed = True
-        if not progressed:
-            raise ValueError("face closure did not determine all labels")
-    for f in e.faces:
+
+    def closure(f):
         sa = sb = 0
         for d in f:
             a, b = lab[d // 2]
             s = 1 if d % 2 == 0 else -1
             sa += s * a
             sb += s * b
-        if sa or sb:
-            raise AssertionError("face closure violated")
-    return tuple(lab[k] for k in range(E))
+        return sa, sb
+
+    # a face's other cotree edges bring in faces grown after it, so in
+    # reverse order each face's one unknown is its own edge (still (0, 0))
+    for k, d in reversed(grown):
+        sa, sb = closure(e.faces[face_of[d]])
+        lab[k] = (-sa, -sb) if d % 2 == 0 else (sa, sb)
+    if any(any(closure(f)) for f in e.faces):
+        raise AssertionError("face closure violated")
+    return tuple(lab)
 
 
 @dataclass(frozen=True)
@@ -358,11 +349,8 @@ class FilterVerdict:
 
 # forbidden corner patterns: exact multiset of face lengths around a vertex
 def corner_profiles(e: EmbeddedGraph) -> list[list[int]]:
-    flen = {}
-    for f in e.faces:
-        for d in f:
-            flen[d] = len(f)
     g = e.graph
+    flen = [len(e.faces[f]) for f in _face_of(e)]
     return [sorted(flen[d] for d in darts) for darts in vertex_darts(g.edges, g.vertex_count)]
 
 
@@ -430,14 +418,19 @@ class _ParityUnionFind:
         return True
 
 
-def _dart_info(d: int, edges, labels):
-    k, s = d // 2, d % 2
-    i, j = edges[k]
-    a, b = labels[k]
-    return (i, j, a, b) if s == 0 else (j, i, -a, -b)
+def _signed_darts(e: EmbeddedGraph, labels):
+    """Per dart (tail, head, a, b), its label (a, b) signed by direction, and
+    the darts with their labels listed by (tail, head)."""
+    darts = []
+    for (i, j), (a, b) in zip(e.graph.edges, labels):
+        darts += [(i, j, a, b), (j, i, -a, -b)]
+    inst: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
+    for d, (t, h, a, b) in enumerate(darts):
+        inst.setdefault((t, h), []).append((d, (a, b)))
+    return darts, inst
 
 
-def _chain_test(e: EmbeddedGraph, labels, relations) -> FilterVerdict:
+def _chain_test(darts, inst, relations) -> FilterVerdict:
     """Saturating forced-edge test from one set of parallel relations.
 
     Anti-parallel darts u: A->B and w: C->D with a middle edge B-C force a
@@ -445,31 +438,25 @@ def _chain_test(e: EmbeddedGraph, labels, relations) -> FilterVerdict:
     instance carries that displacement the embedding cannot be a packing
     graph.  Forced edges found present join the relation closure.
     """
-    edges = e.graph.edges
-    E = len(edges)
-    uf = _ParityUnionFind(2 * E)
-    for d in range(2 * E):
+    uf = _ParityUnionFind(len(darts))
+    for d in range(len(darts)):
         uf.union(d, d ^ 1, 1)
     for a, b, p in relations:
         uf.union(a, b, p)
     if uf.contradiction:
         return FilterVerdict(False, "parity contradiction")
-    inst: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
-    for d in range(2 * E):
-        t, h, a, b = _dart_info(d, edges, labels)
-        inst.setdefault((t, h), []).append((d, (a, b)))
     while True:
         grew = False
-        for u in range(2 * E):
-            tu, hu, au, bu = _dart_info(u, edges, labels)
-            for w in range(2 * E):
+        for u, (tu, hu, au, bu) in enumerate(darts):
+            for w in range(len(darts)):
                 if w in (u, u ^ 1):
                     continue
+                # a union below can move u's root, so find it again for each w
                 ru, pu = uf.find(u)
                 rw, pw = uf.find(w)
                 if ru != rw or (pu ^ pw) != 1:
                     continue
-                tw, hw, aw, bw = _dart_info(w, edges, labels)
+                tw, hw, aw, bw = darts[w]
                 for mdart, (am, bm) in inst.get((hu, tw), []):
                     if mdart in (u, u ^ 1, w, w ^ 1):
                         continue
@@ -497,16 +484,12 @@ def _rhombus_sources(e: EmbeddedGraph):
     for f in e.faces:
         if len(f) == 4:
             sources.append([(f[0], f[2], 1), (f[1], f[3], 1)])
-    tri = [f for f in e.faces if len(f) == 3]
-    owner = {}
-    for f in tri:
-        for d in f:
-            owner[d] = f
+    face_of = _face_of(e)
     handled = set()
-    for f in tri:
+    for f in e.faces:
         for pos, d in enumerate(f):
-            gface = owner.get(d ^ 1)
-            if gface is None or id(gface) == id(f):
+            gface = e.faces[face_of[d ^ 1]]
+            if len(f) != 3 or len(gface) != 3 or gface == f:
                 continue
             shared = {x // 2 for x in f} & {x // 2 for x in gface}
             if len(shared) != 1 or min(d, d ^ 1) in handled:
@@ -571,8 +554,9 @@ def parallel_chain_filter(e: EmbeddedGraph) -> FilterVerdict:
     left to the numerical realization stage.
     """
     labels = homology_labels(e)
+    darts, inst = _signed_darts(e, labels)
     for source in _rhombus_sources(e):
-        verdict = _chain_test(e, labels, source)
+        verdict = _chain_test(darts, inst, source)
         if not verdict.keep:
             return FilterVerdict(False, "chain: " + (verdict.reason or ""), verdict.witness)
     cps = _congruence_pairs(e, labels)
@@ -582,7 +566,7 @@ def parallel_chain_filter(e: EmbeddedGraph) -> FilterVerdict:
         if any(pa in s and pb in s for s in spikes):
             branch_same = [(2 * k1a, 2 * k1b, 0), (2 * k2a, 2 * k2b, 0)]
             branch_refl = [(2 * k1a, 2 * k2b, 1), (2 * k2a, 2 * k1b, 1)]
-            verdicts = [_chain_test(e, labels, br) for br in (branch_same, branch_refl)]
+            verdicts = [_chain_test(darts, inst, br) for br in (branch_same, branch_refl)]
             if all(not v.keep for v in verdicts):
                 return FilterVerdict(
                     False,

@@ -135,8 +135,9 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
     u1 = np.array(basis.v1, float)
     u2 = np.array(basis.v2, float)
     norm = max(np.linalg.norm(u1), np.linalg.norm(u2))
-    if norm == 0.0 or abs(basis.cross()) <= DEGENERATE_BASIS_TOL * norm * norm:
-        raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate")
+    # written so that a NaN or infinite coordinate fails it too
+    if not (0.0 < norm < math.inf and abs(basis.cross()) > DEGENERATE_BASIS_TOL * norm * norm):
+        raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite")
     if basis.v1 == (1.0, 0.0):
         # already-standard inputs reduce to themselves exactly
         try:
@@ -181,7 +182,6 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
     # Gauss reduction already gives |x| <= 1/2; the shear folds into (-1/2, 1/2]
     k = math.ceil(w[0] - 0.5)
     if k:
-        u2 = u2 - k * u1
         U[1] -= k * U[0]
         w = np.array([w[0] - k, w[1]])
     if w[0] < 0:
@@ -190,7 +190,6 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
         reflected = not reflected
         # negating the first axis flips v1; restore with the unimodular part
         U[0] = -U[0]
-        u1 = -u1
     m = ModuliPoint(float(w[0]), float(w[1]))
     rec = BasisReduction(
         moduli=m,

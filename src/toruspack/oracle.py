@@ -34,7 +34,6 @@ from .packing import (
     contacts,
     cyclic_gaps,
     dart_vectors,
-    extract_graph,
     vertex_darts,
 )
 
@@ -662,8 +661,8 @@ def realize_embedding(
 
 def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> RealizationSample | None:
     """The checks that need the packing itself: basis reduction, radius cap,
-    overlap, the extracted graph (also at REALIZATION_CLEARANCE) and its
-    embedding."""
+    overlap, the graph at REALIZATION_CLEARANCE (g's edge count, every edge
+    a tangency to SAMPLE_TANGENCY_TOL) and its embedding."""
     g = e.graph
     nv = g.vertex_count
     p = np.zeros((nv, 2))
@@ -682,15 +681,12 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     centers = tuple(TorusPoint(*q).canonical(m) for q in pts)
     packing = Packing(m=m, centers=centers, radius=radius)
     try:
-        extracted, vectors = contacts(packing, SAMPLE_TANGENCY_TOL)
-        loose = extract_graph(packing, tol=REALIZATION_CLEARANCE)
+        extracted, vectors = contacts(packing, REALIZATION_CLEARANCE)
     except OverlapDetected:
         return None
-    # extracted has nv vertices, and its edges are among loose's, so the
-    # loose check also rejects every loop
-    if len(extracted.edges) != g.edge_count:
+    if extracted.loop_count() or len(extracted.edges) != g.edge_count:
         return None
-    if loose.loop_count() or len(loose.edges) != g.edge_count:
+    if np.abs(np.hypot(vectors[:, 0], vectors[:, 1]) - 2 * radius).max() > SAMPLE_TANGENCY_TOL:
         return None
     # the realized embedding (geometric rotation) must match e
     try:

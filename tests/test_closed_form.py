@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from toruspack import closed_form
 from toruspack.closed_form import (
@@ -12,7 +13,8 @@ from toruspack.closed_form import (
     radius_branch,
     tangency_census,
 )
-from toruspack.lattice import ModuliPoint, torus_distance
+from toruspack.errors import OutOfModuliStrip, OverlapDetected
+from toruspack.lattice import _STRIP_EPS, DEFAULT_TOL, ModuliPoint, torus_distance
 from toruspack.packing import Packing, TRIANGULAR_DENSITY, density, extract_graph
 from toruspack.regions import boundary_curve, region_count, sample_interior
 
@@ -171,6 +173,53 @@ class TestCenters:
                     g = extract_graph(p, tol=1e-9)
                     for gaps in angle_spectrum(g, p):
                         assert gaps[-1] < math.pi - 1e-9
+
+
+# (x, y) where a region curve of some n meets another curve or a strip wall
+_CUSPS = sorted(
+    {(x, boundary_curve(n, i, x)) for n in (2, 3, 4) for i in range(region_count(n)) for x in (0.0, 0.5)}
+)
+
+
+@st.composite
+def _near_cusp(draw):
+    """A torus within 1e-7 of a cusp.  x is clamped to the walls and y to
+    the lowest the strip admits at x (ModuliPoint's slack below the bottom
+    curve), so both edges are drawn often."""
+    x0, y0 = draw(st.sampled_from(_CUSPS))
+    x = min(max(x0 + draw(st.floats(-1e-7, 1e-7)), 0.0), 0.5)
+    y = max(y0 + draw(st.floats(-1e-7, 1e-7)), math.sqrt(1.0 - _STRIP_EPS - x * x))
+    while True:
+        try:
+            return ModuliPoint(x, y)
+        except OutOfModuliStrip:
+            y = math.nextafter(y, math.inf)
+
+
+def _validate_layouts(m):
+    for n in (2, 3, 4):
+        sol = optimal_centers(n, m)
+        Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=DEFAULT_TOL)
+
+
+class TestCusps:
+    @settings(max_examples=500, deadline=None)
+    @given(m=_near_cusp())
+    # the lowest torus admitted on x = 1/2, 5.8e-10 below the true strip:
+    # the n = 4 layout overlaps by 9.99999972e-10, about 3e-17 inside the tolerance
+    @example(m=ModuliPoint(0.5, 0.8660254032070884))
+    def test_layouts_near_every_cusp_are_packings(self, m):
+        _validate_layouts(m)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=OverlapDetected,
+        reason="ModuliPoint admits x up to _STRIP_EPS past a wall, where layouts overlap "
+        "by more than DEFAULT_TOL (n = 2 by 1.4e-9, n = 4 by 2.8e-9)",
+    )
+    @pytest.mark.parametrize("x, y", [(-1e-9, 0.9999999995000001), (0.500000001, 0.8660254026297382)])
+    def test_layouts_past_a_wall_overlap(self, x, y):
+        _validate_layouts(ModuliPoint(x, y))
 
 
 class TestTangencyCensus:

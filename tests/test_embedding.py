@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import dart_bijection_reference
+import embedding_reference
 import rotation_scan_reference as reference
 
 from toruspack import embedding
@@ -217,6 +218,33 @@ class TestHomology:
             for e in enumerate_toroidal(g):
                 labels = np.array(homology_labels(e))
                 assert np.linalg.matrix_rank(labels) == 2
+
+
+def test_face_readings_match_reference(monkeypatch):
+    """Labels, corner profiles and both filters' verdicts (keep, reason,
+    witness) equal those of the readings they replaced
+    (embedding_reference.py) on every embedding of n = 3 and 4, with and
+    without bigons."""
+    embeddings = [
+        e
+        for n in (3, 4)
+        for g in enumerate_census(n).stage3
+        for include_bigons in (False, True)
+        for e in enumerate_toroidal(g, include_bigons)
+    ]
+    assert len(embeddings) == 6 + 36 + 97 + 914
+
+    def readings(ref):
+        return [
+            (ref.homology_labels(e), ref.corner_profiles(e), forbidden_face_filter(e),
+             ref.parallel_chain_filter(e))
+            for e in embeddings
+        ]
+
+    got = readings(embedding)
+    # forbidden_face_filter reads the profiles through the module global
+    monkeypatch.setattr(embedding, "corner_profiles", embedding_reference.corner_profiles)
+    assert got == readings(embedding_reference)
 
 
 def _small_multigraphs() -> list[Multigraph]:

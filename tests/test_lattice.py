@@ -70,6 +70,12 @@ class TestReduce:
         with pytest.raises(DegenerateLattice):
             reduce_to_standard_basis(LatticeBasis((1, 1), (2, 2)))
 
+    @pytest.mark.parametrize("v1, v2", [((math.nan, 0), (0, 1)), ((1, 0), (math.nan, 1)),
+                                        ((1, 0), (0, math.inf)), ((-math.inf, 0), (0, 1))])
+    def test_non_finite_is_degenerate(self, v1, v2):
+        with pytest.raises(DegenerateLattice, match="not finite"):
+            reduce_to_standard_basis(LatticeBasis(v1, v2))
+
     def test_composition_contract(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

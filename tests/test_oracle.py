@@ -310,15 +310,15 @@ class TestRealize:
         else:
             assert not samples and sum(solved) == REALIZE_ATTEMPTS
 
-    def test_probe_canonicalizes_each_center_three_times(self, catalog3, monkeypatch):
-        # per validated start: the sample's centers, their graph and edge
-        # vectors (packing.contacts), and the REALIZATION_CLEARANCE graph
+    def test_probe_canonicalizes_each_center_twice(self, catalog3, monkeypatch):
+        # per validated start: the sample's centers, then their graph at
+        # REALIZATION_CLEARANCE and its edge vectors (packing.contacts)
         calls = []
         canonical = TorusPoint.canonical
         monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
         samples = realize_embedding(catalog3.by_name("ECG2-2").embedding, attempts=REALIZE_ATTEMPTS,
                                     seed=REALIZE_SEED, max_samples=8)
-        assert len(samples) == 8 and len(calls) == 72
+        assert len(samples) == 8 and len(calls) == 48
 
     @pytest.mark.parametrize("error", [NoTorusEmbedding("not 2-cell"), ValueError("shapes")],
                              ids=["no-embedding", "other"])

@@ -1,4 +1,5 @@
-"""The export list of toruspack/__init__.py against the names it binds."""
+"""The export list of toruspack/__init__.py against the names it binds, and
+the package's exception handlers."""
 import ast
 from pathlib import Path
 
@@ -23,3 +24,16 @@ def test_every_export_resolves():
 
 def test_every_public_binding_is_exported():
     assert _public_bindings() == set(toruspack.__all__)
+
+
+def test_no_broad_exception_handler():
+    # a handler must name the error it expects: a broad one turns a bug into
+    # a result ("no realization found")
+    broad = []
+    for path in sorted(Path(toruspack.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(t is None or ast.unparse(t) in ("Exception", "BaseException") for t in caught):
+                    broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []

@@ -172,6 +172,28 @@ class TestSolve:
         r = run_cli("solve", "--n", "2", "--v1", "1,1", "--v2", "2,2")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "solve --n 2 --v1 nan,0 --v2 0,1",
+            "solve --n 2 --v1 1,0 --v2 0,1 --tol nan",
+            "solve --n 2 --v1 1,0 --v2 0,1 --tol -1",
+            "verify --n 2 --restarts 0",
+            "verify --n 2 --samples 0",
+            "verify --n 2 --samples -1",
+            "verify --n 2 --seed -1",
+            "pipeline --n 3 --seed -1 --out {out}",
+        ],
+    )
+    def test_cli_rejects_bad_numbers(self, args, tmp_path, capsys):
+        # exit 2 with an error line, before any output file is written
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            sys.exit(cli.main(args.format(out=out).split()))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
     def test_cli_svg(self, tmp_path):
         out = tmp_path / "packing.svg"
         r = run_cli(
