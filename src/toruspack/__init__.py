@@ -4,18 +4,13 @@ Closed-form radii and centers for every torus in the unoriented moduli
 strip, the full discovery pipeline (multigraph census, toroidal embedding
 enumeration, combinatorial filters, numerical realization, exact rigidity
 certificates), a max-min numerical oracle, and SVG figures.
+
+`import toruspack` loads the closed-form half (errors, lattice, regions,
+closed_form, packing).  The catalog half's exports (census, embedding,
+oracle, rigidity) are imported from their modules on first access.
 """
 
-from .census import Multigraph, enumerate_census
 from .closed_form import OptimalSolution, optimal_centers, optimal_radius, tangency_census
-from .embedding import (
-    EmbeddedGraph,
-    RotationSystem,
-    enumerate_toroidal,
-    forbidden_face_filter,
-    parallel_chain_filter,
-    trace_faces,
-)
 from .errors import (
     AlphaOutOfRange,
     CertificateCheckFailed,
@@ -47,24 +42,47 @@ from .packing import (
     extract_graph,
     max_radius_for_centers,
 )
-from .oracle import (
-    OracleResult,
-    RealizationSample,
-    compare_with_closed_form,
-    compare_with_closed_forms,
-    maximize_min_distance,
-    maximize_min_distances,
-    realize_embedding,
-)
 from .regions import RegionId, classify, in_free_region, self_tangent_boundary
-from .rigidity import (
-    FlexVector,
-    Stress,
-    StrutFramework,
-    build_framework,
-    classify_packing,
-    decide_rigidity,
-)
+
+# export -> the catalog-half module that defines it, imported on first access
+_LAZY = {
+    "Multigraph": "census",
+    "enumerate_census": "census",
+    "EmbeddedGraph": "embedding",
+    "RotationSystem": "embedding",
+    "enumerate_toroidal": "embedding",
+    "forbidden_face_filter": "embedding",
+    "parallel_chain_filter": "embedding",
+    "trace_faces": "embedding",
+    "OracleResult": "oracle",
+    "RealizationSample": "oracle",
+    "compare_with_closed_form": "oracle",
+    "compare_with_closed_forms": "oracle",
+    "maximize_min_distance": "oracle",
+    "maximize_min_distances": "oracle",
+    "realize_embedding": "oracle",
+    "FlexVector": "rigidity",
+    "Stress": "rigidity",
+    "StrutFramework": "rigidity",
+    "build_framework": "rigidity",
+    "classify_packing": "rigidity",
+    "decide_rigidity": "rigidity",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

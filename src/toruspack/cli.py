@@ -2,22 +2,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 from .errors import DegenerateLattice
 from .lattice import DEFAULT_TOL
 from .packing import to_json
-from .report import (
-    CountMismatch,
-    oracle_disagreements,
-    run_pipeline,
-    solve_report,
-    summary_table,
-    verify_run,
-    write_oracle_csv,
-)
+from .solve import solve_report
 
 
 def _vec(text: str) -> tuple[float, float]:
@@ -107,6 +98,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .report import CountMismatch, run_pipeline, summary_table
+
     try:
         report = run_pipeline(
             args.n,
@@ -123,6 +116,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .report import oracle_disagreements, verify_run, write_oracle_csv
+
     rows, ok = verify_run(args.n, args.samples, args.seed, restarts=args.restarts)
     if args.csv:
         write_oracle_csv(args.csv, rows)

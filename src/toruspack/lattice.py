@@ -31,8 +31,11 @@ DEFAULT_TOL = 1e-9
 # longer vector): a sine of their angle that small is cross-product rounding.
 DEGENERATE_BASIS_TOL = 1e-12
 
-# Slack for validating strip membership (pure float noise, e.g. (1/2, sqrt(3)/2)
-# has x^2 + y^2 = 1 - 1e-16).
+# Slack below the strip's bottom arc x^2 + y^2 = 1 alone: a point computed
+# to lie on the arc can miss it by float noise (e.g. (1/2, sqrt(3)/2) has
+# x^2 + y^2 = 1 - 1e-16).  The walls x = 0 and x = 1/2 get no slack: the
+# reduction and every sampler build x in [0, 1/2] exactly, and past a wall
+# the closed-form layouts overlap by more than DEFAULT_TOL.
 _STRIP_EPS = 1e-9
 
 
@@ -59,7 +62,7 @@ class ModuliPoint:
         if not (
             self.x * self.x + self.y * self.y >= 1.0 - _STRIP_EPS
             and self.y > 0.0
-            and -_STRIP_EPS <= self.x <= 0.5 + _STRIP_EPS
+            and 0.0 <= self.x <= 0.5
         ):
             raise OutOfModuliStrip(f"({self.x}, {self.y}) outside the moduli strip")
 

@@ -129,6 +129,9 @@ def self_tangent_boundary(n: int, alpha: float) -> ModuliPoint:
     if not (math.pi / 3 - ALPHA_RANGE_SLACK <= alpha <= math.pi / 2 + ALPHA_RANGE_SLACK):
         raise AlphaOutOfRange(f"alpha = {alpha} outside [pi/3, pi/2]")
     x = 0.5 - math.cos(alpha) if n % 2 == 0 else math.cos(alpha)
+    # onto the walls: cos(pi/3) rounds to 0.5000000000000001, and an alpha
+    # within ALPHA_RANGE_SLACK past either end puts x past a wall
+    x = min(max(x, 0.0), 0.5)
     y = (n - 1) / 2 * SQRT3 + math.sin(alpha)
     return ModuliPoint(x, y)
 

@@ -9,28 +9,19 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .census import enumerate_census, write_census_file
-from .closed_form import optimal_centers
 from .ecg import REALIZE_ATTEMPTS, expected_class, expected_names, identify
-from .lattice import DEFAULT_TOL, LatticeBasis, reduce_to_standard_basis
-# compare_with_closed_form stays importable from report for its callers
+# compare_with_closed_form and solve_report stay importable from report
+# because the benchmark (perfbench) reads them here
 from .oracle import compare_with_closed_form, compare_with_closed_forms, oracle_agrees  # noqa: F401
-from .packing import (
-    SCHEMA_VERSION,
-    Packing,
-    density,
-    extract_graph,
-    graph_to_dict,
-    packing_to_dict,
-    to_json,
-)
+from .packing import SCHEMA_VERSION, to_json
 from .regions import classify, region_count, sample_interior
+from .solve import solve_report  # noqa: F401
 
 EXPECTED_CENSUS = {3: (37, 10, 3), 4: (825, 102, 20)}
 EXPECTED_EMBEDDINGS = {3: 6, 4: 97}
@@ -265,33 +256,7 @@ def summary_table(report: PipelineReport) -> str:
     return buf.getvalue()
 
 
-# solve / verify helpers used by the CLI
-
-
-def solve_report(n: int, v1, v2, tol: float = DEFAULT_TOL) -> dict:
-    m, rec = reduce_to_standard_basis(LatticeBasis(tuple(v1), tuple(v2)))
-    sol = optimal_centers(n, m)
-    region = sol.region
-    p = Packing(m=m, centers=sol.centers, radius=sol.radius)
-    g = extract_graph(p, tol=tol)
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": n,
-        "input": {"v1": list(v1), "v2": list(v2)},
-        "moduli": {"x": m.x, "y": m.y},
-        "scale": rec.scale,
-        "reflected": rec.reflected,
-        "unimodular": [list(r) for r in rec.unimodular],
-        "region": region.name,
-        "boundary_flags": sorted(region.boundary_flags),
-        "radius": sol.radius,
-        "radius_original_units": sol.radius / rec.scale,
-        "aux_R": sol.aux_R,
-        "density": density(p),
-        "tangencies": len(g.edges),
-        "packing": packing_to_dict(p),
-        "graph": graph_to_dict(g),
-    }
+# verify helper used by the CLI
 
 
 def verify_run(n: int, samples: int, seed: int, restarts: int = 200) -> tuple[list[dict], bool]:

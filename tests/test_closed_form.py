@@ -13,7 +13,7 @@ from toruspack.closed_form import (
     radius_branch,
     tangency_census,
 )
-from toruspack.errors import OutOfModuliStrip, OverlapDetected
+from toruspack.errors import OutOfModuliStrip
 from toruspack.lattice import _STRIP_EPS, DEFAULT_TOL, ModuliPoint, torus_distance
 from toruspack.packing import Packing, TRIANGULAR_DENSITY, density, extract_graph
 from toruspack.regions import boundary_curve, region_count, sample_interior
@@ -211,15 +211,12 @@ class TestCusps:
     def test_layouts_near_every_cusp_are_packings(self, m):
         _validate_layouts(m)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=OverlapDetected,
-        reason="ModuliPoint admits x up to _STRIP_EPS past a wall, where layouts overlap "
-        "by more than DEFAULT_TOL (n = 2 by 1.4e-9, n = 4 by 2.8e-9)",
-    )
+    # 1e-9 past a wall the layouts would overlap by more than DEFAULT_TOL
+    # (n = 2 by 1.4e-9, n = 4 by 2.8e-9), so no such torus can be built
     @pytest.mark.parametrize("x, y", [(-1e-9, 0.9999999995000001), (0.500000001, 0.8660254026297382)])
-    def test_layouts_past_a_wall_overlap(self, x, y):
-        _validate_layouts(ModuliPoint(x, y))
+    def test_no_torus_past_a_wall(self, x, y):
+        with pytest.raises(OutOfModuliStrip):
+            ModuliPoint(x, y)
 
 
 class TestTangencyCensus:

@@ -35,11 +35,13 @@ class TestModuliPoint:
         # the strip is an invariant: outside it the 9-translate window of
         # wrapped_translates can miss the nearest translate (at (3.0, 0.1)
         # it reports 0.48452 for [0.5, 0.34], where 0.48120 is nearest)
-        for x, y in ((3.0, 0.1), (0.3, 0.4), (0.7, 2.0), (-0.1, 1.5), (0.2, 0.0), (0.2, -1.5)):
+        outside = ((3.0, 0.1), (0.3, 0.4), (0.7, 2.0), (-0.1, 1.5), (0.2, 0.0), (0.2, -1.5),
+                   (-1e-10, 1.0), (0.5 + 1e-10, 1.0))  # no slack past a wall
+        for x, y in outside:
             with pytest.raises(OutOfModuliStrip):
                 ModuliPoint(x, y)
-        # its closed edges, up to float noise
-        for x, y in ((0.0, 1.0), (0.5, SQRT3 / 2), (-1e-10, 1.0), (0.5 + 1e-10, 1.0)):
+        # its closed edges, the bottom arc up to float noise
+        for x, y in ((0.0, 1.0), (0.5, SQRT3 / 2), (0.0, 1.0 - 1e-10), (0.5, 1.0)):
             m = ModuliPoint(x, y)
             assert (m.x, m.y) == (x, y)
 
@@ -47,6 +49,11 @@ class TestModuliPoint:
         m, rec = reduce_to_standard_basis(LatticeBasis((1.0, 0.0), (3.0, 0.1)))
         assert (m.x, m.y) == pytest.approx((0.0, 10.0), abs=1e-9)
         assert rec.scale == pytest.approx(10.0)
+
+    def test_standard_basis_past_a_wall_is_reflected(self):
+        m, rec = reduce_to_standard_basis(LatticeBasis((1.0, 0.0), (-1e-10, 1.0)))
+        assert (m.x, m.y) == (1e-10, 1.0)
+        assert rec.reflected
 
 
 class TestReduce:

@@ -14,7 +14,8 @@ from toruspack.lattice import ModuliPoint
 from toruspack.packing import graph_from_dict, packing_from_dict, to_json
 from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
 from toruspack.render import render_packing
-from toruspack.report import PipelineReport, _check_counts, run_pipeline, solve_report, verify_run
+from toruspack.report import PipelineReport, _check_counts, run_pipeline, verify_run
+from toruspack.solve import solve_report
 
 SQRT3 = math.sqrt(3.0)
 GOLDEN = Path(__file__).with_name("solve_golden.json")
