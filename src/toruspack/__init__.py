@@ -36,8 +36,7 @@ from .lattice import (
 from .packing import (
     Packing,
     PackingGraph,
-    TangencyReport,
-    angle_spectrum,
+    angle_gaps,
     density,
     extract_graph,
     max_radius_for_centers,
@@ -110,11 +109,10 @@ __all__ = [
     "RotationSystem",
     "Stress",
     "StrutFramework",
-    "TangencyReport",
     "TorusPackError",
     "TorusPoint",
     "UnsupportedN",
-    "angle_spectrum",
+    "angle_gaps",
     "build_framework",
     "classify",
     "classify_packing",

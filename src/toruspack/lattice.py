@@ -33,10 +33,15 @@ DEGENERATE_BASIS_TOL = 1e-12
 
 # Slack below the strip's bottom arc x^2 + y^2 = 1 alone: a point computed
 # to lie on the arc can miss it by float noise (e.g. (1/2, sqrt(3)/2) has
-# x^2 + y^2 = 1 - 1e-16).  The walls x = 0 and x = 1/2 get no slack: the
-# reduction and every sampler build x in [0, 1/2] exactly, and past a wall
-# the closed-form layouts overlap by more than DEFAULT_TOL.
-_STRIP_EPS = 1e-9
+# x^2 + y^2 = 1 - 1e-16).  reduce_to_standard_basis on 2 x 100 000 random
+# bases (unimodular change, rotation, reflection, scale 10^+-2) of points
+# on the arc, both corners included, landed at most 1.8e-15 below it, so
+# 1e-12 keeps a margin of over 500x.  It also leaves DEFAULT_TOL a margin:
+# the lowest torus it admits on x = 1/2 is (0.5, 0.8660254037838613), where
+# the n = 4 layout overlaps by 1.0e-12.  The walls x = 0 and x = 1/2 get no
+# slack: the reduction and every sampler build x in [0, 1/2] exactly, and
+# past a wall the closed-form layouts overlap by more than DEFAULT_TOL.
+_STRIP_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,6 @@ class BasisReduction:
     `reflected` records whether the plane map reverses orientation.
     """
 
-    moduli: ModuliPoint
     scale: float
     unimodular: tuple[tuple[int, int], tuple[int, int]]
     reflected: bool
@@ -146,7 +150,6 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
         try:
             m = ModuliPoint(float(u2[0]), float(u2[1]))
             return m, BasisReduction(
-                moduli=m,
                 scale=1.0,
                 unimodular=((1, 0), (0, 1)),
                 reflected=False,
@@ -195,7 +198,6 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
         U[0] = -U[0]
     m = ModuliPoint(float(w[0]), float(w[1]))
     rec = BasisReduction(
-        moduli=m,
         scale=s,
         unimodular=((int(U[0, 0]), int(U[0, 1])), (int(U[1, 0]), int(U[1, 1]))),
         reflected=reflected,

@@ -44,7 +44,6 @@ RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
 class OracleResult:
     best_radius: float
     best_centers: tuple[TorusPoint, ...]
-    restarts_used: int
     converged_fraction: float
 
 
@@ -421,7 +420,7 @@ def maximize_min_distances(
     for fixed (seed, restarts) whatever the other tori.
     """
     if n == 1:
-        one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),), restarts, converged_fraction=1.0)
+        one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),), converged_fraction=1.0)
         return [one for _ in tori]
     if not tori:
         return []
@@ -457,13 +456,12 @@ def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[Or
             live = lives[k] = lives[k][better]
             tops[k][live], ds[k][live] = r[better], d_refined[better]
     results = []
-    for T, m, s, top, d in zip(ends, tori, scores, tops, ds):
+    for m, s, top, d in zip(tori, scores, tops, ds):
         best = int(np.argmax(np.minimum(d, cap)))  # the first of the best candidates
         best_d = min(float(d[best]), cap)
         results.append(OracleResult(
             best_radius=best_d / 2,
             best_centers=tuple(TorusPoint(*p).canonical(m) for p in top[best] @ m.basis),
-            restarts_used=len(T),
             converged_fraction=float((s >= best_d - BASIN_WINDOW).mean()),
         ))
     return results
@@ -497,13 +495,10 @@ def oracle_agrees(formula_radius: float, oracle_radius: float) -> bool:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    n: int
-    m: ModuliPoint
     formula_radius: float
     oracle_radius: float
     gap: float
     restarts: int
-    seed: int
 
 
 def compare_with_closed_forms(
@@ -515,13 +510,10 @@ def compare_with_closed_forms(
     for m, res in zip(tori, results):
         r_formula = optimal_radius(n, m)
         reports.append(ComparisonReport(
-            n=n,
-            m=m,
             formula_radius=r_formula,
             oracle_radius=res.best_radius,
             gap=abs(res.best_radius - r_formula),
             restarts=restarts,
-            seed=seed,
         ))
     return reports
 
@@ -601,10 +593,7 @@ def _tangent_pairs(A: np.ndarray, c: np.ndarray, darts):
 
 
 def realize_embedding(
-    e: EmbeddedGraph,
-    attempts: int = 200,
-    seed: int = 0,
-    max_samples: int = 8,
+    e: EmbeddedGraph, attempts: int, seed: int, max_samples: int
 ) -> list[RealizationSample]:
     """Seeded attempts to draw the embedding as an equal-length packing graph.
 

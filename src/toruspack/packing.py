@@ -97,25 +97,8 @@ class PackingGraph:
     vertex_count: int
     edges: tuple[tuple[int, int, Displacement], ...]
 
-    def degree(self, v: int) -> int:
-        """Number of darts at v: a loop counts both tangency directions."""
-        return len(vertex_darts(self.edges, self.vertex_count)[v])
-
-    def pair_multiplicity(self, i: int, j: int) -> int:
-        a, b = min(i, j), max(i, j)
-        return sum(1 for u, v, _ in self.edges if (u, v) == (a, b))
-
     def loop_count(self) -> int:
         return sum(1 for i, j, _ in self.edges if i == j)
-
-
-@dataclass(frozen=True)
-class TangencyReport:
-    degrees: tuple[int, ...]
-    pair_multiplicities: dict
-    loop_count: int
-    total_edges: int
-    merged_within_tol: bool
 
 
 def extract_graph(p: Packing, tol: float = DEFAULT_TOL) -> PackingGraph:
@@ -145,30 +128,6 @@ def _extract(p: Packing, canon: tuple[TorusPoint, ...], tol: float) -> PackingGr
         edges.append((int(I[k]), int(J[k]), d))
     edges.sort(key=lambda e: (e[0], e[1], e[2].a, e[2].b))
     return PackingGraph(vertex_count=p.n, edges=tuple(edges))
-
-
-def tangency_report(
-    g: PackingGraph, p: Packing | None = None, tol: float = DEFAULT_TOL
-) -> TangencyReport:
-    """Summary statistics; with the packing given, flags tangencies that sit
-    away from the exact distance (merges that exact arithmetic might split)."""
-    degs = tuple(map(len, vertex_darts(g.edges, g.vertex_count)))
-    mult = {}
-    for i, j, _ in g.edges:
-        mult[(i, j)] = mult.get((i, j), 0) + 1
-    merged = False
-    if p is not None:
-        for vec in p.edge_vectors(g):
-            if abs(float(np.hypot(*vec)) - 2 * p.radius) > tol * 0.1:
-                merged = True
-                break
-    return TangencyReport(
-        degrees=degs,
-        pair_multiplicities=mult,
-        loop_count=g.loop_count(),
-        total_edges=len(g.edges),
-        merged_within_tol=merged,
-    )
 
 
 def density(p: Packing) -> float:
@@ -214,13 +173,9 @@ def cyclic_gaps(vectors: np.ndarray) -> np.ndarray:
     return np.diff(np.concatenate([ang, ang[..., :1] + 2 * math.pi], -1), axis=-1)
 
 
-def angle_spectrum(g: PackingGraph, p: Packing) -> list[list[float]]:
-    """Sorted cyclic gaps between consecutive tangency directions, per vertex."""
-    return angle_gaps(g, p.edge_vectors(g))
-
-
 def angle_gaps(g: PackingGraph, vectors: np.ndarray) -> list[list[float]]:
-    """angle_spectrum from the edge vectors of g (Packing.edge_vectors)."""
+    """Sorted cyclic gaps between consecutive tangency directions, per
+    vertex, from the edge vectors of g (contacts, Packing.edge_vectors)."""
     dv = dart_vectors(vectors)
     darts = vertex_darts(g.edges, g.vertex_count)
     return [sorted(map(float, cyclic_gaps(dv[ds]))) for ds in darts]

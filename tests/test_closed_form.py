@@ -161,7 +161,7 @@ class TestCenters:
             Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=1e-15)
 
     def test_interior_semicircle_condition(self):
-        from toruspack.packing import angle_spectrum
+        from toruspack.packing import angle_gaps, contacts
 
         rng = np.random.default_rng(59)
         for n in (2, 3, 4):
@@ -170,8 +170,7 @@ class TestCenters:
                     m = sample_interior(n, idx, rng)
                     sol = optimal_centers(n, m)
                     p = Packing(m=m, centers=sol.centers, radius=sol.radius)
-                    g = extract_graph(p, tol=1e-9)
-                    for gaps in angle_spectrum(g, p):
+                    for gaps in angle_gaps(*contacts(p, tol=1e-9)):
                         assert gaps[-1] < math.pi - 1e-9
 
 
@@ -197,17 +196,19 @@ def _near_cusp(draw):
 
 
 def _validate_layouts(m):
+    # with a margin of 9e-10 under DEFAULT_TOL (the worst overlap seen over
+    # 30 000 such tori was 1.0e-12, at the lowest torus on x = 1/2)
     for n in (2, 3, 4):
         sol = optimal_centers(n, m)
-        Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=DEFAULT_TOL)
+        Packing(m=m, centers=sol.centers, radius=sol.radius).validate(tol=DEFAULT_TOL / 10)
 
 
 class TestCusps:
     @settings(max_examples=500, deadline=None)
     @given(m=_near_cusp())
-    # the lowest torus admitted on x = 1/2, 5.8e-10 below the true strip:
-    # the n = 4 layout overlaps by 9.99999972e-10, about 3e-17 inside the tolerance
-    @example(m=ModuliPoint(0.5, 0.8660254032070884))
+    # the lowest torus admitted on x = 1/2, 6e-13 below the true strip:
+    # the n = 4 layout overlaps by 1.0e-12
+    @example(m=ModuliPoint(0.5, 0.8660254037838613))
     def test_layouts_near_every_cusp_are_packings(self, m):
         _validate_layouts(m)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from toruspack.errors import DegenerateLattice, OutOfModuliStrip
 from toruspack.lattice import (
+    _STRIP_EPS,
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
@@ -36,12 +37,16 @@ class TestModuliPoint:
         # wrapped_translates can miss the nearest translate (at (3.0, 0.1)
         # it reports 0.48452 for [0.5, 0.34], where 0.48120 is nearest)
         outside = ((3.0, 0.1), (0.3, 0.4), (0.7, 2.0), (-0.1, 1.5), (0.2, 0.0), (0.2, -1.5),
-                   (-1e-10, 1.0), (0.5 + 1e-10, 1.0))  # no slack past a wall
+                   (-1e-10, 1.0), (0.5 + 1e-10, 1.0),  # no slack past a wall
+                   # nor below the arc past float noise: at the second, the
+                   # n = 4 layout would overlap by 9.99999972e-10, no margin
+                   # left under DEFAULT_TOL
+                   (0.0, 1.0 - 1e-10), (0.5, 0.8660254032070884))
         for x, y in outside:
             with pytest.raises(OutOfModuliStrip):
                 ModuliPoint(x, y)
         # its closed edges, the bottom arc up to float noise
-        for x, y in ((0.0, 1.0), (0.5, SQRT3 / 2), (0.0, 1.0 - 1e-10), (0.5, 1.0)):
+        for x, y in ((0.0, 1.0), (0.5, SQRT3 / 2), (0.0, 1.0 - 1e-13), (0.5, 1.0)):
             m = ModuliPoint(x, y)
             assert (m.x, m.y) == (x, y)
 
@@ -123,6 +128,32 @@ class TestReduce:
         for x in (0.0, 0.5):
             m, _ = reduce_to_standard_basis(LatticeBasis((1, 0), (x, 1.3)))
             assert m.x == pytest.approx(x, abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)),
+        shears=st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), min_size=1, max_size=4),
+        swap=st.booleans(),
+        turn=st.floats(0.0, 2 * math.pi),
+        reflect=st.booleans(),
+        decades=st.floats(-2.0, 2.0),
+    )
+    def test_arc_points_land_within_the_slack(self, x, shears, swap, turn, reflect, decades):
+        # _STRIP_EPS is float noise: any basis of a torus on the bottom arc
+        # (a unimodular change, a rotation, a reflection and a scale of [1, 0],
+        # [x, y]) reduces to a point below the arc by far less than the slack
+        y = SQRT3 / 2 if x == 0.5 else math.sqrt(1.0 - x * x)
+        A = np.eye(2, dtype=np.int64)
+        for upper, k in shears:
+            A = np.array([[1, k], [0, 1]] if upper else [[1, 0], [k, 1]]) @ A
+        if swap:
+            A = A[::-1]
+        Q = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        if reflect:
+            Q = Q @ np.diag([1.0, -1.0])
+        B = 10.0**decades * (A @ np.array([[1.0, 0.0], [x, y]])) @ Q.T
+        m, _ = reduce_to_standard_basis(LatticeBasis(tuple(B[0]), tuple(B[1])))
+        assert 1.0 - (m.x * m.x + m.y * m.y) <= _STRIP_EPS / 10
 
 
 class TestDistance:

@@ -13,7 +13,7 @@ import fraction_equilibrium
 import fraction_tableau as reference
 from toruspack import exact_lp, rigidity
 from toruspack.closed_form import optimal_centers
-from toruspack.errors import CertificateCheckFailed
+from toruspack.errors import CertificateCheckFailed, InconsistentLengths
 from toruspack.exact_lp import feasible_nonnegative, nullspace
 from toruspack.lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
 from toruspack.oracle import realize_embedding
@@ -186,6 +186,16 @@ class TestFramework:
         f = build_framework(p, g)
         assert g.loop_count() == 3
         assert len(f.ends) == 5  # two double tangencies plus one single
+
+    def test_strut_off_tangency_raises(self):
+        # just below the R1_4 top edge: read at 1e-2, the graph gains two
+        # pairs that do not touch, and their struts are refused
+        p = optimal_packing(4, ModuliPoint(0.0, 1.154))
+        crisp, loose = extract_graph(p), extract_graph(p, tol=1e-2)
+        assert (len(crisp.edges), len(loose.edges)) == (10, 12)
+        assert len(build_framework(p, crisp).ends) == 10
+        with pytest.raises(InconsistentLengths):
+            build_framework(p, loose)
 
     def test_empty(self):
         f = framework_of(1, [])
