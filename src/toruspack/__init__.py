@@ -57,7 +57,6 @@ _LAZY = {
     "RealizationSample": "oracle",
     "compare_with_closed_form": "oracle",
     "compare_with_closed_forms": "oracle",
-    "maximize_min_distance": "oracle",
     "maximize_min_distances": "oracle",
     "realize_embedding": "oracle",
     "FlexVector": "rigidity",
@@ -127,7 +126,6 @@ __all__ = [
     "fundamental_domain_area",
     "in_free_region",
     "max_radius_for_centers",
-    "maximize_min_distance",
     "maximize_min_distances",
     "optimal_centers",
     "optimal_radius",

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("pipeline", help="census -> embeddings -> filters -> verdicts")
     pp.add_argument("--n", type=int, required=True, choices=(3, 4))
     pp.add_argument("--out", required=True, metavar="DIR")
-    pp.add_argument("--skip-oracle", action="store_true")
+    pp.add_argument("--skip-oracle", action="store_true", help="leave out the formula/oracle table")
     pp.add_argument("--seed", type=_at_least(0, int), default=0)
     pp.add_argument(
         "--lenient",

@@ -78,12 +78,12 @@ class EcgEntry:
     chain_reason: str | None
     realization_class: str | None  # 'rigid', 'flexible', 'none' (survivors only)
     # the probe's retained realizations (unanchored survivors only)
-    samples: tuple[RealizationSample, ...] = ()
+    samples: tuple[RealizationSample, ...]
     # the rigidity decision of samples[0], its witness
-    decision: RigidityDecision | None = None
+    decision: RigidityDecision | None
     # anchored names: the torus whose closed-form optimum realizes this
     # embedding, a globally optimal witness
-    anchor: ModuliPoint | None = None
+    anchor: ModuliPoint | None
 
     @property
     def survives_filters(self) -> bool:

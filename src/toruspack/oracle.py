@@ -91,10 +91,6 @@ REFINE_SLACK = 2e-3
 # from [0.5, 1.2 n], and L = 0 (every edge of length zero) or y = 0 (a flat
 # lattice) solve the equations without drawing a packing.
 DEGENERATE_SCALE = 1e-3
-# A realized radius may exceed RADIUS_CAP by this: at the cap two circles
-# touch along the shortest lattice vector, and a sample's lengths agree
-# only to RESIDUAL_TOL (1e-10).
-RADIUS_CAP_SLACK = 1e-9
 
 
 def _edge_vectors(u: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -408,8 +404,8 @@ REFINE_TOP = 12
 def maximize_min_distances(
     n: int,
     tori: Sequence[ModuliPoint],
-    restarts: int = 200,
-    seed: int = 0,
+    restarts: int,
+    seed: int,
 ) -> list[OracleResult]:
     """Best max-min configuration of n points on each torus, over seeded
     multi-start ascent, the REFINE_TOP best of them refined by up to
@@ -467,16 +463,6 @@ def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[Or
     return results
 
 
-def maximize_min_distance(
-    n: int,
-    m: ModuliPoint,
-    restarts: int = 200,
-    seed: int = 0,
-) -> OracleResult:
-    """maximize_min_distances on the one torus m."""
-    return maximize_min_distances(n, [m], restarts, seed)[0]
-
-
 # The oracle is lower-bound evidence: a seeded multi-start may stop short of
 # the optimum, and more than 1e-3 short means it missed the optimum's basin.
 ORACLE_GAP_TOL = 1e-3
@@ -502,10 +488,10 @@ class ComparisonReport:
 
 
 def compare_with_closed_forms(
-    n: int, tori: Sequence[ModuliPoint], restarts: int = 200, seed: int = 0
+    n: int, tori: Sequence[ModuliPoint], restarts: int, seed: int
 ) -> list[ComparisonReport]:
     """Closed form against the oracle on each torus, one ascent for all."""
-    results = maximize_min_distances(n, tori, restarts=restarts, seed=seed)
+    results = maximize_min_distances(n, tori, restarts, seed)
     reports = []
     for m, res in zip(tori, results):
         r_formula = optimal_radius(n, m)
@@ -518,9 +504,7 @@ def compare_with_closed_forms(
     return reports
 
 
-def compare_with_closed_form(
-    n: int, m: ModuliPoint, restarts: int = 200, seed: int = 0
-) -> ComparisonReport:
+def compare_with_closed_form(n: int, m: ModuliPoint, restarts: int, seed: int) -> ComparisonReport:
     return compare_with_closed_forms(n, [m], restarts, seed)[0]
 
 
@@ -665,7 +649,10 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     m, rec = reduce_to_standard_basis(LatticeBasis((1.0, 0.0), (x, y)))
     pts = (np.asarray(rec.similarity) @ p.T).T
     radius = rec.scale * L / 2
-    if radius > RADIUS_CAP + RADIUS_CAP_SLACK:
+    # past the cap the self translate (1, 0) is shorter than 2r: contacts
+    # reads it as a loop or an overlap, but at 2r - 1 ~ REALIZATION_CLEARANCE
+    # as neither, so the cap is tested exactly, with no slack
+    if radius > RADIUS_CAP:
         return None
     centers = tuple(TorusPoint(*q).canonical(m) for q in pts)
     packing = Packing(m=m, centers=centers, radius=radius)

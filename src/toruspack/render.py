@@ -45,7 +45,7 @@ def _svg_header(width: float, height: float) -> str:
     )
 
 
-def render_packing(p: Packing, g: PackingGraph, spec: FigureSpec = FigureSpec()) -> str:
+def render_packing(p: Packing, g: PackingGraph, spec: FigureSpec) -> str:
     """The fundamental domain, every circle lift meeting it, tangency edges
     and circle labels."""
     m = p.m
@@ -121,7 +121,7 @@ def _disk_meets_domain(q, r, m: ModuliPoint) -> bool:
 _CURVE_SAMPLES = 512
 
 
-def render_moduli(n: int, spec: FigureSpec = FigureSpec()) -> str:
+def render_moduli(n: int, spec: FigureSpec) -> str:
     """The unoriented moduli strip with the region boundary curves, region
     labels, and markers at the triangular-close-packing boundary tori."""
     k = region_count(n)

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dart_bijection_reference
@@ -189,6 +190,17 @@ class TestFilters:
                         kept_both += 1
         assert kept_forbidden == 6
         assert kept_both == 6
+
+    @pytest.mark.parametrize("relations", [[(0, 1, 0)], [(0, 2, 0), (1, 2, 0)]])
+    def test_chain_parity_contradiction(self, relations):
+        # relations that hold a dart parallel to its own reverse contradict
+        # the reversal parity; no rhombus of an n = 3 or 4 embedding does
+        for g in enumerate_census(3).stage3:
+            for e in enumerate_toroidal(g):
+                labels = homology_labels(e)
+                got = embedding._chain_test(*embedding._signed_darts(e, labels), relations)
+                assert got == embedding_reference._chain_test(e, labels, relations)
+                assert got == embedding.FilterVerdict(False, "parity contradiction")
 
     def test_filter_order_independent(self):
         for g in enumerate_census(3).stage3 + enumerate_census(4).stage3[:4]:

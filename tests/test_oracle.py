@@ -15,11 +15,10 @@ from toruspack.errors import NoTorusEmbedding
 from toruspack.lattice import ModuliPoint, TorusPoint, wrapped_translates
 from toruspack.oracle import (
     compare_with_closed_form,
-    maximize_min_distance,
     maximize_min_distances,
     realize_embedding,
 )
-from toruspack.packing import Packing, extract_graph
+from toruspack.packing import Packing, contacts, extract_graph
 from toruspack.regions import region_count, sample_interior
 
 SQRT3 = math.sqrt(3.0)
@@ -29,20 +28,20 @@ RESTARTS = 60  # plenty for these smoke cases; acceptance uses 200
 
 class TestMaxMin:
     def test_single_circle(self):
-        res = maximize_min_distance(1, ModuliPoint(0.3, 2.0), restarts=5, seed=1)
+        res = maximize_min_distances(1, [ModuliPoint(0.3, 2.0)], restarts=5, seed=1)[0]
         assert res.best_radius == pytest.approx(0.5, abs=1e-12)
 
     def test_two_on_square(self):
-        res = maximize_min_distance(2, ModuliPoint(0, 1), restarts=RESTARTS, seed=1)
+        res = maximize_min_distances(2, [ModuliPoint(0, 1)], restarts=RESTARTS, seed=1)[0]
         assert res.best_radius == pytest.approx(math.sqrt(2) / 4, abs=1e-6)
 
     def test_three_on_triangular(self):
-        res = maximize_min_distance(3, ModuliPoint(0.5, SQRT3 / 2), restarts=RESTARTS, seed=1)
+        res = maximize_min_distances(3, [ModuliPoint(0.5, SQRT3 / 2)], restarts=RESTARTS, seed=1)[0]
         assert res.best_radius == pytest.approx(1 / math.sqrt(12), abs=1e-6)
 
     def test_deterministic(self):
-        a = maximize_min_distance(3, ModuliPoint(0.1, 1.4), restarts=20, seed=9)
-        b = maximize_min_distance(3, ModuliPoint(0.1, 1.4), restarts=20, seed=9)
+        a = maximize_min_distances(3, [ModuliPoint(0.1, 1.4)], restarts=20, seed=9)[0]
+        b = maximize_min_distances(3, [ModuliPoint(0.1, 1.4)], restarts=20, seed=9)[0]
         assert a.best_radius == b.best_radius
         assert all(
             (p.u, p.w) == (q.u, q.w) for p, q in zip(a.best_centers, b.best_centers)
@@ -68,11 +67,11 @@ class TestMaxMin:
         # a one-point-at-a-time polish before one refine, the third 6.6e-5
         # short with a single refine round
         m = ModuliPoint(x, y)
-        res = maximize_min_distance(4, m, restarts=200, seed=101)
+        res = maximize_min_distances(4, [m], restarts=200, seed=101)[0]
         assert abs(res.best_radius - optimal_radius(4, m)) <= 1e-9
 
     def test_free_region_caps_at_half(self):
-        res = maximize_min_distance(3, ModuliPoint(0, 3), restarts=RESTARTS, seed=2)
+        res = maximize_min_distances(3, [ModuliPoint(0, 3)], restarts=RESTARTS, seed=2)[0]
         assert res.best_radius == pytest.approx(0.5, abs=1e-6)
         p = Packing(
             m=ModuliPoint(0, 3), centers=res.best_centers, radius=res.best_radius
@@ -134,7 +133,7 @@ _POOL = {n: _tori(n, 4, 40 + n) for n in (2, 3, 4)}
 
 @functools.cache
 def _alone(n, k, seed):
-    return maximize_min_distance(n, _POOL[n][k], restarts=10, seed=seed)
+    return maximize_min_distances(n, [_POOL[n][k]], restarts=10, seed=seed)[0]
 
 
 class TestBatchedAscent:
@@ -186,8 +185,8 @@ class TestBatchedAscent:
         assert [repr(r) for r in batched] == [repr(_alone(4, k, 0)) for k in range(4)]
 
     def test_empty_table_and_single_circle(self):
-        assert maximize_min_distances(3, [], restarts=5) == []
-        ones = maximize_min_distances(1, _POOL[2][:2], restarts=5)
+        assert maximize_min_distances(3, [], restarts=5, seed=0) == []
+        ones = maximize_min_distances(1, _POOL[2][:2], restarts=5, seed=0)
         assert [r.best_radius for r in ones] == [0.5, 0.5]
 
 
@@ -273,6 +272,19 @@ class TestRealize:
         assert not any(oracle._validate_solution(e, x, 0.0) for x in near)
         monkeypatch.setattr(oracle, "REALIZATION_CLEARANCE", 1e-7)
         assert any(oracle._validate_solution(e, x, 0.0) for x in near)
+
+    @pytest.mark.parametrize("excess, loops", [(5e-10, 3), (5e-6, 0)])
+    def test_radius_past_the_cap_rejected(self, catalog3, excess, loops):
+        # three circles on the torus (0, 3.5), no two closer than 1.2, at
+        # radius 1/2 + excess: each meets its translate by (1, 0) at distance
+        # 1 < 2r.  At 5e-10 contacts reads three loops; at 5e-6 it reads
+        # neither a loop nor an overlap, so the cap must hold with no slack
+        centers = (TorusPoint(0.0, 0.0), TorusPoint(0.5, 1.1), TorusPoint(0.0, 2.2))
+        packing = Packing(m=ModuliPoint(0.0, 3.5), centers=centers, radius=0.5 + excess)
+        assert contacts(packing, oracle.REALIZATION_CLEARANCE)[0].loop_count() == loops
+        e = catalog3.by_name("ECG1-1").embedding
+        u = np.array([0.5, 1.1, 0.0, 2.2, 0.0, 3.5, 1.0 + 2 * excess])
+        assert oracle._validate_solution(e, u, 0.0) is None
 
     @settings(max_examples=25, deadline=None)
     @given(pick=st.integers(0, 26), seed=st.integers(0, 2**16),

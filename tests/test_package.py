@@ -88,3 +88,32 @@ def test_no_broad_exception_handler():
                 if any(t is None or ast.unparse(t) in ("Exception", "BaseException") for t in caught):
                     broad.append(f"{path.name}:{node.lineno}")
     assert broad == []
+
+
+# Parameters with a default plus dataclass fields with a default, over the
+# package: a default that no production caller reads is deleted, so a diff
+# that adds one fails here unless it also raises the bound.
+MAX_SETTABLE_VALUES = 23
+
+
+def _settable_values() -> list[str]:
+    found = []
+    for path in sorted(Path(toruspack.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found += [f"{path.name}:{getattr(node, 'name', 'lambda')}.{a.arg}" for a in named]
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                found += [f"{path.name}:{node.name}.{s.target.id}" for s in node.body
+                          if isinstance(s, ast.AnnAssign) and s.value is not None]
+    return found
+
+
+def test_settable_values_ratchet():
+    found = _settable_values()
+    assert len(found) <= MAX_SETTABLE_VALUES, found

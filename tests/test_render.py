@@ -17,8 +17,8 @@ def optimal_packing(n, m):
 def test_packing_svg_deterministic():
     p = optimal_packing(2, ModuliPoint(0, 1))
     g = extract_graph(p)
-    a = render_packing(p, g)
-    b = render_packing(p, g)
+    a = render_packing(p, g, FigureSpec())
+    b = render_packing(p, g, FigureSpec())
     assert a == b
     assert a.startswith("<?xml")
     assert a.count("<circle") >= 2
@@ -51,7 +51,7 @@ def test_packing_edge_lengths():
 def test_selftangent_loop_rendered():
     p = Packing(m=ModuliPoint(0, 2), centers=(TorusPoint(0, 0),), radius=0.5)
     g = extract_graph(p)
-    svg = render_packing(p, g)
+    svg = render_packing(p, g, FigureSpec())
     assert svg.count("<line") == 1
 
 
@@ -63,21 +63,21 @@ def test_centers_canonicalized_once(monkeypatch):
     calls = []
     canonical = TorusPoint.canonical
     monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
-    render_packing(p, g)
+    render_packing(p, g, FigureSpec())
     assert len(calls) == p.n == 4
 
 
 def test_empty_packing():
     p = Packing(m=ModuliPoint(0, 1), centers=(), radius=0.1)
     g = extract_graph(p)
-    svg = render_packing(p, g)
+    svg = render_packing(p, g, FigureSpec())
     assert "<polyline" in svg and "</svg>" in svg
 
 
 def test_moduli_diagrams():
     for n, regions in ((2, 2), (3, 3), (4, 4)):
-        svg = render_moduli(n)
-        assert svg == render_moduli(n)
+        svg = render_moduli(n, FigureSpec())
+        assert svg == render_moduli(n, FigureSpec())
         for i in range(1, regions + 1):
             assert f">R{i}_{n}</text>" in svg
         # strip bottom plus one interior curve per region boundary

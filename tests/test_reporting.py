@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from toruspack.ecg import expected_class
 from toruspack.lattice import ModuliPoint
 from toruspack.packing import graph_from_dict, packing_from_dict, to_json
 from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
-from toruspack.render import render_packing
+from toruspack.render import FigureSpec, render_packing
 from toruspack.report import PipelineReport, _check_counts, run_pipeline, verify_run
 from toruspack.solve import solve_report
 
@@ -70,7 +71,7 @@ def test_solve_outputs_match_golden():
     got = {}
     for label, n, (v1, v2) in _golden_cases():
         rec = solve_report(n, v1, v2)
-        svg = render_packing(packing_from_dict(rec["packing"]), graph_from_dict(rec["graph"]))
+        svg = render_packing(packing_from_dict(rec["packing"]), graph_from_dict(rec["graph"]), FigureSpec())
         got[label] = [hashlib.sha256(text.encode()).hexdigest() for text in (to_json(rec), svg)]
     assert got == json.loads(GOLDEN.read_text())
 
@@ -297,12 +298,18 @@ class TestChecks:
             _check_counts(report)
             assert any(needle in f for f in report.failures), report.failures
 
-    def test_skipped_realization_not_judged(self):
-        report = self.published_n3()
-        for v in report.verdicts:
-            v["realization"] = "skipped"
-        _check_counts(report)
-        assert report.failures == []
+    def test_doctored_verdict_fails_without_oracle(self, tmp_path, catalog3, monkeypatch):
+        # skip_oracle drops the oracle table only: the realization verdicts
+        # are still judged against their published classes
+        from toruspack import report
+
+        doctored = replace(catalog3, entries=tuple(
+            replace(e, realization_class="rigid") if e.name == "ECG2-2" else e
+            for e in catalog3.entries
+        ))
+        monkeypatch.setattr(report, "identify", lambda n: doctored)
+        with pytest.raises(report.CountMismatch, match="ECG2-2: realization 'rigid'"):
+            run_pipeline(3, str(tmp_path), skip_oracle=True)
 
 
 class TestVerify:
