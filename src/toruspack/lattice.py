@@ -51,9 +51,6 @@ class LatticeBasis:
     v1: tuple[float, float]
     v2: tuple[float, float]
 
-    def cross(self) -> float:
-        return self.v1[0] * self.v2[1] - self.v1[1] * self.v2[0]
-
 
 @dataclass(frozen=True)
 class ModuliPoint:
@@ -138,17 +135,24 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
 
     Returns the strip point (x, y) plus the full transform record.  x = 0 and
     x = 1/2 are kept as closed boundary values, never folded away.
+
+    The test and the reduction run on the basis times 2^-e, the power of two
+    that brings the longer vector's length into [1/2, 1], and scale and
+    similarity take 2^-e back.  That scaling is exact, so at every scale that
+    keeps the coordinates and the scale normal floats the reduction gives the
+    same strip point, bit for bit, and the scale divided exactly.
     """
-    u1 = np.array(basis.v1, float)
-    u2 = np.array(basis.v2, float)
+    e = math.frexp(max(math.hypot(*basis.v1), math.hypot(*basis.v2)))[1]
+    u1, u2 = np.ldexp(np.array([basis.v1, basis.v2], float), -e)
     norm = max(np.linalg.norm(u1), np.linalg.norm(u2))
+    cross = u1[0] * u2[1] - u1[1] * u2[0]
     # written so that a NaN or infinite coordinate fails it too
-    if not (0.0 < norm < math.inf and abs(basis.cross()) > DEGENERATE_BASIS_TOL * norm * norm):
+    if not (0.0 < norm < math.inf and abs(cross) > DEGENERATE_BASIS_TOL * norm * norm):
         raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite")
     if basis.v1 == (1.0, 0.0):
         # already-standard inputs reduce to themselves exactly
         try:
-            m = ModuliPoint(float(u2[0]), float(u2[1]))
+            m = ModuliPoint(float(basis.v2[0]), float(basis.v2[1]))
             return m, BasisReduction(
                 scale=1.0,
                 unimodular=((1, 0), (0, 1)),
@@ -197,8 +201,13 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
         # negating the first axis flips v1; restore with the unimodular part
         U[0] = -U[0]
     m = ModuliPoint(float(w[0]), float(w[1]))
+    try:
+        scale = math.ldexp(s, -e)
+    except OverflowError:  # the shortest vector is shorter than 1 / the largest float
+        raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite") from None
+    rot = np.ldexp(rot, -e)
     rec = BasisReduction(
-        scale=s,
+        scale=scale,
         unimodular=((int(U[0, 0]), int(U[0, 1])), (int(U[1, 0]), int(U[1, 1]))),
         reflected=reflected,
         similarity=((float(rot[0, 0]), float(rot[0, 1])), (float(rot[1, 0]), float(rot[1, 1]))),

@@ -6,7 +6,9 @@ realize_embedding solves its starts in blocks and stops at its last
 sample; the property test in test_oracle.py asserts that both return the
 same samples.  The angle window keeps its own sort and diff, so that test
 also holds realize_embedding's window (packing.cyclic_gaps) to that
-arithmetic.
+arithmetic.  It keeps the cost test that realize_embedding dropped
+(0.5 |r|^2 at most 1e-22, besides the residual test), so the same test
+shows that the residual test alone retains the same samples.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+import equal_length_reference
 from toruspack import oracle
 
 
@@ -44,12 +47,19 @@ def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10
         for _ in range(attempts)
     ]).reshape(attempts, 2 * nv + 1)
     Aq, cq, joined = oracle._tangent_pairs(A, c, darts)
-    u, cost = oracle._solve_equal_lengths(A, c, u0, (Aq, cq))
+    m = len(A) + len(Aq)
+    u = oracle._solve_equal_lengths(
+        np.concatenate([A, Aq]), np.broadcast_to(np.concatenate([c, cq]), (attempts, m, 2)),
+        np.repeat([1.0, -1.0], [len(A), len(Aq)]), np.ones((attempts, m)), u0,
+    )
     d = oracle._edge_vectors(u, A, c)
     q = oracle._edge_vectors(u, Aq, cq)
     L = np.abs(u[:, -1])
     residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
-    keep = (cost <= oracle.SOLVED_COST) & (L >= oracle.DEGENERATE_SCALE)
+    # the solved test realize_embedding dropped, kept here: 0.5 |r|^2 of the
+    # squared-length residuals, edges and hinges, at most 1e-22
+    cost = 0.5 * (equal_length_reference.equal_length_terms(u, A, c, (Aq, cq))[0] ** 2).sum(1)
+    keep = (cost <= 1e-22) & (L >= oracle.DEGENERATE_SCALE)
     keep &= np.abs(u[:, -2]) >= oracle.DEGENERATE_SCALE
     keep &= residual <= residual_tol
     # dart 2t leaves along d_t and dart 2t + 1 along -d_t

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toruspack.errors import DegenerateLattice, OutOfModuliStrip
 from toruspack.lattice import (
@@ -82,8 +82,11 @@ class TestReduce:
         with pytest.raises(DegenerateLattice):
             reduce_to_standard_basis(LatticeBasis((1, 1), (2, 2)))
 
+    # the last basis has a shortest vector of length 1e-310: its scale,
+    # 1e310, is no float
     @pytest.mark.parametrize("v1, v2", [((math.nan, 0), (0, 1)), ((1, 0), (math.nan, 1)),
-                                        ((1, 0), (0, math.inf)), ((-math.inf, 0), (0, 1))])
+                                        ((1, 0), (0, math.inf)), ((-math.inf, 0), (0, 1)),
+                                        ((1e-310, 0.0), (0.0, 1e-310))])
     def test_non_finite_is_degenerate(self, v1, v2):
         with pytest.raises(DegenerateLattice, match="not finite"):
             reduce_to_standard_basis(LatticeBasis(v1, v2))
@@ -154,6 +157,33 @@ class TestReduce:
         B = 10.0**decades * (A @ np.array([[1.0, 0.0], [x, y]])) @ Q.T
         m, _ = reduce_to_standard_basis(LatticeBasis(tuple(B[0]), tuple(B[1])))
         assert 1.0 - (m.x * m.x + m.y * m.y) <= _STRIP_EPS / 10
+
+
+# basis coordinates: 0 or of magnitude in [2^-10, 2^10], so that times 2^k
+# for |k| <= 1000 they stay normal floats
+_COORD = st.builds(math.copysign, st.one_of(st.just(0.0), st.floats(2.0**-10, 2.0**10)),
+                   st.sampled_from([1.0, -1.0]))
+
+
+class TestReduceScale:
+    @settings(max_examples=200, deadline=None)
+    @given(coords=st.lists(_COORD, min_size=4, max_size=4), k=st.integers(-1000, 1000))
+    @example(coords=[1.0, 0.0, 0.3, 1.1], k=-1000)
+    @example(coords=[0.7, -0.2, 0.4, 1.3], k=1000)
+    def test_reduction_does_not_depend_on_scale(self, coords, k):
+        # the basis times 2^k reduces to the same strip point, unimodular
+        # change and orientation, with its scale exactly divided by 2^k
+        v1, v2 = tuple(coords[:2]), tuple(coords[2:])
+        try:
+            m0, rec0 = reduce_to_standard_basis(LatticeBasis(v1, v2))
+        except DegenerateLattice:
+            assume(False)
+        assume(rec0.scale < 2.0**20)  # the shortest vector times 2^-1000 stays normal
+        m, rec = reduce_to_standard_basis(LatticeBasis(
+            tuple(math.ldexp(a, k) for a in v1), tuple(math.ldexp(a, k) for a in v2)
+        ))
+        assert repr((m, rec.unimodular, rec.reflected)) == repr((m0, rec0.unimodular, rec0.reflected))
+        assert rec.scale == math.ldexp(rec0.scale, -k)
 
 
 class TestDistance:

@@ -93,7 +93,7 @@ def test_no_broad_exception_handler():
 # Parameters with a default plus dataclass fields with a default, over the
 # package: a default that no production caller reads is deleted, so a diff
 # that adds one fails here unless it also raises the bound.
-MAX_SETTABLE_VALUES = 23
+MAX_SETTABLE_VALUES = 18
 
 
 def _settable_values() -> list[str]:

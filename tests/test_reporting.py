@@ -298,9 +298,10 @@ class TestChecks:
             _check_counts(report)
             assert any(needle in f for f in report.failures), report.failures
 
-    def test_doctored_verdict_fails_without_oracle(self, tmp_path, catalog3, monkeypatch):
-        # skip_oracle drops the oracle table only: the realization verdicts
-        # are still judged against their published classes
+    @pytest.fixture
+    def doctored3(self, catalog3, monkeypatch):
+        """The n = 3 catalog with ECG2-2 relabeled "rigid" (published
+        "realizable, never locally maximally dense"), as the pipeline's."""
         from toruspack import report
 
         doctored = replace(catalog3, entries=tuple(
@@ -308,8 +309,28 @@ class TestChecks:
             for e in catalog3.entries
         ))
         monkeypatch.setattr(report, "identify", lambda n: doctored)
+
+    def test_doctored_verdict_fails_without_oracle(self, tmp_path, doctored3):
+        # skip_oracle drops the oracle table only: the realization verdicts
+        # are still judged against their published classes
+        from toruspack import report
+
         with pytest.raises(report.CountMismatch, match="ECG2-2: realization 'rigid'"):
             run_pipeline(3, str(tmp_path), skip_oracle=True)
+
+    def test_lenient_pipeline_reports_failed_checks(self, tmp_path, doctored3, capsys):
+        # --lenient exits 0, prints each failed check and records it
+        assert cli.main(["pipeline", "--n", "3", "--out", str(tmp_path), "--skip-oracle", "--lenient"]) == 0
+        assert "  CHECK FAILED: ECG2-2: realization 'rigid'" in capsys.readouterr().out
+        blob = json.loads((tmp_path / "verdicts_n3.json").read_text())
+        assert blob["failures"] == ["ECG2-2: realization 'rigid', published "
+                                    "'realizable, never locally maximally dense'"]
+
+    def test_strict_pipeline_exits_1_on_failed_checks(self, tmp_path, doctored3, capsys):
+        assert cli.main(["pipeline", "--n", "3", "--out", str(tmp_path), "--skip-oracle"]) == 1
+        out, err = capsys.readouterr()
+        assert "published checks failed: ECG2-2: realization 'rigid'" in err
+        assert out == ""
 
 
 class TestVerify:
