@@ -32,8 +32,8 @@ from .embedding import (
 from .errors import UnsupportedN
 from .geometry_embed import embedding_from_packing
 from .lattice import ModuliPoint
-from .oracle import RealizationSample, realize_embedding
-from .packing import SAMPLE_TANGENCY_TOL, Packing, contacts
+from .oracle import REALIZATION_CLEARANCE, RealizationSample, realize_embedding
+from .packing import Packing, contacts
 from .regions import SQRT3, boundary_curve
 from .rigidity import RigidityDecision, build_framework, decide_rigidity
 
@@ -143,7 +143,8 @@ def _probe_realization(
     decisions = []
     for s in samples:
         p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
-        decisions.append(decide_rigidity(build_framework(p, s.graph, tol=SAMPLE_TANGENCY_TOL)))
+        # the framework at the tolerance the sample's graph was read at
+        decisions.append(decide_rigidity(build_framework(p, s.graph, tol=REALIZATION_CLEARANCE)))
         if decisions[-1].rigid:
             break
     return ("rigid" if decisions[-1].rigid else "flexible"), samples, decisions[0]

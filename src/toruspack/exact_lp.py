@@ -7,19 +7,17 @@ certificate rather than a tolerance call:
     for  A x = b, x >= 0.  It returns either a solution x or a Farkas
     certificate y with  y.A <= 0  and  y.b > 0, read off the final simplex
     multipliers, so infeasibility is proved, not just reported.
-    `feasible_nonnegative` is the same on a matrix and a vector of ints,
-    `Fraction`s or floats.
   * `nullspace`: a basis of {x : A x = 0} by reduced row echelon form; the
     exact rank is the column count minus its length.
 
 Both work on integer rows: a row is a pair (N, D) of a list of Python ints
 and one positive int, meaning the entries N[j] / D.  The rigidity module
-builds its rows straight from the strut coordinates, in lowest terms;
-`_row` converts any other numbers.  A row is brought to lowest terms (one
-gcd of D and all of N) only when it becomes the pivot row, once per pivot,
-where a tableau of one `Fraction` per entry pays a gcd per entry after
-every update.  An update cuts the row's entry N[e] and the pivot's D by
-their gcd and leaves the row unreduced.  Since D > 0, every sign and zero
+builds its rows straight from the strut coordinates, in lowest terms.  A
+row is brought to lowest terms (one gcd of D and all of N) only when it
+becomes the pivot row, once per pivot, where a tableau of one `Fraction`
+per entry pays a gcd per entry after every update.  An update cuts the
+row's entry N[e] and the pivot's D by their gcd and leaves the row
+unreduced.  Since D > 0, every sign and zero
 test reads a numerator alone, and the ratio test compares N_i[-1] / N_i[e]
 (D cancels) by cross-multiplying, ties to the least basis index.  So both
 routines take exactly the pivots of a `Fraction` tableau, every entry is
@@ -38,28 +36,11 @@ Vec = list[Fraction]
 Row = tuple[list[int], int]  # (N, D): entries N[j] / D, D > 0
 
 
-def _ratio(v) -> tuple[int, int]:
-    """Numerator and positive denominator of an int, Fraction, float or
-    numpy scalar, in lowest terms."""
-    try:
-        return v.as_integer_ratio()
-    except AttributeError:  # numpy integers
-        return int(v), 1
-
-
 def _reduced(N: list[int], D: int) -> Row:
     g = gcd(D, *N)
     if g == 1:
         return N, D
     return [v // g for v in N], D // g
-
-
-def _row(values) -> Row:
-    """The values as one integer row.  Over the lcm of lowest-terms
-    denominators the row is already in lowest terms."""
-    pairs = [_ratio(v) for v in values]
-    D = lcm(*(d for _, d in pairs))
-    return [n * (D // d) for n, d in pairs], D
 
 
 def _normalized(row: Row, e: int) -> Row:
@@ -80,14 +61,10 @@ def _eliminate(row: Row, pivot: Row, e: int) -> Row:
     return [a * Dp - f * b for a, b in zip(N, P)], D * Dp
 
 
-def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
-    """Decide  A_eq x = b_eq, x >= 0:  (x, None) if feasible, else (None, y)
-    with  y.A_eq <= 0  componentwise and  y.b_eq > 0  (Farkas' lemma)."""
-    return feasible_rows([_row([*a, bi]) for a, bi in zip(A_eq, b_eq)])
-
-
 def feasible_rows(rows: list[Row]) -> tuple[Vec | None, Vec | None]:
-    """feasible_nonnegative on the integer rows of [A_eq | b_eq].
+    """Decide  A_eq x = b_eq, x >= 0  on the integer rows of [A_eq | b_eq]:
+    (x, None) if feasible, else (None, y) with  y.A_eq <= 0  componentwise
+    and  y.b_eq > 0  (Farkas' lemma).
 
     Phase 1 minimizes the sum of artificials from the artificial basis.  The
     objective row is kept as u.[A | I | b] for the simplex multipliers u, so

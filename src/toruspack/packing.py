@@ -25,14 +25,6 @@ from .lattice import (
 
 TRIANGULAR_DENSITY = math.pi / math.sqrt(12.0)
 
-# Tangency tolerance for packings that come out of a numerical solve (the
-# realization samples, their frameworks and rigidity witnesses): a sample's
-# edge lengths agree to oracle.RESIDUAL_TOL (1e-10) before the basis
-# reduction rescales them, so 1e-7 reads every solved edge as a
-# tangency with a wide margin for that rescaling, while
-# oracle.REALIZATION_CLEARANCE keeps every other pair 100x farther away.
-SAMPLE_TANGENCY_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class Packing:
@@ -139,12 +131,12 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
     return float(_pair_translates(m, _canonical(m, centers))[3].min()) / 2
 
 
-# Slack, in radians, on the cyclic gaps between tangency directions: the
-# half-plane test of rigidity (a gap of pi) and the pi/3 .. pi window of a
-# realization.  Gaps that are exactly pi/3 or pi (hexagonal triangles, a
-# straight row of circles) must read as on the bound: closed-form edge
-# vectors carry float rounding near 1e-15, and a realization's edge
-# lengths agree to oracle.RESIDUAL_TOL (1e-10).  1e-9 clears both.
+# Slack, in radians, on a gap of pi between consecutive tangency
+# directions: the half-plane test of rigidity and the realization screen.
+# A gap that is exactly pi (a straight row of circles) must read as pi:
+# closed-form edge vectors carry float rounding near 1e-15, and a solved
+# start's edge lengths agree to 1.3e-12 at worst.  A gap of pi - 1e-8 is no
+# half-plane, and 1e-9 reads it so.
 ANGLE_GAP_TOL = 1e-9
 
 

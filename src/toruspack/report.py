@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,9 @@ class PipelineReport:
     embedding_count: int
     after_forbidden: int
     after_both: int
-    verdicts: list[dict] = field(default_factory=list)
-    oracle_rows: list[dict] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    verdicts: list[dict]
+    oracle_rows: list[dict]
+    failures: list[str]
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +102,9 @@ def run_pipeline(
         embedding_count=emb_count,
         after_forbidden=after_forbidden,
         after_both=after_both,
+        verdicts=[],
+        oracle_rows=[],
+        failures=[],
     )
 
     # embedding records file

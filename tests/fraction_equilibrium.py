@@ -3,8 +3,8 @@ system built one `Fraction` per entry, each strut coordinate rationalized
 by `Fraction.limit_denominator`.
 
 `_equilibrium_system` writes the same systems directly as `exact_lp`
-integer rows; the tests in test_rigidity.py assert that its rows equal
-`exact_lp._row` of these matrices.
+integer rows; the tests in test_rigidity.py assert that its rows are the
+integer rows of these matrices.
 """
 from __future__ import annotations
 

@@ -5,10 +5,11 @@ order until max_samples are held.
 realize_embedding solves its starts in blocks and stops at its last
 sample; the property test in test_oracle.py asserts that both return the
 same samples.  The angle window keeps its own sort and diff, so that test
-also holds realize_embedding's window (packing.cyclic_gaps) to that
-arithmetic.  It keeps the cost test that realize_embedding dropped
-(0.5 |r|^2 at most 1e-22, besides the residual test), so the same test
-shows that the residual test alone retains the same samples.
+also holds realize_embedding's gap test (packing.cyclic_gaps) to that
+arithmetic.  It keeps two tests that realize_embedding dropped, so the
+same test shows that dropping them retains the same samples: the cost
+test (0.5 |r|^2 at most 1e-22, besides the residual test), and the pi/3
+half of the angle window (the touch test decides it).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def _angle_window_ok(vectors_by_vertex, tol=oracle.ANGLE_GAP_TOL):
     for vecs in vectors_by_vertex:
         ang = np.sort(np.arctan2(vecs[..., 1], vecs[..., 0]), axis=1)
         gaps = np.diff(np.concatenate([ang, ang[:, :1] + 2 * math.pi], 1), axis=1)
-        ok = ok & (gaps.min(1) >= oracle.ANGLE_LO - tol) & (gaps.max(1) < oracle.ANGLE_HI - tol)
+        ok = ok & (gaps.min(1) >= math.pi / 3 - tol) & (gaps.max(1) < math.pi - tol)
     return ok
 
 

@@ -327,6 +327,44 @@ class TestRealize:
         assert solved.any() and (~solved).any()
         assert (residuals[~solved] >= 100 * oracle.RESIDUAL_TOL).all()
 
+    def test_kept_edges_are_tangencies_well_inside_the_clearance(self, catalog3):
+        # _validate_solution does not check edge lengths: a kept start has a
+        # residual of at most RESIDUAL_TOL at L >= DEGENERATE_SCALE, and under
+        # the radius cap the reduction scales it by at most 1 / L.  So its
+        # edges agree with 2r to RESIDUAL_TOL / DEGENERATE_SCALE, which must
+        # stay 100x inside REALIZATION_CLEARANCE, where its graph is read
+        bound = oracle.RESIDUAL_TOL / oracle.DEGENERATE_SCALE
+        assert bound <= oracle.REALIZATION_CLEARANCE / 100
+        for entry in catalog3.survivors():
+            for s in realize_embedding(entry.embedding, attempts=REALIZE_ATTEMPTS,
+                                       seed=REALIZE_SEED, max_samples=8):
+                p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
+                g, vectors = contacts(p, oracle.REALIZATION_CLEARANCE)
+                assert g == s.graph and s.residual <= bound
+                error = np.abs(np.hypot(vectors[:, 0], vectors[:, 1]) - s.edge_length).max()
+                assert error <= s.residual + 1e-15
+
+    def test_skips_an_empty_block(self, catalog3, monkeypatch):
+        # attempts <= FIRST_BLOCK_PER_SAMPLE * max_samples leaves the second
+        # block empty; it is not solved, and the samples are one batch's
+        sizes = []
+        solve = oracle._solve_equal_lengths
+
+        def recording(*args):
+            sizes.append(len(args[-1]))
+            return solve(*args)
+
+        for entry in catalog3.survivors():
+            e = entry.embedding
+            ref = realization_reference.realize_embedding(e, REALIZE_ATTEMPTS, REALIZE_SEED,
+                                                          REALIZE_ATTEMPTS)
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_solve_equal_lengths", recording)
+                got = realize_embedding(e, attempts=REALIZE_ATTEMPTS, seed=REALIZE_SEED,
+                                        max_samples=REALIZE_ATTEMPTS)
+            assert repr(got) == repr(ref)
+        assert sizes == [REALIZE_ATTEMPTS] * len(catalog3.survivors())
+
     @pytest.mark.parametrize("name", ["ECG2-2", sorted(EXPECTED_NOT_REALIZABLE)[0]])
     def test_solves_starts_until_last_sample(self, catalog3, catalog4, monkeypatch, name):
         # the ECG2-2 probe holds its 8 samples before its last start; a

@@ -3,6 +3,7 @@
 handlers."""
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +94,7 @@ def test_no_broad_exception_handler():
 # Parameters with a default plus dataclass fields with a default, over the
 # package: a default that no production caller reads is deleted, so a diff
 # that adds one fails here unless it also raises the bound.
-MAX_SETTABLE_VALUES = 18
+MAX_SETTABLE_VALUES = 15
 
 
 def _settable_values() -> list[str]:
@@ -117,3 +118,50 @@ def _settable_values() -> list[str]:
 def test_settable_values_ratchet():
     found = _settable_values()
     assert len(found) <= MAX_SETTABLE_VALUES, found
+
+
+# Module-level tolerances, slacks and floors: numeric constants whose names
+# end in one of these.  Each has one row in the README's Tolerances table.
+_TOLERANCE_SUFFIXES = ("_TOL", "_EPS", "_SLACK", "_FLOOR", "_FLOOR_SQ", "_CEIL", "_CLEARANCE",
+                       "_MARGIN", "_WINDOW", "_SCALE", "_DENOMINATOR")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _tolerances() -> dict[str, tuple[str, float]]:
+    """name -> (module, value) of every module-level tolerance of the package."""
+    found = {}
+    for path in sorted(Path(toruspack.__file__).parent.rglob("*.py")):
+        module = importlib.import_module(f"toruspack.{path.stem}" if path.stem != "__init__" else "toruspack")
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                value = getattr(module, name)
+                if name.endswith(_TOLERANCE_SUFFIXES) and isinstance(value, (int, float)):
+                    found[name] = (path.stem, float(value))
+    return found
+
+
+def _tolerance_table() -> list[list[str]]:
+    """The cells of the README's Tolerances table, one list per row."""
+    section = README.read_text().split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return [[cell.strip() for cell in row.strip("|").split(" | ")] for row in rows]
+
+
+def test_tolerance_table_lists_every_tolerance():
+    # name, value and module of each row against the package: a tolerance
+    # added, deleted or changed without its row fails here
+    table = {row[0].strip("`"): (row[2].strip("`"), float(row[1].strip("`"))) for row in _tolerance_table()}
+    assert table == _tolerances()
+
+
+def test_tolerance_table_names_existing_tests():
+    # the pinning tests of each row (its last cell) are defined in tests/,
+    # and a row that names none says so
+    defined = {node.name for path in Path(__file__).parent.glob("test_*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    for row in _tolerance_table():
+        named = re.findall(r"`(test_\w+)`", row[-1])
+        assert set(named) <= defined, row
+        assert named or row[-1].startswith("none"), row

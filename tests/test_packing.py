@@ -263,6 +263,16 @@ class TestAngles:
             assert gaps[-1] == pytest.approx(math.pi, abs=1e-12)
 
 
+def test_halfplane_test_resolves_a_gap_of_pi_minus_1e_8():
+    # ANGLE_GAP_TOL absorbs rounding alone (about 1e-15 on closed-form edge
+    # vectors): three loops 5e-9 apart put darts at 0, 5e-9, 1e-8 and their
+    # opposites, so the largest gap is pi - 1e-8 and no half-plane holds them
+    vectors = np.array([(math.cos(k * 5e-9), math.sin(k * 5e-9)) for k in range(3)])
+    g = PackingGraph(vertex_count=1, edges=tuple((0, 0, Displacement(k, 0)) for k in range(3)))
+    assert angle_gaps(g, vectors)[0][-1] == pytest.approx(math.pi - 1e-8, abs=1e-15)
+    assert not has_halfplane_vertex(g, vectors)
+
+
 def _fits_half_turn(dirs) -> bool:
     """Every vector lies within the half-turn counterclockwise from some v_i."""
     return any(all(a[0] * b[1] - a[1] * b[0] >= 0 for b in dirs) for a in dirs)

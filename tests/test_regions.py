@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from toruspack.closed_form import optimal_centers
 from toruspack.errors import AlphaOutOfRange, OutOfModuliStrip
 from toruspack.lattice import ModuliPoint
+from toruspack.packing import Packing, extract_graph
 from toruspack.regions import (
     boundary_curve,
     classify,
@@ -16,6 +18,11 @@ from toruspack.regions import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _tangencies(n, m):
+    sol = optimal_centers(n, m)
+    return len(extract_graph(Packing(m=m, centers=sol.centers, radius=sol.radius)).edges)
 
 
 class TestClassify:
@@ -63,6 +70,19 @@ class TestClassify:
                     region = classify(n, ModuliPoint(x, y))
                     assert region.index == idx + 1
                     assert "lower" in region.boundary_flags
+
+    def test_boundary_flag_marks_the_curves_contacts(self):
+        # BOUNDARY_TOL: above a curve by 1e-10 the closed-form layout still
+        # has the curve's extra contacts at DEFAULT_TOL, and the torus is
+        # flagged; 1e-8 above, the contact is open and the flag is off
+        for n in (2, 3, 4):
+            for idx in range(1, region_count(n)):
+                for x in (0.1, 0.3):
+                    y = boundary_curve(n, idx, x)
+                    on, near, off = (ModuliPoint(x, y + d) for d in (0.0, 1e-10, 1e-8))
+                    assert "lower" in classify(n, near).boundary_flags
+                    assert "lower" not in classify(n, off).boundary_flags
+                    assert _tangencies(n, near) == _tangencies(n, on) > _tangencies(n, off)
 
     def test_one_formula_per_curve(self):
         # curve 0 is the strip bottom, and the free boundary is the top

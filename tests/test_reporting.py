@@ -269,7 +269,7 @@ class TestChecks:
         ]
         row = {"n": 3, "x": 0.25, "y": 1.5, "region": 2, "formula_r": 0.25,
                "oracle_r": 0.25, "gap": 0.0, "restarts": 120, "seed": 0}
-        return PipelineReport(3, (37, 10, 3), 6, 6, 6, verdicts=verdicts, oracle_rows=[row])
+        return PipelineReport(3, (37, 10, 3), 6, 6, 6, verdicts=verdicts, oracle_rows=[row], failures=[])
 
     def test_published_report_passes(self):
         report = self.published_n3()

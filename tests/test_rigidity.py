@@ -14,7 +14,7 @@ import fraction_tableau as reference
 from toruspack import exact_lp, rigidity
 from toruspack.closed_form import optimal_centers
 from toruspack.errors import CertificateCheckFailed, InconsistentLengths
-from toruspack.exact_lp import feasible_nonnegative, nullspace
+from toruspack.exact_lp import feasible_rows, nullspace
 from toruspack.lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
 from toruspack.oracle import realize_embedding
 from toruspack.packing import Packing, extract_graph
@@ -91,8 +91,21 @@ class TestExactLP:
         assert len(nullspace([], 2)) == 2
 
 
+def _row(values):
+    """The numbers as one integer row (N, D) over the lcm of their
+    lowest-terms denominators, where it is in lowest terms."""
+    pairs = [Fraction(v).as_integer_ratio() for v in values]
+    D = math.lcm(*(d for _, d in pairs))
+    return [n * (D // d) for n, d in pairs], D
+
+
 def _rows(matrix):
-    return [exact_lp._row(row) for row in matrix]
+    return [_row(row) for row in matrix]
+
+
+def feasible_nonnegative(A_eq, b_eq):
+    """exact_lp.feasible_rows on the integer rows of [A_eq | b_eq]."""
+    return feasible_rows(_rows([*a, bi] for a, bi in zip(A_eq, b_eq)))
 
 
 @st.composite
@@ -328,6 +341,45 @@ def horizontal_pair():
     )
 
 
+class TestFloatChecks:
+    """FLOAT_CHECK_TOL: a true certificate misses by rounding alone (3.8e-16
+    at most, see rigidity), so one that is off by 1e-5 must fail."""
+
+    def test_flex_with_a_strut_shrinking_by_1e_5_fails(self):
+        p = horizontal_pair()
+        f = build_framework(p, extract_graph(p))
+        flex = decide_rigidity(f).flex
+        assert verify_flex(f, flex)
+        # the two struts are (+-0.5, 0): a horizontal velocity of 2e-5 on
+        # vertex 1 shrinks one of them at the rate 1e-5
+        (v0, (vx, vy)) = flex.velocities
+        doctored = type(flex)((v0, (vx + 2e-5, vy)))
+        v = np.asarray(doctored.velocities)
+        i, j = f.ends.T
+        assert np.vecdot(v[j] - v[i], f.vectors).min() == pytest.approx(-1e-5, rel=1e-9)
+        assert not verify_flex(f, doctored)
+
+    def test_stress_off_equilibrium_by_1e_5_fails(self):
+        p = optimal_packing(2, ModuliPoint(0, 1))
+        f = build_framework(p, extract_graph(p))
+        stress = decide_rigidity(f).stress
+        assert verify_stress(f, stress)
+        w = np.array(stress.coefficients)
+        scale = float(np.abs(w) @ np.hypot(*f.vectors.T))
+        # more negative stays proper; the residual over the scale is 1e-5
+        w[0] -= 1e-5 * scale / float(np.hypot(*f.vectors[0]))
+        assert not verify_stress(f, type(stress)(tuple(w)))
+
+    def test_stress_coefficient_of_minus_1_plus_1e_5_fails(self):
+        p = optimal_packing(2, ModuliPoint(0, 1))
+        f = build_framework(p, extract_graph(p))
+        stress = decide_rigidity(f).stress
+        w = np.array(stress.coefficients)
+        assert w.max() == -1.0
+        # scaled, it stays in equilibrium but is no longer proper
+        assert not verify_stress(f, type(stress)(tuple(w * (1 - 1e-5))))
+
+
 def _reference_flexible(f) -> bool:
     """Box search: maximize +-v_k over {v : (v_j - v_i).e >= 0, |v| <= 1}."""
     from scipy.optimize import linprog
@@ -537,9 +589,9 @@ def test_rationalize_matches_limit_denominator(x):
 
 def test_rows_match_fraction_construction():
     """The integer rows of the stress LP and of the pinned rigidity matrix
-    are exact_lp._row of the Fraction matrices in fraction_equilibrium.py,
-    on the golden frameworks and on the closed-form optima of every region
-    at three more tori each."""
+    are the integer rows (_row) of the Fraction matrices in
+    fraction_equilibrium.py, on the golden frameworks and on the
+    closed-form optima of every region at three more tori each."""
     more = (
         (label, build_framework(p, extract_graph(p, tol=tol), tol=tol))
         for label, p, tol in _closed_form_packings(103, 3)
@@ -547,19 +599,18 @@ def test_rows_match_fraction_construction():
     for label, f in (*_golden_frameworks(), *more):
         A, b = fraction_equilibrium.equilibrium_system(f)
         rows, pinned = rigidity._equilibrium_system(f)
-        assert rows == [exact_lp._row([*a, bi]) for a, bi in zip(A, b)], label
-        assert pinned == [exact_lp._row(column) for column in zip(*A[2:])], label
+        assert rows == [_row([*a, bi]) for a, bi in zip(A, b)], label
+        assert pinned == _rows(zip(*A[2:])), label
 
 
 def test_classify_makes_no_fraction_round_trip():
     """classify_packing reaches every verdict without rationalizing through
-    Fraction.limit_denominator or converting numbers by exact_lp._row."""
+    Fraction.limit_denominator."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("Fraction round trip in classify_packing")
 
-    with mock.patch.object(Fraction, "limit_denominator", forbidden), \
-            mock.patch.object(exact_lp, "_row", forbidden):
+    with mock.patch.object(Fraction, "limit_denominator", forbidden):
         verdicts = {label: classify_packing(p, tol=tol) for label, p, tol in _golden_packings()}
     assert {verdicts.pop(f"ECG2-2/{k}") for k in range(2)} == {"flexible"}
     assert set(verdicts.values()) == {"rigid-LMD", "free-circle"}
