@@ -61,8 +61,8 @@ class Multigraph:
 
     @cached_property
     def canonical_form(self) -> bytes:
-        """canonicalize(self), computed once per graph and kept with it."""
-        return canonicalize(self)
+        """The canonicalize form, computed once per graph and kept with it."""
+        return canonicalize(self, relabelings(self))
 
 
 def relabelings(g: Multigraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -86,10 +86,10 @@ def relabelings(g: Multigraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     return tuple(out)
 
 
-def canonicalize(g: Multigraph, rel=None) -> bytes:
+def canonicalize(g: Multigraph, rel) -> bytes:
     """Relabeling-invariant byte form (minimum over all vertex permutations),
-    from g's relabelings when they are at hand."""
-    return bytes([g.vertex_count]) + bytes(min(h for _, h in rel or relabelings(g)))
+    from g's relabelings rel."""
+    return bytes([g.vertex_count]) + bytes(min(h for _, h in rel))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,10 @@ from .errors import DegenerateLattice, OutOfModuliStrip
 # packing.extract_graph and of every caller that reads a closed-form optimum.
 DEFAULT_TOL = 1e-9
 
-# A basis is degenerate when |v1 x v2| <= DEGENERATE_BASIS_TOL |v|^2 (v the
-# longer vector): a sine of their angle that small is cross-product rounding.
+# A basis is degenerate when |v1 x v2| <= DEGENERATE_BASIS_TOL |v|^2, v the
+# longer vector: sin(angle) |short| / |long| that small is cross-product
+# rounding of a near-parallel basis, or a torus thinner than 1 : 1e12.  A sine
+# alone would admit (1, 0), (0.3, 1e300), whose figure overflows in render.
 DEGENERATE_BASIS_TOL = 1e-12
 
 # Slack below the strip's bottom arc x^2 + y^2 = 1 alone: a point computed
@@ -148,7 +150,8 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
     cross = u1[0] * u2[1] - u1[1] * u2[0]
     # written so that a NaN or infinite coordinate fails it too
     if not (0.0 < norm < math.inf and abs(cross) > DEGENERATE_BASIS_TOL * norm * norm):
-        raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite")
+        raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite: nearly "
+                                f"parallel, or a torus thinner than 1 : {1 / DEGENERATE_BASIS_TOL:g}")
     if basis.v1 == (1.0, 0.0):
         # already-standard inputs reduce to themselves exactly
         try:

@@ -43,7 +43,6 @@ RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
 class OracleResult:
     best_radius: float
     best_centers: tuple[TorusPoint, ...]
-    converged_fraction: float
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,10 @@ class OracleResult:
 
 LM_MAX_ITER = 200
 LM_COST_FLOOR = 1e-30  # 0.5 |r|^2 at machine precision for lengths ~1
-LM_LAMBDA_CEIL = 1e10  # damping beyond which a start counts as stuck
+# Damping beyond which a start counts as stuck: a speed constant.  At 1e8,
+# 1e12 and inf the samples are bit-identical; at inf the stuck starts run
+# all LM_MAX_ITER steps (README, Tolerances).
+LM_LAMBDA_CEIL = 1e10
 # The first damping is this share of the largest diagonal entry of J^T J
 # (the tau of Madsen, Nielsen and Tingleff 2004 for a start not known to be
 # near a solution is 1e-3): the first steps are nearly Gauss-Newton ones.
@@ -70,7 +72,9 @@ LM_LAMBDA_INIT = 1e-3
 # The damping never falls below this share of that entry (and never below
 # this absolute value): J^T J is singular on the underdetermined
 # realization systems, and the floor keeps the condition number of
-# J^T J + lam I below about k 1e12, inside double precision.
+# J^T J + lam I below about k 1e12, inside double precision: at 0 the first
+# realization raises LinAlgError, and at 0.01x and 100x the samples' moduli
+# move by at most 1.2e-15 (README, Tolerances).
 LM_LAMBDA_FLOOR = 1e-12
 # An accepted step divides the damping by LM_ACCEPT_SHRINK and a rejected
 # one multiplies it by LM_REJECT_GROW.  Growth outpaces shrinking, so a
@@ -208,12 +212,6 @@ NORM_FLOOR = 1e-15
 # no sum that holds the nearest translate's weight 1, and exp of anything
 # below -708 underflows through a path about ten times slower.
 EXP_FLOOR = -700.0
-# A restart counts as converged (converged_fraction) when its ascent
-# endpoint's minimum distance is within this of the refined optimum.  The
-# last tenth's steps of 6.0e-3 leave endpoints a median 4.0e-3 below their
-# basin's refined optimum (p90 8.7e-3, p99 1.4e-2; 48 interior tori, 16 per
-# n, 200 restarts), so the fraction is a share of the basin, not its size.
-BASIN_WINDOW = 5e-3
 # maximize_min_distances ascends a table in blocks of tori whose 4 P K R
 # arrays hold at most this many bytes each, near the cache: at n = 4 and 200
 # restarts a torus takes 31/46, 22/26, 23/24, 23/23, 23/24, 21/22, 22/22 and
@@ -399,7 +397,7 @@ def maximize_min_distances(
     for fixed (seed, restarts) whatever the other tori.
     """
     if n == 1:
-        one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),), converged_fraction=1.0)
+        one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),))
         return [one for _ in tori]
     if not tori:
         return []
@@ -420,8 +418,8 @@ def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[Or
     A torus takes part in a round while some candidate of it gained in the
     last one."""
     cap = 2 * RADIUS_CAP
-    scores = [np.minimum(_min_distances(T, m), cap) for T, m in zip(ends, tori)]
-    tops = [T[np.argsort(-s, kind="stable")[:REFINE_TOP]] for T, s in zip(ends, scores)]
+    tops = [T[np.argsort(-np.minimum(_min_distances(T, m), cap), kind="stable")[:REFINE_TOP]]
+            for T, m in zip(ends, tori)]
     ds = [_min_distances(top, m) for top, m in zip(tops, tori)]
     lives = [np.arange(len(top)) for top in tops]
     for _ in range(REFINE_ROUNDS):
@@ -435,13 +433,11 @@ def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[Or
             live = lives[k] = lives[k][better]
             tops[k][live], ds[k][live] = r[better], d_refined[better]
     results = []
-    for m, s, top, d in zip(tori, scores, tops, ds):
+    for m, top, d in zip(tori, tops, ds):
         best = int(np.argmax(np.minimum(d, cap)))  # the first of the best candidates
-        best_d = min(float(d[best]), cap)
         results.append(OracleResult(
-            best_radius=best_d / 2,
+            best_radius=min(float(d[best]), cap) / 2,
             best_centers=tuple(TorusPoint(*p).canonical(m) for p in top[best] @ m.basis),
-            converged_fraction=float((s >= best_d - BASIN_WINDOW).mean()),
         ))
     return results
 
@@ -596,7 +592,7 @@ def realize_embedding(
     starts = lo + (hi - lo) * rng.random((attempts, 2 * nv + 1))
     samples: list[RealizationSample] = []
     for u0 in np.split(starts, [FIRST_BLOCK_PER_SAMPLE * max_samples]):
-        if not len(u0):
+        if not len(u0) or len(samples) >= max_samples:
             continue
         shape = (len(u0),) + offsets.shape
         u = _solve_equal_lengths(rows, np.broadcast_to(offsets, shape), sign, np.ones(shape[:2]), u0)

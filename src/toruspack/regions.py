@@ -20,9 +20,6 @@ from .lattice import ModuliPoint
 SQRT3 = math.sqrt(3.0)
 
 BOUNDARY_TOL = 1e-9
-# Slack on the ends pi/3 and pi/2 of alpha's range: an angle computed to
-# land on an end can miss it by a few ulps (about 1e-16).
-ALPHA_RANGE_SLACK = 1e-12
 
 
 def _strip_bottom(x: float) -> float:
@@ -126,11 +123,11 @@ def self_tangent_boundary(n: int, alpha: float) -> ModuliPoint:
     and x = cos(alpha) for odd n.
     """
     _check_n(n)
-    if not (math.pi / 3 - ALPHA_RANGE_SLACK <= alpha <= math.pi / 2 + ALPHA_RANGE_SLACK):
+    # no slack: acos(0.5), radians(60), asin(1), linspace's ends land inside
+    if not (math.pi / 3 <= alpha <= math.pi / 2):
         raise AlphaOutOfRange(f"alpha = {alpha} outside [pi/3, pi/2]")
     x = 0.5 - math.cos(alpha) if n % 2 == 0 else math.cos(alpha)
-    # onto the walls: cos(pi/3) rounds to 0.5000000000000001, and an alpha
-    # within ALPHA_RANGE_SLACK past either end puts x past a wall
+    # onto the walls: cos(pi/3) rounds to 0.5000000000000001
     x = min(max(x, 0.0), 0.5)
     y = (n - 1) / 2 * SQRT3 + math.sin(alpha)
     return ModuliPoint(x, y)

@@ -17,8 +17,9 @@ from .regions import SQRT3, boundary_curve, free_boundary_value, region_count
 
 _FMT = "{:.6f}"
 _STROKE_WIDTH = 1.5
-# A disk touching the domain up to rounding (about 1e-16 at unit scale)
-# meets it, so whether a touching translate is drawn does not hang on a bit.
+# A disk touching the domain up to rounding meets it, so whether a touching
+# lift is drawn does not hang on a bit: over 9036 sampled tori, a lift misses
+# the domain by at most 3.3e-16 or by at least 4.5e-6 (README, Tolerances).
 _DOMAIN_TOUCH_SLACK = 1e-12
 
 

@@ -91,6 +91,18 @@ class TestReduce:
         with pytest.raises(DegenerateLattice, match="not finite"):
             reduce_to_standard_basis(LatticeBasis(v1, v2))
 
+    # DEGENERATE_BASIS_TOL bounds sin(angle) |short| / |long|, which is 1e-11
+    # for a torus 1 : 1e11 and for a basis 1e-11 from parallel, and 1e-13
+    # for a torus 1 : 1e13
+    @pytest.mark.parametrize("v2, y", [((0.3, 1e11), 1e11), ((1, 1e-11), 1e11)])
+    def test_thin_and_near_parallel_bases_reduce(self, v2, y):
+        m, _ = reduce_to_standard_basis(LatticeBasis((1, 0), v2))
+        assert m.y == pytest.approx(y)
+
+    def test_thinner_than_the_tolerance_is_degenerate(self):
+        with pytest.raises(DegenerateLattice, match="thinner than"):
+            reduce_to_standard_basis(LatticeBasis((1, 0), (0.3, 1e13)))
+
     def test_composition_contract(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

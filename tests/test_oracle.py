@@ -365,6 +365,15 @@ class TestRealize:
             assert repr(got) == repr(ref)
         assert sizes == [REALIZE_ATTEMPTS] * len(catalog3.survivors())
 
+    def test_zero_samples_solves_nothing(self, catalog3, monkeypatch):
+        # max_samples = 0 leaves the first block empty and skips the second
+        solved = []
+        solve = oracle._solve_equal_lengths
+        monkeypatch.setattr(oracle, "_solve_equal_lengths", lambda *args: solved.append(args) or solve(*args))
+        e = catalog3.by_name("ECG2-2").embedding
+        assert realize_embedding(e, attempts=60, seed=2026, max_samples=0) == []
+        assert not solved
+
     @pytest.mark.parametrize("name", ["ECG2-2", sorted(EXPECTED_NOT_REALIZABLE)[0]])
     def test_solves_starts_until_last_sample(self, catalog3, catalog4, monkeypatch, name):
         # the ECG2-2 probe holds its 8 samples before its last start; a

@@ -94,7 +94,7 @@ def test_no_broad_exception_handler():
 # Parameters with a default plus dataclass fields with a default, over the
 # package: a default that no production caller reads is deleted, so a diff
 # that adds one fails here unless it also raises the bound.
-MAX_SETTABLE_VALUES = 15
+MAX_SETTABLE_VALUES = 14
 
 
 def _settable_values() -> list[str]:
@@ -157,11 +157,12 @@ def test_tolerance_table_lists_every_tolerance():
 
 def test_tolerance_table_names_existing_tests():
     # the pinning tests of each row (its last cell) are defined in tests/,
-    # and a row that names none says so
+    # and a row names at least one or says why its value cannot matter
     defined = {node.name for path in Path(__file__).parent.glob("test_*.py")
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     for row in _tolerance_table():
         named = re.findall(r"`(test_\w+)`", row[-1])
         assert set(named) <= defined, row
-        assert named or row[-1].startswith("none"), row
+        assert not row[-1].startswith("none"), row
+        assert named or "cannot matter" in row[-1], row

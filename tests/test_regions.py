@@ -106,8 +106,23 @@ class TestSelfTangentBoundary:
         assert (m.x, m.y) == pytest.approx((0.5, SQRT3 / 2 + 1), abs=1e-12)
 
     def test_alpha_range(self):
-        with pytest.raises(AlphaOutOfRange):
-            self_tangent_boundary(3, 0.5)
+        # one ulp past either end is out: the range has no slack
+        for alpha in (0.5, math.nextafter(math.pi / 3, 0), math.nextafter(math.pi / 2, 4)):
+            with pytest.raises(AlphaOutOfRange):
+                self_tangent_boundary(3, alpha)
+
+    # common ways to write the ends land in [pi/3, pi/2] as floats, so the
+    # range needs no slack
+    @pytest.mark.parametrize("alpha", [
+        math.acos(0.5), math.radians(60), math.atan2(math.sqrt(3), 1), math.pi - 2 * math.pi / 3,
+        math.asin(math.sqrt(3) / 2), math.atan(math.sqrt(3)), 2 * math.pi / 6,
+        math.asin(1), math.acos(0.0), math.atan2(1, 0), math.radians(90), math.pi - math.pi / 2,
+        *np.linspace(math.pi / 3, math.pi / 2, 7)[[0, -1]],
+    ])
+    def test_common_spellings_of_the_ends_are_in_range(self, alpha):
+        for n in (2, 3, 4):
+            m = self_tangent_boundary(n, float(alpha))
+            assert min(m.x, 0.5 - m.x) < 1e-15  # on a wall
 
     def test_traces_top_region_lower_curve(self):
         # the parametric boundary equals the closed-form curve pointwise

@@ -1,6 +1,9 @@
 import math
 import re
 
+import numpy as np
+
+from toruspack import render
 from toruspack.closed_form import optimal_centers
 from toruspack.lattice import ModuliPoint, TorusPoint
 from toruspack.packing import Packing, extract_graph
@@ -65,6 +68,18 @@ def test_centers_canonicalized_once(monkeypatch):
     monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
     render_packing(p, g, FigureSpec())
     assert len(calls) == p.n == 4
+
+
+def test_lift_touching_the_domain_up_to_rounding_is_drawn():
+    # n = 3 on the hexagonal torus: the lift of circle 1 at (0, 1/sqrt(3))
+    # touches the domain's left edge, and rounding puts it 5.6e-17 outside
+    m = ModuliPoint(0.5, SQRT3 / 2)
+    p = optimal_packing(3, m)
+    q = p.centers[1].coords() - (1.0, 0.0)
+    edge = np.array([m.x, m.y])
+    gap = float(np.hypot(*(q @ edge / (edge @ edge) * edge - q))) - p.radius
+    assert 0 < gap < 1e-16
+    assert render._disk_meets_domain(q, p.radius, m)
 
 
 def test_empty_packing():

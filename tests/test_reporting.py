@@ -174,6 +174,13 @@ class TestSolve:
         r = run_cli("solve", "--n", "2", "--v1", "1,1", "--v2", "2,2")
         assert r.returncode == 2
 
+    def test_cli_thin_torus_exit_code(self):
+        # a torus thinner than 1 : 1e12 is refused with a reason that says so
+        r = run_cli("solve", "--n", "4", "--v1", "1,0", "--v2", "0.3,1e13")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert "thinner than" in r.stderr
+        assert run_cli("solve", "--n", "4", "--v1", "1,0", "--v2", "0.3,1e11").returncode == 0
+
     @pytest.mark.parametrize(
         "args",
         [
