@@ -6,8 +6,10 @@ enumeration, combinatorial filters, numerical realization, exact rigidity
 certificates), a max-min numerical oracle, and SVG figures.
 
 `import toruspack` loads the closed-form half (errors, lattice, regions,
-closed_form, packing).  The catalog half's exports (census, embedding,
-oracle, rigidity) are imported from their modules on first access.
+closed_form, packing), which runs on the standard library alone: numpy is
+imported by the array helpers when first called, by `render` and by the
+catalog half.  The catalog half's exports (census, embedding, oracle,
+rigidity) are imported from their modules on first access.
 """
 
 from .closed_form import OptimalSolution, optimal_centers, optimal_radius, tangency_census

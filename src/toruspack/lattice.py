@@ -6,22 +6,32 @@ generators become <1,0> and <x,y> with x^2 + y^2 >= 1, y > 0 and
 0 <= x <= 1/2 (the unoriented moduli strip); everything downstream assumes
 that normal form, and a ModuliPoint cannot be built outside it.  This
 module performs the reduction and holds the one distance kernel on the
-reduced torus, `wrapped_translates`: the 9 lattice translates of a
-difference nearest the origin, which include its nearest translate and
-every translate of length at most 1 (so every tangency and overlap of
-circles of radius at most 1/2).  The oracle's ascent reads 4 of
-them, the corners of each difference's lattice cell, which hold the
-nearest; its tests check that window against this kernel bit for bit.
+reduced torus: TRANSLATE_WINDOW, the 9 lattice translates of a difference
+nearest the origin, which include its nearest translate and every
+translate of length at most 1 (so every tangency and overlap of circles of
+radius at most 1/2).  Two evaluators read it: `window_translates`, on
+floats, for the readers of one packing, and `wrapped_translates`, on
+arrays, for the oracle's batches; a property test holds them to the same
+shifts and vectors.  The oracle's ascent reads 4 of the translates, the
+corners of each difference's lattice cell, which hold the nearest; its
+tests check that window against `wrapped_translates` bit for bit.
+
+The reduction and `window_translates` run on the standard library alone,
+so `import toruspack` and the CLI's solve load no numpy; the array helpers
+(`wrapped_translates`, `pair_indices`, `ModuliPoint.basis`,
+`TorusPoint.coords`, `Displacement.vector`) import it when called.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateLattice, OutOfModuliStrip
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Absolute tolerance for reading tangencies off a packing; the default of
 # packing.extract_graph and of every caller that reads a closed-form optimum.
@@ -73,6 +83,8 @@ class ModuliPoint:
     @property
     def basis(self) -> np.ndarray:
         """Row-stacked generators [[1, 0], [x, y]]."""
+        import numpy as np
+
         return np.array([[1.0, 0.0], [self.x, self.y]])
 
 
@@ -84,6 +96,8 @@ class TorusPoint:
     w: float
 
     def coords(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.u, self.w])
 
     def lattice_coords(self, m: ModuliPoint) -> tuple[float, float]:
@@ -113,6 +127,8 @@ class Displacement:
     b: int
 
     def vector(self, m: ModuliPoint) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.a + self.b * m.x, self.b * m.y])
 
 
@@ -132,6 +148,26 @@ class BasisReduction:
     similarity: tuple[tuple[float, float], tuple[float, float]]
 
 
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it, except that
+    a zero comes out +0.0 (as from numpy's products, whose sums start at
+    +0.0).  The sum is taken exactly in integers, and int / int rounds once
+    (to -0.0 where a negative sum underflows, which adding +0.0 turns into
+    +0.0)."""
+    (an, ad), (bn, bd), (cn, cd) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    return (an * bn * cd + cn * ad * bd) / (ad * bd * cd) + 0.0
+
+
+def _dot(u: tuple[float, float], v: tuple[float, float]) -> float:
+    """u . v rounded as numpy's u @ v rounds it: u0 v0, then u1 v1 fused in."""
+    return _fma(u[1], v[1], u[0] * v[0])
+
+
+def _degenerate(basis: LatticeBasis) -> DegenerateLattice:
+    return DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite: nearly "
+                             f"parallel, or a torus thinner than 1 : {1 / DEGENERATE_BASIS_TOL:g}")
+
+
 def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisReduction]:
     """Lagrange-Gauss reduce, scale the short vector to 1, fold unoriented.
 
@@ -142,16 +178,23 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
     that brings the longer vector's length into [1/2, 1], and scale and
     similarity take 2^-e back.  That scaling is exact, so at every scale that
     keeps the coordinates and the scale normal floats the reduction gives the
-    same strip point, bit for bit, and the scale divided exactly.
+    same strip point, bit for bit, and the scale divided exactly.  The one
+    exception is an already-standard basis, v1 = (1, 0) with v2 in the strip:
+    it reduces to v2 itself, while the same basis at another scale is
+    reduced and may round: (1, 0), (0.5, 0.8660254037844386) gives x = 0.5,
+    and twice that basis gives x = 0.4999999999999999.
+
+    The arithmetic is on floats, rounded as numpy's 2-vector and 2 x 2
+    products round it: where those fuse a multiply-add, `_fma` does too.
     """
-    e = math.frexp(max(math.hypot(*basis.v1), math.hypot(*basis.v2)))[1]
-    u1, u2 = np.ldexp(np.array([basis.v1, basis.v2], float), -e)
-    norm = max(np.linalg.norm(u1), np.linalg.norm(u2))
-    cross = u1[0] * u2[1] - u1[1] * u2[0]
-    # written so that a NaN or infinite coordinate fails it too
-    if not (0.0 < norm < math.inf and abs(cross) > DEGENERATE_BASIS_TOL * norm * norm):
-        raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite: nearly "
-                                f"parallel, or a torus thinner than 1 : {1 / DEGENERATE_BASIS_TOL:g}")
+    h1, h2 = math.hypot(*basis.v1), math.hypot(*basis.v2)
+    if not h1 < math.inf > h2:  # a NaN or infinite coordinate fails this too
+        raise _degenerate(basis)
+    e = math.frexp(max(h1, h2))[1]
+    u1, u2 = ((math.ldexp(a, -e), math.ldexp(b, -e)) for a, b in (basis.v1, basis.v2))
+    norm = math.sqrt(max(_dot(u1, u1), _dot(u2, u2)))
+    if not abs(u1[0] * u2[1] - u1[1] * u2[0]) > DEGENERATE_BASIS_TOL * norm * norm:
+        raise _degenerate(basis)
     if basis.v1 == (1.0, 0.0):
         # already-standard inputs reduce to themselves exactly
         try:
@@ -164,71 +207,80 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
             )
         except OutOfModuliStrip:
             pass
-    U = np.eye(2, dtype=np.int64)
-
-    def swap():
-        nonlocal u1, u2
+    U = [[1, 0], [0, 1]]  # row i: u_i in the input vectors
+    if _dot(u1, u1) > _dot(u2, u2):
         u1, u2 = u2, u1
-        U[[0, 1]] = U[[1, 0]]
-
-    if u1 @ u1 > u2 @ u2:
-        swap()
+        U.reverse()
     while True:
-        q = round((u2 @ u1) / (u1 @ u1))
+        q = round(_dot(u2, u1) / _dot(u1, u1))
         if q:
-            u2 = u2 - q * u1
-            U[1] -= q * U[0]
-        if u2 @ u2 < u1 @ u1:
-            swap()
+            u2 = (u2[0] - q * u1[0], u2[1] - q * u1[1])
+            U[1] = [b - q * a for a, b in zip(*U)]
+        if _dot(u2, u2) < _dot(u1, u1):
+            u1, u2 = u2, u1
+            U.reverse()
         else:
             break
 
     s = 1.0 / math.hypot(*u1)
-    c, sn = u1 * s
-    rot = np.array([[c, sn], [-sn, c]]) * s
-    w = rot @ u2
+    c, sn = u1[0] * s, u1[1] * s
+    rot = [[c * s, sn * s], [-sn * s, c * s]]
+    # row i of numpy's rot @ u2: rot[i][1] u2[1], then rot[i][0] u2[0] fused in
+    w0, w1 = (_fma(r[0], u2[0], r[1] * u2[1]) for r in rot)
     reflected = False
-    if w[1] < 0:
-        rot = np.array([[1.0, 0.0], [0.0, -1.0]]) @ rot
-        w = np.array([w[0], -w[1]])
+    # the reflections below are numpy's products diag(+-1, -+1) @ rot, whose
+    # sums start at +0.0: a zero entry comes out +0.0
+    if w1 < 0:
+        rot = [[r + 0.0 for r in rot[0]], [0.0 - r for r in rot[1]]]
+        w1 = -w1
         reflected = not reflected
     # Gauss reduction already gives |x| <= 1/2; the shear folds into (-1/2, 1/2]
-    k = math.ceil(w[0] - 0.5)
+    k = math.ceil(w0 - 0.5)
     if k:
-        U[1] -= k * U[0]
-        w = np.array([w[0] - k, w[1]])
-    if w[0] < 0:
-        rot = np.array([[-1.0, 0.0], [0.0, 1.0]]) @ rot
-        w = np.array([-w[0], w[1]])
+        U[1] = [b - k * a for a, b in zip(*U)]
+        w0 -= k
+    if w0 < 0:
+        rot = [[0.0 - r for r in rot[0]], [r + 0.0 for r in rot[1]]]
+        w0 = -w0
         reflected = not reflected
         # negating the first axis flips v1; restore with the unimodular part
-        U[0] = -U[0]
-    m = ModuliPoint(float(w[0]), float(w[1]))
+        U[0] = [-a for a in U[0]]
+    m = ModuliPoint(w0, w1)
     try:
         scale = math.ldexp(s, -e)
     except OverflowError:  # the shortest vector is shorter than 1 / the largest float
         raise DegenerateLattice(f"basis {basis.v1}, {basis.v2} is degenerate or not finite") from None
-    rot = np.ldexp(rot, -e)
     rec = BasisReduction(
         scale=scale,
-        unimodular=((int(U[0, 0]), int(U[0, 1])), (int(U[1, 0]), int(U[1, 1]))),
+        unimodular=(tuple(U[0]), tuple(U[1])),
         reflected=reflected,
-        similarity=((float(rot[0, 0]), float(rot[0, 1])), (float(rot[1, 0]), float(rot[1, 1]))),
+        similarity=tuple(tuple(math.ldexp(r, -e) for r in row) for row in rot),
     )
     return m, rec
 
 
-# a (row 0) and b (row 1) of the 9 translates a v1 + b v2, |a|, |b| <= 1
-TRANSLATE_WINDOW = np.array([np.repeat([-1.0, 0.0, 1.0], 3), np.tile([-1.0, 0.0, 1.0], 3)])
+# (a, b) of the 9 translates a v1 + b v2, |a|, |b| <= 1
+TRANSLATE_WINDOW = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
+
+
+def window_translates(t1: float, t2: float, m: ModuliPoint) -> list[tuple[int, int, float, float]]:
+    """wrapped_translates of one difference (t1, t2), on floats: for each
+    (a, b) of TRANSLATE_WINDOW, in order, the integer shift (s1, s2) =
+    (a, b) - rint(t1, t2) and the plane vector (t1 + s1) v1 + (t2 + s2) v2,
+    as (s1, s2, x, y).  Each is rounded as wrapped_translates rounds it, so
+    the shifts and vectors are the same."""
+    r1, r2, x, y = round(t1), round(t2), m.x, m.y
+    return [(s1, s2, t1 + s1 + x * (t2 + s2), y * (t2 + s2))
+            for s1, s2 in ((a - r1, b - r2) for a, b in TRANSLATE_WINDOW)]
 
 
 def wrapped_translates(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np.ndarray]:
     """The 9 translates nearest the origin of the fractional differences frac.
 
     frac (..., 2) holds lattice coordinates (t1, t2); each is wrapped into
-    [-1/2, 1/2]^2 and shifted by the columns of TRANSLATE_WINDOW.  Returns
-    the integer shifts s and the plane vectors (t1 + s1) v1 + (t2 + s2) v2,
-    both (2, ..., 9) with the coordinate axis first.
+    [-1/2, 1/2]^2 and shifted by each (a, b) of TRANSLATE_WINDOW.
+    Returns the integer shifts s and the plane vectors (t1 + s1) v1 +
+    (t2 + s2) v2, both (2, ..., 9) with the coordinate axis first.
 
     In the strip |t1 v1 + t2 v2| >= (sqrt(3)/2) max(|t1|, |t2|) (y^2 >= 3/4;
     x <= 1/2 and x^2 + y^2 >= 1 give t1^2 + 2x t1 t2 + t2^2 >= (3/4) t1^2),
@@ -238,27 +290,30 @@ def wrapped_translates(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np
     toward 0 shortens any translate with |t2| >= 3/2, and for |t2| < 3/2
     the best t1 lies within 1/2 of -x t2, hence |t1| <= 5/4.
     """
+    import numpy as np
+
     f = np.moveaxis(frac, -1, 0)[..., None]
-    s = TRANSLATE_WINDOW.reshape((2,) + (1,) * (frac.ndim - 1) + (9,)) - np.rint(f)
+    window = np.array(TRANSLATE_WINDOW, float).T.reshape((2,) + (1,) * (frac.ndim - 1) + (9,))
+    s = window - np.rint(f)
     t = f + s
     return s, np.stack([t[0] + m.x * t[1], m.y * t[1]])
 
 
 @lru_cache(maxsize=None)
-def pair_indices(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, k), built once per (n, k) for the pairwise
-    callers of wrapped_translates: the pairs i <= j (k = 0) or i < j
-    (k = 1) of n points."""
-    I, J = np.triu_indices(n, k)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), built once per n for the oracle's pairwise
+    arrays: the pairs i < j of n points."""
+    import numpy as np
+
+    I, J = np.triu_indices(n, 1)
     I.flags.writeable = J.flags.writeable = False  # shared by every caller
     return I, J
 
 
 def torus_distance(p: TorusPoint, q: TorusPoint, m: ModuliPoint) -> float:
     """Distance between the circle centers on the torus."""
-    frac = np.subtract(q.lattice_coords(m), p.lattice_coords(m))
-    _, v = wrapped_translates(frac, m)
-    return float(np.hypot(v[0], v[1]).min())
+    (p1, p2), (q1, q2) = p.lattice_coords(m), q.lattice_coords(m)
+    return min(math.hypot(x, y) for _, _, x, y in window_translates(q1 - p1, q2 - p2, m))
 
 
 def fundamental_domain_area(m: ModuliPoint) -> float:

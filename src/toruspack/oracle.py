@@ -229,7 +229,7 @@ def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     """Minimum pairwise toroidal distance of each configuration F (..., n, 2)
     (n >= 2); the self distance is the shortest lattice vector, capped by
     the caller."""
-    I, J = pair_indices(F.shape[-2], 1)
+    I, J = pair_indices(F.shape[-2])
     _, v = wrapped_translates(F[..., J, :] - F[..., I, :], m)
     return _lengths(v).min((-2, -1))
 
@@ -270,7 +270,7 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     """
     K = len(tori)
     R, n, _ = T0.shape
-    I, J = pair_indices(n, 1)
+    I, J = pair_indices(n)
     P = len(I)
     x, y = np.array([(m.x, m.y) for m in tori]).T[..., None]
     binv = np.linalg.inv(np.array([m.basis for m in tori]))
@@ -348,7 +348,7 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
     actually improves the minimum distance.
     """
     n = Fs[0].shape[1]
-    I, J = pair_indices(n, 1)
+    I, J = pair_indices(n)
     # unknowns: p_1 .. p_{n-1} (p_0 pinned), then the common length d; the
     # 9 translates of a pair share its rows of A
     incidence = np.eye(n)[:, J] - np.eye(n)[:, I]  # +1 at each pair's head j, -1 at its tail i

@@ -9,19 +9,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import OverlapDetected
-from .lattice import (
-    DEFAULT_TOL,
-    Displacement,
-    ModuliPoint,
-    TorusPoint,
-    fundamental_domain_area,
-    pair_indices,
-    wrapped_translates,
-)
+from .lattice import DEFAULT_TOL, Displacement, ModuliPoint, TorusPoint, fundamental_domain_area, window_translates
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRIANGULAR_DENSITY = math.pi / math.sqrt(12.0)
 
@@ -37,7 +31,7 @@ class Packing:
         return len(self.centers)
 
     def validate(self, tol: float = DEFAULT_TOL) -> "Packing":
-        _check_overlap(_pair_translates(self.m, _canonical(self.m, self.centers))[3], self.radius, tol)
+        _check_overlap(_pair_translates(self.m, _canonical(self.m, self.centers)), self.radius, tol)
         return self
 
     def edge_vectors(self, g: "PackingGraph") -> np.ndarray:
@@ -52,30 +46,31 @@ def _canonical(m: ModuliPoint, centers) -> tuple[TorusPoint, ...]:
 
 
 def _edge_vectors(m: ModuliPoint, canon: tuple[TorusPoint, ...], g: "PackingGraph") -> np.ndarray:
+    import numpy as np
+
     pts = np.array([c.coords() for c in canon]).reshape(-1, 2)
     I, J, a, b = np.array([(i, j, d.a, d.b) for i, j, d in g.edges], int).reshape(-1, 4).T
     return pts[J] + np.stack([a + b * m.x, b * m.y], -1) - pts[I]
 
 
-def _pair_translates(m: ModuliPoint, canon: tuple[TorusPoint, ...]) -> tuple[np.ndarray, ...]:
-    """The pairs i <= j of the canonical centers and, per pair, the 9
-    translates of center j nearest center i (lattice.wrapped_translates):
-    I, J (P,), their integer shifts (2, P, 9) and lengths (P, 9).  t = 0
-    of a self pair (window column 4) is no distance and has length inf.
+def _pair_translates(m: ModuliPoint, canon: tuple[TorusPoint, ...]) -> list[tuple[int, int, int, int, float]]:
+    """Per pair i <= j of the canonical centers, the 9 translates of center
+    j nearest center i (lattice.window_translates), as (i, j, s1, s2,
+    length) with the integer shift (s1, s2).  t = 0 of a self pair is no
+    distance and is left out.
 
     The window holds every translate of length at most 1; circles of
     radius above 1/2 overlap their own unit translate, which is in it."""
-    frac = np.array([c.lattice_coords(m) for c in canon]).reshape(-1, 2)
-    I, J = pair_indices(len(canon), 0)
-    shifts, v = wrapped_translates(frac[J] - frac[I], m)
-    lengths = np.hypot(v[0], v[1])
-    lengths[I == J, 4] = np.inf
-    return I, J, shifts, lengths
+    frac = [c.lattice_coords(m) for c in canon]
+    return [(i, j, s1, s2, math.hypot(x, y))
+            for i, (p1, p2) in enumerate(frac) for j, (q1, q2) in enumerate(frac[i:], i)
+            for s1, s2, x, y in window_translates(q1 - p1, q2 - p2, m) if i != j or s1 or s2]
 
 
-def _check_overlap(lengths: np.ndarray, r: float, tol: float) -> None:
-    if lengths.size and lengths.min() < 2 * r - tol:
-        raise OverlapDetected(f"centers at distance {lengths.min():.12g} < 2r = {2 * r:.12g}")
+def _check_overlap(translates: list[tuple[int, int, int, int, float]], r: float, tol: float) -> None:
+    closest = min((t[4] for t in translates), default=math.inf)
+    if closest < 2 * r - tol:
+        raise OverlapDetected(f"centers at distance {closest:.12g} < 2r = {2 * r:.12g}")
 
 
 @dataclass(frozen=True)
@@ -110,14 +105,11 @@ def contacts(p: Packing, tol: float = DEFAULT_TOL) -> tuple[PackingGraph, np.nda
 def _extract(p: Packing, canon: tuple[TorusPoint, ...], tol: float) -> PackingGraph:
     if p.radius <= 0:
         raise ValueError("radius must be positive")
-    I, J, shifts, lengths = _pair_translates(p.m, canon)
-    _check_overlap(lengths, p.radius, tol)
-    edges = []
-    for k, c in zip(*np.nonzero(np.abs(lengths - 2 * p.radius) <= tol)):
-        d = Displacement(int(shifts[0, k, c]), int(shifts[1, k, c]))
-        if I[k] == J[k] and (d.a, d.b) < (0, 0):
-            continue  # count each self-tangency pair once
-        edges.append((int(I[k]), int(J[k]), d))
+    translates = _pair_translates(p.m, canon)
+    _check_overlap(translates, p.radius, tol)
+    # a self pair's translates come as +-d: count each self-tangency once
+    edges = [(i, j, Displacement(s1, s2)) for i, j, s1, s2, length in translates
+             if abs(length - 2 * p.radius) <= tol and (i != j or (s1, s2) > (0, 0))]
     edges.sort(key=lambda e: (e[0], e[1], e[2].a, e[2].b))
     return PackingGraph(vertex_count=p.n, edges=tuple(edges))
 
@@ -128,7 +120,7 @@ def density(p: Packing) -> float:
 
 def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
     """Largest radius for which the centers form a valid packing."""
-    return float(_pair_translates(m, _canonical(m, centers))[3].min()) / 2
+    return min(t[4] for t in _pair_translates(m, _canonical(m, centers))) / 2
 
 
 # Slack, in radians, on a gap of pi between consecutive tangency
@@ -154,6 +146,8 @@ def vertex_darts(edges, n: int) -> list[list[int]]:
 def dart_vectors(vectors: np.ndarray) -> np.ndarray:
     """(..., 2E, 2): row d is dart d's vector, d_t for dart 2t and -d_t for
     dart 2t + 1, from the (..., E, 2) edge vectors d."""
+    import numpy as np
+
     *lead, E, _ = vectors.shape
     return np.stack([vectors, -vectors], -2).reshape(*lead, 2 * E, 2)
 
@@ -161,6 +155,8 @@ def dart_vectors(vectors: np.ndarray) -> np.ndarray:
 def cyclic_gaps(vectors: np.ndarray) -> np.ndarray:
     """(..., k): the angles between consecutive directions of the vectors
     (..., k, 2) in counterclockwise order, the last closing the full turn."""
+    import numpy as np
+
     ang = np.sort(np.arctan2(vectors[..., 1], vectors[..., 0]), axis=-1)
     return np.diff(np.concatenate([ang, ang[..., :1] + 2 * math.pi], -1), axis=-1)
 
@@ -168,6 +164,8 @@ def cyclic_gaps(vectors: np.ndarray) -> np.ndarray:
 def angle_gaps(g: PackingGraph, vectors: np.ndarray) -> list[list[float]]:
     """Sorted cyclic gaps between consecutive tangency directions, per
     vertex, from the edge vectors of g (contacts, Packing.edge_vectors)."""
+    import numpy as np
+
     dv = dart_vectors(vectors)
     darts = vertex_darts(g.edges, g.vertex_count)
     return [sorted(map(float, cyclic_gaps(dv[ds]))) for ds in darts]

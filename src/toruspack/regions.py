@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AlphaOutOfRange, UnsupportedN
 from .lattice import ModuliPoint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 

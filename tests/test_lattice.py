@@ -1,18 +1,23 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import reduction_reference
 from hypothesis import assume, example, given, settings, strategies as st
 
+from toruspack import lattice
 from toruspack.errors import DegenerateLattice, OutOfModuliStrip
 from toruspack.lattice import (
     _STRIP_EPS,
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
+    _fma,
     fundamental_domain_area,
     reduce_to_standard_basis,
     torus_distance,
+    window_translates,
     wrapped_translates,
 )
 
@@ -29,6 +34,29 @@ def brute_min_distance(p, q, m, window=6):
             v = qc + a * np.array([1.0, 0.0]) + b * np.array([m.x, m.y]) - pc
             best = min(best, float(np.hypot(*v)))
     return best
+
+
+# a unimodular change (shears, then a swap), a rotation and a reflection
+_DISGUISES = st.tuples(
+    st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), min_size=1, max_size=4),
+    st.booleans(),
+    st.floats(0.0, 2 * math.pi),
+    st.booleans(),
+)
+
+
+def _disguised(x, y, shears, swap, turn, reflect, decades):
+    """A basis of the torus (x, y) under the disguise, times 10^decades."""
+    A = np.eye(2, dtype=np.int64)
+    for upper, k in shears:
+        A = np.array([[1, k], [0, 1]] if upper else [[1, 0], [k, 1]]) @ A
+    if swap:
+        A = A[::-1]
+    Q = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    if reflect:
+        Q = Q @ np.diag([1.0, -1.0])
+    B = 10.0**decades * (A @ np.array([[1.0, 0.0], [x, y]])) @ Q.T
+    return LatticeBasis(tuple(map(float, B[0])), tuple(map(float, B[1])))
 
 
 class TestModuliPoint:
@@ -147,28 +175,25 @@ class TestReduce:
     @settings(max_examples=300, deadline=None)
     @given(
         x=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)),
-        shears=st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), min_size=1, max_size=4),
-        swap=st.booleans(),
-        turn=st.floats(0.0, 2 * math.pi),
-        reflect=st.booleans(),
+        disguise=_DISGUISES,
         decades=st.floats(-2.0, 2.0),
     )
-    def test_arc_points_land_within_the_slack(self, x, shears, swap, turn, reflect, decades):
+    def test_arc_points_land_within_the_slack(self, x, disguise, decades):
         # _STRIP_EPS is float noise: any basis of a torus on the bottom arc
         # (a unimodular change, a rotation, a reflection and a scale of [1, 0],
         # [x, y]) reduces to a point below the arc by far less than the slack
         y = SQRT3 / 2 if x == 0.5 else math.sqrt(1.0 - x * x)
-        A = np.eye(2, dtype=np.int64)
-        for upper, k in shears:
-            A = np.array([[1, k], [0, 1]] if upper else [[1, 0], [k, 1]]) @ A
-        if swap:
-            A = A[::-1]
-        Q = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
-        if reflect:
-            Q = Q @ np.diag([1.0, -1.0])
-        B = 10.0**decades * (A @ np.array([[1.0, 0.0], [x, y]])) @ Q.T
-        m, _ = reduce_to_standard_basis(LatticeBasis(tuple(B[0]), tuple(B[1])))
+        m, _ = reduce_to_standard_basis(_disguised(x, y, *disguise, decades))
         assert 1.0 - (m.x * m.x + m.y * m.y) <= _STRIP_EPS / 10
+
+    def test_already_standard_basis_is_the_one_scale_exception(self):
+        # an already-standard basis reduces to itself; twice it is reduced,
+        # which swaps the vectors and rounds x below the wall
+        m, rec = reduce_to_standard_basis(LatticeBasis((1, 0), (0.5, 0.8660254037844386)))
+        assert (m.x, m.y, rec.scale, rec.unimodular) == (0.5, 0.8660254037844386, 1.0, ((1, 0), (0, 1)))
+        m, rec = reduce_to_standard_basis(LatticeBasis((2, 0), (1.0, 1.7320508075688772)))
+        assert (m.x, m.y, rec.scale, rec.unimodular) == (0.4999999999999999, 0.8660254037844386, 0.5,
+                                                         ((0, -1), (1, -1)))
 
 
 # basis coordinates: 0 or of magnitude in [2^-10, 2^10], so that times 2^k
@@ -197,6 +222,110 @@ class TestReduceScale:
         assert repr((m, rec.unimodular, rec.reflected)) == repr((m0, rec0.unimodular, rec0.reflected))
         assert rec.scale == math.ldexp(rec0.scale, -k)
 
+
+
+def _reduction(reduce, basis):
+    """repr of reduce(basis), which tells -0.0 from 0.0, or its
+    DegenerateLattice message."""
+    try:
+        return repr(reduce(basis))
+    except DegenerateLattice as exc:
+        return f"DegenerateLattice: {exc}"
+
+
+# the thin tori either side of DEGENERATE_BASIS_TOL, disguised so that the
+# already-standard shortcut does not take them
+_THIN_BASES = [((0.3, 1e11), (1, 0)), ((1, 1e-11), (1, 0)), ((3, 0), (0.9, 3e11)),
+               ((0.5, 1e-11), (-2, 0.25)), ((0.3, 1e13), (1, 0))]
+
+
+@pytest.mark.skipif(not reduction_reference.numpy_fuses(),
+                    reason="numpy's 2-vector products do not fuse a multiply-add on this build, "
+                           "so the numpy reference rounds differently from the goldens")
+class TestReduceMatchesReference:
+    """The float reduction against the numpy one it replaced
+    (reduction_reference.py): the same strip point and transform record,
+    bit for bit, or the same DegenerateLattice.  The goldens
+    (test_solve_outputs_match_golden) hold the float reduction to the same
+    bits on every machine."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)),
+        rise=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e3), st.floats(0.0, 1e13)),
+        disguise=_DISGUISES,
+        decades=st.floats(-3.0, 3.0),
+    )
+    # a turn of 1e-308 puts subnormal products into the reduction
+    @example(x=0.0, rise=0.0, disguise=([(False, 0)], False, 1.1125369292536007e-308, True), decades=1.5)
+    def test_disguised_strip_points(self, x, rise, disguise, decades):
+        y = (SQRT3 / 2 if x == 0.5 else math.sqrt(1.0 - x * x)) + rise
+        basis = _disguised(x, y, *disguise, decades)
+        assert _reduction(reduce_to_standard_basis, basis) == _reduction(
+            reduction_reference.reduce_to_standard_basis, basis)
+
+    @settings(max_examples=400, deadline=None)
+    @given(coords=st.lists(_COORD, min_size=4, max_size=4), k=st.integers(-30, 30))
+    @example(coords=[1.0, 0.0, 1.0, 0.0], k=0)  # parallel
+    @example(coords=[0.0, 0.0, 0.0, 0.0], k=0)
+    def test_any_basis(self, coords, k):
+        # zeros of either sign, degenerate and non-standard bases
+        basis = LatticeBasis(*(tuple(math.ldexp(a, k) for a in v) for v in (coords[:2], coords[2:])))
+        assert _reduction(reduce_to_standard_basis, basis) == _reduction(
+            reduction_reference.reduce_to_standard_basis, basis)
+
+    @pytest.mark.parametrize("v1, v2", _THIN_BASES + [
+        ((math.nan, 0), (0, 1)), ((1, 0), (0, math.inf)), ((1e-310, 0.0), (0.0, 1e-310)),
+        ((1e308, 0.0), (0.0, 1.5e308)), ((1.5e308, 1.5e308), (-1.5e308, 1.5e308))])
+    def test_thin_huge_and_non_finite_bases(self, v1, v2):
+        basis = LatticeBasis(v1, v2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reduction(reduction_reference.reduce_to_standard_basis, basis)
+        assert _reduction(reduce_to_standard_basis, basis) == want
+
+    def test_golden_cases(self):
+        from test_reporting import _golden_cases
+
+        for _, _, (v1, v2) in _golden_cases():
+            basis = LatticeBasis(v1, v2)
+            assert _reduction(reduce_to_standard_basis, basis) == _reduction(
+                reduction_reference.reduce_to_standard_basis, basis)
+
+
+def _exact_fma(a, b, c):
+    """a * b + c rounded once, a zero as +0.0."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c)) + 0.0
+
+
+# magnitudes the reduction's products take (a unit disk basis, a shortest
+# vector down to 1e-13 long and its inverse), and every float whose
+# products and sums stay finite
+_REDUCTION_RANGE = st.builds(math.copysign, st.floats(2.0**-60, 2.0**60), st.sampled_from([1.0, -1.0]))
+_FACTOR = st.one_of(_REDUCTION_RANGE, st.floats(-(2.0**511), 2.0**511))
+
+
+class TestFma:
+    @settings(max_examples=500, deadline=None)
+    @given(a=_FACTOR, b=_FACTOR, c=st.one_of(_REDUCTION_RANGE, st.floats(-(2.0**1022), 2.0**1022)))
+    @example(a=1.0 + 2.0**-52, b=1.0 - 2.0**-53, c=-1.0)  # the product's low bits alone
+    @example(a=3.0 * 2.0**-520, b=5.0 * 2.0**-520, c=2.0**-1074)  # below the normal floats
+    @example(a=-0.0, b=1.0, c=-0.0)  # a zero comes out +0.0
+    @example(a=1.011928851253881, b=1.0994220867159345e-308, c=-1.1125369292536007e-308)  # even from below
+    def test_rounds_once(self, a, b, c):
+        assert repr(_fma(a, b, c)) == repr(_exact_fma(a, b, c))
+
+    @pytest.mark.parametrize("v1, v2", _THIN_BASES[:4])
+    def test_rounds_once_on_thin_tori(self, monkeypatch, v1, v2):
+        calls = []
+
+        def recording(a, b, c):
+            calls.append((a, b, c))
+            return _fma(a, b, c)
+
+        monkeypatch.setattr(lattice, "_fma", recording)
+        reduce_to_standard_basis(LatticeBasis(v1, v2))
+        assert len(calls) > 8  # the whole reduction ran
+        assert [repr(_fma(*call)) for call in calls] == [repr(_exact_fma(*call)) for call in calls]
 
 class TestDistance:
     def test_lift_of_same_point(self):
@@ -296,6 +425,20 @@ class TestWrappedTranslates:
         one_s, one_v = wrapped_translates(frac[2, 1], m)
         assert np.array_equal(s[:, 2, 1], one_s) and np.array_equal(v[:, 2, 1], one_v)
 
+
+    @settings(max_examples=400, deadline=None)
+    @given(_strip_points(), _coords, _coords, _coords, _coords, _cells, _cells)
+    @example(ModuliPoint(0.0, 1.0), -0.0, 0.5, 0.0, 0.0, 0, 0)
+    def test_scalar_evaluator_matches(self, m, p1, p2, q1, q2, k1, k2):
+        # window_translates gives the batch's shifts and vectors bit for bit,
+        # and math.hypot gives np.hypot's lengths within 1 ulp
+        t1, t2 = q1 - p1 + k1, q2 - p2 + k2
+        s, v = wrapped_translates(np.array([t1, t2]), m)
+        got = window_translates(t1, t2, m)
+        assert [(s1, s2) for s1, s2, _, _ in got] == [(int(a), int(b)) for a, b in s.T]
+        assert repr([(x, y) for _, _, x, y in got]) == repr([(float(x), float(y)) for x, y in v.T])
+        for (_, _, x, y), length in zip(got, np.hypot(v[0], v[1])):
+            assert abs(math.hypot(x, y) - length) <= math.ulp(length)
 
 def test_fundamental_domain_area():
     assert fundamental_domain_area(ModuliPoint(0, 1)) == 1

@@ -8,7 +8,8 @@ from test_lattice import _coords, _strip_points
 
 from toruspack.closed_form import optimal_centers
 from toruspack.errors import OverlapDetected
-from toruspack.lattice import Displacement, ModuliPoint, TorusPoint
+from toruspack.lattice import DEFAULT_TOL, Displacement, ModuliPoint, TorusPoint, wrapped_translates
+from toruspack.oracle import REALIZATION_CLEARANCE
 from toruspack.packing import (
     Packing,
     PackingGraph,
@@ -26,7 +27,7 @@ from toruspack.packing import (
     TRIANGULAR_DENSITY,
     vertex_darts,
 )
-from toruspack.regions import region_count, sample_interior
+from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
 from toruspack.rigidity import has_halfplane_vertex
 
 SQRT3 = math.sqrt(3.0)
@@ -168,6 +169,59 @@ class TestExtract:
                         pairs = [(i, j) for i, j, _ in g.edges if i != j]
                         assert max(map(pairs.count, pairs), default=0) <= 2
 
+
+
+def _batch_graph(p, tol):
+    """The graph read through the batch evaluator, wrapped_translates, and
+    np.hypot: the tangencies, or OverlapDetected."""
+    frac = np.array([c.canonical(p.m).lattice_coords(p.m) for c in p.centers])
+    I, J = np.triu_indices(p.n)
+    shifts, v = wrapped_translates(frac[J] - frac[I], p.m)
+    lengths = np.hypot(v[0], v[1])
+    lengths[I == J, 4] = np.inf
+    if lengths.min() < 2 * p.radius - tol:
+        return OverlapDetected
+    edges = [(int(I[k]), int(J[k]), Displacement(int(shifts[0, k, c]), int(shifts[1, k, c])))
+             for k, c in zip(*np.nonzero(np.abs(lengths - 2 * p.radius) <= tol))]
+    edges = [e for e in edges if e[0] != e[1] or (e[2].a, e[2].b) > (0, 0)]
+    return PackingGraph(p.n, tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].a, e[2].b))))
+
+
+def _scalar_graphs(p, tol):
+    """extract_graph's and contacts' graphs, or OverlapDetected."""
+    try:
+        return extract_graph(p, tol), contacts(p, tol)[0]
+    except OverlapDetected:
+        return OverlapDetected, OverlapDetected
+
+
+class TestEvaluatorsAgree:
+    """extract_graph and contacts read one packing through the scalar
+    evaluator, window_translates; the batch one gives the same graphs."""
+
+    def test_on_closed_form_optima(self):
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 4):
+            curves = range(1, region_count(n))
+            tori = [sample_interior(n, idx, rng) for idx in range(1, region_count(n) + 1) for _ in range(25)]
+            tori += [sample_boundary(n, idx, rng) for idx in curves for _ in range(25)]
+            tori += [ModuliPoint(0.0, 1.0), ModuliPoint(0.5, SQRT3 / 2)]
+            tori += [ModuliPoint(x, boundary_curve(n, idx, x)) for idx in curves for x in (0.0, 0.5)]
+            for m in tori:
+                p = optimal_packing(n, m)
+                want = _batch_graph(p, DEFAULT_TOL)
+                assert want is not OverlapDetected
+                assert _scalar_graphs(p, DEFAULT_TOL) == (want, want)
+
+    def test_on_realization_samples(self, catalog3, catalog4):
+        count = 0
+        for catalog in (catalog3, catalog4):
+            for s in (s for entry in catalog.entries for s in entry.samples):
+                p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
+                assert _scalar_graphs(p, REALIZATION_CLEARANCE) == (s.graph, s.graph)
+                assert _batch_graph(p, REALIZATION_CLEARANCE) == s.graph
+                count += 1
+        assert count  # the catalogs keep their probes' samples
 
 class TestTangency:
     def test_self_tangency_counted_once(self):
