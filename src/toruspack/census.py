@@ -9,8 +9,8 @@ close packing.  Graphs are deduplicated by a relabeling-canonical form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import UnsupportedN
 
@@ -19,12 +19,14 @@ def vertex_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    """Loopless multigraph held as pair multiplicities in vertex_pairs order."""
-
+class _MultigraphFields(NamedTuple):
     vertex_count: int
     multiplicities: tuple[int, ...]
+
+
+class Multigraph(_MultigraphFields):
+    """Loopless multigraph held as pair multiplicities in vertex_pairs order.
+    No __slots__: canonical_form is cached in the instance dict."""
 
     @property
     def edge_count(self) -> int:
@@ -92,8 +94,7 @@ def canonicalize(g: Multigraph, rel) -> bytes:
     return bytes([g.vertex_count]) + bytes(min(h for _, h in rel))
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     n: int
     stage1: tuple[Multigraph, ...]
     stage2: tuple[Multigraph, ...]

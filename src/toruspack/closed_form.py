@@ -9,7 +9,7 @@ self-tangent witness is returned instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import ModuliPoint, TorusPoint
 from .packing import Packing, extract_graph
@@ -103,8 +103,7 @@ def optimal_radius(n: int, m: ModuliPoint) -> float:
     return radius_branch(n, classify(n, m).index, m.x, m.y)
 
 
-@dataclass(frozen=True)
-class OptimalSolution:
+class OptimalSolution(NamedTuple):
     n: int
     m: ModuliPoint
     region: RegionId

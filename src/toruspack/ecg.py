@@ -17,9 +17,9 @@ ECGk-j.  One rule, computed in one pass, gives every name:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, groupby
+from typing import NamedTuple
 
 from .census import enumerate_census
 from .closed_form import optimal_centers
@@ -69,8 +69,7 @@ REALIZE_ATTEMPTS = 240
 REALIZE_SEED = 2026
 
 
-@dataclass(frozen=True)
-class EcgEntry:
+class EcgEntry(NamedTuple):
     name: str | None
     cg: int
     embedding: EmbeddedGraph
@@ -90,8 +89,7 @@ class EcgEntry:
         return self.forbidden_reason is None and self.chain_reason is None
 
 
-@dataclass(frozen=True)
-class EcgCatalog:
+class EcgCatalog(NamedTuple):
     n: int
     entries: tuple[EcgEntry, ...]
 

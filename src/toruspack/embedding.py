@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +121,7 @@ def euler_characteristic(g: Multigraph, faces) -> int:
     return g.vertex_count - g.edge_count + len(faces)
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
+class EmbeddedGraph(NamedTuple):
     graph: Multigraph
     rotation: RotationSystem
     faces: tuple[tuple[int, ...], ...]
@@ -340,8 +339,7 @@ def homology_labels(e: EmbeddedGraph) -> tuple[tuple[int, int], ...]:
     return tuple(lab)
 
 
-@dataclass(frozen=True)
-class FilterVerdict:
+class FilterVerdict(NamedTuple):
     keep: bool
     reason: str | None = None
     witness: tuple | None = None

@@ -24,9 +24,8 @@ so `import toruspack` and the CLI's solve load no numpy; the array helpers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateLattice, OutOfModuliStrip
 
@@ -56,29 +55,33 @@ DEGENERATE_BASIS_TOL = 1e-12
 _STRIP_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(NamedTuple):
     """Two plane vectors spanning a lattice."""
 
     v1: tuple[float, float]
     v2: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
-    """Normalized torus: generators <1,0> and <x,y> in the unoriented strip,
-    checked once, when it is built (outside it raises OutOfModuliStrip)."""
-
+class _ModuliFields(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (
-            self.x * self.x + self.y * self.y >= 1.0 - _STRIP_EPS
-            and self.y > 0.0
-            and 0.0 <= self.x <= 0.5
-        ):
-            raise OutOfModuliStrip(f"({self.x}, {self.y}) outside the moduli strip")
+
+class ModuliPoint(_ModuliFields):
+    """Normalized torus: generators <1,0> and <x,y> in the unoriented strip,
+    checked once, when it is built (outside it, or at an infinite y, raises
+    OutOfModuliStrip)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float):
+        if not (x * x + y * y >= 1.0 - _STRIP_EPS and 0.0 < y < math.inf and 0.0 <= x <= 0.5):
+            raise OutOfModuliStrip(f"({x}, {y}) outside the moduli strip")
+        return super().__new__(cls, x, y)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
     @property
     def basis(self) -> np.ndarray:
@@ -88,8 +91,7 @@ class ModuliPoint:
         return np.array([[1.0, 0.0], [self.x, self.y]])
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(NamedTuple):
     """A point on the torus, held as a plane representative (u, w)."""
 
     u: float
@@ -119,8 +121,7 @@ class TorusPoint:
         return TorusPoint(t1 + t2 * m.x, t2 * m.y)
 
 
-@dataclass(frozen=True)
-class Displacement:
+class Displacement(NamedTuple):
     """Lattice element a*v1 + b*v2 labelling one tangency witness."""
 
     a: int
@@ -132,8 +133,7 @@ class Displacement:
         return np.array([self.a + self.b * m.x, self.b * m.y])
 
 
-@dataclass(frozen=True)
-class BasisReduction:
+class BasisReduction(NamedTuple):
     """Record of the transform mapping an input basis to standard form.
 
     Composition contract (rows are vectors):

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OverlapDetected
 from .lattice import DEFAULT_TOL, Displacement, ModuliPoint, TorusPoint, fundamental_domain_area, window_translates
@@ -20,8 +19,7 @@ if TYPE_CHECKING:
 TRIANGULAR_DENSITY = math.pi / math.sqrt(12.0)
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(NamedTuple):
     m: ModuliPoint
     centers: tuple[TorusPoint, ...]
     radius: float
@@ -73,8 +71,7 @@ def _check_overlap(translates: list[tuple[int, int, int, int, float]], r: float,
         raise OverlapDetected(f"centers at distance {closest:.12g} < 2r = {2 * r:.12g}")
 
 
-@dataclass(frozen=True)
-class PackingGraph:
+class PackingGraph(NamedTuple):
     """Multigraph on circle indices; each edge carries its lattice witness.
 
     Edges (i, j, d) with i <= j are identified with (j, i, -d); loops (i = i)

@@ -10,8 +10,7 @@ yet lands in R1_4.  Such tori carry an advisory boundary flag (BOUNDARY_TOL).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AlphaOutOfRange, UnsupportedN
 from .lattice import ModuliPoint
@@ -70,8 +69,7 @@ def _check_n(n: int) -> None:
         raise UnsupportedN(f"n must be 2, 3 or 4, got {n}")
 
 
-@dataclass(frozen=True)
-class RegionId:
+class RegionId(NamedTuple):
     n: int
     index: int
     boundary_flags: frozenset[str]

@@ -7,7 +7,7 @@ identical inputs yield byte-identical documents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +28,22 @@ def _f(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class _FigureFields(NamedTuple):
     size: int = 480
 
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("figure size must be positive")
+
+class FigureSpec(_FigureFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):  # the default stays on _FigureFields
+        self = super().__new__(cls, *args, **kwargs)
+        if not 0 < self.size < math.inf:
+            raise ValueError("figure size must be positive and finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check there too
+        return cls(*iterable)
 
 
 def _svg_header(width: float, height: float) -> str:

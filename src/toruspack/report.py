@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class CountMismatch(AssertionError):
     pass
 
 
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     n: int
     census_counts: tuple[int, int, int]
     embedding_count: int
@@ -92,20 +91,6 @@ def run_pipeline(
 
     catalog = identify(n)
     entries = catalog.entries
-    emb_count = len(entries)
-    after_forbidden = sum(1 for e in entries if e.forbidden_reason is None)
-    after_both = len(catalog.survivors())
-
-    report = PipelineReport(
-        n=n,
-        census_counts=census.counts,
-        embedding_count=emb_count,
-        after_forbidden=after_forbidden,
-        after_both=after_both,
-        verdicts=[],
-        oracle_rows=[],
-        failures=[],
-    )
 
     # embedding records file
     with open(os.path.join(out_dir, f"embeddings_n{n}.jsonl"), "w", encoding="utf-8") as fh:
@@ -124,6 +109,7 @@ def run_pipeline(
             fh.write(to_json(rec) + "\n")
 
     # realization + rigidity verdicts for the survivors
+    verdicts = []
     for e in catalog.survivors():
         verdict = {
             "name": e.name,
@@ -143,14 +129,25 @@ def run_pipeline(
         if cls in ("rigid", "flexible"):
             verdict["regions"] = sorted({classify(n, s.m).name for s in e.samples})
             verdict["witness"] = _rigidity_witness(e.samples[0].m, e.decision)
-        report.verdicts.append(verdict)
+        verdicts.append(verdict)
 
     # formula vs oracle table
+    oracle_rows = []
     if not skip_oracle:
         rng = np.random.default_rng(np.random.SeedSequence((seed, n, 0xC)))
-        report.oracle_rows = _oracle_table(n, 3, rng, ORACLE_RESTARTS, seed)
-        write_oracle_csv(os.path.join(out_dir, f"oracle_n{n}.csv"), report.oracle_rows)
+        oracle_rows = _oracle_table(n, 3, rng, ORACLE_RESTARTS, seed)
+        write_oracle_csv(os.path.join(out_dir, f"oracle_n{n}.csv"), oracle_rows)
 
+    report = PipelineReport(
+        n=n,
+        census_counts=census.counts,
+        embedding_count=len(entries),
+        after_forbidden=sum(1 for e in entries if e.forbidden_reason is None),
+        after_both=len(catalog.survivors()),
+        verdicts=verdicts,
+        oracle_rows=oracle_rows,
+        failures=[],
+    )
     _check_counts(report)
     with open(os.path.join(out_dir, f"verdicts_n{n}.json"), "w", encoding="utf-8") as fh:
         fh.write(to_json(report.to_dict()) + "\n")
@@ -216,7 +213,7 @@ def _check_counts(report: PipelineReport) -> None:
             report.failures.append(
                 f"{v['name']}: realization {v['realization']!r}, published {v['expected']!r}"
             )
-    report.failures += oracle_disagreements(report.oracle_rows)
+    report.failures.extend(oracle_disagreements(report.oracle_rows))
 
 
 def oracle_disagreements(rows: list[dict]) -> list[str]:

@@ -24,7 +24,7 @@ verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ RATIONALIZE_DENOMINATOR = 10**12
 FLOAT_CHECK_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class StrutFramework:
+class StrutFramework(NamedTuple):
     """n vertices and k struts: strut s joins vertices ends[s] = (i, j),
     i != j, along its realized edge vector vectors[s] from i to j; ends is
     a (k, 2) int array and vectors a (k, 2) float array.
@@ -70,13 +69,11 @@ class StrutFramework:
         return np.bincount(self.ends.ravel(), minlength=self.n)
 
 
-@dataclass(frozen=True)
-class FlexVector:
+class FlexVector(NamedTuple):
     velocities: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class Stress:
+class Stress(NamedTuple):
     coefficients: tuple[float, ...]
 
 
@@ -158,8 +155,7 @@ def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[Row]]:
     return rows, pinned
 
 
-@dataclass(frozen=True)
-class RigidityDecision:
+class RigidityDecision(NamedTuple):
     """A flex when the framework is flexible, and the proper stress whenever
     one exists (a rigid framework always has one)."""
 

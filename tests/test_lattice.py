@@ -78,6 +78,13 @@ class TestModuliPoint:
             m = ModuliPoint(x, y)
             assert (m.x, m.y) == (x, y)
 
+    def test_infinite_height_is_outside(self):
+        # an accepted (0, inf) gave optimal_centers(3, .) radius 0.5 with
+        # every center at w = nan
+        for x, y in ((0.0, math.inf), (0.5, math.inf), (0.2, math.nan), (math.nan, 1.5)):
+            with pytest.raises(OutOfModuliStrip):
+                ModuliPoint(x, y)
+
     def test_standard_basis_outside_strip_is_reduced(self):
         m, rec = reduce_to_standard_basis(LatticeBasis((1.0, 0.0), (3.0, 0.1)))
         assert (m.x, m.y) == pytest.approx((0.0, 10.0), abs=1e-9)

@@ -12,8 +12,9 @@ import pytest
 
 import toruspack
 
-# modules of the catalog half, numpy and scipy: the closed forms load none
-_LEFT_OUT = ("numpy", "scipy") + tuple(
+# modules of the catalog half, numpy, scipy, and dataclasses with the inspect
+# it imports: the closed forms load none
+_LEFT_OUT = ("numpy", "scipy", "dataclasses", "inspect") + tuple(
     f"toruspack.{m}"
     for m in ("census", "embedding", "ecg", "oracle", "rigidity", "exact_lp", "geometry_embed", "report")
 )
@@ -79,6 +80,25 @@ print(sorted(m for m in {_LEFT_OUT!r} if m in sys.modules))
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_only_oracle_imports_dataclasses():
+    # records are NamedTuples: a dataclass costs its import (with inspect,
+    # ast, dis and tokenize) and about 1 ms to build.  ComparisonReport stays
+    # one, because the benchmark's gate self-test copies it with
+    # dataclasses.replace
+    importers = []
+    for path in sorted(Path(toruspack.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                importers.append(path.name)
+    assert importers == ["oracle.py"]
+
+
 def test_no_broad_exception_handler():
     # a handler must name the error it expects: a broad one turns a bug into
     # a result ("no realization found")
@@ -92,10 +112,31 @@ def test_no_broad_exception_handler():
     assert broad == []
 
 
-# Parameters with a default plus dataclass fields with a default, over the
+# Parameters with a default plus record fields with a default, over the
 # package: a default that no production caller reads is deleted, so a diff
-# that adds one fails here unless it also raises the bound.
-MAX_SETTABLE_VALUES = 14
+# that adds or removes one fails here unless it also edits this list.
+# FigureSpec's size is its fields class's default: its __new__ adds none.
+SETTABLE_VALUES = (
+    "cli.py:main.argv",
+    "embedding.py:enumerate_toroidal.include_bigons",
+    "embedding.py:FilterVerdict.reason",
+    "embedding.py:FilterVerdict.witness",
+    "packing.py:extract_graph.tol",
+    "packing.py:contacts.tol",
+    "packing.py:validate.tol",
+    "render.py:_FigureFields.size",
+    "report.py:run_pipeline.skip_oracle",
+    "report.py:run_pipeline.strict",
+    "report.py:run_pipeline.seed",
+    "rigidity.py:build_framework.tol",
+    "rigidity.py:classify_packing.tol",
+    "solve.py:solve_report.tol",
+)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    return (any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            or any(ast.unparse(b) == "NamedTuple" for b in node.bases))
 
 
 def _settable_values() -> list[str]:
@@ -108,17 +149,14 @@ def _settable_values() -> list[str]:
                 named = positional[len(positional) - len(args.defaults):]
                 named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 found += [f"{path.name}:{getattr(node, 'name', 'lambda')}.{a.arg}" for a in named]
-            elif isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in node.decorator_list
-            ):
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
                 found += [f"{path.name}:{node.name}.{s.target.id}" for s in node.body
                           if isinstance(s, ast.AnnAssign) and s.value is not None]
     return found
 
 
 def test_settable_values_ratchet():
-    found = _settable_values()
-    assert len(found) <= MAX_SETTABLE_VALUES, found
+    assert _settable_values() == list(SETTABLE_VALUES)
 
 
 # Module-level tolerances, slacks and floors: numeric constants whose names
@@ -167,3 +205,66 @@ def test_tolerance_table_names_existing_tests():
         assert set(named) <= defined, row
         assert not row[-1].startswith("none"), row
         assert named or "cannot matter" in row[-1], row
+
+
+# Records: the package's NamedTuple and dataclass classes.
+def _records() -> list[type]:
+    found = []
+    for path in sorted(Path(toruspack.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"toruspack.{path.stem}")
+        found += [obj for name, obj in vars(module).items()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__ and not name.startswith("_")
+                  and (hasattr(obj, "_fields") or hasattr(obj, "__dataclass_fields__"))]
+    return found
+
+
+_RECORDS = _records()
+
+
+def _fields(cls: type) -> tuple[str, ...]:
+    return cls._fields if issubclass(cls, tuple) else tuple(cls.__dataclass_fields__)
+
+
+def _placeholder(cls: type):
+    """An instance holding k in its field k, built past any validation."""
+    values = range(len(_fields(cls)))
+    return tuple.__new__(cls, values) if issubclass(cls, tuple) else cls(*values)
+
+
+def test_every_record_is_found():
+    assert len(_RECORDS) == 24
+    assert {"ModuliPoint", "FigureSpec", "Multigraph", "PipelineReport", "ComparisonReport"} <= {
+        cls.__name__ for cls in _RECORDS}
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+def test_record_is_immutable(cls):
+    # a field can't be assigned, nor any other name but Multigraph's cached
+    # canonical_form, which lives in its instance dict
+    record = _placeholder(cls)
+    names = [_fields(cls)[0]] + ([] if cls.__name__ == "Multigraph" else ["not_a_field"])
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, -1)
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=lambda cls: cls.__name__)
+def test_record_repr_names_its_fields(cls):
+    fields = ", ".join(f"{name}={k}" for k, name in enumerate(_fields(cls)))
+    assert repr(_placeholder(cls)) == f"{cls.__name__}({fields})"
+
+
+def test_validating_records_check_every_copy():
+    # _replace builds through _make, which skips __new__ unless overridden
+    from toruspack.errors import OutOfModuliStrip
+    from toruspack.lattice import ModuliPoint
+    from toruspack.render import FigureSpec
+
+    with pytest.raises(OutOfModuliStrip):
+        ModuliPoint(0.0, 2.0)._replace(y=float("inf"))
+    with pytest.raises(OutOfModuliStrip):
+        ModuliPoint._make((0.3, 0.4))
+    with pytest.raises(ValueError, match="figure size"):
+        FigureSpec()._replace(size=float("nan"))
+    with pytest.raises(ValueError, match="figure size"):
+        FigureSpec._make((0,))

@@ -2,6 +2,7 @@ import math
 import re
 
 import numpy as np
+import pytest
 
 from toruspack import render
 from toruspack.closed_form import optimal_centers
@@ -27,6 +28,13 @@ def test_packing_svg_deterministic():
     assert a.count("<circle") >= 2
     assert a.count("<line") == 4
     assert "<text" in a
+
+
+def test_figure_size_is_positive_and_finite():
+    for size in (0, -480, math.nan, math.inf):
+        with pytest.raises(ValueError, match="figure size must be positive and finite"):
+            FigureSpec(size)
+    assert FigureSpec(size=1e-3).size == 1e-3
 
 
 def test_packing_edge_lengths():

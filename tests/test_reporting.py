@@ -3,7 +3,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -311,8 +310,8 @@ class TestChecks:
         "realizable, never locally maximally dense"), as the pipeline's."""
         from toruspack import report
 
-        doctored = replace(catalog3, entries=tuple(
-            replace(e, realization_class="rigid") if e.name == "ECG2-2" else e
+        doctored = catalog3._replace(entries=tuple(
+            e._replace(realization_class="rigid") if e.name == "ECG2-2" else e
             for e in catalog3.entries
         ))
         monkeypatch.setattr(report, "identify", lambda n: doctored)
