@@ -30,10 +30,10 @@ from .lattice import (
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
+    corner_arrays,
     fundamental_domain_area,
     reduce_to_standard_basis,
     torus_distance,
-    wrapped_translates,
 )
 from .packing import (
     Packing,
@@ -119,6 +119,7 @@ __all__ = [
     "classify_packing",
     "compare_with_closed_form",
     "compare_with_closed_forms",
+    "corner_arrays",
     "decide_rigidity",
     "density",
     "enumerate_census",
@@ -138,5 +139,4 @@ __all__ = [
     "tangency_census",
     "torus_distance",
     "trace_faces",
-    "wrapped_translates",
 ]

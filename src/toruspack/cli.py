@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args) -> int:
     try:
         rec = solve_report(args.n, args.v1, args.v2, tol=args.tol)
-    except DegenerateLattice as exc:
+    except (DegenerateLattice, ValueError) as exc:  # ValueError: a tol above TOL_CEIL
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

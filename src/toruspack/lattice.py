@@ -1,25 +1,37 @@
-"""Flat tori: standard-basis reduction and the toroidal metric.
+"""Flat tori: standard-basis reduction and the one translate window.
 
-A flat torus is the quotient of the plane by the lattice spanned by two
-independent vectors.  Any such lattice can be rescaled and relabeled so the
-generators become <1,0> and <x,y> with x^2 + y^2 >= 1, y > 0 and
-0 <= x <= 1/2 (the unoriented moduli strip); everything downstream assumes
-that normal form, and a ModuliPoint cannot be built outside it.  This
-module performs the reduction and holds the one distance kernel on the
-reduced torus: TRANSLATE_WINDOW, the 9 lattice translates of a difference
-nearest the origin, which include its nearest translate and every
-translate of length at most 1 (so every tangency and overlap of circles of
-radius at most 1/2).  Two evaluators read it: `window_translates`, on
-floats, for the readers of one packing, and `wrapped_translates`, on
-arrays, for the oracle's batches; a property test holds them to the same
-shifts and vectors.  The oracle's ascent reads 4 of the translates, the
-corners of each difference's lattice cell, which hold the nearest; its
-tests check that window against `wrapped_translates` bit for bit.
+A flat torus is the plane modulo the lattice of two independent vectors.
+Rescaled and relabeled, the generators become <1,0> and <x,y> with
+x^2 + y^2 >= 1, y > 0 and 0 <= x <= 1/2 (the unoriented moduli strip), the
+normal form everything downstream assumes; a ModuliPoint cannot be built
+outside it.  Every distance reads one window: for two circles the 4 corners
+of their difference's lattice cell (`corner_translates` on floats,
+`corner_arrays` on arrays, bit for bit alike), for a circle's own
+translates the 3 LOOP_SHIFTS.  The reduction and `corner_translates` run on
+the standard library alone, so `solve` loads no numpy.
 
-The reduction and `window_translates` run on the standard library alone,
-so `import toruspack` and the CLI's solve load no numpy; the array helpers
-(`wrapped_translates`, `pair_indices`, `ModuliPoint.basis`,
-`TorusPoint.coords`, `Displacement.vector`) import it when called.
+Why it suffices.  A translate t has squared length
+Q = (t1 + x t2)^2 + y^2 t2^2, and the corners take per coordinate two values
+l_c <= 0 <= l_c + 1, the nearer m_c <= 1/2 from 0.  Weights 1 + l_c and -l_c
+give coordinate c mean 0 and mean square m_c (1 - m_c), so Q's weighted mean
+over the corners of a row, or over all four, is at least d0^2, d0 the
+shortest corner.  With x <= 1/2 and y^2 >= 1 - x^2, Q off the corners exceeds
+one such mean by at least 1/2: off both rows (|t2| >= 1 + m_2, Q >=
+y^2 t2^2), the four's, by 1/2 + m_2/2; on the near row (|t2| = m_2,
+|t1| >= 1 + m_1), that row's, by t1^2 + 2x t1 t2 - m_1 (1 - m_1) >= 1/2 + m_1/2;
+on the far row, the near row's, by (|t1| - x (1 - m_2))^2 - m_1 (1 - m_1)
++ y^2 (1 - 2 m_2) - x^2 m_2^2 >= 2 (1 - x)(1 - m_2) >= 1/2.  Hence:
+  1. for two circles the nearest translate and its ties are corners (the
+     Delaunay fact of Conway & Sloane, Sphere Packings, Lattices and Groups,
+     ch. 2), and a translate of length at most L off the corners is at least
+     L - sqrt(L^2 - 1/2) longer than the nearest: 0.2929 at L = 1 (sharp at
+     x = 1/2, y = sqrt(7)/2, difference (0, 1/2)), 0.2305 at L = 1.2;
+  2. the LOOP_SHIFTS hold every loop shorter than sqrt(2), up to sign, and
+     v1 is the shortest: |v2| >= 1, |v2 - v1|^2 >= 2 - 2x >= 1,
+     |v1 + v2|^2 >= 2, and |b| >= 2 or |a + b x| >= 3/2 on the other a v1 + b v2.
+A contact of a packing that does not overlap is at most 1 + 2 tol long and
+within 2 tol of its pair's d0 (2r - tol <= 1 and <= d0), so both claims hold
+every contact at tol <= TOL_CEIL = 0.1 (2 tol = 0.2 < 0.2305 at L = 1.2).
 """
 from __future__ import annotations
 
@@ -70,14 +82,14 @@ class _ModuliFields(NamedTuple):
 class ModuliPoint(_ModuliFields):
     """Normalized torus: generators <1,0> and <x,y> in the unoriented strip,
     checked once, when it is built (outside it, or at an infinite y, raises
-    OutOfModuliStrip)."""
+    OutOfModuliStrip).  x = -0.0 is stored as 0.0: one x on the wall."""
 
     __slots__ = ()
 
     def __new__(cls, x: float, y: float):
         if not (x * x + y * y >= 1.0 - _STRIP_EPS and 0.0 < y < math.inf and 0.0 <= x <= 0.5):
             raise OutOfModuliStrip(f"({x}, {y}) outside the moduli strip")
-        return super().__new__(cls, x, y)
+        return super().__new__(cls, x + 0.0, y)
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: check there too
@@ -259,44 +271,39 @@ def reduce_to_standard_basis(basis: LatticeBasis) -> tuple[ModuliPoint, BasisRed
     return m, rec
 
 
-# (a, b) of the 9 translates a v1 + b v2, |a|, |b| <= 1
-TRANSLATE_WINDOW = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
+# The loop shifts (s1, s2): v2, v1 - v2 and v1, one of each +-pair.
+LOOP_SHIFTS = ((0, 1), (1, -1), (1, 0))
+
+TOL_CEIL = 0.1  # the largest tangency tolerance the window holds every contact at
 
 
-def window_translates(t1: float, t2: float, m: ModuliPoint) -> list[tuple[int, int, float, float]]:
-    """wrapped_translates of one difference (t1, t2), on floats: for each
-    (a, b) of TRANSLATE_WINDOW, in order, the integer shift (s1, s2) =
-    (a, b) - rint(t1, t2) and the plane vector (t1 + s1) v1 + (t2 + s2) v2,
-    as (s1, s2, x, y).  Each is rounded as wrapped_translates rounds it, so
-    the shifts and vectors are the same."""
-    r1, r2, x, y = round(t1), round(t2), m.x, m.y
-    return [(s1, s2, t1 + s1 + x * (t2 + s2), y * (t2 + s2))
-            for s1, s2 in ((a - r1, b - r2) for a, b in TRANSLATE_WINDOW)]
+def corner_translates(t1: float, t2: float, m: ModuliPoint) -> list[tuple[int, int, float, float]]:
+    """The 4 corners (a, b) = (0, 0), (0, 1), (1, 0), (1, 1) of the lattice
+    cell of the difference t, as (s1, s2, x, y), the integer shift and the
+    vector (t1 + s1) v1 + (t2 + s2) v2: coordinate c is f = t_c - rint(t_c)
+    at 0 and f - copysign(1, f) at 1, rounded as in corner_arrays."""
+    corners = []
+    for t in (t1, t2):
+        r = round(t)
+        f = t - r + 0.0  # +0.0 at t = -0.0, as numpy's f - rint(f)
+        g = math.copysign(1.0, f)
+        corners.append(((-r, f), (-r - int(g), f - g)))
+    return [(s1, s2, f1 + m.x * f2, m.y * f2) for s1, f1 in corners[0] for s2, f2 in corners[1]]
 
 
-def wrapped_translates(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The 9 translates nearest the origin of the fractional differences frac.
-
-    frac (..., 2) holds lattice coordinates (t1, t2); each is wrapped into
-    [-1/2, 1/2]^2 and shifted by each (a, b) of TRANSLATE_WINDOW.
-    Returns the integer shifts s and the plane vectors (t1 + s1) v1 +
-    (t2 + s2) v2, both (2, ..., 9) with the coordinate axis first.
-
-    In the strip |t1 v1 + t2 v2| >= (sqrt(3)/2) max(|t1|, |t2|) (y^2 >= 3/4;
-    x <= 1/2 and x^2 + y^2 >= 1 give t1^2 + 2x t1 t2 + t2^2 >= (3/4) t1^2),
-    so every translate outside the window is at least 3 sqrt(3)/4 = 1.299
-    long: all tangencies and overlaps (distance <= 1) lie inside it.  So do
-    the nearest translate and its ties, whatever their length: stepping t2
-    toward 0 shortens any translate with |t2| >= 3/2, and for |t2| < 3/2
-    the best t1 lies within 1/2 of -x t2, hence |t1| <= 5/4.
-    """
+def corner_arrays(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np.ndarray]:
+    """corner_translates of the differences frac (..., 2), on arrays: the
+    shifts and the vectors, both (2, ..., 4), the corners last, in order."""
     import numpy as np
 
-    f = np.moveaxis(frac, -1, 0)[..., None]
-    window = np.array(TRANSLATE_WINDOW, float).T.reshape((2,) + (1,) * (frac.ndim - 1) + (9,))
-    s = window - np.rint(f)
-    t = f + s
-    return s, np.stack([t[0] + m.x * t[1], m.y * t[1]])
+    f = np.moveaxis(frac, -1, 0)
+    r = np.rint(f)
+    f = f - r
+    g = np.copysign(1.0, f)
+    t, s = np.stack([f, f - g]), np.stack([-r, -r - g])  # (value, coordinate, ...)
+    a, b = [0, 0, 1, 1], [0, 1, 0, 1]  # corner (a, b) takes value a of t1, value b of t2
+    v = np.stack([t[a, 0] + m.x * t[b, 1], m.y * t[b, 1]])
+    return np.moveaxis(np.stack([s[a, 0], s[b, 1]]), 1, -1), np.moveaxis(v, 1, -1)
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +320,7 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def torus_distance(p: TorusPoint, q: TorusPoint, m: ModuliPoint) -> float:
     """Distance between the circle centers on the torus."""
     (p1, p2), (q1, q2) = p.lattice_coords(m), q.lattice_coords(m)
-    return min(math.hypot(x, y) for _, _, x, y in window_translates(q1 - p1, q2 - p2, m))
+    return min(math.hypot(x, y) for _, _, x, y in corner_translates(q1 - p1, q2 - p2, m))
 
 
 def fundamental_domain_area(m: ModuliPoint) -> float:

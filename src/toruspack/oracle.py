@@ -23,9 +23,9 @@ from .lattice import (
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
+    corner_arrays,
     pair_indices,
     reduce_to_standard_basis,
-    wrapped_translates,
 )
 from .packing import (
     ANGLE_GAP_TOL,
@@ -193,7 +193,7 @@ def _solve_equal_lengths(rows, offsets, sign, active, u0):
 # Points are held in fractional coordinates.  The ascent runs every torus of
 # a table at once: the tori share the seeded starts, and each torus's
 # iterates read only its own moduli and basis, so a torus ascends the same
-# alone or in any batch.  Ranking and refining read lattice.wrapped_translates.
+# alone or in any batch.  Ranking and refining read lattice.corner_arrays.
 
 ASCENT_ITERS = 220
 # The soft-min sharpness starts at 64 and doubles every tenth of the
@@ -230,7 +230,7 @@ def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     (n >= 2); the self distance is the shortest lattice vector, capped by
     the caller."""
     I, J = pair_indices(F.shape[-2])
-    _, v = wrapped_translates(F[..., J, :] - F[..., I, :], m)
+    _, v = corner_arrays(F[..., J, :] - F[..., I, :], m)
     return _lengths(v).min((-2, -1))
 
 
@@ -249,19 +249,8 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     (K, R, n, 2) endpoints.  Steps are taken in plane coordinates and
     mapped back to fractional coordinates.
 
-    A pair reads the 4 corners of its lattice cell: after the wrap
-    f = d - rint(d), with s = copysign(1, f), the translates (t1, t2) in
-    {f1, f1 - s1} x {f2, f2 - s2}, the corners of the cell holding -f.
-    Each rounds d plus an integer once, as lattice.wrapped_translates does,
-    so they are 4 of its 9 bit for bit; and they hold the nearest, as a
-    point's nearest lattice point is a vertex of its Delaunay cell (Conway
-    & Sloane, Sphere Packings, Lattices and Groups, ch. 2).  In the strip
-    the shorter diagonal cuts a cell into two non-obtuse triangles (0, v1,
-    v2 has angle cosines in the ratios x : 1 - x : x^2 + y^2 - x >= 0; the
-    other cells hold translates of it, or of its mirror image when x < 0),
-    and in a non-obtuse lattice triangle each vertex's convex Voronoi cell
-    holds the vertex, the circumcenter and its edges' midpoints (whose
-    diametral disks lie in empty circumdisks), hence its share of it.
+    A pair reads the 4 corners of its lattice cell, lattice.corner_arrays's
+    bit for bit, which hold its nearest translate (lattice's docstring).
 
     Every array is allocated once; five hold 4 P K R floats (P = n(n - 1)/2
     pairs), laid out (a, b, pair, torus, restart): broadcasts, minima and
@@ -338,7 +327,7 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
 
     At a max-min optimum the active tangencies share one length; solving
     |p_j + t - p_i|^2 = d^2 over the active set lands the configuration on
-    it to machine precision.  The active set is every translate within
+    it to machine precision.  The active set is every cell corner within
     REFINE_SLACK of the minimum, and at least the 2n - 1 shortest: a local
     optimum is an infinitesimally rigid strut framework, which needs one
     more contact than its 2(n - 1) degrees of freedom.  Each F of Fs and
@@ -350,14 +339,14 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
     n = Fs[0].shape[1]
     I, J = pair_indices(n)
     # unknowns: p_1 .. p_{n-1} (p_0 pinned), then the common length d; the
-    # 9 translates of a pair share its rows of A
+    # 4 corners of a pair share its rows of A
     incidence = np.eye(n)[:, J] - np.eye(n)[:, I]  # +1 at each pair's head j, -1 at its tail i
     A = np.kron(incidence[1:].T, np.eye(2)).reshape(len(I), 2, 2 * n - 2)
-    A = np.repeat(np.concatenate([A, np.zeros((len(I), 2, 1))], 2), 9, axis=0)
+    A = np.repeat(np.concatenate([A, np.zeros((len(I), 2, 1))], 2), 4, axis=0)
     c, dmin, active, pts = [], [], [], []
     for F, m in zip(Fs, tori):
-        shifts, v = wrapped_translates(F[:, J] - F[:, I], m)
-        dist = _lengths(v).reshape(len(F), -1)  # (pair, translate) flattened
+        shifts, v = corner_arrays(F[:, J] - F[:, I], m)
+        dist = _lengths(v).reshape(len(F), -1)  # (pair, corner) flattened
         dmin.append(dist.min(1))
         cut = np.maximum(dmin[-1] + REFINE_SLACK, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
         active.append(dist <= cut[:, None])

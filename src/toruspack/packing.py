@@ -11,7 +11,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OverlapDetected
-from .lattice import DEFAULT_TOL, Displacement, ModuliPoint, TorusPoint, fundamental_domain_area, window_translates
+from .lattice import (DEFAULT_TOL, LOOP_SHIFTS, TOL_CEIL, Displacement, ModuliPoint, TorusPoint, corner_translates,
+                      fundamental_domain_area)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,17 +53,17 @@ def _edge_vectors(m: ModuliPoint, canon: tuple[TorusPoint, ...], g: "PackingGrap
 
 
 def _pair_translates(m: ModuliPoint, canon: tuple[TorusPoint, ...]) -> list[tuple[int, int, int, int, float]]:
-    """Per pair i <= j of the canonical centers, the 9 translates of center
-    j nearest center i (lattice.window_translates), as (i, j, s1, s2,
-    length) with the integer shift (s1, s2).  t = 0 of a self pair is no
-    distance and is left out.
-
-    The window holds every translate of length at most 1; circles of
-    radius above 1/2 overlap their own unit translate, which is in it."""
+    """Per pair i <= j of the canonical centers, lattice's window of
+    translates of center j from center i, as (i, j, s1, s2, length) with the
+    integer shift (s1, s2): the 4 corners for i < j, the LOOP_SHIFTS for i = j."""
     frac = [c.lattice_coords(m) for c in canon]
-    return [(i, j, s1, s2, math.hypot(x, y))
-            for i, (p1, p2) in enumerate(frac) for j, (q1, q2) in enumerate(frac[i:], i)
-            for s1, s2, x, y in window_translates(q1 - p1, q2 - p2, m) if i != j or s1 or s2]
+    loops = [(s1, s2, math.hypot(s1 + m.x * s2, m.y * s2)) for s1, s2 in LOOP_SHIFTS]
+    out = []
+    for i, (p1, p2) in enumerate(frac):
+        out += [(i, i, s1, s2, length) for s1, s2, length in loops]
+        out += [(i, j, s1, s2, math.hypot(x, y)) for j, (q1, q2) in enumerate(frac[i + 1:], i + 1)
+                for s1, s2, x, y in corner_translates(q1 - p1, q2 - p2, m)]
+    return out
 
 
 def _check_overlap(translates: list[tuple[int, int, int, int, float]], r: float, tol: float) -> None:
@@ -75,7 +76,8 @@ class PackingGraph(NamedTuple):
     """Multigraph on circle indices; each edge carries its lattice witness.
 
     Edges (i, j, d) with i <= j are identified with (j, i, -d); loops (i = i)
-    are self-tangencies and store one representative of the +-d pair.
+    are self-tangencies and store the representative of the +-d pair that
+    lattice.LOOP_SHIFTS holds.
     """
 
     vertex_count: int
@@ -102,11 +104,12 @@ def contacts(p: Packing, tol: float = DEFAULT_TOL) -> tuple[PackingGraph, np.nda
 def _extract(p: Packing, canon: tuple[TorusPoint, ...], tol: float) -> PackingGraph:
     if p.radius <= 0:
         raise ValueError("radius must be positive")
+    if not tol <= TOL_CEIL:
+        raise ValueError(f"tangency tolerance {tol:g} above {TOL_CEIL:g}, past the translate window's reach")
     translates = _pair_translates(p.m, canon)
     _check_overlap(translates, p.radius, tol)
-    # a self pair's translates come as +-d: count each self-tangency once
     edges = [(i, j, Displacement(s1, s2)) for i, j, s1, s2, length in translates
-             if abs(length - 2 * p.radius) <= tol and (i != j or (s1, s2) > (0, 0))]
+             if abs(length - 2 * p.radius) <= tol]
     edges.sort(key=lambda e: (e[0], e[1], e[2].a, e[2].b))
     return PackingGraph(vertex_count=p.n, edges=tuple(edges))
 

@@ -10,15 +10,17 @@ from toruspack import lattice
 from toruspack.errors import DegenerateLattice, OutOfModuliStrip
 from toruspack.lattice import (
     _STRIP_EPS,
+    LOOP_SHIFTS,
+    TOL_CEIL,
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
     _fma,
+    corner_arrays,
+    corner_translates,
     fundamental_domain_area,
     reduce_to_standard_basis,
     torus_distance,
-    window_translates,
-    wrapped_translates,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -61,9 +63,10 @@ def _disguised(x, y, shears, swap, turn, reflect, decades):
 
 class TestModuliPoint:
     def test_checked_when_built(self):
-        # the strip is an invariant: outside it the 9-translate window of
-        # wrapped_translates can miss the nearest translate (at (3.0, 0.1)
-        # it reports 0.48452 for [0.5, 0.34], where 0.48120 is nearest)
+        # the strip is an invariant: outside it the cell corners of
+        # corner_translates can miss the nearest translate (at (3.0, 0.1)
+        # they report 0.52111 for the difference (0.5, 0.34), where 0.48120
+        # is nearest)
         outside = ((3.0, 0.1), (0.3, 0.4), (0.7, 2.0), (-0.1, 1.5), (0.2, 0.0), (0.2, -1.5),
                    (-1e-10, 1.0), (0.5 + 1e-10, 1.0),  # no slack past a wall
                    # nor below the arc past float noise: at the second, the
@@ -214,6 +217,7 @@ class TestReduceScale:
     @given(coords=st.lists(_COORD, min_size=4, max_size=4), k=st.integers(-1000, 1000))
     @example(coords=[1.0, 0.0, 0.3, 1.1], k=-1000)
     @example(coords=[0.7, -0.2, 0.4, 1.3], k=1000)
+    @example(coords=[1.0, 0.0, -0.0, 1.0], k=1)  # already standard at x = -0.0, reduced at 2x
     def test_reduction_does_not_depend_on_scale(self, coords, k):
         # the basis times 2^k reduces to the same strip point, unimodular
         # change and orientation, with its scale exactly divided by 2^k
@@ -244,6 +248,85 @@ def _reduction(reduce, basis):
 # already-standard shortcut does not take them
 _THIN_BASES = [((0.3, 1e11), (1, 0)), ((1, 1e-11), (1, 0)), ((3, 0), (0.9, 3e11)),
                ((0.5, 1e-11), (-2, 0.25)), ((0.3, 1e13), (1, 0))]
+
+
+def _exact_reduction(basis):
+    """Lagrange-Gauss reduction on Fractions of the basis's floats, with
+    reduce_to_standard_basis's conventions: the exact strip point (x, y),
+    the unimodular change, whether the plane map reflects, and the squared
+    length of the shortest lattice vector."""
+    u = [tuple(map(Fraction, v)) for v in basis]
+    U = [(1, 0), (0, 1)]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+
+    if dot(u[0], u[0]) > dot(u[1], u[1]):
+        u.reverse()
+        U.reverse()
+    while True:
+        q = round(dot(u[1], u[0]) / dot(u[0], u[0]))
+        u[1] = (u[1][0] - q * u[0][0], u[1][1] - q * u[0][1])
+        U[1] = (U[1][0] - q * U[0][0], U[1][1] - q * U[0][1])
+        if dot(u[1], u[1]) < dot(u[0], u[0]):
+            u.reverse()
+            U.reverse()
+        else:
+            break
+    short = dot(u[0], u[0])
+    x, y = dot(u[0], u[1]) / short, (u[0][0] * u[1][1] - u[0][1] * u[1][0]) / short
+    reflected = y < 0
+    if x < 0:
+        x, U[0], reflected = -x, (-U[0][0], -U[0][1]), not reflected
+    return x, abs(y), tuple(U), reflected, short
+
+
+# The float reduction's error bound, in units of kappa 2^-52, kappa =
+# (longest input vector / shortest lattice vector)^2: the Gauss steps
+# subtract multiples of vectors up to that long, each rounded relative to
+# its length.  Over 20 000 disguised bases (up to four shears, scale
+# 10^+-3, y up to 1e3) the largest error was 1.43 kappa 2^-52, on y.
+_REDUCTION_ULPS = 4
+
+
+class TestReduceMatchesExact:
+    """The float reduction against exact Gauss reduction of the same input
+    floats, on every host (TestReduceMatchesReference runs only where numpy
+    fuses a multiply-add): the strip point within _REDUCTION_ULPS, and the
+    same unimodular change up to sign and the same reflection wherever the
+    exact point is farther than that from a frame tie (x = 0, x = 1/2 or the
+    arc), where another frame is as good."""
+
+    def _check(self, basis):
+        try:
+            m, rec = reduce_to_standard_basis(basis)
+        except DegenerateLattice:
+            assume(False)
+        x, y, U, reflected, short = _exact_reduction(basis)
+        kappa = max(Fraction(a) ** 2 + Fraction(b) ** 2 for a, b in basis) / short
+        bound = _REDUCTION_ULPS * kappa * Fraction(2) ** -52
+        assert abs(Fraction(m.x) - x) <= bound and abs(Fraction(m.y) - y) <= bound
+        if min(x, Fraction(1, 2) - x, abs(x * x + y * y - 1)) > 2 * bound:
+            assert rec.unimodular in (U, tuple(tuple(-a for a in row) for row in U))
+            assert rec.reflected == reflected
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x=st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 0.5)),
+        rise=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e3)),
+        disguise=_DISGUISES,
+        decades=st.floats(-3.0, 3.0),
+    )
+    def test_disguised_strip_points(self, x, rise, disguise, decades):
+        y = (SQRT3 / 2 if x == 0.5 else math.sqrt(1.0 - x * x)) + rise
+        self._check(_disguised(x, y, *disguise, decades))
+
+    @settings(max_examples=400, deadline=None)
+    @given(coords=st.lists(_COORD, min_size=4, max_size=4), k=st.integers(-30, 30))
+    @example(coords=[1.0, 0.0, -0.0, 1.0], k=0)
+    @example(coords=[1.0, 0.0, 0.5, 0.8660254037844386], k=3)
+    def test_any_basis(self, coords, k):
+        self._check(LatticeBasis(*(tuple(math.ldexp(a, k) for a in v) for v in (coords[:2], coords[2:]))))
 
 
 @pytest.mark.skipif(not reduction_reference.numpy_fuses(),
@@ -391,7 +474,6 @@ def _strip_points():
 
 
 _coords = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 1.0, exclude_max=True))
-_cells = st.integers(-5, 5)
 
 
 def _brute_translates(frac, m, window=6):
@@ -405,47 +487,64 @@ def _brute_translates(frac, m, window=6):
     return {(int(i), int(j)): float(e) for i, j, e in zip(a, b, d)}
 
 
-class TestWrappedTranslates:
-    @settings(max_examples=400, deadline=None)
-    @given(_strip_points(), _coords, _coords, _coords, _coords, _cells, _cells)
-    def test_matches_wide_window(self, m, p1, p2, q1, q2, k1, k2):
-        frac = np.array([q1 - p1 + k1, q2 - p2 + k2])
-        s, v = wrapped_translates(frac, m)
-        got = {(int(a), int(b)): float(e) for a, b, e in zip(*s, np.sqrt(v[0] ** 2 + v[1] ** 2))}
-        brute = _brute_translates(frac, m)
-        assert got.items() <= brute.items()
+_SQRT7 = math.sqrt(7.0)
+
+# thin, rectangular, hexagonal and random tori
+_WINDOW_TORI = st.one_of(
+    _strip_points(),
+    st.builds(ModuliPoint, st.floats(0.0, 0.5), st.floats(50.0, 1e6)),
+    st.builds(ModuliPoint, st.just(0.0), st.floats(1.0, 50.0)),
+    st.just(ModuliPoint(0.5, SQRT3 / 2)),
+    st.just(ModuliPoint(0.5, _SQRT7 / 2)),
+)
+_DIFFERENCES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 1e-300, -1e-300]),
+                         st.floats(-6.0, 6.0), st.floats(-1e12, 1e12))
+
+
+class TestCornerWindow:
+    @settings(max_examples=600, deadline=None)
+    @given(_WINDOW_TORI, _DIFFERENCES, _DIFFERENCES)
+    @example(ModuliPoint(0.0, 1.0), -0.0, 0.5)  # Python's round(-0.0) is 0, numpy's rint -0.0
+    @example(ModuliPoint(0.0, 1.0), 0.5, 0.5)  # four ties
+    @example(ModuliPoint(0.5, SQRT3 / 2), 1 / 3, 1 / 3)  # three ties
+    @example(ModuliPoint(0.5, _SQRT7 / 2), 0.0, 0.5)  # claim 1's sharp case
+    def test_holds_every_contact(self, m, t1, t2):
+        """The cell corners against every translate of a wide window: the
+        scalar and array evaluators agree bit for bit; the corners hold the
+        nearest translate, its ties, and every translate a contact can be
+        at tol <= TOL_CEIL; off the corners the squared length exceeds the
+        nearest's by 1/2; and the loop shifts hold every loop shorter than
+        sqrt(2) (lattice's module docstring)."""
+        got = corner_translates(t1, t2, m)
+        s, v = corner_arrays(np.array([t1, t2]), m)
+        assert [(a, b) for a, b, _, _ in got] == [(int(a), int(b)) for a, b in s.T]
+        assert repr([(x, y) for _, _, x, y in got]) == repr([(float(x), float(y)) for x, y in v.T])
+        for (_, _, x, y), length in zip(got, np.hypot(v[0], v[1])):  # math.hypot and np.hypot within 1 ulp
+            assert abs(math.hypot(x, y) - length) <= math.ulp(length)
+        corners = {(int(a), int(b)): float(e) for a, b, e in zip(*s, np.sqrt(v[0] ** 2 + v[1] ** 2))}
+        brute = _brute_translates(np.array([t1, t2]), m)
+        assert corners.items() <= brute.items()
         best = min(brute.values())
-        assert min(got.values()) == best
-        for reach in (best + 1e-12, 1.0):  # ties; tangencies and overlaps
-            assert {t for t, e in got.items() if e <= reach} == {
-                t for t, e in brute.items() if e <= reach
-            }
-        # the strip bound |t1 v1 + t2 v2| >= (sqrt(3)/2) max(|t1|, |t2|)
-        assert all(e >= 3 * SQRT3 / 4 - 1e-12 for t, e in brute.items() if t not in got)
+        assert min(corners.values()) == best
+        assert {t for t, e in brute.items() if e <= best + 1e-12} <= corners.keys()
+        reach = min(best + 2 * TOL_CEIL, 1 + 2 * TOL_CEIL)
+        assert {t for t, e in brute.items() if e <= reach} <= corners.keys()
+        # the bound itself, where rounding stays far below the 1/2
+        assert all(e * e >= best * best + 0.5 - 1e-9 for t, e in brute.items() if t not in corners and e <= 4)
+        vectors = {t: e for t, e in _brute_translates(np.zeros(2), m).items() if t != (0, 0)}
+        assert {t for t, e in vectors.items() if e < math.sqrt(2) - 1e-12} <= (
+            set(LOOP_SHIFTS) | {(-a, -b) for a, b in LOOP_SHIFTS})
+        assert vectors[1, 0] == 1.0 and min(vectors.values()) >= 1.0 - 1e-15  # v1 is the shortest
 
     def test_batched_shapes(self):
         rng = np.random.default_rng(21)
         m = ModuliPoint(0.3, 1.4)
         frac = rng.uniform(-4, 4, (5, 3, 2))
-        s, v = wrapped_translates(frac, m)
-        assert s.shape == v.shape == (2, 5, 3, 9)
-        one_s, one_v = wrapped_translates(frac[2, 1], m)
+        s, v = corner_arrays(frac, m)
+        assert s.shape == v.shape == (2, 5, 3, 4)
+        one_s, one_v = corner_arrays(frac[2, 1], m)
         assert np.array_equal(s[:, 2, 1], one_s) and np.array_equal(v[:, 2, 1], one_v)
 
-
-    @settings(max_examples=400, deadline=None)
-    @given(_strip_points(), _coords, _coords, _coords, _coords, _cells, _cells)
-    @example(ModuliPoint(0.0, 1.0), -0.0, 0.5, 0.0, 0.0, 0, 0)
-    def test_scalar_evaluator_matches(self, m, p1, p2, q1, q2, k1, k2):
-        # window_translates gives the batch's shifts and vectors bit for bit,
-        # and math.hypot gives np.hypot's lengths within 1 ulp
-        t1, t2 = q1 - p1 + k1, q2 - p2 + k2
-        s, v = wrapped_translates(np.array([t1, t2]), m)
-        got = window_translates(t1, t2, m)
-        assert [(s1, s2) for s1, s2, _, _ in got] == [(int(a), int(b)) for a, b in s.T]
-        assert repr([(x, y) for _, _, x, y in got]) == repr([(float(x), float(y)) for x, y in v.T])
-        for (_, _, x, y), length in zip(got, np.hypot(v[0], v[1])):
-            assert abs(math.hypot(x, y) - length) <= math.ulp(length)
 
 def test_fundamental_domain_area():
     assert fundamental_domain_area(ModuliPoint(0, 1)) == 1

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 import equal_length_reference as reference
 import realization_reference
@@ -12,7 +11,7 @@ from toruspack import oracle
 from toruspack.closed_form import optimal_radius
 from toruspack.ecg import EXPECTED_NOT_REALIZABLE, REALIZE_ATTEMPTS, REALIZE_SEED
 from toruspack.errors import NoTorusEmbedding
-from toruspack.lattice import ModuliPoint, TorusPoint, wrapped_translates
+from toruspack.lattice import ModuliPoint, TorusPoint, corner_arrays
 from toruspack.oracle import (
     compare_with_closed_form,
     maximize_min_distances,
@@ -80,30 +79,17 @@ class TestMaxMin:
         assert g.loop_count() >= 1
 
 
-def _corners(d, m):
-    """The 4 corners of the lattice cell of each difference d (..., 2),
-    plainly: wrap f = d - rint(d), take t_c in {f_c, f_c - copysign(1, f_c)}
-    for each coordinate, and return the 4 plane vectors (2, ...) in the
-    order (f1, f2), (f1, g2), (g1, f2), (g1, g2), g = f - copysign(1, f)."""
-    f = d - np.rint(d)
-    g = f - np.copysign(1.0, f)
-    return [
-        np.stack([t1 + m.x * t2, m.y * t2])
-        for t1 in (f[..., 0], g[..., 0])
-        for t2 in (f[..., 1], g[..., 1])
-    ]
-
-
 def _reference_ascent(T, m):
     """The soft-min ascent of one torus written plainly on the corner
-    window, every sum a left-to-right Python sum: the arithmetic the
-    buffered, batched kernel keeps, in the same order."""
+    window of lattice.corner_arrays, every sum a left-to-right Python sum:
+    the arithmetic the buffered, batched kernel keeps, in the same order, so
+    its corners are corner_arrays's bit for bit."""
     n = T.shape[1]
     I, J = np.triu_indices(n, k=1)
     binv = np.linalg.inv(m.basis)
     beta, step = 64.0, 0.08
     for it in range(220):
-        v = _corners(T[:, J] - T[:, I], m)  # 4 x (2, R, P)
+        v = np.moveaxis(corner_arrays(T[:, J] - T[:, I], m)[1], -1, 0)  # 4 x (2, R, P)
         dist = [np.sqrt(c[0] ** 2 + c[1] ** 2 + 1e-18) for c in v]
         dmin = np.min(dist, axis=(0, 2))[:, None]
         w = [np.exp(-beta * (d - dmin)) for d in dist]
@@ -188,38 +174,6 @@ class TestBatchedAscent:
         assert maximize_min_distances(3, [], restarts=5, seed=0) == []
         ones = maximize_min_distances(1, _POOL[2][:2], restarts=5, seed=0)
         assert [r.best_radius for r in ones] == [0.5, 0.5]
-
-
-_X = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5))
-
-
-@st.composite
-def _strip_tori(draw):
-    x = draw(_X)
-    y_min = math.sqrt(max(1.0 - x * x, 0.75))
-    y = draw(st.one_of(st.just(y_min), st.floats(y_min, 2.0), st.floats(2.0, 1e3)))
-    return ModuliPoint(x, y)
-
-
-_DIFF = st.one_of(
-    st.floats(-1.0, 1.0),
-    st.floats(-1e12, 1e12),
-    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, 1e-300, -1e-300]),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(m=_strip_tori(), d=hnp.arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=_DIFF))
-@example(m=ModuliPoint(0.5, SQRT3 / 2), d=np.array([[1 / 3, 1 / 3], [0.5, 0.5], [-0.5, 0.5]]))
-@example(m=ModuliPoint(0.0, 1.0), d=np.array([[0.5, 0.5], [0.5, -0.0], [-0.0, 0.5]]))
-def test_corner_window_holds_the_nearest_translate(m, d):
-    """The ascent's 4 corners hold the minimum of wrapped_translates's 9
-    bit for bit, on every torus of the strip and every difference."""
-    _, v = wrapped_translates(d, m)
-    corners = np.stack(_corners(d, m), -1)
-    nine = np.sqrt(v[0] ** 2 + v[1] ** 2).min(-1)
-    four = np.sqrt(corners[0] ** 2 + corners[1] ** 2).min(-1)
-    np.testing.assert_array_equal(four, nine)
 
 
 class TestRealize:

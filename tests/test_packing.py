@@ -8,7 +8,15 @@ from test_lattice import _coords, _strip_points
 
 from toruspack.closed_form import optimal_centers
 from toruspack.errors import OverlapDetected
-from toruspack.lattice import DEFAULT_TOL, Displacement, ModuliPoint, TorusPoint, wrapped_translates
+from toruspack.lattice import (
+    DEFAULT_TOL,
+    LOOP_SHIFTS,
+    Displacement,
+    ModuliPoint,
+    TorusPoint,
+    corner_arrays,
+    corner_translates,
+)
 from toruspack.oracle import REALIZATION_CLEARANCE
 from toruspack.packing import (
     Packing,
@@ -106,10 +114,10 @@ class TestExtract:
     @given(
         _strip_points(),
         st.lists(st.tuples(_coords, _coords), min_size=1, max_size=4),
-        st.sampled_from((1e-9, 1e-7)),
+        st.sampled_from((1e-9, 1e-7, 0.1)),  # 0.1: at the ceiling
         st.integers(0, 30),
     )
-    # half-lattice ties: each needs its own window column (all nine in all)
+    # half-lattice ties, all among the cell's 4 corners
     @example(ModuliPoint(0.0, 1.0), [(0.0, 0.0), (0.5, 0.5)], 1e-9, 0)
     @example(ModuliPoint(0.0, 1.0), [(0.5, 0.5), (0.0, 0.0)], 1e-9, 0)
     @example(ModuliPoint(0.5, 1.0), [(0.0, 0.5), (0.5, 0.0)], 1e-9, 0)
@@ -132,6 +140,22 @@ class TestExtract:
         }
         got = extract_graph(p, tol=tol).edges
         assert [(i, j, d.a, d.b) for i, j, d in got] == sorted(want)
+
+    def test_tolerance_past_the_ceiling_is_refused(self):
+        # at x = 1/2, y = sqrt(7)/2 the difference (0, 1/2) has its nearest
+        # translate at 1/sqrt(2) and one off its cell corners at 1: at
+        # tol = 0.15 both touch circles of radius 0.427, so the window
+        # would drop a contact
+        m = ModuliPoint(0.5, math.sqrt(7) / 2)
+        centers = (TorusPoint(0.0, 0.0), TorusPoint(m.x / 2, m.y / 2))
+        p = Packing(m=m, centers=centers, radius=0.427)
+        brute = _brute_pair_lengths(m, centers)
+        assert min(brute.values()) >= 2 * p.radius - 0.15
+        assert abs(brute[0, 1, 1, -1] - 2 * p.radius) <= 0.15
+        assert (1, -1) not in {(s1, s2) for s1, s2, _, _ in corner_translates(0.0, 0.5, m)}
+        for read in (extract_graph, contacts):
+            with pytest.raises(ValueError, match="above 0.1"):
+                read(p, tol=0.15)
 
     def test_relabel_and_translate_invariance(self):
         rng = np.random.default_rng(61)
@@ -172,18 +196,20 @@ class TestExtract:
 
 
 def _batch_graph(p, tol):
-    """The graph read through the batch evaluator, wrapped_translates, and
-    np.hypot: the tangencies, or OverlapDetected."""
+    """The graph read through the array evaluator, corner_arrays, the loop
+    shifts and np.hypot: the tangencies, or OverlapDetected."""
     frac = np.array([c.canonical(p.m).lattice_coords(p.m) for c in p.centers])
-    I, J = np.triu_indices(p.n)
-    shifts, v = wrapped_translates(frac[J] - frac[I], p.m)
-    lengths = np.hypot(v[0], v[1])
-    lengths[I == J, 4] = np.inf
-    if lengths.min() < 2 * p.radius - tol:
+    I, J = np.triu_indices(p.n, 1)
+    shifts, v = corner_arrays(frac[J] - frac[I], p.m)
+    loops = np.array(LOOP_SHIFTS, float).T
+    witnesses = [(I[k], J[k], *shifts[:, k, c]) for k, c in np.ndindex(len(I), 4)]
+    witnesses += [(i, i, a, b) for i in range(p.n) for a, b in LOOP_SHIFTS]
+    loop_lengths = list(np.hypot(loops[0] + p.m.x * loops[1], p.m.y * loops[1]))
+    lengths = list(np.hypot(v[0], v[1]).ravel()) + loop_lengths * p.n
+    if min(lengths) < 2 * p.radius - tol:
         return OverlapDetected
-    edges = [(int(I[k]), int(J[k]), Displacement(int(shifts[0, k, c]), int(shifts[1, k, c])))
-             for k, c in zip(*np.nonzero(np.abs(lengths - 2 * p.radius) <= tol))]
-    edges = [e for e in edges if e[0] != e[1] or (e[2].a, e[2].b) > (0, 0)]
+    edges = [(int(i), int(j), Displacement(int(a), int(b)))
+             for (i, j, a, b), e in zip(witnesses, lengths) if abs(e - 2 * p.radius) <= tol]
     return PackingGraph(p.n, tuple(sorted(edges, key=lambda e: (e[0], e[1], e[2].a, e[2].b))))
 
 
@@ -197,7 +223,7 @@ def _scalar_graphs(p, tol):
 
 class TestEvaluatorsAgree:
     """extract_graph and contacts read one packing through the scalar
-    evaluator, window_translates; the batch one gives the same graphs."""
+    evaluator, corner_translates; the array one gives the same graphs."""
 
     def test_on_closed_form_optima(self):
         rng = np.random.default_rng(29)

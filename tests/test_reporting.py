@@ -180,6 +180,13 @@ class TestSolve:
         assert "thinner than" in r.stderr
         assert run_cli("solve", "--n", "4", "--v1", "1,0", "--v2", "0.3,1e11").returncode == 0
 
+    def test_cli_tol_past_the_ceiling_exit_code(self):
+        # a tolerance the translate window cannot hold is refused with the reason
+        r = run_cli("solve", "--n", "3", "--v1", "1,0", "--v2", "0.3,1.2", "--tol", "0.5")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert "above 0.1" in r.stderr
+        assert run_cli("solve", "--n", "3", "--v1", "1,0", "--v2", "0.3,1.2", "--tol", "0.1").returncode == 0
+
     @pytest.mark.parametrize(
         "args",
         [
