@@ -6,7 +6,7 @@ import math
 import sys
 
 from .errors import DegenerateLattice
-from .lattice import DEFAULT_TOL
+from .lattice import DEFAULT_TOL, TOL_CEIL
 from .packing import to_json
 from .solve import solve_report
 
@@ -34,6 +34,15 @@ def _at_least(low: float, kind: type):
     return parse
 
 
+def _tangency_tol(text: str) -> float:
+    """The argparse type of --tol: a number in [0, TOL_CEIL]."""
+    value = _at_least(0.0, float)(text)
+    if value > TOL_CEIL:
+        raise argparse.ArgumentTypeError(
+            f"tangency tolerance {value:g} above {TOL_CEIL:g}, past the translate window's reach")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="toruspack",
@@ -45,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
     sp.add_argument("--v1", type=_vec, required=True, metavar="ax,ay")
     sp.add_argument("--v2", type=_vec, required=True, metavar="bx,by")
-    sp.add_argument("--tol", type=_at_least(0.0, float), default=DEFAULT_TOL, help="tangency tolerance")
+    sp.add_argument("--tol", type=_tangency_tol, default=DEFAULT_TOL, help="tangency tolerance")
     sp.add_argument("--json", action="store_true", help="print the full JSON record")
     sp.add_argument("--svg", metavar="PATH", help="write the packing figure")
 
@@ -72,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args) -> int:
     try:
         rec = solve_report(args.n, args.v1, args.v2, tol=args.tol)
-    except (DegenerateLattice, ValueError) as exc:  # ValueError: a tol above TOL_CEIL
+    except DegenerateLattice as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

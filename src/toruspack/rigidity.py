@@ -1,7 +1,7 @@
 """Strut frameworks from packings, and their rigidity decided by duality.
 
 A packing graph becomes a strut framework (edges may not shrink to first
-order): its loopless edges, kept as the arrays of their ends and vectors.
+order): its loopless edges, kept as the tuples of their ends and vectors.
 Translations are the only trivial motions on the fixed torus, so vertex 0
 is pinned: the framework is infinitesimally rigid when no nonzero velocity
 field v has  (v_j - v_i) . e >= 0  on every strut (i, j, e).  By
@@ -26,47 +26,41 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import CertificateCheckFailed, InconsistentLengths
 from .exact_lp import Row, feasible_rows, nullspace
 from .lattice import DEFAULT_TOL
-from .packing import (
-    ANGLE_GAP_TOL,
-    Packing,
-    PackingGraph,
-    contacts,
-    cyclic_gaps,
-    dart_vectors,
-    vertex_darts,
-)
+from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, angle_gaps, contacts
 
 RATIONALIZE_DENOMINATOR = 10**12
 # Every exact certificate is re-checked on the float strut vectors, so the
 # check sees only the rationalization (below 1e-12) and float rounding: the
-# largest normalized stress residual was 3.8e-16 over 241 stresses, and the
-# least flex strut product -5.6e-17 over 160 flexes (decide_rigidity on the
-# closed-form optima of every region, 40 per region, and in the identify(3)
-# and identify(4) probes).  1e-6 is a margin, not a derived value: a billion
-# times those, and still small enough that a certificate off by 1e-5 fails.
+# largest normalized stress residual was 3.7e-16 over 242 stresses, and the
+# least flex strut product -5.6e-17 over 166 flexes (decide_rigidity on the
+# closed-form optima of every region, 40 per region, and on every probe
+# sample of identify(3) and identify(4)).  1e-6 is a margin, not a derived
+# value: a billion times those, and still small enough that a certificate
+# off by 1e-5 fails.
 FLOAT_CHECK_TOL = 1e-6
 
 
 class StrutFramework(NamedTuple):
     """n vertices and k struts: strut s joins vertices ends[s] = (i, j),
-    i != j, along its realized edge vector vectors[s] from i to j; ends is
-    a (k, 2) int array and vectors a (k, 2) float array.
+    i != j, along its realized edge vector vectors[s] = (x, y) from i to j.
 
     Loops are dropped at build time: a self-tangency constrains nothing to
     first order on the fixed torus.
     """
 
     n: int
-    ends: np.ndarray
-    vectors: np.ndarray
+    ends: tuple[tuple[int, int], ...]
+    vectors: tuple[tuple[float, float], ...]
 
-    def strut_counts(self) -> np.ndarray:
-        return np.bincount(self.ends.ravel(), minlength=self.n)
+    def strut_counts(self) -> list[int]:
+        counts = [0] * self.n
+        for i, j in self.ends:
+            counts[i] += 1
+            counts[j] += 1
+        return counts
 
 
 class FlexVector(NamedTuple):
@@ -81,20 +75,19 @@ def build_framework(p: Packing, g: PackingGraph, tol: float = DEFAULT_TOL) -> St
     return _framework(p, g, p.edge_vectors(g), tol)
 
 
-def _framework(p: Packing, g: PackingGraph, vectors: np.ndarray, tol: float) -> StrutFramework:
+def _framework(p: Packing, g: PackingGraph, vectors, tol: float) -> StrutFramework:
     """build_framework on the edge vectors of g (Packing.edge_vectors)."""
-    ends = np.array([(i, j) for i, j, _ in g.edges], dtype=np.intp).reshape(-1, 2)
-    strut = ends[:, 0] != ends[:, 1]  # a self-tangency is a trivial strut inequality
     target = 2 * p.radius
-    length = np.hypot(vectors[:, 0], vectors[:, 1])
-    bad = strut & (np.abs(length - target) > tol)
-    if bad.any():
-        t = int(bad.argmax())
-        i, j, d = g.edges[t]
-        raise InconsistentLengths(
-            f"strut ({i},{j},{d.a},{d.b}) has length {length[t]}, expected {target}"
-        )
-    return StrutFramework(n=g.vertex_count, ends=ends[strut], vectors=vectors[strut])
+    ends, struts = [], []
+    for (i, j, d), e in zip(g.edges, vectors):
+        if i == j:  # a self-tangency is a trivial strut inequality
+            continue
+        length = math.hypot(*e)
+        if abs(length - target) > tol:
+            raise InconsistentLengths(f"strut ({i},{j},{d.a},{d.b}) has length {length}, expected {target}")
+        ends.append((i, j))
+        struts.append(e)
+    return StrutFramework(n=g.vertex_count, ends=tuple(ends), vectors=tuple(struts))
 
 
 def _rationalize(x: float) -> tuple[int, int]:
@@ -131,7 +124,7 @@ def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[Row]]:
     rational: dict[float, tuple[int, int]] = {}
     entries: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * f.n)]
     pinned = []
-    for k, ((i, j), e) in enumerate(zip(f.ends.tolist(), f.vectors.tolist())):
+    for k, ((i, j), e) in enumerate(zip(f.ends, f.vectors)):
         for x in e:
             if x not in rational:
                 rational[x] = _rationalize(x)
@@ -209,37 +202,32 @@ def _checked_flex(f: StrutFramework, velocities) -> FlexVector:
 
 
 def verify_flex(f: StrutFramework, flex: FlexVector) -> bool:
-    v = np.asarray(flex.velocities, float)
-    if np.abs(v).max() <= FLOAT_CHECK_TOL:
+    v = flex.velocities
+    if max(abs(c) for vel in v for c in vel) <= FLOAT_CHECK_TOL:
         return False
-    i, j = f.ends.T
-    return not (np.vecdot(v[j] - v[i], f.vectors) < -FLOAT_CHECK_TOL).any()
+    return not any((v[j][0] - v[i][0]) * ex + (v[j][1] - v[i][1]) * ey < -FLOAT_CHECK_TOL
+                   for (i, j), (ex, ey) in zip(f.ends, f.vectors))
 
 
 def verify_stress(f: StrutFramework, stress: Stress) -> bool:
-    w = np.asarray(stress.coefficients, float)
-    if (w > -1 + FLOAT_CHECK_TOL).any():
+    w = stress.coefficients
+    if any(wk > -1 + FLOAT_CHECK_TOL for wk in w):
         return False
-    i, j = f.ends.T
-    we = w[:, None] * f.vectors
-    resid = np.zeros((f.n, 2))
-    np.add.at(resid, i, we)
-    np.add.at(resid, j, -we)
-    scale = float(np.abs(w) @ np.hypot(*f.vectors.T))
-    return float(np.abs(resid).max()) <= FLOAT_CHECK_TOL * max(scale, 1.0)
+    resid = [0.0] * (2 * f.n)
+    scale = 0.0
+    for wk, (i, j), (ex, ey) in zip(w, f.ends, f.vectors):
+        resid[2 * i] += wk * ex
+        resid[2 * i + 1] += wk * ey
+        resid[2 * j] -= wk * ex
+        resid[2 * j + 1] -= wk * ey
+        scale += abs(wk) * math.hypot(ex, ey)
+    return all(abs(r) <= FLOAT_CHECK_TOL * max(scale, 1.0) for r in resid)
 
 
-def has_halfplane_vertex(g: PackingGraph, vectors: np.ndarray) -> bool:
+def has_halfplane_vertex(g: PackingGraph, vectors) -> bool:
     """Some circle's tangency directions fit in a closed half-plane; vectors
     are the edge vectors of g (Packing.edge_vectors)."""
-    by_degree: dict[int, list] = {}
-    for darts in vertex_darts(g.edges, g.vertex_count):
-        by_degree.setdefault(len(darts), []).append(darts)
-    dv = dart_vectors(vectors)
-    # one gap call per degree, on the (k, deg, 2) vectors of k vertices' darts
-    return 0 in by_degree or any(
-        cyclic_gaps(dv[np.array(ds)]).max() >= math.pi - ANGLE_GAP_TOL for ds in by_degree.values()
-    )
+    return any(not gaps or gaps[-1] >= math.pi - ANGLE_GAP_TOL for gaps in angle_gaps(g, vectors))
 
 
 def classify_packing(p: Packing, tol: float = DEFAULT_TOL) -> str:

@@ -20,7 +20,7 @@ def equilibrium_system(f) -> tuple[list[list[Fraction]], list[Fraction]]:
     zero = Fraction(0)
     A = [[zero] * len(f.ends) for _ in range(2 * f.n)]
     b = [zero] * (2 * f.n)
-    for k, ((i, j), e) in enumerate(zip(f.ends.tolist(), f.vectors.tolist())):
+    for k, ((i, j), e) in enumerate(zip(f.ends, f.vectors)):
         for c in (0, 1):
             x = Fraction(e[c]).limit_denominator(RATIONALIZE_DENOMINATOR)
             A[2 * i + c][k] = x

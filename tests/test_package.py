@@ -80,6 +80,42 @@ print(sorted(m for m in {_LEFT_OUT!r} if m in sys.modules))
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_classify_packing_leaves_numpy_out():
+    # a packing's contacts, its strut framework and the certificate checks
+    # run on Python floats, and the exact LP on Python ints
+    code = """
+import sys
+from toruspack.closed_form import optimal_centers
+from toruspack.lattice import ModuliPoint
+from toruspack.packing import Packing
+from toruspack.rigidity import classify_packing
+m = ModuliPoint(0.25, 1.3)
+sol = optimal_centers(4, m)
+print(classify_packing(Packing(m=m, centers=sol.centers, radius=sol.radius)))
+print('numpy' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["rigid-LMD", "False"]
+
+
+def test_numpy_importers_are_pinned():
+    # the modules that import numpy when they load; the others import it
+    # inside the array helpers that need it, or not at all
+    importers = []
+    for path in sorted(Path(toruspack.__file__).parent.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules if m):
+                importers.append(path.stem)
+    assert importers == ["embedding", "oracle", "render", "report"]
+
+
 def test_only_oracle_imports_dataclasses():
     # records are NamedTuples: a dataclass costs its import (with inspect,
     # ast, dis and tokenize) and about 1 ms to build.  ComparisonReport stays

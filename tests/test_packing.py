@@ -17,13 +17,12 @@ from toruspack.lattice import (
     corner_arrays,
     corner_translates,
 )
-from toruspack.oracle import REALIZATION_CLEARANCE
+from toruspack.oracle import REALIZATION_CLEARANCE, cyclic_gaps
 from toruspack.packing import (
     Packing,
     PackingGraph,
     angle_gaps,
     contacts,
-    cyclic_gaps,
     density,
     extract_graph,
     graph_from_dict,
@@ -344,10 +343,11 @@ class TestAngles:
 
 
 def test_halfplane_test_resolves_a_gap_of_pi_minus_1e_8():
-    # ANGLE_GAP_TOL absorbs rounding alone (about 1e-15 on closed-form edge
-    # vectors): three loops 5e-9 apart put darts at 0, 5e-9, 1e-8 and their
-    # opposites, so the largest gap is pi - 1e-8 and no half-plane holds them
-    vectors = np.array([(math.cos(k * 5e-9), math.sin(k * 5e-9)) for k in range(3)])
+    # ANGLE_GAP_TOL absorbs rounding alone (closed-form gaps of pi read
+    # exactly pi, see packing): three loops 5e-9 apart put darts at 0, 5e-9,
+    # 1e-8 and their opposites, so the largest gap is pi - 1e-8 and no
+    # half-plane holds them
+    vectors = tuple((math.cos(k * 5e-9), math.sin(k * 5e-9)) for k in range(3))
     g = PackingGraph(vertex_count=1, edges=tuple((0, 0, Displacement(k, 0)) for k in range(3)))
     assert angle_gaps(g, vectors)[0][-1] == pytest.approx(math.pi - 1e-8, abs=1e-15)
     assert not has_halfplane_vertex(g, vectors)
@@ -401,8 +401,10 @@ def test_cyclic_gaps_and_halfplane_test(tangencies):
     assert np.abs(gaps.sum(-1) - 2 * math.pi).max() <= 1e-12
     np.testing.assert_allclose(np.sort(gaps[1]), np.sort(gaps[0]), atol=1e-12)
     g = PackingGraph(vertex_count=2, edges=tuple(edges))
-    assert angle_gaps(g, np.array(vectors))[0] == sorted(map(float, gaps[0]))
-    assert has_halfplane_vertex(g, np.array(vectors)) == _fits_half_turn(dirs)
+    # angle_gaps: the differences of the sorted math.atan2 angles, sorted
+    ang = sorted(math.atan2(y, x) for x, y in dirs)
+    assert angle_gaps(g, vectors)[0] == sorted(b - a for a, b in zip(ang, ang[1:] + [ang[0] + 2 * math.pi]))
+    assert has_halfplane_vertex(g, vectors) == _fits_half_turn(dirs)
 
 
 class TestSerialization:

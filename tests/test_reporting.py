@@ -187,6 +187,16 @@ class TestSolve:
         assert "above 0.1" in r.stderr
         assert run_cli("solve", "--n", "3", "--v1", "1,0", "--v2", "0.3,1.2", "--tol", "0.1").returncode == 0
 
+    def test_cli_solve_lets_an_internal_error_through(self, monkeypatch):
+        # only a degenerate basis is bad input: any other error from
+        # solve_report is a bug, not an answer with exit 2
+        def broken(*args, **kwargs):
+            raise ValueError("radius must be positive")
+
+        monkeypatch.setattr(cli, "solve_report", broken)
+        with pytest.raises(ValueError, match="radius must be positive"):
+            cli.main(["solve", "--n", "2", "--v1", "1,0", "--v2", "0,1"])
+
     @pytest.mark.parametrize(
         "args",
         [

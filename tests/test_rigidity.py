@@ -11,14 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import fraction_equilibrium
 import fraction_tableau as reference
+import rigidity_reference
 from toruspack import exact_lp, rigidity
 from toruspack.closed_form import optimal_centers
-from toruspack.errors import CertificateCheckFailed, InconsistentLengths
+from toruspack.errors import CertificateCheckFailed, InconsistentLengths, TorusPackError
 from toruspack.exact_lp import feasible_rows, nullspace
 from toruspack.lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
-from toruspack.oracle import realize_embedding
+from toruspack.oracle import REALIZATION_CLEARANCE, realize_embedding
 from toruspack.packing import Packing, extract_graph
-from toruspack.regions import region_count, sample_interior
+from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
 from toruspack.rigidity import (
     RATIONALIZE_DENOMINATOR,
     StrutFramework,
@@ -40,9 +41,8 @@ def optimal_packing(n, m):
 
 def framework_of(n, struts):
     """The StrutFramework on n vertices with struts (i, j, (ex, ey))."""
-    ends = np.array([(i, j) for i, j, _ in struts], dtype=np.intp).reshape(-1, 2)
-    vectors = np.array([e for _, _, e in struts], float).reshape(-1, 2)
-    return StrutFramework(n=n, ends=ends, vectors=vectors)
+    return StrutFramework(n=n, ends=tuple((i, j) for i, j, _ in struts),
+                          vectors=tuple(e for _, _, e in struts))
 
 
 class TestExactLP:
@@ -325,10 +325,10 @@ class TestClassify:
         f = build_framework(p, extract_graph(p))
         base = decide_rigidity(f).rigid
         for _ in range(5):
-            vectors = np.array([
+            vectors = tuple(
                 (e[0] + rng.uniform(-1e-13, 1e-13), e[1] + rng.uniform(-1e-13, 1e-13))
-                for e in f.vectors.tolist()
-            ])
+                for e in f.vectors
+            )
             f2 = StrutFramework(n=f.n, ends=f.ends, vectors=vectors)
             assert decide_rigidity(f2).rigid == base
 
@@ -342,7 +342,7 @@ def horizontal_pair():
 
 
 class TestFloatChecks:
-    """FLOAT_CHECK_TOL: a true certificate misses by rounding alone (3.8e-16
+    """FLOAT_CHECK_TOL: a true certificate misses by rounding alone (3.7e-16
     at most, see rigidity), so one that is off by 1e-5 must fail."""
 
     def test_flex_with_a_strut_shrinking_by_1e_5_fails(self):
@@ -355,7 +355,7 @@ class TestFloatChecks:
         (v0, (vx, vy)) = flex.velocities
         doctored = type(flex)((v0, (vx + 2e-5, vy)))
         v = np.asarray(doctored.velocities)
-        i, j = f.ends.T
+        i, j = np.array(f.ends).T
         assert np.vecdot(v[j] - v[i], f.vectors).min() == pytest.approx(-1e-5, rel=1e-9)
         assert not verify_flex(f, doctored)
 
@@ -365,7 +365,7 @@ class TestFloatChecks:
         stress = decide_rigidity(f).stress
         assert verify_stress(f, stress)
         w = np.array(stress.coefficients)
-        scale = float(np.abs(w) @ np.hypot(*f.vectors.T))
+        scale = float(np.abs(w) @ np.hypot(*np.array(f.vectors).T))
         # more negative stays proper; the residual over the scale is 1e-5
         w[0] -= 1e-5 * scale / float(np.hypot(*f.vectors[0]))
         assert not verify_stress(f, type(stress)(tuple(w)))
@@ -386,7 +386,7 @@ def _reference_flexible(f) -> bool:
 
     nv = 2 * (f.n - 1)
     rows = []
-    for (i, j), e in zip(f.ends.tolist(), f.vectors):
+    for (i, j), e in zip(f.ends, f.vectors):
         row = np.zeros(nv)
         if j:
             row[2 * j - 2 : 2 * j] -= e
@@ -412,7 +412,7 @@ def _reference_stress_and_rank(f) -> tuple[bool, int]:
     n, m = f.n, len(f.ends)
     A = np.zeros((2 * n, m))
     R = np.zeros((m, 2 * n))
-    for k, ((i, j), e) in enumerate(zip(f.ends.tolist(), f.vectors)):
+    for k, ((i, j), e) in enumerate(zip(f.ends, f.vectors)):
         A[2 * i : 2 * i + 2, k] += e
         A[2 * j : 2 * j + 2, k] -= e
         R[k, 2 * j : 2 * j + 2] += e
@@ -614,3 +614,52 @@ def test_classify_makes_no_fraction_round_trip():
         verdicts = {label: classify_packing(p, tol=tol) for label, p, tol in _golden_packings()}
     assert {verdicts.pop(f"ECG2-2/{k}") for k in range(2)} == {"flexible"}
     assert set(verdicts.values()) == {"rigid-LMD", "free-circle"}
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class of the package error it raises."""
+    try:
+        return fn(*args)
+    except TorusPackError as exc:
+        return type(exc)
+
+
+def _region_diagram_packings(per_set):
+    """The closed-form optimum of every region of n = 2, 3, 4 at per_set
+    interior tori each, at per_set tori on each region curve, and at the
+    corners of the region diagram: the strip's two and both ends of every
+    curve."""
+    rng = np.random.default_rng(107)
+    for n in (2, 3, 4):
+        count = region_count(n)
+        tori = [sample_interior(n, idx, rng) for idx in range(1, count + 1) for _ in range(per_set)]
+        tori += [sample_boundary(n, idx, rng) for idx in range(1, count) for _ in range(per_set)]
+        tori += [ModuliPoint(0.0, 1.0), ModuliPoint(0.5, SQRT3 / 2)]
+        tori += [ModuliPoint(x, boundary_curve(n, idx, x)) for idx in range(1, count) for x in (0.0, 0.5)]
+        for m in tori:
+            yield f"n={n} ({m.x!r}, {m.y!r})", optimal_packing(n, m)
+
+
+def test_float_path_matches_numpy_reference(catalog3, catalog4):
+    """Edge vectors, framework, half-plane test and float re-checks on
+    Python floats against their numpy versions in rigidity_reference.py:
+    the same edge vectors bit for bit, the same classify_packing verdicts at
+    tol 1e-9 and 1e-7, and the same certificates from decide_rigidity, on
+    the region diagram's closed-form optima and on every probe sample."""
+    cases = [(label, p, extract_graph(p), DEFAULT_TOL) for label, p in _region_diagram_packings(40)]
+    samples = [(f"{e.name} sample {k}", Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2),
+                s.graph, REALIZATION_CLEARANCE)
+               for cat in (catalog3, catalog4) for e in cat.entries for k, s in enumerate(e.samples)]
+    assert len(samples) == 48
+    verdicts = set()
+    for label, p, g, tol in cases + samples:
+        want = rigidity_reference.edge_vectors(p, g)
+        assert np.array(p.edge_vectors(g), float).reshape(-1, 2).tobytes() == want.tobytes(), label
+        for t in (1e-9, 1e-7):
+            verdict = _outcome(classify_packing, p, t)
+            assert verdict == _outcome(rigidity_reference.classify_packing, p, t), (label, t)
+            verdicts.add(verdict)
+        f, ref = build_framework(p, g, tol), rigidity_reference.framework(p, g, want, tol)
+        assert f.strut_counts() == ref.strut_counts().tolist(), label
+        assert decide_rigidity(f) == rigidity_reference.decide_rigidity(ref), label
+    assert {"rigid-LMD", "flexible", "free-circle"} <= verdicts
