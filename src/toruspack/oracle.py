@@ -149,7 +149,9 @@ def _solve_equal_lengths(rows, offsets, sign, active, u0):
     its J^T J and J^T r: a rejected step changes only the damping, so a
     trial point needs its residuals for the accept test, and its Jacobian
     and normal equations only once accepted.  No reduction mixes starts,
-    so each start's result is bit for bit the one it gets alone.
+    so each start's result is bit for bit the one it gets alone.  The live
+    starts' state is one set of compact arrays (the working set), cut down
+    only on an iteration where some start stops.
     """
     u = np.array(u0, dtype=float)
     k = u.shape[1]
@@ -159,23 +161,28 @@ def _solve_equal_lengths(rows, offsets, sign, active, u0):
     diag = np.diagonal(JTJ, axis1=1, axis2=2).max(1)
     floor = LM_LAMBDA_FLOOR * np.maximum(diag, 1.0)
     lam = np.maximum(LM_LAMBDA_INIT * diag, floor)
-    done = cost <= LM_COST_FLOOR
+    live = ~(cost <= LM_COST_FLOOR)
+    idx = np.flatnonzero(live)
+    U, C, JTJ, JTr, lam, floor, offsets, active = (
+        a[live] for a in (u, cost, JTJ, JTr, lam, floor, offsets, active))
     eye = np.eye(k)
     for _ in range(LM_MAX_ITER):
-        live = np.flatnonzero(~done)
-        if not live.size:
+        if not idx.size:
             break
-        H = JTJ[live] + lam[live, None, None] * eye
-        trial = u[live] - np.linalg.solve(H, JTr[live][..., None])[..., 0]
-        rt, wt, st = _equal_length_terms(trial, rows, offsets[live], sign, active[live])
+        H = JTJ + lam[:, None, None] * eye
+        trial = U - np.linalg.solve(H, JTr[..., None])[..., 0]
+        rt, wt, st = _equal_length_terms(trial, rows, offsets, sign, active)
         ct = 0.5 * (rt**2).sum(1)
-        ok = ct < cost[live]
-        acc, rej = live[ok], live[~ok]
-        u[acc], cost[acc] = trial[ok], ct[ok]
-        JTJ[acc], JTr[acc] = _normal_equations(_jacobian(wt[ok], st[ok], rows), rt[ok])
-        lam[acc] = np.maximum(lam[acc] / LM_ACCEPT_SHRINK, floor[acc])
-        lam[rej] *= LM_REJECT_GROW
-        done[live] = (cost[live] <= LM_COST_FLOOR) | (lam[live] > LM_LAMBDA_CEIL)
+        ok = ct < C
+        U[ok], C[ok] = trial[ok], ct[ok]
+        JTJ[ok], JTr[ok] = _normal_equations(_jacobian(wt[ok], st[ok], rows), rt[ok])
+        lam = np.where(ok, np.maximum(lam / LM_ACCEPT_SHRINK, floor), lam * LM_REJECT_GROW)
+        go = ~((C <= LM_COST_FLOOR) | (lam > LM_LAMBDA_CEIL))
+        if not go.all():
+            u[idx[~go]] = U[~go]
+            idx, U, C, JTJ, JTr, lam, floor, offsets, active = (
+                a[go] for a in (idx, U, C, JTJ, JTr, lam, floor, offsets, active))
+    u[idx] = U
     return u
 
 

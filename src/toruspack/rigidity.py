@@ -10,16 +10,17 @@ Combin. 29, 2008) that holds exactly when a proper stress exists (w_e <= -1
 with sum_e w_e e = 0 at every vertex) and the bar framework has full rank
 2(n - 1).  `decide_rigidity` runs the stress LP once: if it is infeasible,
 its Farkas multipliers are a flex (strict on some strut); if it is feasible,
-a kernel vector of the pinned rigidity matrix is a flex, and without one
-the stress certifies rigidity.
+its final basis holds rank(A) strut columns, so 2(n - 1) of them prove full
+rank and the stress certifies rigidity.  Only a shorter basis builds the
+pinned rigidity matrix, whose kernel vector is then a flex.
 
 The exact work runs on strut vectors rationalized to denominators at most
 1e12 (the rational `Fraction.limit_denominator` gives, found in integers,
 once per distinct coordinate), from which `_equilibrium_system` writes the
-stress LP and the pinned rigidity matrix directly as `exact_lp` integer
-rows.  Every certificate is re-checked against the original floats; a
-failed re-check raises `CertificateCheckFailed` instead of passing for a
-verdict.
+stress LP, and `_pinned_rows` the pinned rigidity matrix, directly as
+`exact_lp` integer rows.  Every certificate is re-checked against the
+original floats; a failed re-check raises `CertificateCheckFailed` instead
+of passing for a verdict.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ RATIONALIZE_DENOMINATOR = 10**12
 # value: a billion times those, and still small enough that a certificate
 # off by 1e-5 fails.
 FLOAT_CHECK_TOL = 1e-6
+
+RationalVector = tuple[tuple[int, int], tuple[int, int]]  # ((p0, q0), (p1, q1))
 
 
 class StrutFramework(NamedTuple):
@@ -114,29 +117,24 @@ def _rationalize(x: float) -> tuple[int, int]:
     return p2, q2
 
 
-def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[Row]]:
-    """The integer rows (exact_lp) of [A | b] with b = -A 1, and of the
-    pinned rigidity matrix.  Rows 2v, 2v+1 of A: each strut's rationalized
-    vector pointing away from v; the pinned rigidity matrix is A's transpose
-    without vertex 0's rows.  Each distinct coordinate is rationalized once,
-    and each row is put over the lcm of its denominators, where it is in
-    lowest terms."""
+def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[RationalVector]]:
+    """The integer rows (exact_lp) of [A | b] with b = -A 1, and each
+    strut's rationalized vector as ((p0, q0), (p1, q1)).  Rows 2v, 2v+1 of
+    A: each strut's rationalized vector pointing away from v.  Each distinct
+    coordinate is rationalized once, and each row is put over the lcm of its
+    denominators, where it is in lowest terms."""
     rational: dict[float, tuple[int, int]] = {}
     entries: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * f.n)]
-    pinned = []
+    struts = []
     for k, ((i, j), e) in enumerate(zip(f.ends, f.vectors)):
         for x in e:
             if x not in rational:
                 rational[x] = _rationalize(x)
-        (p0, q0), (p1, q1) = rational[e[0]], rational[e[1]]
+        (p0, q0), (p1, q1) = strut = rational[e[0]], rational[e[1]]
         for v, sign in ((i, 1), (j, -1)):
             entries[2 * v].append((k, sign * p0, q0))
             entries[2 * v + 1].append((k, sign * p1, q1))
-        D = math.lcm(q0, q1)
-        N = [0] * (2 * f.n)
-        N[2 * i], N[2 * i + 1] = a, b = p0 * (D // q0), p1 * (D // q1)
-        N[2 * j], N[2 * j + 1] = -a, -b
-        pinned.append((N[2:], D))
+        struts.append(strut)
     rows = []
     for row in entries:
         D = math.lcm(*(q for _, _, q in row))
@@ -145,7 +143,21 @@ def _equilibrium_system(f: StrutFramework) -> tuple[list[Row], list[Row]]:
             N[k] = p * (D // q)
         N[-1] = -sum(N)
         rows.append((N, D))
-    return rows, pinned
+    return rows, struts
+
+
+def _pinned_rows(f: StrutFramework, struts: list[RationalVector]) -> list[Row]:
+    """The integer rows of the pinned rigidity matrix, A's transpose without
+    vertex 0's rows, from the rationalized strut vectors, each row over the
+    lcm of its two denominators."""
+    pinned = []
+    for (i, j), ((p0, q0), (p1, q1)) in zip(f.ends, struts):
+        D = math.lcm(q0, q1)
+        N = [0] * (2 * f.n)
+        N[2 * i], N[2 * i + 1] = a, b = p0 * (D // q0), p1 * (D // q1)
+        N[2 * j], N[2 * j + 1] = -a, -b
+        pinned.append((N[2:], D))
+    return pinned
 
 
 class RigidityDecision(NamedTuple):
@@ -161,41 +173,42 @@ class RigidityDecision(NamedTuple):
 
 
 def decide_rigidity(f: StrutFramework) -> RigidityDecision:
-    """Flex or stress certificate from one phase-1 LP and one exact rank."""
-    rows, pinned = _equilibrium_system(f)
-    stress, flex = _stress_lp(f, rows)
-    if flex is None:
-        kernel = nullspace(pinned, 2 * (f.n - 1))
-        if kernel:  # rank short of 2(n - 1)
-            v = [0, 0] + kernel[0]
-            flex = _checked_flex(f, list(zip(v[::2], v[1::2])))
-    return RigidityDecision(flex=flex, stress=stress)
-
-
-def _stress_lp(f: StrutFramework, rows: list[Row]) -> tuple[Stress | None, FlexVector | None]:
-    """(proper stress, None), (None, None) without struts, or (None, flex)
-    from the Farkas certificate of the infeasible stress LP on the rows of
-    [A | b]."""
+    """Flex or stress certificate from one phase-1 stress LP.  When it is
+    feasible, its final basis holds rank(A) strut columns; A has rank at
+    most 2(n - 1) (each coordinate's rows sum to zero), and the pinned
+    rigidity matrix has the rank of A.  So a basis of 2(n - 1) struts
+    proves full rank, and only a shorter one calls `nullspace`, for the
+    flex."""
+    rows, struts = _equilibrium_system(f)
     # substitute w = -1 - s with s >= 0:  A s = -A 1 = b
-    s, y = feasible_rows(rows)
+    s, y, basis = feasible_rows(rows)
     if s is None:
         # column k of y.A is -(y_j - y_i) . e_k: y.A <= 0 and
         # y.b = -sum(y.A) > 0 make y a flex, strict on some strut
-        return None, _checked_flex(f, list(zip(y[::2], y[1::2])))
-    if not len(f.ends):
-        return None, None
-    stress = Stress(tuple(-1.0 - float(si) for si in s))
-    if not verify_stress(f, stress):
-        raise CertificateCheckFailed(f"exact proper stress fails the float check: {stress}")
-    return stress, None
+        return RigidityDecision(flex=_checked_flex(f, y), stress=None)
+    stress = None
+    if f.ends:
+        stress = Stress(tuple(-1.0 - float(si) for si in s))
+        if not verify_stress(f, stress):
+            raise CertificateCheckFailed(f"exact proper stress fails the float check: {stress}")
+    flex = None
+    if sum(j < len(f.ends) for j in basis) < 2 * (f.n - 1):
+        kernel = nullspace(_pinned_rows(f, struts), 2 * (f.n - 1))
+        flex = _checked_flex(f, [0, 0, *kernel[0]])
+    return RigidityDecision(flex=flex, stress=stress)
 
 
-def _checked_flex(f: StrutFramework, velocities) -> FlexVector:
-    """Pin vertex 0, scale the largest component to 1, re-check in floats."""
-    x0, y0 = velocities[0]
-    shifted = [(vx - x0, vy - y0) for vx, vy in velocities]
-    top = max(abs(c) for v in shifted for c in v)
-    flex = FlexVector(tuple((float(vx / top), float(vy / top)) for vx, vy in shifted))
+def _checked_flex(f: StrutFramework, v) -> FlexVector:
+    """The velocities v = (vx0, vy0, vx1, ...), rationals: pin vertex 0,
+    scale the largest component to 1, re-check in floats.  The components
+    are scaled as integers over one denominator; int / int rounds correctly,
+    as Fraction.__float__ does, so each float is that of the scaled rational."""
+    L = math.lcm(*(c.denominator for c in v))
+    N = [c.numerator * (L // c.denominator) for c in v]
+    shifted = [a - N[k % 2] for k, a in enumerate(N)]
+    top = max(map(abs, shifted))
+    scaled = [a / top for a in shifted]
+    flex = FlexVector(tuple(zip(scaled[::2], scaled[1::2])))
     if not verify_flex(f, flex):
         raise CertificateCheckFailed(f"exact flex fails the float check: {flex}")
     return flex

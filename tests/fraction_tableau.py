@@ -1,8 +1,10 @@
 """Reference for `toruspack.exact_lp`: the same phase-1 simplex and
 reduced row echelon form on a tableau of one `Fraction` per entry.
 
-`toruspack.exact_lp` keeps its tableau as integer rows; the property test in
-test_rigidity.py asserts that both give identical results.
+`toruspack.exact_lp` keeps its tableau as integer rows without the artificial
+columns, and solves the Farkas multipliers from the final basis; here they
+are read off the artificial block.  The property tests in test_rigidity.py
+assert that both give identical results.
 """
 from __future__ import annotations
 
@@ -16,20 +18,18 @@ def _to_fraction_matrix(rows) -> Mat:
     return [[Fraction(v) for v in row] for row in rows]
 
 
-def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
-    """Decide  A_eq x = b_eq, x >= 0:  (x, None) if feasible, else (None, y)
-    with  y.A_eq <= 0  componentwise and  y.b_eq > 0  (Farkas' lemma).
-
-    Phase 1 minimizes the sum of artificials from the artificial basis.  The
-    objective row is kept as u.[A | I | b] for the simplex multipliers u, so
-    its artificial block is u itself; at the optimum u.A <= 0 (no entering
-    column) and u.b equals the remaining infeasibility.
+def phase1(A_eq, b_eq):
+    """Phase 1 on  A_eq x = b_eq, x >= 0  from the artificial basis, which
+    minimizes the sum of artificials: the final tableau T over the columns
+    [A | I | b] (rows with b < 0 negated), its basis, the objective row and
+    the negated rows.  The objective row is kept as u.[A | I | b] for the
+    simplex multipliers u, so its artificial block is u itself; at the
+    optimum u.A <= 0 (no entering column) and u.b equals the remaining
+    infeasibility.
     """
     A = _to_fraction_matrix(A_eq)
     b = [Fraction(v) for v in b_eq]
     m = len(A)
-    if m == 0:
-        return [], None
     n = len(A[0])
     flipped = [bi < 0 for bi in b]
     for i in range(m):
@@ -49,23 +49,48 @@ def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None]:
         _, _, piv = min(
             (T[i][-1] / T[i][enter], basis[i], i) for i in range(m) if T[i][enter] > 0
         )
-        pv = T[piv][enter]
-        T[piv] = [v / pv for v in T[piv]]
-        for i in range(m):
-            if i != piv and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * b_ for a, b_ in zip(T[i], T[piv])]
+        _pivot(T, piv, enter)
         f = red[enter]
         red = [a - f * b_ for a, b_ in zip(red, T[piv])]
         basis[piv] = enter
+    return T, basis, red, flipped
+
+
+def _pivot(T: Mat, piv: int, enter: int) -> None:
+    pv = T[piv][enter]
+    T[piv] = [v / pv for v in T[piv]]
+    for i in range(len(T)):
+        if i != piv and T[i][enter]:
+            f = T[i][enter]
+            T[i] = [a - f * b_ for a, b_ in zip(T[i], T[piv])]
+
+
+def feasible_nonnegative(A_eq, b_eq) -> tuple[Vec | None, Vec | None, list[int]]:
+    """Decide  A_eq x = b_eq, x >= 0:  (x, None, basis) if feasible, else
+    (None, y, basis) with  y.A_eq <= 0  componentwise and  y.b_eq > 0
+    (Farkas' lemma), y read off the artificial block of phase 1's objective
+    row.  A feasible basis then has each artificial left at 0 pivoted out on
+    the first nonzero structural entry of its row.
+    """
+    m = len(A_eq)
+    if m == 0:
+        return [], None, []
+    n = len(A_eq[0])
+    T, basis, red, flipped = phase1(A_eq, b_eq)
     if red[-1] != 0:  # u.b = remaining infeasibility
         y = [-u if flip else u for u, flip in zip(red[n:n + m], flipped)]
-        return None, y
+        return None, y, basis
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if T[i][j]), None)
+            if enter is not None:
+                _pivot(T, i, enter)
+                basis[i] = enter
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = T[i][-1]
-    return x, None
+    return x, None, basis
 
 
 def nullspace(rows, ncols: int) -> list[Vec]:

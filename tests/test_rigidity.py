@@ -47,19 +47,22 @@ def framework_of(n, struts):
 
 class TestExactLP:
     def test_feasibility(self):
-        # x1 + x2 = 2, x1 - x2 = 0  ->  x = (1, 1)
-        x, y = feasible_nonnegative([[1, 1], [1, -1]], [2, 0])
+        # x1 + x2 = 2, x1 - x2 = 0  ->  x = (1, 1), both columns basic
+        x, y, basis = feasible_nonnegative([[1, 1], [1, -1]], [2, 0])
         assert x == [Fraction(1), Fraction(1)] and y is None
-        x, y = feasible_nonnegative([[1, 1]], [-1])
+        assert sorted(basis) == [0, 1]
+        x, y, basis = feasible_nonnegative([[1, 1]], [-1])
         assert x is None and _is_farkas([[1, 1]], [-1], y)
+        assert basis == [2]  # row 0's artificial
 
     def test_degenerate_origin(self):
         # rows tight at zero and a redundant pair; Bland's rule must not cycle
         A = [[1, -1, 0], [-1, 1, 0], [1, 1, 1], [2, 2, 2]]
-        x, y = feasible_nonnegative(A, [0, 0, 2, 4])
+        x, y, basis = feasible_nonnegative(A, [0, 0, 2, 4])
         assert y is None and min(x) >= 0
         assert [sum(a * v for a, v in zip(row, x)) for row in A] == [0, 0, 2, 4]
-        x, y = feasible_nonnegative(A, [0, 0, 2, 3])
+        assert sum(j < 3 for j in basis) == 2  # rank(A)
+        x, y, _ = feasible_nonnegative(A, [0, 0, 2, 3])
         assert x is None and _is_farkas(A, [0, 0, 2, 3], y)
 
     def test_against_scipy(self):
@@ -71,13 +74,14 @@ class TestExactLP:
             ncon, nvar = int(rng.integers(2, 5)), int(rng.integers(2, 6))
             A = rng.integers(-4, 5, (ncon, nvar))
             b = rng.integers(-5, 6, ncon)
-            x, y = feasible_nonnegative(A.tolist(), b.tolist())
+            x, y, basis = feasible_nonnegative(A.tolist(), b.tolist())
             ref = linprog(np.zeros(nvar), A_eq=A, b_eq=b, bounds=[(0, None)] * nvar, method="highs")
             assert ref.status in (0, 2)
             outcomes.add(ref.status)
             if ref.status == 0:
                 assert y is None and min(x) >= 0
                 assert [sum(int(a) * v for a, v in zip(row, x)) for row in A] == b.tolist()
+                assert sum(j < nvar for j in basis) == np.linalg.matrix_rank(A)
             else:
                 assert x is None and _is_farkas(A.tolist(), b.tolist(), y)
         assert outcomes == {0, 2}
@@ -104,7 +108,8 @@ def _rows(matrix):
 
 
 def feasible_nonnegative(A_eq, b_eq):
-    """exact_lp.feasible_rows on the integer rows of [A_eq | b_eq]."""
+    """exact_lp.feasible_rows on the integer rows of [A_eq | b_eq]: x, y and
+    the final basis."""
     return feasible_rows(_rows([*a, bi] for a, bi in zip(A_eq, b_eq)))
 
 
@@ -134,7 +139,8 @@ FRACTIONS = st.fractions(-4, 4, max_denominator=RATIONALIZE_DENOMINATOR)
 
 class TestIntegerTableau:
     """The integer-row tableau against the one-`Fraction`-per-entry reference
-    in fraction_tableau.py: the same pivots give the same rationals."""
+    in fraction_tableau.py, which keeps the artificial columns: the same
+    pivots give the same rationals and the same final basis."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(linear_systems(INTEGERS), linear_systems(FRACTIONS)))
@@ -150,9 +156,26 @@ class TestIntegerTableau:
         # update (left unreduced) to hold row - row[e] * pivot
         with mock.patch.object(exact_lp, "_normalized", _lowest_terms(exact_lp._normalized)), \
                 mock.patch.object(exact_lp, "_eliminate", _exact_update(exact_lp._eliminate)):
-            assert feasible_nonnegative(A, b) == reference.feasible_nonnegative(A, b)
+            got = feasible_nonnegative(A, b)
+            assert got == reference.feasible_nonnegative(A, b)
             assert nullspace(_rows(A), n) == reference.nullspace(A, n)
             assert nullspace(_rows(Ab), n + 1) == reference.nullspace(Ab, n + 1)
+        x, _, basis = got
+        if x is not None:  # a feasible basis holds rank(A) structural columns
+            assert sum(j < n for j in basis) == n - len(reference.nullspace(A, n))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(linear_systems(INTEGERS), linear_systems(FRACTIONS)))
+    @example(([[0, 0, 0, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 0]], [0, 0, 1]))
+    def test_multipliers_match_artificial_block(self, system):
+        """The simplex multipliers that exact_lp solves from phase 1's final
+        basis are the artificial block of the reference's objective row
+        (negated on the rows with b < 0), feasible or not."""
+        A, b = system
+        n, m = len(A[0]), len(A)
+        _, basis, red, flipped = reference.phase1(A, b)
+        want = [-u if flip else u for u, flip in zip(red[n:n + m], flipped)]
+        assert exact_lp._multipliers(_rows([*a, bi] for a, bi in zip(A, b)), basis) == want
 
 
 def _lowest_terms(update):
@@ -463,10 +486,21 @@ class TestDecision:
             radius=1 / 6,
         )
         f = build_framework(p, extract_graph(p))
-        decision = decide_rigidity(f)
+        calls = []
+        with mock.patch.object(rigidity, "nullspace", lambda *a: calls.append(a) or nullspace(*a)):
+            decision = decide_rigidity(f)
+        assert len(calls) == 1  # the LP's basis is one strut short of rank 4
         assert decision.stress is not None and verify_stress(f, decision.stress)
         assert not decision.rigid and verify_flex(f, decision.flex)
         assert all(abs(vx) < 1e-9 for vx, _ in decision.flex.velocities)
+        # the flex of the first kernel vector of the Fraction pinned matrix,
+        # pinned and scaled in Fractions
+        A, _ = fraction_equilibrium.equilibrium_system(f)
+        v = [0, 0, *reference.nullspace([list(col) for col in zip(*A[2:])], 4)[0]]
+        shifted = [c - v[k % 2] for k, c in enumerate(v)]
+        top = max(map(abs, shifted))
+        want = [float(c / top) for c in shifted]
+        assert decision.flex.velocities == tuple(zip(want[::2], want[1::2]))
 
     def test_failed_float_check_raises(self, monkeypatch):
         p = horizontal_pair()
@@ -589,18 +623,40 @@ def test_rationalize_matches_limit_denominator(x):
 
 def test_rows_match_fraction_construction():
     """The integer rows of the stress LP and of the pinned rigidity matrix
-    are the integer rows (_row) of the Fraction matrices in
-    fraction_equilibrium.py, on the golden frameworks and on the
-    closed-form optima of every region at three more tori each."""
+    (built from the stress LP's rationalized struts) are the integer rows
+    (_row) of the Fraction matrices in fraction_equilibrium.py, on the
+    golden frameworks and on the closed-form optima of every region at three
+    more tori each."""
     more = (
         (label, build_framework(p, extract_graph(p, tol=tol), tol=tol))
         for label, p, tol in _closed_form_packings(103, 3)
     )
     for label, f in (*_golden_frameworks(), *more):
         A, b = fraction_equilibrium.equilibrium_system(f)
-        rows, pinned = rigidity._equilibrium_system(f)
+        rows, struts = rigidity._equilibrium_system(f)
         assert rows == [_row([*a, bi]) for a, bi in zip(A, b)], label
-        assert pinned == _rows(zip(*A[2:])), label
+        assert rigidity._pinned_rows(f, struts) == _rows(zip(*A[2:])), label
+
+
+def test_rigid_optima_make_no_nullspace_call():
+    """The stress LP's final basis proves full rank on every rigid
+    closed-form optimum: no region's optimum builds the pinned rigidity
+    matrix, at forty interior tori per region and on the golden
+    frameworks."""
+
+    def forbidden(*args):
+        raise AssertionError("nullspace called on a rigid framework")
+
+    frameworks = [(label, build_framework(p, extract_graph(p, tol=tol), tol=tol))
+                  for label, p, tol in _closed_form_packings(109, 40)]
+    frameworks += [(label, f) for label, f in _golden_frameworks() if not label.startswith("ECG")]
+    rigid = set()
+    with mock.patch.object(rigidity, "nullspace", forbidden):
+        for label, f in frameworks:
+            if min(f.strut_counts()) >= 3:
+                assert decide_rigidity(f).rigid, label
+                rigid.add(label.split("/")[0])
+    assert rigid == {f"R{idx}_{n}" for n in (2, 3, 4) for idx in range(1, region_count(n))}
 
 
 def test_classify_makes_no_fraction_round_trip():
