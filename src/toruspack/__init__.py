@@ -30,7 +30,6 @@ from .lattice import (
     LatticeBasis,
     ModuliPoint,
     TorusPoint,
-    corner_arrays,
     fundamental_domain_area,
     reduce_to_standard_basis,
     torus_distance,
@@ -119,7 +118,6 @@ __all__ = [
     "classify_packing",
     "compare_with_closed_form",
     "compare_with_closed_forms",
-    "corner_arrays",
     "decide_rigidity",
     "density",
     "enumerate_census",

@@ -173,10 +173,7 @@ def nullspace(rows: list[Row], ncols: int) -> list[Vec]:
         if p is None:
             continue
         R[r], R[p] = R[p], R[r]
-        R[r] = pivot = _normalized(R[r], c)
-        for i, row in enumerate(R):
-            if i != r and row[0][c]:
-                R[i] = _eliminate(row, pivot, c)
+        _pivot(R, r, c)
         pivots.append(c)
         r += 1
     basis = []

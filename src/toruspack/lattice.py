@@ -5,10 +5,10 @@ Rescaled and relabeled, the generators become <1,0> and <x,y> with
 x^2 + y^2 >= 1, y > 0 and 0 <= x <= 1/2 (the unoriented moduli strip), the
 normal form everything downstream assumes; a ModuliPoint cannot be built
 outside it.  Every distance reads one window: for two circles the 4 corners
-of their difference's lattice cell (`corner_translates` on floats,
-`corner_arrays` on arrays, bit for bit alike), for a circle's own
-translates the 3 LOOP_SHIFTS.  The reduction and `corner_translates` run on
-the standard library alone, so `solve` loads no numpy.
+of their difference's lattice cell (`corner_translates`, which the oracle's
+array kernel `_corner_arrays` matches bit for bit), for a circle's own
+translates the 3 LOOP_SHIFTS.  The module runs on the standard library
+alone, so `solve` loads no numpy.
 
 Why it suffices.  A translate t has squared length
 Q = (t1 + x t2)^2 + y^2 t2^2, and the corners take per coordinate two values
@@ -36,13 +36,9 @@ every contact at tol <= TOL_CEIL = 0.1 (2 tol = 0.2 < 0.2305 at L = 1.2).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateLattice, OutOfModuliStrip
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Absolute tolerance for reading tangencies off a packing; the default of
 # packing.extract_graph and of every caller that reads a closed-form optimum.
@@ -95,24 +91,12 @@ class ModuliPoint(_ModuliFields):
     def _make(cls, iterable):  # _replace builds through _make: check there too
         return cls(*iterable)
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Row-stacked generators [[1, 0], [x, y]]."""
-        import numpy as np
-
-        return np.array([[1.0, 0.0], [self.x, self.y]])
-
 
 class TorusPoint(NamedTuple):
     """A point on the torus, held as a plane representative (u, w)."""
 
     u: float
     w: float
-
-    def coords(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.u, self.w])
 
     def lattice_coords(self, m: ModuliPoint) -> tuple[float, float]:
         """(t1, t2) with (u, w) = t1*v1 + t2*v2."""
@@ -138,11 +122,6 @@ class Displacement(NamedTuple):
 
     a: int
     b: int
-
-    def vector(self, m: ModuliPoint) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.a + self.b * m.x, self.b * m.y])
 
 
 class BasisReduction(NamedTuple):
@@ -281,7 +260,7 @@ def corner_translates(t1: float, t2: float, m: ModuliPoint) -> list[tuple[int, i
     """The 4 corners (a, b) = (0, 0), (0, 1), (1, 0), (1, 1) of the lattice
     cell of the difference t, as (s1, s2, x, y), the integer shift and the
     vector (t1 + s1) v1 + (t2 + s2) v2: coordinate c is f = t_c - rint(t_c)
-    at 0 and f - copysign(1, f) at 1, rounded as in corner_arrays."""
+    at 0 and f - copysign(1, f) at 1, rounded as in oracle._corner_arrays."""
     corners = []
     for t in (t1, t2):
         r = round(t)
@@ -289,32 +268,6 @@ def corner_translates(t1: float, t2: float, m: ModuliPoint) -> list[tuple[int, i
         g = math.copysign(1.0, f)
         corners.append(((-r, f), (-r - int(g), f - g)))
     return [(s1, s2, f1 + m.x * f2, m.y * f2) for s1, f1 in corners[0] for s2, f2 in corners[1]]
-
-
-def corner_arrays(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np.ndarray]:
-    """corner_translates of the differences frac (..., 2), on arrays: the
-    shifts and the vectors, both (2, ..., 4), the corners last, in order."""
-    import numpy as np
-
-    f = np.moveaxis(frac, -1, 0)
-    r = np.rint(f)
-    f = f - r
-    g = np.copysign(1.0, f)
-    t, s = np.stack([f, f - g]), np.stack([-r, -r - g])  # (value, coordinate, ...)
-    a, b = [0, 0, 1, 1], [0, 1, 0, 1]  # corner (a, b) takes value a of t1, value b of t2
-    v = np.stack([t[a, 0] + m.x * t[b, 1], m.y * t[b, 1]])
-    return np.moveaxis(np.stack([s[a, 0], s[b, 1]]), 1, -1), np.moveaxis(v, 1, -1)
-
-
-@lru_cache(maxsize=None)
-def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), built once per n for the oracle's pairwise
-    arrays: the pairs i < j of n points."""
-    import numpy as np
-
-    I, J = np.triu_indices(n, 1)
-    I.flags.writeable = J.flags.writeable = False  # shared by every caller
-    return I, J
 
 
 def torus_distance(p: TorusPoint, q: TorusPoint, m: ModuliPoint) -> float:

@@ -19,14 +19,7 @@ from .closed_form import optimal_radius
 from .embedding import EmbeddedGraph, homology_labels
 from .errors import NoTorusEmbedding, OverlapDetected
 from .geometry_embed import embedding_from_packing
-from .lattice import (
-    LatticeBasis,
-    ModuliPoint,
-    TorusPoint,
-    corner_arrays,
-    pair_indices,
-    reduce_to_standard_basis,
-)
+from .lattice import LatticeBasis, ModuliPoint, TorusPoint, reduce_to_standard_basis
 from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, contacts, vertex_darts
 
 RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
@@ -192,7 +185,7 @@ def _solve_equal_lengths(rows, offsets, sign, active, u0):
 # Points are held in fractional coordinates.  The ascent runs every torus of
 # a table at once: the tori share the seeded starts, and each torus's
 # iterates read only its own moduli and basis, so a torus ascends the same
-# alone or in any batch.  Ranking and refining read lattice.corner_arrays.
+# alone or in any batch.  Ranking and refining read _corner_arrays.
 
 ASCENT_ITERS = 220
 # The soft-min sharpness starts at 64 and doubles every tenth of the
@@ -220,6 +213,24 @@ EXP_FLOOR = -700.0
 ASCENT_BLOCK_BYTES = 1 << 20
 
 
+def _basis(m: ModuliPoint) -> np.ndarray:
+    """Row-stacked generators [[1, 0], [x, y]]."""
+    return np.array([[1.0, 0.0], [m.x, m.y]])
+
+
+def _corner_arrays(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np.ndarray]:
+    """lattice.corner_translates of the differences frac (..., 2), on arrays:
+    the shifts and the vectors, both (2, ..., 4), the corners last, in order."""
+    f = np.moveaxis(frac, -1, 0)
+    r = np.rint(f)
+    f = f - r
+    g = np.copysign(1.0, f)
+    t, s = np.stack([f, f - g]), np.stack([-r, -r - g])  # (value, coordinate, ...)
+    a, b = [0, 0, 1, 1], [0, 1, 0, 1]  # corner (a, b) takes value a of t1, value b of t2
+    v = np.stack([t[a, 0] + m.x * t[b, 1], m.y * t[b, 1]])
+    return np.moveaxis(np.stack([s[a, 0], s[b, 1]]), 1, -1), np.moveaxis(v, 1, -1)
+
+
 def _lengths(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[0] ** 2 + v[1] ** 2)
 
@@ -228,8 +239,8 @@ def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
     """Minimum pairwise toroidal distance of each configuration F (..., n, 2)
     (n >= 2); the self distance is the shortest lattice vector, capped by
     the caller."""
-    I, J = pair_indices(F.shape[-2])
-    _, v = corner_arrays(F[..., J, :] - F[..., I, :], m)
+    I, J = np.triu_indices(F.shape[-2], 1)
+    _, v = _corner_arrays(F[..., J, :] - F[..., I, :], m)
     return _lengths(v).min((-2, -1))
 
 
@@ -248,8 +259,8 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     (K, R, n, 2) endpoints.  Steps are taken in plane coordinates and
     mapped back to fractional coordinates.
 
-    A pair reads the 4 corners of its lattice cell, lattice.corner_arrays's
-    bit for bit, which hold its nearest translate (lattice's docstring).
+    A pair reads the 4 corners of its lattice cell, _corner_arrays's bit
+    for bit, which hold its nearest translate (lattice's docstring).
 
     Every array is allocated once; five hold 4 P K R floats (P = n(n - 1)/2
     pairs), laid out (a, b, pair, torus, restart): broadcasts, minima and
@@ -258,10 +269,10 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     """
     K = len(tori)
     R, n, _ = T0.shape
-    I, J = pair_indices(n)
+    I, J = np.triu_indices(n, 1)
     P = len(I)
     x, y = np.array([(m.x, m.y) for m in tori]).T[..., None]
-    binv = np.linalg.inv(np.array([m.basis for m in tori]))
+    binv = np.linalg.inv(np.array([_basis(m) for m in tori]))
     T = np.repeat(T0.transpose(2, 1, 0)[:, :, None], K, axis=2)  # (2, n, K, R)
     # corner (a, b) is (t[0, a] + x t[1, b], y t[1, b]), t[c] = (f_c, f_c - s_c)
     t, xyt, v0, dist, w = (np.empty((2, 2, P, K, R)) for _ in range(5))
@@ -336,7 +347,7 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
     actually improves the minimum distance.
     """
     n = Fs[0].shape[1]
-    I, J = pair_indices(n)
+    I, J = np.triu_indices(n, 1)
     # unknowns: p_1 .. p_{n-1} (p_0 pinned), then the common length d; the
     # 4 corners of a pair share its rows of A
     incidence = np.eye(n)[:, J] - np.eye(n)[:, I]  # +1 at each pair's head j, -1 at its tail i
@@ -344,19 +355,20 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
     A = np.repeat(np.concatenate([A, np.zeros((len(I), 2, 1))], 2), 4, axis=0)
     c, dmin, active, pts = [], [], [], []
     for F, m in zip(Fs, tori):
-        shifts, v = corner_arrays(F[:, J] - F[:, I], m)
+        shifts, v = _corner_arrays(F[:, J] - F[:, I], m)
         dist = _lengths(v).reshape(len(F), -1)  # (pair, corner) flattened
         dmin.append(dist.min(1))
         cut = np.maximum(dmin[-1] + REFINE_SLACK, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
         active.append(dist <= cut[:, None])
-        c.append(np.moveaxis(shifts, 0, -1).reshape(len(F), -1, 2) @ m.basis)
-        pts.append(F @ m.basis)
+        basis = _basis(m)
+        c.append(np.moveaxis(shifts, 0, -1).reshape(len(F), -1, 2) @ basis)
+        pts.append(F @ basis)
     pts = np.concatenate(pts)
     u0 = np.concatenate([(pts[:, 1:] - pts[:, :1]).reshape(len(pts), -1), np.concatenate(dmin)[:, None]], 1)
     u = _solve_equal_lengths(A, np.concatenate(c), np.ones(len(A)), np.concatenate(active).astype(float), u0)
     refined = np.concatenate([np.zeros((len(u), 1, 2)), u[:, :-1].reshape(len(u), -1, 2)], 1) + pts[:, :1]
     parts = np.split(refined, np.cumsum([len(F) for F in Fs])[:-1])
-    return [r @ np.linalg.inv(m.basis) for r, m in zip(parts, tori)]
+    return [r @ np.linalg.inv(_basis(m)) for r, m in zip(parts, tori)]
 
 
 # Each refine lands on the tangency configuration of the active set read
@@ -425,7 +437,7 @@ def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[Or
         best = int(np.argmax(np.minimum(d, cap)))  # the first of the best candidates
         results.append(OracleResult(
             best_radius=min(float(d[best]), cap) / 2,
-            best_centers=tuple(TorusPoint(*p).canonical(m) for p in top[best] @ m.basis),
+            best_centers=tuple(TorusPoint(*p).canonical(m) for p in top[best] @ _basis(m)),
         ))
     return results
 

@@ -1,5 +1,4 @@
-"""Deterministic SVG figures: packings in the fundamental domain, and the
-moduli-strip region diagrams.
+"""Deterministic SVG figures of packings in the fundamental domain.
 
 No timestamps, no randomness; numbers are printed with fixed precision so
 identical inputs yield byte-identical documents.
@@ -13,7 +12,6 @@ import numpy as np
 
 from .lattice import ModuliPoint, TorusPoint
 from .packing import Packing, PackingGraph
-from .regions import SQRT3, boundary_curve, free_boundary_value, region_count
 
 _FMT = "{:.6f}"
 _STROKE_WIDTH = 1.5
@@ -77,7 +75,7 @@ def render_packing(p: Packing, g: PackingGraph, spec: FigureSpec) -> str:
     parts.append(
         '<rect width="100%" height="100%" fill="white"/>\n'
     )
-    canon = [c.canonical(m).coords() for c in p.centers]
+    canon = [np.array(c.canonical(m)) for c in p.centers]
     # circle lifts whose disk meets the closed fundamental domain
     lifts = []
     for idx, base in enumerate(canon):
@@ -99,7 +97,7 @@ def render_packing(p: Packing, g: PackingGraph, spec: FigureSpec) -> str:
     )
     # tangency edges from each canonical representative
     for i, j, d in g.edges:
-        a, b = canon[i], canon[j] + d.vector(m)
+        a, b = canon[i], canon[j] + (d.a + d.b * m.x, d.b * m.y)
         parts.append(
             f'<line x1="{_f(X(a))}" y1="{_f(Y(a))}" x2="{_f(X(b))}" y2="{_f(Y(b))}" '
             f'stroke="#c0392b" stroke-width="{_f(_STROKE_WIDTH)}"/>\n'
@@ -127,65 +125,3 @@ def _disk_meets_domain(q, r, m: ModuliPoint) -> bool:
         best = min(best, float(np.hypot(*(a + t * ab - q))))
     return best <= r + _DOMAIN_TOUCH_SLACK
 
-
-_CURVE_SAMPLES = 512
-
-
-def render_moduli(n: int, spec: FigureSpec) -> str:
-    """The unoriented moduli strip with the region boundary curves, region
-    labels, and markers at the triangular-close-packing boundary tori."""
-    k = region_count(n)
-    y_top = free_boundary_value(n, 0.25) + 0.8
-    lo = np.array([-0.06, 0.6])
-    hi = np.array([0.56, y_top])
-    scale = spec.size / (hi[1] - lo[1])
-    W = (hi[0] - lo[0]) * scale
-    H = (hi[1] - lo[1]) * scale
-
-    def X(x):
-        return (x - lo[0]) * scale
-
-    def Y(y):
-        return H - (y - lo[1]) * scale
-
-    parts = [_svg_header(W, H), '<rect width="100%" height="100%" fill="white"/>\n']
-    # strip walls
-    for x in (0.0, 0.5):
-        parts.append(
-            f'<line x1="{_f(X(x))}" y1="{_f(Y(lo[1]))}" x2="{_f(X(x))}" y2="{_f(Y(hi[1]))}" '
-            'stroke="#888888" stroke-width="1.0"/>\n'
-        )
-    # boundary curves (index 0 = strip bottom, then the region tops)
-    xs = np.linspace(0.0, 0.5, _CURVE_SAMPLES)
-    for i in range(k):
-        pts = " ".join(f"{_f(X(x))},{_f(Y(boundary_curve(n, i, float(x))))}" for x in xs)
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="black" '
-            f'stroke-width="{_f(_STROKE_WIDTH)}"/>\n'
-        )
-    for i in range(1, k + 1):
-        xm = 0.25
-        ylo = boundary_curve(n, i - 1, xm)
-        yhi = boundary_curve(n, i, xm) if i < k else ylo + 1.0
-        ym = (ylo + yhi) / 2
-        parts.append(
-            f'<text x="{_f(X(xm))}" y="{_f(Y(ym))}" font-size="16" '
-            f'text-anchor="middle">R{i}_{n}</text>\n'
-        )
-    # unfilled markers: tori whose optimum is the triangular close packing
-    for x, y in _triangular_markers(n):
-        parts.append(
-            f'<circle cx="{_f(X(x))}" cy="{_f(Y(y))}" r="4.0" fill="white" '
-            'stroke="black" stroke-width="1.2"/>\n'
-        )
-    parts.append("</svg>\n")
-    return "".join(parts)
-
-
-def _triangular_markers(n: int) -> list[tuple[float, float]]:
-    """Boundary tori where each circle touches six others."""
-    if n == 2:
-        return [(0.0, SQRT3), (0.5, SQRT3 / 2)]
-    if n == 3:
-        return [(0.5, SQRT3 / 2), (0.5, 3 * SQRT3 / 2)]
-    return [(0.5, SQRT3 / 2), (0.0, 2 / SQRT3), (0.0, 2 * SQRT3)]

@@ -27,7 +27,7 @@ def edge_vectors(p, g) -> np.ndarray:
 
 
 def _edge_vectors(m, canon, g) -> np.ndarray:
-    pts = np.array([c.coords() for c in canon]).reshape(-1, 2)
+    pts = np.array([(c.u, c.w) for c in canon]).reshape(-1, 2)
     I, J, a, b = np.array([(i, j, d.a, d.b) for i, j, d in g.edges], int).reshape(-1, 4).T
     return pts[J] + np.stack([a + b * m.x, b * m.y], -1) - pts[I]
 

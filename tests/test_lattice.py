@@ -16,20 +16,20 @@ from toruspack.lattice import (
     ModuliPoint,
     TorusPoint,
     _fma,
-    corner_arrays,
     corner_translates,
     fundamental_domain_area,
     reduce_to_standard_basis,
     torus_distance,
 )
+from toruspack.oracle import _corner_arrays
 
 SQRT3 = math.sqrt(3.0)
 
 
 def brute_min_distance(p, q, m, window=6):
     """Independent oracle: plain minimum over a wide translate window."""
-    pc = p.canonical(m).coords()
-    qc = q.canonical(m).coords()
+    pc = np.array(p.canonical(m))
+    qc = np.array(q.canonical(m))
     best = math.inf
     for a in range(-window, window + 1):
         for b in range(-window, window + 1):
@@ -516,7 +516,7 @@ class TestCornerWindow:
         nearest's by 1/2; and the loop shifts hold every loop shorter than
         sqrt(2) (lattice's module docstring)."""
         got = corner_translates(t1, t2, m)
-        s, v = corner_arrays(np.array([t1, t2]), m)
+        s, v = _corner_arrays(np.array([t1, t2]), m)
         assert [(a, b) for a, b, _, _ in got] == [(int(a), int(b)) for a, b in s.T]
         assert repr([(x, y) for _, _, x, y in got]) == repr([(float(x), float(y)) for x, y in v.T])
         for (_, _, x, y), length in zip(got, np.hypot(v[0], v[1])):  # math.hypot and np.hypot within 1 ulp
@@ -540,9 +540,9 @@ class TestCornerWindow:
         rng = np.random.default_rng(21)
         m = ModuliPoint(0.3, 1.4)
         frac = rng.uniform(-4, 4, (5, 3, 2))
-        s, v = corner_arrays(frac, m)
+        s, v = _corner_arrays(frac, m)
         assert s.shape == v.shape == (2, 5, 3, 4)
-        one_s, one_v = corner_arrays(frac[2, 1], m)
+        one_s, one_v = _corner_arrays(frac[2, 1], m)
         assert np.array_equal(s[:, 2, 1], one_s) and np.array_equal(v[:, 2, 1], one_v)
 
 

@@ -11,7 +11,7 @@ from toruspack import oracle
 from toruspack.closed_form import optimal_radius
 from toruspack.ecg import EXPECTED_NOT_REALIZABLE, REALIZE_ATTEMPTS, REALIZE_SEED
 from toruspack.errors import NoTorusEmbedding
-from toruspack.lattice import ModuliPoint, TorusPoint, corner_arrays
+from toruspack.lattice import ModuliPoint, TorusPoint
 from toruspack.oracle import (
     compare_with_closed_form,
     maximize_min_distances,
@@ -79,17 +79,30 @@ class TestMaxMin:
         assert g.loop_count() >= 1
 
 
+@pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.5, SQRT3 / 2), (0.3, 1.7), (0.25, 1.3)])
+def test_basis_rows_map_lattice_coords_to_the_plane(x, y):
+    # the ascent and refine work in lattice coordinates and map back through
+    # _basis; its convention must be lattice.TorusPoint.lattice_coords's
+    m = ModuliPoint(x, y)
+    B = oracle._basis(m)
+    assert B.tolist() == [[1.0, 0.0], [x, y]]
+    for p in (TorusPoint(0.2, 0.1), TorusPoint(-1.3, 2.4), TorusPoint(7.5, -3.25)):
+        t = p.lattice_coords(m)
+        np.testing.assert_allclose(np.array(t) @ B, np.array(p), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.array(p) @ np.linalg.inv(B), np.array(t), rtol=0, atol=1e-12)
+
+
 def _reference_ascent(T, m):
     """The soft-min ascent of one torus written plainly on the corner
-    window of lattice.corner_arrays, every sum a left-to-right Python sum:
+    window of oracle._corner_arrays, every sum a left-to-right Python sum:
     the arithmetic the buffered, batched kernel keeps, in the same order, so
-    its corners are corner_arrays's bit for bit."""
+    its corners are _corner_arrays's bit for bit."""
     n = T.shape[1]
     I, J = np.triu_indices(n, k=1)
-    binv = np.linalg.inv(m.basis)
+    binv = np.linalg.inv(oracle._basis(m))
     beta, step = 64.0, 0.08
     for it in range(220):
-        v = np.moveaxis(corner_arrays(T[:, J] - T[:, I], m)[1], -1, 0)  # 4 x (2, R, P)
+        v = np.moveaxis(oracle._corner_arrays(T[:, J] - T[:, I], m)[1], -1, 0)  # 4 x (2, R, P)
         dist = [np.sqrt(c[0] ** 2 + c[1] ** 2 + 1e-18) for c in v]
         dmin = np.min(dist, axis=(0, 2))[:, None]
         w = [np.exp(-beta * (d - dmin)) for d in dist]

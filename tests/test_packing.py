@@ -14,10 +14,9 @@ from toruspack.lattice import (
     Displacement,
     ModuliPoint,
     TorusPoint,
-    corner_arrays,
     corner_translates,
 )
-from toruspack.oracle import REALIZATION_CLEARANCE, cyclic_gaps
+from toruspack.oracle import REALIZATION_CLEARANCE, _corner_arrays, cyclic_gaps
 from toruspack.packing import (
     Packing,
     PackingGraph,
@@ -51,7 +50,7 @@ def _brute_pair_lengths(m, centers, window=6):
     """Length of every translate |a|, |b| <= window from canonical center i
     to canonical center j, i <= j, keyed (i, j, a, b); t = 0 of a self pair
     is left out."""
-    pts = [c.canonical(m).coords() for c in centers]
+    pts = [np.array(c.canonical(m)) for c in centers]
     out = {}
     for i in range(len(pts)):
         for j in range(i, len(pts)):
@@ -195,11 +194,11 @@ class TestExtract:
 
 
 def _batch_graph(p, tol):
-    """The graph read through the array evaluator, corner_arrays, the loop
+    """The graph read through the array evaluator, oracle._corner_arrays, the loop
     shifts and np.hypot: the tangencies, or OverlapDetected."""
     frac = np.array([c.canonical(p.m).lattice_coords(p.m) for c in p.centers])
     I, J = np.triu_indices(p.n, 1)
-    shifts, v = corner_arrays(frac[J] - frac[I], p.m)
+    shifts, v = _corner_arrays(frac[J] - frac[I], p.m)
     loops = np.array(LOOP_SHIFTS, float).T
     witnesses = [(I[k], J[k], *shifts[:, k, c]) for k, c in np.ndindex(len(I), 4)]
     witnesses += [(i, i, a, b) for i in range(p.n) for a, b in LOOP_SHIFTS]

@@ -8,7 +8,7 @@ from toruspack import render
 from toruspack.closed_form import optimal_centers
 from toruspack.lattice import ModuliPoint, TorusPoint
 from toruspack.packing import Packing, extract_graph
-from toruspack.render import FigureSpec, render_moduli, render_packing
+from toruspack.render import FigureSpec, render_packing
 
 SQRT3 = math.sqrt(3.0)
 
@@ -83,7 +83,7 @@ def test_lift_touching_the_domain_up_to_rounding_is_drawn():
     # touches the domain's left edge, and rounding puts it 5.6e-17 outside
     m = ModuliPoint(0.5, SQRT3 / 2)
     p = optimal_packing(3, m)
-    q = p.centers[1].coords() - (1.0, 0.0)
+    q = np.array(p.centers[1]) - (1.0, 0.0)
     edge = np.array([m.x, m.y])
     gap = float(np.hypot(*(q @ edge / (edge @ edge) * edge - q))) - p.radius
     assert 0 < gap < 1e-16
@@ -96,12 +96,3 @@ def test_empty_packing():
     svg = render_packing(p, g, FigureSpec())
     assert "<polyline" in svg and "</svg>" in svg
 
-
-def test_moduli_diagrams():
-    for n, regions in ((2, 2), (3, 3), (4, 4)):
-        svg = render_moduli(n, FigureSpec())
-        assert svg == render_moduli(n, FigureSpec())
-        for i in range(1, regions + 1):
-            assert f">R{i}_{n}</text>" in svg
-        # strip bottom plus one interior curve per region boundary
-        assert svg.count("<polyline") == regions
