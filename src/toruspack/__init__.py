@@ -7,9 +7,9 @@ certificates), a max-min numerical oracle, and SVG figures.
 
 `import toruspack` loads the closed-form half (errors, lattice, regions,
 closed_form, packing), which runs on the standard library alone: numpy is
-imported by the array helpers when first called, by `render` and by the
-catalog half.  The catalog half's exports (census, embedding, oracle,
-rigidity) are imported from their modules on first access.
+imported only by `render` and by the catalog half.  The catalog half's
+exports (census, embedding, oracle, realization, rigidity) are imported
+from their modules on first access.
 """
 
 from .closed_form import OptimalSolution, optimal_centers, optimal_radius, tangency_census
@@ -55,11 +55,11 @@ _LAZY = {
     "parallel_chain_filter": "embedding",
     "trace_faces": "embedding",
     "OracleResult": "oracle",
-    "RealizationSample": "oracle",
     "compare_with_closed_form": "oracle",
     "compare_with_closed_forms": "oracle",
     "maximize_min_distances": "oracle",
-    "realize_embedding": "oracle",
+    "RealizationSample": "realization",
+    "realize_embedding": "realization",
     "FlexVector": "rigidity",
     "Stress": "rigidity",
     "StrutFramework": "rigidity",

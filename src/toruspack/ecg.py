@@ -32,8 +32,8 @@ from .embedding import (
 from .errors import UnsupportedN
 from .geometry_embed import embedding_from_packing
 from .lattice import ModuliPoint
-from .oracle import REALIZATION_CLEARANCE, RealizationSample, realize_embedding
 from .packing import Packing, contacts
+from .realization import REALIZATION_CLEARANCE, RealizationSample, realize_embedding
 from .regions import SQRT3, boundary_curve
 from .rigidity import RigidityDecision, build_framework, decide_rigidity
 

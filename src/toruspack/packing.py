@@ -119,7 +119,7 @@ def max_radius_for_centers(m: ModuliPoint, centers: list[TorusPoint]) -> float:
 
 
 # Slack, in radians, on a gap of pi between consecutive tangency
-# directions: the half-plane test of rigidity and the realization screen.
+# directions: the half-plane test, read by rigidity and by realization.
 # A gap that is exactly pi (a straight row of circles) must read as pi: in
 # the closed forms it reads exactly pi (all 240 gaps within 1e-6 of pi at 40
 # interior and 40 boundary tori per region), and a solved start's edge
@@ -158,6 +158,12 @@ def angle_gaps(g: PackingGraph, vectors) -> list[list[float]]:
         ang = [a for a, _ in darts]
         out.append(sorted(b - a for a, b in zip(ang, ang[1:] + [x + 2 * math.pi for x in ang[:1]])))
     return out
+
+
+def has_halfplane_vertex(g: PackingGraph, vectors) -> bool:
+    """Some circle's tangency directions fit in a closed half-plane; vectors
+    are the edge vectors of g (Packing.edge_vectors)."""
+    return any(not gaps or gaps[-1] >= math.pi - ANGLE_GAP_TOL for gaps in angle_gaps(g, vectors))
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def _check_counts(report: PipelineReport) -> None:
         ("after both filters", report.after_both, EXPECTED_AFTER_BOTH[n]),
     ]
     for label, got, want in checks:
-        if tuple(np.atleast_1d(got)) != tuple(np.atleast_1d(want)):
+        if got != want:
             report.failures.append(f"{label}: got {got}, expected {want}")
     names = [v["name"] for v in report.verdicts if v["name"]]
     for name in sorted({x for x in names if names.count(x) > 1}):

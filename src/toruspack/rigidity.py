@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .errors import CertificateCheckFailed, InconsistentLengths
 from .exact_lp import Row, feasible_rows, nullspace
 from .lattice import DEFAULT_TOL
-from .packing import ANGLE_GAP_TOL, Packing, PackingGraph, angle_gaps, contacts
+from .packing import Packing, PackingGraph, contacts, has_halfplane_vertex
 
 RATIONALIZE_DENOMINATOR = 10**12
 # Every exact certificate is re-checked on the float strut vectors, so the
@@ -235,12 +235,6 @@ def verify_stress(f: StrutFramework, stress: Stress) -> bool:
         resid[2 * j + 1] -= wk * ey
         scale += abs(wk) * math.hypot(ex, ey)
     return all(abs(r) <= FLOAT_CHECK_TOL * max(scale, 1.0) for r in resid)
-
-
-def has_halfplane_vertex(g: PackingGraph, vectors) -> bool:
-    """Some circle's tangency directions fit in a closed half-plane; vectors
-    are the edge vectors of g (Packing.edge_vectors)."""
-    return any(not gaps or gaps[-1] >= math.pi - ANGLE_GAP_TOL for gaps in angle_gaps(g, vectors))
 
 
 def classify_packing(p: Packing, tol: float = DEFAULT_TOL) -> str:

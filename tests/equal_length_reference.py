@@ -1,9 +1,9 @@
-"""Reference for the kernel of `toruspack.oracle._solve_equal_lengths`:
+"""Reference for the kernel of `toruspack.realization._solve_equal_lengths`:
 residuals, Jacobian and normal equations written with `np.einsum`.
 
 The solver forms the Jacobian by elementwise multiply-adds and the normal
-equations by BLAS products; the property test in test_oracle.py asserts
-that both agree.
+equations by BLAS products; the property test in test_realization.py
+asserts that both agree.
 """
 from __future__ import annotations
 

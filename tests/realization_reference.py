@@ -1,15 +1,17 @@
-"""Reference for `toruspack.oracle.realize_embedding`: every start drawn
-one by one and solved in one batch, then screened and validated in start
-order until max_samples are held.
+"""Reference for `toruspack.realization.realize_embedding`: every start
+drawn one by one and solved in one batch, then screened and validated in
+start order until max_samples are held.
 
 realize_embedding solves its starts in blocks and stops at its last
-sample; the property test in test_oracle.py asserts that both return the
-same samples.  The angle window keeps its own sort and diff, so that test
-also holds realize_embedding's gap test (packing.cyclic_gaps) to that
-arithmetic.  It keeps two tests that realize_embedding dropped, so the
-same test shows that dropping them retains the same samples: the cost
-test (0.5 |r|^2 at most 1e-22, besides the residual test), and the pi/3
-half of the angle window (the touch test decides it).
+sample; the property test in test_realization.py asserts that both return
+the same samples.  The angle window keeps its own sort and diff on the
+solved edge vectors, so that test also holds realize_embedding's gap test
+(packing.has_halfplane_vertex on each candidate's contacts, in
+_validate_solution) to that arithmetic.  It keeps two tests that
+realize_embedding dropped, so the same test shows that dropping them
+retains the same samples: the cost test (0.5 |r|^2 at most 1e-22, besides
+the residual test), and the pi/3 half of the angle window (the touch test
+decides it).
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import math
 import numpy as np
 
 import equal_length_reference
-from toruspack import oracle
+from toruspack import realization
+from toruspack.packing import ANGLE_GAP_TOL
 
 
-def _angle_window_ok(vectors_by_vertex, tol=oracle.ANGLE_GAP_TOL):
+def _angle_window_ok(vectors_by_vertex, tol=ANGLE_GAP_TOL):
     """Per start: every cyclic gap between the tangent directions at every
     vertex lies in [pi/3, pi).  vectors_by_vertex holds (B, deg, 2) arrays."""
     ok = True
@@ -34,7 +37,7 @@ def _angle_window_ok(vectors_by_vertex, tol=oracle.ANGLE_GAP_TOL):
 
 def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10):
     nv = e.graph.vertex_count
-    A, c, darts = oracle._realization_system(e)
+    A, c, darts = realization._realization_system(e)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     u0 = np.array([
         np.concatenate(
@@ -47,31 +50,31 @@ def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10
         )
         for _ in range(attempts)
     ]).reshape(attempts, 2 * nv + 1)
-    Aq, cq, joined = oracle._tangent_pairs(A, c, darts)
+    Aq, cq, joined = realization._tangent_pairs(A, c, darts)
     m = len(A) + len(Aq)
-    u = oracle._solve_equal_lengths(
+    u = realization._solve_equal_lengths(
         np.concatenate([A, Aq]), np.broadcast_to(np.concatenate([c, cq]), (attempts, m, 2)),
         np.repeat([1.0, -1.0], [len(A), len(Aq)]), np.ones((attempts, m)), u0,
     )
-    d = oracle._edge_vectors(u, A, c)
-    q = oracle._edge_vectors(u, Aq, cq)
+    d = realization._edge_vectors(u, A, c)
+    q = realization._edge_vectors(u, Aq, cq)
     L = np.abs(u[:, -1])
     residual = np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)
     # the solved test realize_embedding dropped, kept here: 0.5 |r|^2 of the
     # squared-length residuals, edges and hinges, at most 1e-22
     cost = 0.5 * (equal_length_reference.equal_length_terms(u, A, c, (Aq, cq))[0] ** 2).sum(1)
-    keep = (cost <= 1e-22) & (L >= oracle.DEGENERATE_SCALE)
-    keep &= np.abs(u[:, -2]) >= oracle.DEGENERATE_SCALE
+    keep = (cost <= 1e-22) & (L >= realization.DEGENERATE_SCALE)
+    keep &= np.abs(u[:, -2]) >= realization.DEGENERATE_SCALE
     keep &= residual <= residual_tol
     # dart 2t leaves along d_t and dart 2t + 1 along -d_t
     keep &= _angle_window_ok(
         [(1 - 2 * (ds % 2))[:, None] * d[:, ds // 2] for ds in map(np.array, darts)]
     )
-    touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + oracle.REALIZATION_CLEARANCE / 2)
+    touch = np.hypot(q[..., 0], q[..., 1]) < L[:, None] * (1 + realization.REALIZATION_CLEARANCE / 2)
     keep &= ~(touch & ~joined).any(1)
     samples = []
     for b in np.flatnonzero(keep):
-        sample = oracle._validate_solution(e, u[b], float(residual[b]))
+        sample = realization._validate_solution(e, u[b], float(residual[b]))
         if sample is not None:
             samples.append(sample)
             if len(samples) >= max_samples:

@@ -16,7 +16,6 @@ import numpy as np
 
 from toruspack import rigidity
 from toruspack.errors import InconsistentLengths
-from toruspack.oracle import cyclic_gaps, dart_vectors
 from toruspack.packing import ANGLE_GAP_TOL, _canonical, extract_graph, vertex_darts
 from toruspack.rigidity import FLOAT_CHECK_TOL
 
@@ -80,14 +79,22 @@ def verify_stress(f: StrutFramework, stress) -> bool:
     return float(np.abs(resid).max()) <= FLOAT_CHECK_TOL * max(scale, 1.0)
 
 
+def _cyclic_gaps(v: np.ndarray) -> np.ndarray:
+    """(..., k): the differences of the sorted angles of the vectors v
+    (..., k, 2), the last closing the full turn."""
+    ang = np.sort(np.arctan2(v[..., 1], v[..., 0]), axis=-1)
+    return np.diff(np.concatenate([ang, ang[..., :1] + 2 * math.pi], -1), axis=-1)
+
+
 def has_halfplane_vertex(g, vectors: np.ndarray) -> bool:
     by_degree: dict[int, list] = {}
     for darts in vertex_darts(g.edges, g.vertex_count):
         by_degree.setdefault(len(darts), []).append(darts)
-    dv = dart_vectors(vectors)
+    # row d: dart d's vector, d_t for dart 2t and -d_t for dart 2t + 1
+    dv = np.stack([vectors, -vectors], 1).reshape(-1, 2)
     # one gap call per degree, on the (k, deg, 2) vectors of k vertices' darts
     return 0 in by_degree or any(
-        cyclic_gaps(dv[np.array(ds)]).max() >= math.pi - ANGLE_GAP_TOL for ds in by_degree.values()
+        _cyclic_gaps(dv[np.array(ds)]).max() >= math.pi - ANGLE_GAP_TOL for ds in by_degree.values()
     )
 
 

@@ -12,13 +12,14 @@ import numpy as np
 from toruspack.census import enumerate_census
 from toruspack.closed_form import optimal_centers, optimal_radius, radius_branch
 from toruspack.lattice import ModuliPoint, TorusPoint
-from toruspack.oracle import maximize_min_distances, realize_embedding
+from toruspack.oracle import maximize_min_distances
 from toruspack.packing import (
     Packing,
     TRIANGULAR_DENSITY,
     density,
     extract_graph,
 )
+from toruspack.realization import realize_embedding
 from toruspack.regions import (
     boundary_curve,
     classify,

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from toruspack import ecg, oracle, packing, rigidity
+from toruspack import ecg, packing, realization, rigidity
 from toruspack.closed_form import optimal_centers
 from toruspack.ecg import (
     EXPECTED_FLEXIBLE,
@@ -14,8 +14,8 @@ from toruspack.ecg import (
 )
 from toruspack.geometry_embed import embedding_from_packing
 from toruspack.lattice import TorusPoint
-from toruspack.oracle import realize_embedding
 from toruspack.packing import Packing, extract_graph
+from toruspack.realization import realize_embedding
 from toruspack.report import run_pipeline
 from toruspack.rigidity import build_framework, decide_rigidity
 
@@ -181,8 +181,8 @@ def test_pipeline_witness_is_the_probe_decision(catalog3, monkeypatch, tmp_path)
     s = catalog3.by_name("ECG2-2").samples[0]
     p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
     # read afresh, 100x tighter than the sample's graph was read
-    g = extract_graph(p, oracle.REALIZATION_CLEARANCE / 100)
-    want = decide_rigidity(build_framework(p, g, oracle.REALIZATION_CLEARANCE / 100))
+    g = extract_graph(p, realization.REALIZATION_CLEARANCE / 100)
+    want = decide_rigidity(build_framework(p, g, realization.REALIZATION_CLEARANCE / 100))
     decided = _callers(monkeypatch, rigidity.decide_rigidity)
     extracted = _callers(monkeypatch, packing.extract_graph)
     report = run_pipeline(3, str(tmp_path))

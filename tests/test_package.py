@@ -16,7 +16,8 @@ import toruspack
 # it imports: the closed forms load none
 _LEFT_OUT = ("numpy", "scipy", "dataclasses", "inspect") + tuple(
     f"toruspack.{m}"
-    for m in ("census", "embedding", "ecg", "oracle", "rigidity", "exact_lp", "geometry_embed", "report")
+    for m in ("census", "embedding", "ecg", "oracle", "realization", "rigidity", "exact_lp", "geometry_embed",
+              "report")
 )
 
 
@@ -99,6 +100,19 @@ print('numpy' in sys.modules)
     assert out.stdout.splitlines() == ["rigid-LMD", "False"]
 
 
+def test_catalog_leaves_the_oracle_out():
+    # naming the survivors realizes them (realization) and decides their
+    # rigidity; the max-min oracle is the pipeline's, through report
+    code = """
+import sys
+import toruspack.ecg
+print('toruspack.realization' in sys.modules, 'toruspack.oracle' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["True False"]
+
+
 def _runtime_nodes(tree: ast.AST):
     """Every node of tree at any depth, except the bodies of `if TYPE_CHECKING:`."""
     stack = [tree]
@@ -125,7 +139,7 @@ def test_numpy_importers_are_pinned():
                 continue
             if any(m == "numpy" or m.startswith("numpy.") for m in modules if m):
                 importers.add(path.stem)
-    assert sorted(importers) == ["embedding", "oracle", "render", "report"]
+    assert sorted(importers) == ["embedding", "oracle", "realization", "render", "report"]
 
 
 def test_only_oracle_imports_dataclasses():

@@ -16,7 +16,7 @@ from toruspack.lattice import (
     TorusPoint,
     corner_translates,
 )
-from toruspack.oracle import REALIZATION_CLEARANCE, _corner_arrays, cyclic_gaps
+from toruspack.oracle import _corner_arrays
 from toruspack.packing import (
     Packing,
     PackingGraph,
@@ -26,6 +26,7 @@ from toruspack.packing import (
     extract_graph,
     graph_from_dict,
     graph_to_dict,
+    has_halfplane_vertex,
     max_radius_for_centers,
     packing_from_dict,
     packing_to_dict,
@@ -33,8 +34,8 @@ from toruspack.packing import (
     TRIANGULAR_DENSITY,
     vertex_darts,
 )
+from toruspack.realization import REALIZATION_CLEARANCE
 from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
-from toruspack.rigidity import has_halfplane_vertex
 
 SQRT3 = math.sqrt(3.0)
 
@@ -395,10 +396,6 @@ def test_cyclic_gaps_and_halfplane_test(tangencies):
                 assume(abs(abs(angle) - math.pi) > 1e-6)
     edges += [(1, 1, Displacement(9, k)) for k in range(3)]
     vectors += HEXAGONAL_LOOPS
-    gaps = cyclic_gaps(np.array([dirs, [(-x, -y) for x, y in dirs]]))
-    assert gaps.shape == (2, len(dirs)) and (gaps >= 0).all()
-    assert np.abs(gaps.sum(-1) - 2 * math.pi).max() <= 1e-12
-    np.testing.assert_allclose(np.sort(gaps[1]), np.sort(gaps[0]), atol=1e-12)
     g = PackingGraph(vertex_count=2, edges=tuple(edges))
     # angle_gaps: the differences of the sorted math.atan2 angles, sorted
     ang = sorted(math.atan2(y, x) for x, y in dirs)

@@ -17,8 +17,8 @@ from toruspack.closed_form import optimal_centers
 from toruspack.errors import CertificateCheckFailed, InconsistentLengths, TorusPackError
 from toruspack.exact_lp import feasible_rows, nullspace
 from toruspack.lattice import DEFAULT_TOL, ModuliPoint, TorusPoint
-from toruspack.oracle import REALIZATION_CLEARANCE, realize_embedding
 from toruspack.packing import Packing, extract_graph
+from toruspack.realization import REALIZATION_CLEARANCE, realize_embedding
 from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
 from toruspack.rigidity import (
     RATIONALIZE_DENOMINATOR,
