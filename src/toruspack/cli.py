@@ -110,7 +110,7 @@ def cmd_pipeline(args) -> int:
     from .report import CountMismatch, run_pipeline, summary_table
 
     try:
-        report = run_pipeline(
+        record = run_pipeline(
             args.n,
             args.out,
             skip_oracle=args.skip_oracle,
@@ -120,21 +120,22 @@ def cmd_pipeline(args) -> int:
     except CountMismatch as exc:
         print(f"published checks failed: {exc}", file=sys.stderr)
         return 1
-    print(summary_table(report), end="")
+    print(summary_table(record), end="")
     return 0
 
 
 def cmd_verify(args) -> int:
     from .report import oracle_disagreements, verify_run, write_oracle_csv
 
-    rows, ok = verify_run(args.n, args.samples, args.seed, restarts=args.restarts)
+    rows = verify_run(args.n, args.samples, args.seed, restarts=args.restarts)
     if args.csv:
         write_oracle_csv(args.csv, rows)
     worst = max((r["gap"] for r in rows), default=0.0)
-    print(f"n={args.n}: {len(rows)} samples, worst gap {worst:.3e}, ok={ok}")
-    for line in oracle_disagreements(rows)[:10]:
+    bad = oracle_disagreements(rows)
+    print(f"n={args.n}: {len(rows)} samples, worst gap {worst:.3e}, ok={not bad}")
+    for line in bad[:10]:
         print(f"  {line}", file=sys.stderr)
-    return 0 if ok else 1
+    return 1 if bad else 0
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,9 @@ ECGk-j.  One rule, computed in one pass, gives every name:
     seeded realization attempts plus the rigidity test (classes 'rigid',
     'flexible', 'none') and take the indices j that its anchors leave free,
     in canonical order, or by probe class where a published table orders
-    them.  A probe class missing from that table raises.
+    them.  A probe class missing from that table raises.  The witness of
+    a probe class is the sample that fixes it, the first rigid sample or
+    else the first, with its rigidity decision.
 """
 from __future__ import annotations
 
@@ -78,8 +80,9 @@ class EcgEntry(NamedTuple):
     realization_class: str | None  # 'rigid', 'flexible', 'none' (survivors only)
     # the probe's retained realizations (unanchored survivors only)
     samples: tuple[RealizationSample, ...]
-    # the rigidity decision of samples[0], its witness
-    decision: RigidityDecision | None
+    # the sample that fixes realization_class (the first rigid one, else
+    # samples[0]) and its rigidity decision: the pipeline's witness
+    witness: tuple[RealizationSample, RigidityDecision] | None
     # anchored names: the torus whose closed-form optimum realizes this
     # embedding, a globally optimal witness
     anchor: ModuliPoint | None
@@ -127,25 +130,25 @@ def _filter_reasons(e: EmbeddedGraph) -> tuple[str | None, str | None]:
 
 def _probe_realization(
     e: EmbeddedGraph,
-) -> tuple[str, tuple[RealizationSample, ...], RigidityDecision | None]:
+) -> tuple[str, tuple[RealizationSample, ...], tuple[RealizationSample, RigidityDecision] | None]:
     """The retained samples, classed 'rigid' if any of them is
     infinitesimally rigid (the family is locally maximally dense
     somewhere), else 'flexible', or 'none' when nothing realized, and the
-    rigidity decision of the first.  Samples are decided in order, up to
-    the first rigid one."""
+    witness of that class: the first rigid sample, else the first, with
+    its rigidity decision.  Samples are decided in order, up to the first
+    rigid one."""
     samples = tuple(
         realize_embedding(e, attempts=REALIZE_ATTEMPTS, seed=REALIZE_SEED, max_samples=8)
     )
-    if not samples:
-        return "none", samples, None
-    decisions = []
+    witness = None
     for s in samples:
         p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
         # the framework at the tolerance the sample's graph was read at
-        decisions.append(decide_rigidity(build_framework(p, s.graph, tol=REALIZATION_CLEARANCE)))
-        if decisions[-1].rigid:
-            break
-    return ("rigid" if decisions[-1].rigid else "flexible"), samples, decisions[0]
+        decision = decide_rigidity(build_framework(p, s.graph, tol=REALIZATION_CLEARANCE))
+        if decision.rigid:
+            return "rigid", samples, (s, decision)
+        witness = witness or (s, decision)
+    return ("flexible" if samples else "none"), samples, witness
 
 
 def _class_rank(cg: int, cls: str) -> int:
@@ -206,7 +209,7 @@ def identify(n: int) -> EcgCatalog:
         names = dict(zip(unnamed, (f"ECG{cg}-{j}" for j in count(1) if j not in taken)))
         for e, fr, cr in embs:
             anchor = anchors.get(e.canonical_form)
-            cls, samples, decision = probes.get(e.canonical_form, (None, (), None))
+            cls, samples, witness = probes.get(e.canonical_form, (None, (), None))
             entries.append(EcgEntry(
                 name=anchor or names.get(e.canonical_form),
                 cg=cg,
@@ -215,7 +218,7 @@ def identify(n: int) -> EcgCatalog:
                 chain_reason=cr,
                 realization_class=cls,
                 samples=samples,
-                decision=decision,
+                witness=witness,
                 anchor=_GMD_ANCHORS[anchor] if anchor else None,
             ))
     return EcgCatalog(n=n, entries=tuple(entries))

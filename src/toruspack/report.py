@@ -2,15 +2,16 @@
 
 The pipeline mirrors the discovery route: census -> toroidal embeddings ->
 combinatorial filters -> realization attempts -> rigidity classification,
-with an optional formula/oracle comparison.  Published counts act as strict
-regression assertions unless downgraded to warnings.
+with an optional formula/oracle comparison.  Its one result is the verdict
+record it writes to verdicts_n{n}.json: the counts, one realization verdict
+and rigidity witness per survivor, the oracle rows, and the failures of the
+published counts, names and verdicts, which are strict assertions unless
+downgraded to warnings.
 """
 from __future__ import annotations
 
 import csv
-import io
 import os
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +24,13 @@ from .packing import SCHEMA_VERSION, to_json
 from .regions import classify, region_count, sample_interior
 from .solve import solve_report  # noqa: F401
 
-EXPECTED_CENSUS = {3: (37, 10, 3), 4: (825, 102, 20)}
-EXPECTED_EMBEDDINGS = {3: 6, 4: 97}
-EXPECTED_AFTER_FORBIDDEN = {3: 6, 4: 31}
-EXPECTED_AFTER_BOTH = {3: 6, 4: 21}
+# record key -> (label in its failure message, published value per n)
+_PUBLISHED_COUNTS = {
+    "census_counts": ("census", {3: (37, 10, 3), 4: (825, 102, 20)}),
+    "embedding_count": ("embeddings", {3: 6, 4: 97}),
+    "after_forbidden": ("after forbidden-face filter", {3: 6, 4: 31}),
+    "after_both": ("after both filters", {3: 6, 4: 21}),
+}
 
 # published class -> the realization verdict prefix it must show; anchored
 # names are realized by the closed-form optimum at their anchor torus
@@ -48,43 +52,16 @@ class CountMismatch(AssertionError):
     pass
 
 
-class PipelineReport(NamedTuple):
-    n: int
-    census_counts: tuple[int, int, int]
-    embedding_count: int
-    after_forbidden: int
-    after_both: int
-    verdicts: list[dict]
-    oracle_rows: list[dict]
-    failures: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "n": self.n,
-            "census_counts": list(self.census_counts),
-            "embedding_count": self.embedding_count,
-            "after_forbidden": self.after_forbidden,
-            "after_both": self.after_both,
-            "embedding_convention": (
-                "2-cell toroidal embeddings without bigon faces, deduplicated up "
-                "to graph automorphism and reflection; "
-                "enumerate_toroidal(include_bigons=True) gives the unrestricted "
-                "dedup (36 classes for n=3, 914 for n=4)"
-            ),
-            "verdicts": self.verdicts,
-            "oracle": self.oracle_rows,
-            "failures": self.failures,
-        }
-
-
 def run_pipeline(
     n: int,
     out_dir: str,
     skip_oracle: bool = False,
     strict: bool = True,
     seed: int = 0,
-) -> PipelineReport:
+) -> dict:
+    """Run the pipeline for n into out_dir and return the verdict record
+    it writes there; raise CountMismatch on a failed published check when
+    strict."""
     os.makedirs(out_dir, exist_ok=True)
     census = enumerate_census(n)
     write_census_file(os.path.join(out_dir, f"census_n{n}.txt"), census)
@@ -128,7 +105,7 @@ def run_pipeline(
         verdict["realization"] = cls
         if cls in ("rigid", "flexible"):
             verdict["regions"] = sorted({classify(n, s.m).name for s in e.samples})
-            verdict["witness"] = _rigidity_witness(e.samples[0].m, e.decision)
+            verdict["witness"] = _rigidity_witness(*e.witness)
         verdicts.append(verdict)
 
     # formula vs oracle table
@@ -138,28 +115,34 @@ def run_pipeline(
         oracle_rows = _oracle_table(n, 3, rng, ORACLE_RESTARTS, seed)
         write_oracle_csv(os.path.join(out_dir, f"oracle_n{n}.csv"), oracle_rows)
 
-    report = PipelineReport(
-        n=n,
-        census_counts=census.counts,
-        embedding_count=len(entries),
-        after_forbidden=sum(1 for e in entries if e.forbidden_reason is None),
-        after_both=len(catalog.survivors()),
-        verdicts=verdicts,
-        oracle_rows=oracle_rows,
-        failures=[],
-    )
-    _check_counts(report)
+    record = {
+        "schema": SCHEMA_VERSION,
+        "n": n,
+        "census_counts": census.counts,
+        "embedding_count": len(entries),
+        "after_forbidden": sum(1 for e in entries if e.forbidden_reason is None),
+        "after_both": len(catalog.survivors()),
+        "embedding_convention": (
+            "2-cell toroidal embeddings without bigon faces, deduplicated up "
+            "to graph automorphism and reflection; "
+            "enumerate_toroidal(include_bigons=True) gives the unrestricted "
+            "dedup (36 classes for n=3, 914 for n=4)"
+        ),
+        "verdicts": verdicts,
+        "oracle": oracle_rows,
+    }
+    record["failures"] = _check_counts(record)
     with open(os.path.join(out_dir, f"verdicts_n{n}.json"), "w", encoding="utf-8") as fh:
-        fh.write(to_json(report.to_dict()) + "\n")
-    if report.failures and strict:
-        raise CountMismatch("; ".join(report.failures))
-    return report
+        fh.write(to_json(record) + "\n")
+    if record["failures"] and strict:
+        raise CountMismatch("; ".join(record["failures"]))
+    return record
 
 
-def _rigidity_witness(m, decision) -> dict:
-    """Flex or stress certificate of a realization sample on the torus m,
+def _rigidity_witness(sample, decision) -> dict:
+    """Flex or stress certificate of a realization sample, with its torus,
     for audit."""
-    out = {"moduli": {"x": m.x, "y": m.y}}
+    out = {"moduli": {"x": sample.m.x, "y": sample.m.y}}
     if decision.flex is not None:
         out["flex"] = [list(v) for v in decision.flex.velocities]
     elif decision.stress is not None:
@@ -190,30 +173,21 @@ def _oracle_row(n: int, m, index: int, cmp, seed: int) -> dict:
     }
 
 
-def _check_counts(report: PipelineReport) -> None:
-    """Record every published count, name or verdict the report misses."""
-    n = report.n
-    checks = [
-        ("census", report.census_counts, EXPECTED_CENSUS[n]),
-        ("embeddings", report.embedding_count, EXPECTED_EMBEDDINGS[n]),
-        ("after forbidden-face filter", report.after_forbidden, EXPECTED_AFTER_FORBIDDEN[n]),
-        ("after both filters", report.after_both, EXPECTED_AFTER_BOTH[n]),
-    ]
-    for label, got, want in checks:
-        if got != want:
-            report.failures.append(f"{label}: got {got}, expected {want}")
-    names = [v["name"] for v in report.verdicts if v["name"]]
-    for name in sorted({x for x in names if names.count(x) > 1}):
-        report.failures.append(f"name {name} assigned {names.count(name)} times")
-    for name in sorted(expected_names(n) - set(names)):
-        report.failures.append(f"published name {name} missing from the survivors")
-    for v in report.verdicts:
+def _check_counts(record: dict) -> list[str]:
+    """Every published count, name or verdict the record misses."""
+    n, verdicts = record["n"], record["verdicts"]
+    failures = [f"{label}: got {record[key]}, expected {want[n]}"
+                for key, (label, want) in _PUBLISHED_COUNTS.items() if record[key] != want[n]]
+    names = [v["name"] for v in verdicts if v["name"]]
+    failures += [f"name {name} assigned {names.count(name)} times"
+                 for name in sorted({x for x in names if names.count(x) > 1})]
+    failures += [f"published name {name} missing from the survivors"
+                 for name in sorted(expected_names(n) - set(names))]
+    for v in verdicts:
         want = _EXPECTED_REALIZATION.get(v["expected"])
         if want and not v["realization"].startswith(want):
-            report.failures.append(
-                f"{v['name']}: realization {v['realization']!r}, published {v['expected']!r}"
-            )
-    report.failures.extend(oracle_disagreements(report.oracle_rows))
+            failures.append(f"{v['name']}: realization {v['realization']!r}, published {v['expected']!r}")
+    return failures + oracle_disagreements(record["oracle"])
 
 
 def oracle_disagreements(rows: list[dict]) -> list[str]:
@@ -235,29 +209,24 @@ def write_oracle_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def summary_table(report: PipelineReport) -> str:
-    buf = io.StringIO()
-    c = report.census_counts
-    buf.write(
-        f"n={report.n}: census {c[0]}/{c[1]}/{c[2]}; "
-        f"embeddings {report.embedding_count}; "
-        f"filters {report.after_forbidden}/{report.after_both}\n"
-    )
-    for v in report.verdicts:
+def summary_table(record: dict) -> str:
+    c = record["census_counts"]
+    lines = [f"n={record['n']}: census {c[0]}/{c[1]}/{c[2]}; "
+             f"embeddings {record['embedding_count']}; "
+             f"filters {record['after_forbidden']}/{record['after_both']}"]
+    for v in record["verdicts"]:
         line = f"  {v['name'] or '(unnamed)':10s} {v['realization']:34s} {v['expected']}"
         if v.get("regions"):
             line += f"  regions={','.join(v['regions'])}"
-        buf.write(line + "\n")
-    for f in report.failures:
-        buf.write(f"  CHECK FAILED: {f}\n")
-    return buf.getvalue()
+        lines.append(line)
+    lines += [f"  CHECK FAILED: {f}" for f in record["failures"]]
+    return "\n".join(lines) + "\n"
 
 
 # verify helper used by the CLI
 
 
-def verify_run(n: int, samples: int, seed: int, restarts: int) -> tuple[list[dict], bool]:
-    """Sample each region, compare oracle and formula; returns (rows, ok)."""
+def verify_run(n: int, samples: int, seed: int, restarts: int) -> list[dict]:
+    """Formula/oracle rows of samples tori drawn from each region."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    rows = _oracle_table(n, samples, rng, restarts, seed)
-    return rows, not oracle_disagreements(rows)
+    return _oracle_table(n, samples, rng, restarts, seed)

@@ -112,7 +112,7 @@ def test_unlisted_probe_class_raises(catalog4, monkeypatch):
     def probe(e):
         entry = entries[e.canonical_form]
         cls = "rigid" if entry.cg == 9 else entry.realization_class
-        return cls, entry.samples, entry.decision
+        return cls, entry.samples, entry.witness
 
     monkeypatch.setattr(ecg, "_probe_realization", probe)
     with pytest.raises(AssertionError, match="ECG9: probe class 'rigid'"):
@@ -168,16 +168,31 @@ def test_probe_decides_each_sample_once(catalog3, monkeypatch):
     its realization extracted, and extracts no graph itself."""
     decided = _callers(monkeypatch, rigidity.decide_rigidity)
     extracted = _callers(monkeypatch, packing.extract_graph)
-    cls, samples, decision = ecg._probe_realization(catalog3.by_name("ECG2-2").embedding)
+    cls, samples, witness = ecg._probe_realization(catalog3.by_name("ECG2-2").embedding)
     assert cls == "flexible" and len(samples) == 8
     assert decided == ["toruspack.ecg"] * 8
     assert "toruspack.ecg" not in extracted
-    assert decision == catalog3.by_name("ECG2-2").decision
+    assert witness == catalog3.by_name("ECG2-2").witness
+    assert witness[0] == samples[0]
+
+
+def test_rigid_witness_is_a_rigid_sample(monkeypatch):
+    """At realization seed 1 the first ECG4-2 sample is flexible and a
+    later one rigid: the "rigid" verdict's witness is that rigid sample,
+    whose stress certifies its own framework."""
+    monkeypatch.setattr(ecg, "REALIZE_SEED", 1)
+    entry = ecg.identify.__wrapped__(4).by_name("ECG4-2")
+    sample, decision = entry.witness
+    assert entry.realization_class == "rigid" and decision.rigid
+    p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
+    f = build_framework(p, sample.graph, tol=realization.REALIZATION_CLEARANCE)
+    assert rigidity.verify_stress(f, decision.stress)
 
 
 def test_pipeline_witness_is_the_probe_decision(catalog3, monkeypatch, tmp_path):
     """On a warm catalog the pipeline writes the ECG2-2 witness without
-    extracting or deciding anything, and it is the decision of samples[0]."""
+    extracting or deciding anything, and for this flexible class it is the
+    decision of samples[0]."""
     s = catalog3.by_name("ECG2-2").samples[0]
     p = Packing(m=s.m, centers=s.centers, radius=s.edge_length / 2)
     # read afresh, 100x tighter than the sample's graph was read
@@ -187,7 +202,7 @@ def test_pipeline_witness_is_the_probe_decision(catalog3, monkeypatch, tmp_path)
     extracted = _callers(monkeypatch, packing.extract_graph)
     report = run_pipeline(3, str(tmp_path))
     assert "toruspack.report" not in decided + extracted
-    (verdict,) = [v for v in report.verdicts if v["name"] == "ECG2-2"]
+    (verdict,) = [v for v in report["verdicts"] if v["name"] == "ECG2-2"]
     assert verdict["witness"] == {
         "moduli": {"x": s.m.x, "y": s.m.y},
         "flex": [list(v) for v in want.flex.velocities],

@@ -14,7 +14,7 @@ from toruspack.lattice import ModuliPoint
 from toruspack.packing import graph_from_dict, packing_from_dict, to_json
 from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
 from toruspack.render import FigureSpec, render_packing
-from toruspack.report import PipelineReport, _check_counts, run_pipeline, verify_run
+from toruspack.report import _check_counts, oracle_disagreements, run_pipeline, verify_run
 from toruspack.solve import solve_report
 
 SQRT3 = math.sqrt(3.0)
@@ -231,11 +231,11 @@ class TestSolve:
 class TestPipeline:
     def test_n3_counts_and_verdicts(self, tmp_path, catalog3):
         report = run_pipeline(3, str(tmp_path), skip_oracle=True)
-        assert report.census_counts == (37, 10, 3)
-        assert report.embedding_count == 6
-        assert report.after_forbidden == 6
-        assert report.after_both == 6
-        assert not report.failures
+        assert report["census_counts"] == (37, 10, 3)
+        assert report["embedding_count"] == 6
+        assert report["after_forbidden"] == 6
+        assert report["after_both"] == 6
+        assert not report["failures"]
         assert (tmp_path / "census_n3.txt").exists()
         assert (tmp_path / "embeddings_n3.jsonl").exists()
         verdicts = json.loads((tmp_path / "verdicts_n3.json").read_text())
@@ -245,8 +245,8 @@ class TestPipeline:
 
     def test_n3_verdicts_and_witnesses(self, tmp_path, catalog3):
         report = run_pipeline(3, str(tmp_path))
-        assert not report.failures
-        verdicts = {v["name"]: v for v in report.verdicts}
+        assert not report["failures"]
+        verdicts = {v["name"]: v for v in report["verdicts"]}
         for entry in catalog3.survivors():
             v = verdicts[entry.name]
             if entry.anchor is not None:
@@ -259,15 +259,15 @@ class TestPipeline:
         """Every row lands on the closed form, and on the tori and oracle
         radii in oracle_golden.json, recorded at 80e77f3; the verdict and
         oracle files match RUN_GOLDEN."""
-        report = run_pipeline(3, str(tmp_path))
-        assert len(report.oracle_rows) == 9
-        for row in report.oracle_rows:
+        rows = run_pipeline(3, str(tmp_path))["oracle"]
+        assert len(rows) == 9
+        for row in rows:
             assert row["gap"] <= 1e-9, row
         golden = json.loads(ORACLE_GOLDEN.read_text())
-        assert [(r["x"], r["y"], r["region"]) for r in report.oracle_rows] == [
+        assert [(r["x"], r["y"], r["region"]) for r in rows] == [
             (g["x"], g["y"], g["region"]) for g in golden
         ]
-        for row, g in zip(report.oracle_rows, golden):
+        for row, g in zip(rows, golden):
             assert abs(row["oracle_r"] - g["oracle_r"]) <= 1e-12, (row, g)
         _assert_run_golden(tmp_path, 3)
 
@@ -292,34 +292,43 @@ class TestChecks:
         ]
         row = {"n": 3, "x": 0.25, "y": 1.5, "region": 2, "formula_r": 0.25,
                "oracle_r": 0.25, "gap": 0.0, "restarts": 120, "seed": 0}
-        return PipelineReport(3, (37, 10, 3), 6, 6, 6, verdicts=verdicts, oracle_rows=[row], failures=[])
+        return {"n": 3, "census_counts": (37, 10, 3), "embedding_count": 6, "after_forbidden": 6,
+                "after_both": 6, "verdicts": verdicts, "oracle": [row]}
 
     def test_published_report_passes(self):
         report = self.published_n3()
-        _check_counts(report)
-        assert report.failures == []
+        assert _check_counts(report) == []
+        assert report == self.published_n3()
 
     def test_doctored_reports_fail(self):
         wrong_verdict = self.published_n3()
-        wrong_verdict.verdicts[3]["realization"] = "rigid"
+        wrong_verdict["verdicts"][3]["realization"] = "rigid"
         missing = self.published_n3()
-        missing.verdicts[5]["name"] = None
+        missing["verdicts"][5]["name"] = None
         twice = self.published_n3()
-        twice.verdicts[1]["name"] = "ECG1-1"
+        twice["verdicts"][1]["name"] = "ECG1-1"
         unrealized = self.published_n3()
-        unrealized.verdicts[0]["realization"] = "no realization found in 240 attempts"
+        unrealized["verdicts"][0]["realization"] = "no realization found in 240 attempts"
         above = self.published_n3()
-        above.oracle_rows[0].update(oracle_r=0.25 + 1e-5, gap=1e-5)
+        above["oracle"][0].update(oracle_r=0.25 + 1e-5, gap=1e-5)
         short = self.published_n3()
-        short.oracle_rows[0].update(oracle_r=0.25 - 2e-3, gap=2e-3)
+        short["oracle"][0].update(oracle_r=0.25 - 2e-3, gap=2e-3)
         for report, needle in ((wrong_verdict, "ECG2-2: realization 'rigid'"),
                                (missing, "ECG3-1 missing"),
                                (twice, "ECG1-1 assigned 2 times"),
                                (unrealized, "ECG1-1: realization"),
                                (above, "oracle R2_3 at (0.250000, 1.500000)"),
                                (short, "formula 0.250000000, oracle 0.248000000")):
-            _check_counts(report)
-            assert any(needle in f for f in report.failures), report.failures
+            failures = _check_counts(report)
+            assert any(needle in f for f in failures), failures
+        # each published count, doctored alone, fails with exactly its message
+        for key, value, message in (
+            ("census_counts", (37, 10, 4), "census: got (37, 10, 4), expected (37, 10, 3)"),
+            ("embedding_count", 7, "embeddings: got 7, expected 6"),
+            ("after_forbidden", 5, "after forbidden-face filter: got 5, expected 6"),
+            ("after_both", 5, "after both filters: got 5, expected 6"),
+        ):
+            assert _check_counts({**self.published_n3(), key: value}) == [message]
 
     @pytest.fixture
     def doctored3(self, catalog3, monkeypatch):
@@ -358,12 +367,24 @@ class TestChecks:
 
 class TestVerify:
     def test_small_run(self):
-        rows, ok = verify_run(2, samples=2, seed=7, restarts=40)
-        assert ok
+        rows = verify_run(2, samples=2, seed=7, restarts=40)
+        assert oracle_disagreements(rows) == []
         assert len(rows) == 4
         for r in rows:
             assert r["gap"] <= 1e-3
             assert r["oracle_r"] <= r["formula_r"] + 1e-6
+
+    def test_cli_verify_reads_one_disagreement_list(self, monkeypatch, capsys):
+        # one oracle_disagreements result gives the ok= line, the stderr
+        # lines and the exit code
+        from toruspack import report
+
+        calls = []
+        monkeypatch.setattr(report, "oracle_disagreements",
+                            lambda rows: calls.append(rows) or ["doctored row"])
+        assert cli.main(["verify", "--n", "2", "--samples", "1", "--seed", "3", "--restarts", "40"]) == 1
+        out, err = capsys.readouterr()
+        assert len(calls) == 1 and out.endswith("ok=False\n") and err == "  doctored row\n"
 
     def test_cli_verify_csv(self, tmp_path):
         out = tmp_path / "verify.csv"
@@ -380,7 +401,7 @@ class TestRoundTrips:
     def test_report_dict_round_trip(self, tmp_path, catalog3):
         report = run_pipeline(3, str(tmp_path), skip_oracle=True)
         blob = json.loads((tmp_path / "verdicts_n3.json").read_text())
-        assert blob == json.loads(json.dumps(report.to_dict()))
+        assert blob == json.loads(json.dumps(report))
         assert "bigon" in blob["embedding_convention"]
 
     def test_cli_pipeline_n3(self, tmp_path):
