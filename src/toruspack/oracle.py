@@ -18,6 +18,7 @@ from .closed_form import optimal_radius
 from .lattice import ModuliPoint, TorusPoint
 from .realization import RADIUS_CAP, _solve_equal_lengths
 from .realization import realize_embedding  # noqa: F401
+from .stream import Stream
 
 
 class OracleResult(NamedTuple):
@@ -252,15 +253,15 @@ def maximize_min_distances(
     Each torus's result is the one it gets alone, so it is deterministic
     for fixed (seed, restarts) whatever the other tori.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if n == 1:
         one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),))
         return [one for _ in tori]
     if not tori:
         return []
     # per-restart deterministic starts
-    T0 = np.array(
-        [np.random.default_rng(np.random.SeedSequence((seed, r))).random((n, 2)) for r in range(restarts)]
-    )
+    T0 = np.array([Stream(seed, r).randoms(2 * n) for r in range(restarts)]).reshape(restarts, n, 2)
     T0[:, 0] = 0.0  # translation quotient
     P = n * (n - 1) // 2
     block = max(1, ASCENT_BLOCK_BYTES // (4 * P * restarts * T0.itemsize))

@@ -14,6 +14,7 @@ from .errors import NoTorusEmbedding, OverlapDetected
 from .geometry_embed import embedding_from_packing
 from .lattice import LatticeBasis, ModuliPoint, TorusPoint, reduce_to_standard_basis
 from .packing import Packing, PackingGraph, contacts, has_halfplane_vertex, vertex_darts
+from .stream import Stream
 
 RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
 
@@ -255,16 +256,18 @@ def realize_embedding(
     # one system: the edges, then the hinges; every row active in every start
     rows, offsets = np.concatenate([A, Aq]), np.concatenate([c, cq])
     sign = np.repeat([1.0, -1.0], [len(A), len(Aq)])
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
-    # per start: positions, then x, y and L, each uniform on [lo, hi)
+    # per start: positions, then x, y and L, each uniform on [lo, hi); a
+    # block's starts are drawn only when it is solved
     lo = np.array([-1.0] * (2 * nv - 2) + [-0.9, 0.5, 0.4])
     hi = np.array([2.0] * (2 * nv - 2) + [0.9, 1.2 * nv, 1.05])
-    starts = lo + (hi - lo) * rng.random((attempts, 2 * nv + 1))
+    stream = Stream(seed, 0xE)
+    first = min(attempts, FIRST_BLOCK_PER_SAMPLE * max_samples)
     samples: list[RealizationSample] = []
-    for u0 in np.split(starts, [FIRST_BLOCK_PER_SAMPLE * max_samples]):
-        if not len(u0) or len(samples) >= max_samples:
+    for count in (first, attempts - first):
+        if not count or len(samples) >= max_samples:
             continue
-        shape = (len(u0),) + offsets.shape
+        u0 = lo + (hi - lo) * np.reshape(stream.randoms(count * len(lo)), (count, len(lo)))
+        shape = (count,) + offsets.shape
         u = _solve_equal_lengths(rows, np.broadcast_to(offsets, shape), sign, np.ones(shape[:2]), u0)
         # cheap rejections on the whole block: unsolved (unequal lengths),
         # degenerate, and two neighbours that are not joined but touch.

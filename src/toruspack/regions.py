@@ -18,6 +18,8 @@ from .lattice import ModuliPoint
 if TYPE_CHECKING:
     import numpy as np
 
+    from .stream import Stream
+
 SQRT3 = math.sqrt(3.0)
 
 BOUNDARY_TOL = 1e-9
@@ -147,7 +149,8 @@ def in_free_region(n: int, m: ModuliPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# seeded samplers used by the verification CLI and the test suite
+# seeded samplers used by the verification CLI and the test suite; rng is
+# anything with numpy's scalar uniform(lo, hi)
 
 _TOP_REGION_HEIGHT = 2.0
 
@@ -156,7 +159,7 @@ _TOP_REGION_HEIGHT = 2.0
 _INTERIOR_MARGIN = 1e-3
 
 
-def sample_interior(n: int, index: int, rng: np.random.Generator) -> ModuliPoint:
+def sample_interior(n: int, index: int, rng: Stream | np.random.Generator) -> ModuliPoint:
     """Uniform-ish sample strictly inside region `index`."""
     _check_n(n)
     curves = _CURVES[n]
@@ -177,7 +180,7 @@ def sample_interior(n: int, index: int, rng: np.random.Generator) -> ModuliPoint
     raise RuntimeError(f"could not sample interior of R{index}_{n}")
 
 
-def sample_boundary(n: int, index: int, rng: np.random.Generator) -> ModuliPoint:
+def sample_boundary(n: int, index: int, rng: Stream | np.random.Generator) -> ModuliPoint:
     """Point exactly on the upper boundary curve of region `index`."""
     x = float(rng.uniform(0.0, 0.5))
     return ModuliPoint(x, boundary_curve(n, index, x))

@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import os
 
-import numpy as np
-
 from .census import enumerate_census, write_census_file
 from .ecg import REALIZE_ATTEMPTS, expected_class, expected_names, identify
 # compare_with_closed_form and solve_report stay importable from report
@@ -23,6 +21,7 @@ from .oracle import compare_with_closed_form, compare_with_closed_forms, oracle_
 from .packing import SCHEMA_VERSION, to_json
 from .regions import classify, region_count, sample_interior
 from .solve import solve_report  # noqa: F401
+from .stream import Stream
 
 # record key -> (label in its failure message, published value per n)
 _PUBLISHED_COUNTS = {
@@ -104,15 +103,17 @@ def run_pipeline(
             cls = f"no realization found in {REALIZE_ATTEMPTS} attempts"
         verdict["realization"] = cls
         if cls in ("rigid", "flexible"):
-            verdict["regions"] = sorted({classify(n, s.m).name for s in e.samples})
+            # the regions of the samples the probe decided: up to the rigid
+            # witness, else all of them
+            decided = e.samples[: e.samples.index(e.witness[0]) + 1] if cls == "rigid" else e.samples
+            verdict["regions"] = sorted({classify(n, s.m).name for s in decided})
             verdict["witness"] = _rigidity_witness(*e.witness)
         verdicts.append(verdict)
 
     # formula vs oracle table
     oracle_rows = []
     if not skip_oracle:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, n, 0xC)))
-        oracle_rows = _oracle_table(n, 3, rng, ORACLE_RESTARTS, seed)
+        oracle_rows = _oracle_table(n, 3, Stream(seed, n, 0xC), ORACLE_RESTARTS, seed)
         write_oracle_csv(os.path.join(out_dir, f"oracle_n{n}.csv"), oracle_rows)
 
     record = {
@@ -228,5 +229,4 @@ def summary_table(record: dict) -> str:
 
 def verify_run(n: int, samples: int, seed: int, restarts: int) -> list[dict]:
     """Formula/oracle rows of samples tori drawn from each region."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    return _oracle_table(n, samples, rng, restarts, seed)
+    return _oracle_table(n, samples, Stream(seed, n), restarts, seed)

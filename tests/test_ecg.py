@@ -16,6 +16,7 @@ from toruspack.geometry_embed import embedding_from_packing
 from toruspack.lattice import TorusPoint
 from toruspack.packing import Packing, extract_graph
 from toruspack.realization import realize_embedding
+from toruspack.regions import classify
 from toruspack.report import run_pipeline
 from toruspack.rigidity import build_framework, decide_rigidity
 
@@ -187,6 +188,22 @@ def test_rigid_witness_is_a_rigid_sample(monkeypatch):
     p = Packing(m=sample.m, centers=sample.centers, radius=sample.edge_length / 2)
     f = build_framework(p, sample.graph, tol=realization.REALIZATION_CLEARANCE)
     assert rigidity.verify_stress(f, decision.stress)
+
+
+def test_verdict_regions_are_those_of_the_decided_samples(catalog4, tmp_path):
+    """At seed 2026 the ECG4-2 witness is sample 0, in R3_4, and the probe
+    decides no other sample, so its "rigid" verdict lists R3_4 alone, though
+    its samples also lie in R2_4; a flexible verdict decides, and lists,
+    every sample."""
+    entry = catalog4.by_name("ECG4-2")
+    assert entry.witness[0] is entry.samples[0]
+    assert {classify(4, s.m).name for s in entry.samples} == {"R2_4", "R3_4"}
+    report = run_pipeline(4, str(tmp_path), skip_oracle=True)
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert (verdicts["ECG4-2"]["realization"], verdicts["ECG4-2"]["regions"]) == ("rigid", ["R3_4"])
+    for e in catalog4.survivors():
+        if e.realization_class == "flexible":
+            assert verdicts[e.name]["regions"] == sorted({classify(4, s.m).name for s in e.samples})
 
 
 def test_pipeline_witness_is_the_probe_decision(catalog3, monkeypatch, tmp_path):

@@ -30,6 +30,13 @@ class TestMaxMin:
         res = maximize_min_distances(3, [ModuliPoint(0.5, SQRT3 / 2)], restarts=RESTARTS, seed=1)[0]
         assert res.best_radius == pytest.approx(1 / math.sqrt(12), abs=1e-6)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_restart_is_refused(self, restarts):
+        # caught at entry, for every n and even with no tori
+        for n, tori in ((3, [ModuliPoint(0.1, 1.4)]), (1, [ModuliPoint(0.1, 1.4)]), (3, [])):
+            with pytest.raises(ValueError, match="restarts must be at least 1"):
+                maximize_min_distances(n, tori, restarts=restarts, seed=0)
+
     def test_deterministic(self):
         a = maximize_min_distances(3, [ModuliPoint(0.1, 1.4)], restarts=20, seed=9)[0]
         b = maximize_min_distances(3, [ModuliPoint(0.1, 1.4)], restarts=20, seed=9)[0]

@@ -17,7 +17,7 @@ import toruspack
 _LEFT_OUT = ("numpy", "scipy", "dataclasses", "inspect") + tuple(
     f"toruspack.{m}"
     for m in ("census", "embedding", "ecg", "oracle", "realization", "rigidity", "exact_lp", "geometry_embed",
-              "report")
+              "report", "stream")
 )
 
 
@@ -100,6 +100,21 @@ print('numpy' in sys.modules)
     assert out.stdout.splitlines() == ["rigid-LMD", "False"]
 
 
+def test_seeded_runs_leave_numpy_random_out(tmp_path):
+    # the pipeline's and verify's seeded draws come from toruspack.stream
+    code = f"""
+import sys
+from toruspack.report import run_pipeline, verify_run
+run_pipeline(3, {str(tmp_path)!r})
+print('numpy.random' in sys.modules)
+verify_run(2, 1, 0, 5)
+print('numpy.random' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.splitlines() == ["False", "False"]
+
+
 def test_catalog_leaves_the_oracle_out():
     # naming the survivors realizes them (realization) and decides their
     # rigidity; the max-min oracle is the pipeline's, through report
@@ -139,7 +154,7 @@ def test_numpy_importers_are_pinned():
                 continue
             if any(m == "numpy" or m.startswith("numpy.") for m in modules if m):
                 importers.add(path.stem)
-    assert sorted(importers) == ["embedding", "oracle", "realization", "render", "report"]
+    assert sorted(importers) == ["embedding", "oracle", "realization", "render"]
 
 
 def test_only_oracle_imports_dataclasses():

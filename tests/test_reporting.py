@@ -97,14 +97,16 @@ def test_census_and_embedding_files_match_golden(tmp_path, catalog3, catalog4):
 
 # sha256 of the verdict and oracle files that `toruspack pipeline --n {3, 4}`
 # writes at seed 0, recorded at 328adc2; the n = 4 pair re-recorded when the
-# ascent moved to the 4-corner window, which moved one oracle radius by 1 ulp.
+# ascent moved to the 4-corner window, which moved one oracle radius by 1 ulp,
+# and verdicts_n4.json again when a rigid verdict's regions became those of
+# the samples the probe decided (ECG4-2: R2_4,R3_4 -> R3_4).
 # They pass through the equal-length solver (realization samples, oracle
 # refine), so a change to its rounding re-records these digests and says so
 # in CHANGES.md.
 RUN_GOLDEN = {
     "verdicts_n3.json": "935b0d19e78d5bb537ea838ec8319bad5d3ab2d8243515742353f83f70b71dbc",
     "oracle_n3.csv": "6860314e11ce99fee535d5b77570279fc1c8996289f5acfe609b8468d9c9424e",
-    "verdicts_n4.json": "8e7ad2c8e5a8dde69d3ecdd9b24f50821f03abfada3c6634d1fe388df8bbdb08",
+    "verdicts_n4.json": "e72b63b6e29c4cdedf921d63b111541b79bd219639b8f17398f04c873d07a646",
     "oracle_n4.csv": "f07a58e51c2e8a789a6194181e03ca687ae79b1ee7b7c2f2bf47920b5870a758",
 }
 
