@@ -7,10 +7,10 @@ certificates), a max-min numerical oracle, and SVG figures.
 
 `import toruspack` loads the closed-form half (errors, lattice, regions,
 closed_form, packing), which runs on the standard library alone: numpy is
-imported only by `render` and by the catalog half's `embedding`,
-`realization` and `oracle`, and `numpy.random` by none (seeded draws come
-from `stream`).  The catalog half's exports (census, embedding, oracle,
-realization, rigidity) are imported from their modules on first access.
+imported only by `render` and by the catalog half's `realization` and
+`oracle`, and `numpy.random` by none (seeded draws come from `stream`).
+The catalog half's exports (census, embedding, oracle, realization,
+rigidity) are imported from their modules on first access.
 """
 
 from .closed_form import OptimalSolution, optimal_centers, optimal_radius, tangency_census

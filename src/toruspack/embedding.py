@@ -14,6 +14,9 @@ once per class, is the smallest conjugate over the dart isomorphisms onto
 the canonical copy: the vertex permutations census.relabelings finds, each
 expanded over every matching of parallel instances.  They are
 Aut(canonical copy) . phi_0 for any one phi_0, so the form is invariant.
+A graph has at most 24 darts, so a dart map is a byte string, kept as the
+`bytes.translate` tables of phi and phi^-1, and a conjugate is three
+translates; the module runs on the standard library alone.
 
 Embeddings with a face of length two are excluded by default: a bigon's two
 parallel edges would be homotopic, so the two tangency witnesses of an
@@ -28,8 +31,6 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from .census import Multigraph, relabelings
 from .packing import vertex_darts
 
@@ -42,57 +43,51 @@ RotationSystem = tuple[int, ...]
 # darts
 
 
-def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> np.ndarray:
+def _dart_bijections(g: Multigraph, h: tuple[int, ...], perm) -> list[bytes]:
     """Every dart bijection from g onto the graph with multiplicities h that
-    sends each vertex v to perm[v], one row per matching of the parallel
-    instances of each vertex pair, in itertools.product's order."""
+    sends each vertex v to perm[v], one per matching of the parallel
+    instances of each vertex pair, in itertools.product's order.  A vertex
+    pair's edges are consecutive in g.edges, so its darts are one block."""
 
     def instances(mult):  # the numbers of each vertex pair's edges
         edges = enumerate(Multigraph(g.vertex_count, mult).edges)
         return {pair: [k for k, _ in ks] for pair, ks in itertools.groupby(edges, lambda e: e[1])}
 
-    src, dst = instances(g.multiplicities), instances(h)
-    images = [dst[tuple(sorted((perm[i], perm[j])))] for i, j in src]
-    choices = [np.array(list(itertools.permutations(image))) for image in images]
-    counts = [len(c) for c in choices]
-    picks = np.indices(counts).reshape(len(counts), math.prod(counts))  # C order: product's
-    out = np.empty((picks.shape[1], 2 * g.edge_count), dtype=np.int64)
-    for (i, j), targets, pick in zip(src, choices, picks):
-        flip, k = int(perm[i] > perm[j]), np.array(src[(i, j)])
-        out[:, 2 * k] = 2 * targets[pick] + flip
-        out[:, 2 * k + 1] = 2 * targets[pick] + 1 - flip
-    return out
+    dst = instances(h)
+    blocks = []
+    for i, j in instances(g.multiplicities):
+        flip = int(perm[i] > perm[j])
+        image = dst[tuple(sorted((perm[i], perm[j])))]
+        blocks.append([bytes(x for t in targets for x in (2 * t + flip, 2 * t + 1 - flip))
+                       for targets in itertools.permutations(image)])
+    return [b"".join(p) for p in itertools.product(*blocks)]
 
 
 @lru_cache(maxsize=None)
-def _dart_maps(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+def _dart_maps(g: Multigraph) -> tuple[list[tuple[bytes, bytes]], list[tuple[bytes, bytes]]]:
     """The dart automorphisms of g, and its dart isomorphisms onto the
-    canonical copy, one permutation per row."""
+    canonical copy, each phi as the translate tables of phi and phi^-1."""
     rel = relabelings(g)
+    darts = bytes(range(2 * g.edge_count))
 
     def onto(target):
-        return np.concatenate([_dart_bijections(g, h, perm) for perm, h in rel if h == target])
+        return [(bytes.maketrans(darts, phi), bytes.maketrans(phi, darts))
+                for perm, h in rel if h == target for phi in _dart_bijections(g, h, perm)]
 
     return onto(g.multiplicities), onto(min(h for _, h in rel))
 
 
-def dart_automorphisms(g: Multigraph) -> np.ndarray:
-    """All dart permutations induced by graph automorphisms (including
-    permutations of parallel edges), one per row."""
-    return _dart_maps(g)[0]
-
-
-def _conjugates(sigma, perms: np.ndarray) -> np.ndarray:
-    """The rows phi sigma phi^-1, then phi sigma^-1 phi^-1, for each dart
-    permutation phi in the rows of perms, as a (2P, 2E) uint8 array.  Darts
-    that sigma leaves unset (-1) stay unset, at 255."""
-    sig = np.asarray(sigma, dtype=np.int64)
-    d = np.flatnonzero(sig >= 0)
-    rows = np.arange(len(perms))[:, None]
-    out = np.full((2, len(perms), len(sig)), 255, dtype=np.uint8)
-    out[0, rows, perms[:, d]] = perms[:, sig[d]]  # phi(d) -> phi(sigma(d))
-    out[1, rows, perms[:, sig[d]]] = perms[:, d]
-    return out.reshape(-1, len(sig))
+def _conjugates(sigma, maps) -> list[bytes]:
+    """phi sigma phi^-1 for each (phi, phi^-1) of maps, then phi sigma^-1
+    phi^-1 for each.  A dart that sigma leaves unset (255) maps to 255, and
+    the tables keep 255 at 255."""
+    darts = bytes(range(len(sigma)))
+    forward, backward = bytearray(b"\xff" * 256), bytearray(b"\xff" * 256)
+    for d, s in enumerate(sigma):
+        if s != 255:
+            forward[d], backward[s] = s, d
+    return [darts.translate(inv).translate(t).translate(phi)
+            for t in (forward, backward) for phi, inv in maps]
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +134,7 @@ def canonical_embedding_form(g: Multigraph, rotation) -> bytes:
     every dart isomorphism phi onto it; the form is the smallest of
     phi sigma phi^-1 and phi sigma^-1 phi^-1 (orientation reversal).
     """
-    iso = _dart_maps(g)[1]
-    return min(row.tobytes() for row in _conjugates(rotation, iso))
+    return min(_conjugates(rotation, _dart_maps(g)[1]))
 
 
 def make_embedding(g: Multigraph, rotation) -> EmbeddedGraph:
@@ -169,17 +163,18 @@ def _cyclic_orders(darts: list[int]) -> list[dict[int, int]]:
 def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
     """Orbit representatives of the cyclic orders at v under the stabilizer
     of v in the dart automorphism group, together with inversion."""
-    auts = dart_automorphisms(g)
-    stab = auts[np.isin(auts[:, vdarts[v]], vdarts[v]).all(axis=1)]
+    at_v = set(vdarts[v])
+    stab = [(phi, inv) for phi, inv in _dart_maps(g)[0] if all(phi[d] in at_v for d in at_v)]
     seen: set[bytes] = set()
     reps = []
     for succ in orders:
-        sig = np.full(2 * g.edge_count, -1)
-        sig[list(succ)] = list(succ.values())
-        if sig.astype(np.uint8).tobytes() in seen:
+        sig = bytearray(b"\xff" * (2 * g.edge_count))
+        for d, s in succ.items():
+            sig[d] = s
+        if bytes(sig) in seen:
             continue
         reps.append(succ)
-        seen.update(row.tobytes() for row in _conjugates(sig, stab))
+        seen.update(_conjugates(sig, stab))
     return reps
 
 
@@ -254,7 +249,7 @@ def enumerate_toroidal(g: Multigraph, include_bigons: bool = False) -> tuple[Emb
             if after and child is None:
                 if bytes(sigma) not in reached:
                     found.append(list(sigma))
-                    reached.update(r.tobytes() for r in _conjugates(sigma, dart_automorphisms(g)))
+                    reached.update(_conjugates(sigma, _dart_maps(g)[0]))
             elif after:
                 search(child, after)
             sigma[x] = back[y] = -1

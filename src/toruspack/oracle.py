@@ -304,7 +304,7 @@ def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[Or
 ORACLE_GAP_TOL = 1e-3
 # Its configurations are packings up to rounding, so a radius above the
 # closed form by more than rounding (~1e-15) would refute the formula.
-ORACLE_OVERSHOOT_TOL = 1e-6
+ORACLE_OVERSHOOT_TOL = 1e-12
 
 
 def oracle_agrees(formula_radius: float, oracle_radius: float) -> bool:

@@ -215,8 +215,9 @@ def summary_table(record: dict) -> str:
     lines = [f"n={record['n']}: census {c[0]}/{c[1]}/{c[2]}; "
              f"embeddings {record['embedding_count']}; "
              f"filters {record['after_forbidden']}/{record['after_both']}"]
+    width = max((len(v["realization"]) for v in record["verdicts"]), default=0)
     for v in record["verdicts"]:
-        line = f"  {v['name'] or '(unnamed)':10s} {v['realization']:34s} {v['expected']}"
+        line = f"  {v['name'] or '(unnamed)':10s} {v['realization']:{width}s} {v['expected']}"
         if v.get("regions"):
             line += f"  regions={','.join(v['regions'])}"
         lines.append(line)

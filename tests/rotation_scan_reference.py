@@ -9,23 +9,50 @@ the property test in test_embedding.py asserts that both give identical
 embeddings.
 
 The vertex quotient, the canonical form and the dedup are the scan's own:
-per-order dicts for the quotient, a gather through the inverse isomorphisms
-for the form, and a form at every chi = 0 rotation, independent of the
-conjugation kernel that the search uses for all three.
+per-order dicts for the quotient, conjugation on plain lists for the form,
+and a form at every chi = 0 rotation, independent of the conjugation kernel
+that the search uses for all three.  So are the dart maps: the automorphisms
+and the isomorphisms onto the canonical copy are built by the per-matching
+reference (dart_bijection_reference.py) over census.relabelings, not by the
+package's `_dart_maps`.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from toruspack.census import Multigraph
-from toruspack.embedding import (
-    EmbeddedGraph,
-    _cyclic_orders,
-    _dart_maps,
-    dart_automorphisms,
-    trace_faces,
-)
+from dart_bijection_reference import dart_bijections
+from toruspack.census import Multigraph, relabelings
+from toruspack.embedding import EmbeddedGraph, _cyclic_orders, trace_faces
 from toruspack.packing import vertex_darts
+
+
+@lru_cache(maxsize=None)
+def dart_maps(g: Multigraph) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The dart automorphisms of g, and its dart isomorphisms onto the
+    canonical copy, one tuple per dart map."""
+    rel = relabelings(g)
+
+    def onto(target):
+        return [phi for perm, h in rel if h == target for phi in dart_bijections(g, h, perm)]
+
+    return onto(g.multiplicities), onto(min(h for _, h in rel))
+
+
+def conjugate(phi, sigma) -> list[int]:
+    """phi sigma phi^-1 of a full successor map sigma, as a list."""
+    out = [0] * len(sigma)
+    for d, s in enumerate(sigma):
+        out[phi[d]] = phi[s]
+    return out
+
+
+def inverse(sigma) -> list[int]:
+    out = [0] * len(sigma)
+    for d, s in enumerate(sigma):
+        out[s] = d
+    return out
 
 
 def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
@@ -33,8 +60,7 @@ def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
     of v in the dart automorphism group, together with inversion."""
     dartset = set(vdarts[v])
     darts = sorted(dartset)  # the keys of every order at v, mapped or not
-    auts = [tuple(int(x) for x in a) for a in dart_automorphisms(g)]
-    stab = [a for a in auts if all(a[d] in dartset for d in dartset)]
+    stab = [a for a in dart_maps(g)[0] if all(a[d] in dartset for d in dartset)]
     seen: set[tuple] = set()
     reps = []
 
@@ -52,28 +78,12 @@ def _order_reps_at_vertex(g: Multigraph, v: int, vdarts, orders):
     return reps
 
 
-def _sigma_inverse(sig: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(sig)
-    inv[sig] = np.arange(len(sig))
-    return inv
-
-
 def canonical_embedding_form(g: Multigraph, rotation) -> bytes:
     """The smallest of phi sigma phi^-1 and phi sigma^-1 phi^-1 over the
     dart isomorphisms phi onto g's canonical copy."""
-    iso = _dart_maps(g)[1]
-    iso_inv = np.empty_like(iso)
-    iso_inv[np.arange(len(iso))[:, None], iso] = np.arange(iso.shape[1])
-    rows = np.arange(len(iso))[:, None]
-    best = None
-    sig = np.asarray(rotation, dtype=np.int64)
-    for s in (sig, _sigma_inverse(sig)):
-        conj = iso[rows, s[iso_inv]]  # (P, 2E): phi . s . phi^-1
-        enc = np.ascontiguousarray(conj.astype(np.uint8))
-        cand = min(enc[i].tobytes() for i in range(len(enc)))
-        if best is None or cand < best:
-            best = cand
-    return best
+    sigma = [int(d) for d in rotation]
+    both = (sigma, inverse(sigma))
+    return min(bytes(conjugate(phi, s)) for phi in dart_maps(g)[1] for s in both)
 
 
 def make_embedding(g: Multigraph, rotation) -> EmbeddedGraph:

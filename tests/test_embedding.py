@@ -12,7 +12,6 @@ from toruspack import embedding
 from toruspack.census import Multigraph, enumerate_census, relabelings, vertex_pairs
 from toruspack.embedding import (
     canonical_embedding_form,
-    dart_automorphisms,
     enumerate_toroidal,
     euler_characteristic,
     forbidden_face_filter,
@@ -136,19 +135,11 @@ class TestEnumeration:
 
     def test_orbit_sizes_divide_group_order(self):
         for g in enumerate_census(3).stage3:
-            auts = dart_automorphisms(g)
+            auts = reference.dart_maps(g)[0]
             group = 2 * len(auts)  # reflection doubles the group
             for e in enumerate_toroidal(g):
-                orbit = set()
-                sig = np.asarray(e.rotation)
-                inv = np.empty_like(sig)
-                inv[sig] = np.arange(len(sig))
-                for a in auts:
-                    a = np.asarray(a)
-                    ainv = np.empty_like(a)
-                    ainv[a] = np.arange(len(a))
-                    for s in (sig, inv):
-                        orbit.add(tuple(a[s[ainv]]))
+                both = (e.rotation, reference.inverse(e.rotation))
+                orbit = {tuple(reference.conjugate(a, s)) for a in auts for s in both}
                 assert group % len(orbit) == 0
 
     @settings(max_examples=300, deadline=None)
@@ -295,22 +286,19 @@ class TestSearchMatchesScan:
 
 
 class TestDartBijectionsMatchReference:
-    """The gather builds the per-matching reference's rows
-    (dart_bijection_reference.py), in its order."""
+    """The product of per-pair blocks builds the per-matching reference's
+    rows (dart_bijection_reference.py), in its order."""
 
     def test_every_relabeling_of_the_census(self):
         for g in enumerate_census(3).stage3 + enumerate_census(4).stage3:
             for perm, h in relabelings(g):
                 got = embedding._dart_bijections(g, h, perm)
                 want = dart_bijection_reference.dart_bijections(g, h, perm)
-                assert got.dtype == np.int64
-                assert got.shape == (len(want), 2 * g.edge_count)
-                assert [tuple(row) for row in got.tolist()] == want
+                assert [tuple(row) for row in got] == want
 
     def test_graph_without_edges_gives_one_empty_row(self):
         g = Multigraph(3, (0, 0, 0))
-        got = embedding._dart_bijections(g, g.multiplicities, (2, 0, 1))
-        assert got.shape == (1, 0)
+        assert embedding._dart_bijections(g, g.multiplicities, (2, 0, 1)) == [b""]
         assert dart_bijection_reference.dart_bijections(g, g.multiplicities, (2, 0, 1)) == [()]
 
 

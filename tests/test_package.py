@@ -100,6 +100,31 @@ print('numpy' in sys.modules)
     assert out.stdout.splitlines() == ["rigid-LMD", "False"]
 
 
+def test_embeddings_leave_numpy_out():
+    # the dart maps are byte strings and a conjugate is three translates:
+    # enumeration, both filters and a packing's own embedding load no numpy
+    code = """
+import sys
+from toruspack.census import enumerate_census
+from toruspack.closed_form import optimal_centers
+from toruspack.embedding import enumerate_toroidal, forbidden_face_filter, parallel_chain_filter
+from toruspack.geometry_embed import embedding_from_packing
+from toruspack.lattice import ModuliPoint
+from toruspack.packing import Packing, contacts
+found = [e for n in (3, 4) for g in enumerate_census(n).stage3 for bigons in (False, True)
+         for e in enumerate_toroidal(g, bigons)]
+for e in found:
+    forbidden_face_filter(e), parallel_chain_filter(e)
+m = ModuliPoint(0.25, 1.3)
+sol = optimal_centers(4, m)
+own = embedding_from_packing(*contacts(Packing(m=m, centers=sol.centers, radius=sol.radius)))
+print(len(found), own.graph.vertex_count, 'numpy' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.splitlines() == ["1053 4 False"]
+
+
 def test_seeded_runs_leave_numpy_random_out(tmp_path):
     # the pipeline's and verify's seeded draws come from toruspack.stream
     code = f"""
@@ -154,7 +179,37 @@ def test_numpy_importers_are_pinned():
                 continue
             if any(m == "numpy" or m.startswith("numpy.") for m in modules if m):
                 importers.add(path.stem)
-    assert sorted(importers) == ["embedding", "oracle", "realization", "render"]
+    assert sorted(importers) == ["oracle", "realization", "render"]
+
+
+# The names the benchmark harness (perfbench/) reads from the package.  Some
+# are re-exports that no module of the package reads, so only this test
+# notices their loss; a change to the benchmark edits this list with it.
+_BENCHMARK_NAMES = {
+    "report": ("solve_report", "compare_with_closed_form", "run_pipeline"),
+    "oracle": ("realize_embedding",),
+    "render": ("render_packing", "FigureSpec"),
+    "packing": ("Packing", "packing_from_dict", "graph_from_dict", "to_json"),
+    "rigidity": ("classify_packing",),
+    "closed_form": ("optimal_centers",),
+    "ecg": ("identify", "expected_class"),
+    "errors": ("TorusPackError",),
+    "lattice": ("ModuliPoint",),
+    "regions": ("boundary_curve", "region_count", "sample_boundary", "sample_interior"),
+    "cli": ("main",),
+}
+
+
+def test_benchmark_names_resolve():
+    # the modules the benchmark's tracer imports (MODULES of perfbench/spans.py),
+    # then every name it reads
+    spans = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text())
+    modules = next(ast.literal_eval(node.value) for node in spans.body if isinstance(node, ast.Assign)
+                   and [ast.unparse(t) for t in node.targets] == ["MODULES"])
+    for module in modules:
+        importlib.import_module(f"toruspack.{module}")
+    assert [f"{module}.{name}" for module, names in _BENCHMARK_NAMES.items() for name in names
+            if not hasattr(importlib.import_module(f"toruspack.{module}"), name)] == []
 
 
 def test_only_oracle_imports_dataclasses():

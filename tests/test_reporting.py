@@ -14,7 +14,7 @@ from toruspack.lattice import ModuliPoint
 from toruspack.packing import graph_from_dict, packing_from_dict, to_json
 from toruspack.regions import boundary_curve, region_count, sample_boundary, sample_interior
 from toruspack.render import FigureSpec, render_packing
-from toruspack.report import _check_counts, oracle_disagreements, run_pipeline, verify_run
+from toruspack.report import _check_counts, oracle_disagreements, run_pipeline, summary_table, verify_run
 from toruspack.solve import solve_report
 
 SQRT3 = math.sqrt(3.0)
@@ -313,6 +313,8 @@ class TestChecks:
         unrealized["verdicts"][0]["realization"] = "no realization found in 240 attempts"
         above = self.published_n3()
         above["oracle"][0].update(oracle_r=0.25 + 1e-5, gap=1e-5)
+        barely_above = self.published_n3()
+        barely_above["oracle"][0].update(oracle_r=0.25 + 1e-11, gap=1e-11)
         short = self.published_n3()
         short["oracle"][0].update(oracle_r=0.25 - 2e-3, gap=2e-3)
         for report, needle in ((wrong_verdict, "ECG2-2: realization 'rigid'"),
@@ -320,6 +322,7 @@ class TestChecks:
                                (twice, "ECG1-1 assigned 2 times"),
                                (unrealized, "ECG1-1: realization"),
                                (above, "oracle R2_3 at (0.250000, 1.500000)"),
+                               (barely_above, "oracle R2_3 at (0.250000, 1.500000)"),
                                (short, "formula 0.250000000, oracle 0.248000000")):
             failures = _check_counts(report)
             assert any(needle in f for f in failures), failures
@@ -331,6 +334,17 @@ class TestChecks:
             ("after_both", 5, "after both filters: got 5, expected 6"),
         ):
             assert _check_counts({**self.published_n3(), key: value}) == [message]
+
+    def test_summary_table_aligns_the_expected_class(self):
+        # anchored, decided and unrealized verdicts: the expected class
+        # starts one space past the widest realization, on every line
+        record = {**self.published_n3(), "failures": []}
+        record["verdicts"][0]["realization"] = "no realization found in 240 attempts"
+        record["verdicts"][3]["regions"] = ["R1_3", "R2_3"]
+        lines = summary_table(record).splitlines()[1:]
+        assert len(lines) == 6
+        starts = {line.index(v["expected"]) for line, v in zip(lines, record["verdicts"])}
+        assert starts == {2 + 10 + 1 + len("no realization found in 240 attempts") + 1}
 
     @pytest.fixture
     def doctored3(self, catalog3, monkeypatch):
