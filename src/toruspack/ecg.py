@@ -1,21 +1,26 @@
-"""Naming the surviving embedded graphs and their expected classification.
+"""Naming the surviving embedded graphs from the published catalog.
 
-Combinatorial graphs are numbered 1..3 (three vertices) and 4..23 (four
-vertices) in edge-count blocks, and the embeddings of graph k are named
-ECGk-j.  One rule, computed in one pass, gives every name:
+PUBLISHED is the catalog: each ECG name with its published class and, for
+the "globally" names, an anchor torus.  Combinatorial graphs are numbered
+1..3 (three vertices) and 4..23 (four vertices) in edge-count blocks, and
+the embeddings of graph k are named ECGk-j.  One rule, computed in one
+pass, reads every name off the table:
 
-  * graphs: the closed-form optimum at a fixed anchor torus fixes the CG
-    number of the graph its embedding lies on, and survivor-count
-    fingerprints fix a few more; each edge-count block takes its free
+  * graphs: the closed-form optimum at an anchor torus fixes the CG number
+    of the graph its embedding lies on.  A CG whose published names are
+    all unanchored takes the one unnumbered graph of its edge-count block
+    with as many survivors as it has names, and each block takes its free
     numbers in canonical order;
   * embeddings: an anchored embedding takes its anchor's name (a globally
     optimal packing graph).  The other survivors of a CG are probed by
     seeded realization attempts plus the rigidity test (classes 'rigid',
     'flexible', 'none') and take the indices j that its anchors leave free,
-    in canonical order, or by probe class where a published table orders
-    them.  A probe class missing from that table raises.  The witness of
-    a probe class is the sample that fixes it, the first rigid sample or
-    else the first, with its rigidity decision.
+    by probe class, in the order in which the readings (READING) of the
+    CG's unanchored published names first appear by j, and canonically
+    within a class.  Where those names show two readings or more, a probe
+    class outside them raises.  The witness of a probe class is the sample
+    that fixes it, the first rigid sample or else the first, with its
+    rigidity decision.
 """
 from __future__ import annotations
 
@@ -42,30 +47,55 @@ from .rigidity import RigidityDecision, build_framework, decide_rigidity
 # the CG numbers of each vertex count
 _CG_NUMBERS = {3: range(1, 4), 4: range(4, 24)}
 
-# anchor tori: the closed-form optimum there realizes the named embedding
-_GMD_ANCHORS = {
-    "ECG1-1": ModuliPoint(0.15, 1.05),
-    "ECG1-2": ModuliPoint(0.15, 1.5),
-    "ECG2-1": ModuliPoint(0.15, boundary_curve(3, 1, 0.15)),
-    "ECG2-3": ModuliPoint(0.5, 1.5),
-    "ECG3-1": ModuliPoint(0.5, SQRT3 / 2),
-    "ECG18-1": ModuliPoint(0.1, 1.0),
-    "ECG20-1": ModuliPoint(0.0, 1.05),
-    "ECG20-2": ModuliPoint(0.25, boundary_curve(4, 1, 0.25)),
-    "ECG23-1": ModuliPoint(0.5, SQRT3 / 2),
-    "ECG23-2": ModuliPoint(0.0, 2 / SQRT3),
-    "ECG9-1": ModuliPoint(0.25, 1.3),
-    "ECG16-1": ModuliPoint(0.25, boundary_curve(4, 2, 0.25)),
-    "ECG7-1": ModuliPoint(0.25, 2.0),
-    "ECG13-1": ModuliPoint(0.0, 2.0),
+# the published classes
+NOT_REALIZABLE = "not realizable"
+FLEXIBLE = "realizable, never locally maximally dense"
+LMD_NOT_GMD = "locally but never globally maximally dense"
+MIXED_GMD = "globally maximally dense on part of the moduli strip"
+GMD = "globally maximally dense"
+
+# published class -> the reading the pipeline must show for it: the probe
+# class of an unanchored survivor, or 'anchored'
+READING = {
+    NOT_REALIZABLE: "none",
+    FLEXIBLE: "flexible",
+    LMD_NOT_GMD: "rigid",
+    MIXED_GMD: "anchored",
+    GMD: "anchored",
 }
 
-# (edge count, survivors, CG number): the one unanchored graph of that edge
-# count with that many surviving embeddings
-_FINGERPRINTS = ((7, 4, 4), (7, 1, 6), (8, 2, 10), (8, 1, 12))
-
-# unanchored survivors of these CGs take their free indices by probe class
-_CLASS_ORDER = {4: ("flexible", "rigid", "none"), 9: ("none", "flexible")}
+# the published catalog: name -> (class, anchor torus).  The closed-form
+# optimum at an anchor torus realizes the named embedding; the "globally"
+# names carry one, the others None.
+PUBLISHED = {
+    "ECG1-1": (MIXED_GMD, ModuliPoint(0.15, 1.05)),
+    "ECG1-2": (GMD, ModuliPoint(0.15, 1.5)),
+    "ECG2-1": (GMD, ModuliPoint(0.15, boundary_curve(3, 1, 0.15))),
+    "ECG2-2": (FLEXIBLE, None),
+    "ECG2-3": (GMD, ModuliPoint(0.5, 1.5)),
+    "ECG3-1": (GMD, ModuliPoint(0.5, SQRT3 / 2)),
+    "ECG4-1": (FLEXIBLE, None),
+    "ECG4-2": (LMD_NOT_GMD, None),
+    "ECG4-3": (NOT_REALIZABLE, None),
+    "ECG4-4": (NOT_REALIZABLE, None),
+    "ECG6-1": (FLEXIBLE, None),
+    "ECG7-1": (GMD, ModuliPoint(0.25, 2.0)),
+    "ECG9-1": (MIXED_GMD, ModuliPoint(0.25, 1.3)),
+    "ECG9-2": (NOT_REALIZABLE, None),
+    "ECG9-3": (NOT_REALIZABLE, None),
+    "ECG9-4": (FLEXIBLE, None),
+    "ECG10-1": (NOT_REALIZABLE, None),
+    "ECG10-2": (NOT_REALIZABLE, None),
+    "ECG12-1": (NOT_REALIZABLE, None),
+    "ECG13-1": (GMD, ModuliPoint(0.0, 2.0)),
+    "ECG13-2": (FLEXIBLE, None),
+    "ECG16-1": (GMD, ModuliPoint(0.25, boundary_curve(4, 2, 0.25))),
+    "ECG18-1": (GMD, ModuliPoint(0.1, 1.0)),
+    "ECG20-1": (GMD, ModuliPoint(0.0, 1.05)),
+    "ECG20-2": (GMD, ModuliPoint(0.25, boundary_curve(4, 1, 0.25))),
+    "ECG23-1": (GMD, ModuliPoint(0.5, SQRT3 / 2)),
+    "ECG23-2": (GMD, ModuliPoint(0.0, 2 / SQRT3)),
+}
 
 REALIZE_ATTEMPTS = 240
 REALIZE_SEED = 2026
@@ -77,7 +107,7 @@ class EcgEntry(NamedTuple):
     embedding: EmbeddedGraph
     forbidden_reason: str | None
     chain_reason: str | None
-    realization_class: str | None  # 'rigid', 'flexible', 'none' (survivors only)
+    realization_class: str | None  # 'rigid', 'flexible', 'none'; None if anchored or filtered
     # the probe's retained realizations (unanchored survivors only)
     samples: tuple[RealizationSample, ...]
     # the sample that fixes realization_class (the first rigid one, else
@@ -90,6 +120,13 @@ class EcgEntry(NamedTuple):
     @property
     def survives_filters(self) -> bool:
         return self.forbidden_reason is None and self.chain_reason is None
+
+    @property
+    def decided_samples(self) -> tuple[RealizationSample, ...]:
+        """The samples the probe decided: up to the rigid witness, else all."""
+        if self.realization_class == "rigid":
+            return self.samples[: self.samples.index(self.witness[0]) + 1]
+        return self.samples
 
 
 class EcgCatalog(NamedTuple):
@@ -151,9 +188,11 @@ def _probe_realization(
     return ("flexible" if samples else "none"), samples, witness
 
 
-def _class_rank(cg: int, cls: str) -> int:
-    """Place of a probe class in the CG's published order (0 without one)."""
-    order = _CLASS_ORDER.get(cg, (cls,))
+def _class_rank(cg: int, order: tuple[str, ...], cls: str) -> int:
+    """Place of a probe class in the CG's published order (0 where its
+    published names show fewer than two readings)."""
+    if len(order) < 2:
+        return 0
     if cls not in order:
         raise AssertionError(f"ECG{cg}: probe class {cls!r} is not in the published order {order}")
     return order.index(cls)
@@ -167,45 +206,53 @@ def identify(n: int) -> EcgCatalog:
     graphs = sorted(enumerate_census(n).stage3, key=lambda g: (g.edge_count, g.canonical_form))
     embeddings = [[(e, *_filter_reasons(e)) for e in enumerate_toroidal(g)] for g in graphs]
     survivors = [[e for e, fr, cr in embs if fr is None and cr is None] for embs in embeddings]
-    anchors = {_anchor_form(n, m): name
-               for name, m in _GMD_ANCHORS.items() if _cg_j(name)[0] in numbers}
+    # the published table's anchors, and per CG the readings of its
+    # unanchored names in index order
+    anchors, readings = {}, {cg: [] for cg in numbers}
+    for name in sorted(expected_names(n), key=_cg_j):
+        cls, anchor = PUBLISHED[name]
+        if anchor is None:
+            readings[_cg_j(name)[0]].append(READING[cls])
+        else:
+            anchors[_anchor_form(n, anchor)] = name
 
-    # graphs: anchors and fingerprints fix some CG numbers
+    # graphs: anchors fix some CG numbers
     graph_of = {e.canonical_form: k for k, embs in enumerate(embeddings) for e, _, _ in embs}
     cg_of = {}
     for form, name in anchors.items():
         if form not in graph_of:
             raise AssertionError(f"anchor {name} did not match any embedding")
         cg_of[graph_of[form]] = _cg_j(name)[0]
-    for edges, surviving, cg in _FINGERPRINTS:
-        if cg in numbers:
-            cands = [k for k, g in enumerate(graphs) if k not in cg_of
-                     and g.edge_count == edges and len(survivors[k]) == surviving]
-            if len(cands) != 1:
-                raise AssertionError(
-                    f"survivor fingerprint ({edges} edges, {surviving} survivors)"
-                    f" matched {len(cands)} graphs"
-                )
-            cg_of[cands[0]] = cg
-    # each edge-count block takes its free numbers in canonical order
     for _, block in groupby(range(len(graphs)), key=lambda k: graphs[k].edge_count):
         block = list(block)
         ids = numbers[block[0]:block[-1] + 1]
+        # a CG with published names and no anchored one takes the one
+        # unnumbered graph of its block with as many survivors as names
+        for cg in ids:
+            if readings[cg] and cg not in cg_of.values():
+                cands = [k for k in block if k not in cg_of and len(survivors[k]) == len(readings[cg])]
+                if len(cands) != 1:
+                    raise AssertionError(f"survivor fingerprint ({graphs[block[0]].edge_count} edges,"
+                                         f" {len(readings[cg])} survivors) matched {len(cands)} graphs")
+                cg_of[cands[0]] = cg
+        # then the block takes its free numbers in canonical order
         fixed = {cg_of[k] for k in block if k in cg_of}
         if not fixed <= set(ids):
             raise AssertionError("a fixed CG number escaped its edge-count block")
         cg_of.update(zip([k for k in block if k not in cg_of], (j for j in ids if j not in fixed)))
 
     # embeddings: anchored ones take their anchor's name, the other
-    # survivors the indices j their anchors leave free
+    # survivors the indices j their anchors leave free, ordered by the
+    # readings of the CG's published names
     entries = []
     for k, embs in enumerate(embeddings):
         cg = cg_of[k]
+        order = tuple(dict.fromkeys(readings[cg]))
         probes = {e.canonical_form: _probe_realization(e)
                   for e in survivors[k] if e.canonical_form not in anchors}
         taken = {_cg_j(anchors[e.canonical_form])[1]
                  for e, _, _ in embs if e.canonical_form in anchors}
-        unnamed = sorted(probes, key=lambda f: _class_rank(cg, probes[f][0]))
+        unnamed = sorted(probes, key=lambda f: _class_rank(cg, order, probes[f][0]))
         names = dict(zip(unnamed, (f"ECG{cg}-{j}" for j in count(1) if j not in taken)))
         for e, fr, cr in embs:
             anchor = anchors.get(e.canonical_form)
@@ -219,56 +266,15 @@ def identify(n: int) -> EcgCatalog:
                 realization_class=cls,
                 samples=samples,
                 witness=witness,
-                anchor=_GMD_ANCHORS[anchor] if anchor else None,
+                anchor=PUBLISHED[anchor][1] if anchor else None,
             ))
     return EcgCatalog(n=n, entries=tuple(entries))
 
 
-# classification expected from the published analysis (used as the pipeline's
-# regression oracle; drives the verdict table)
-EXPECTED_NOT_REALIZABLE = {
-    "ECG4-3",
-    "ECG4-4",
-    "ECG9-2",
-    "ECG9-3",
-    "ECG10-1",
-    "ECG10-2",
-    "ECG12-1",
-}
-EXPECTED_FLEXIBLE = {"ECG2-2", "ECG4-1", "ECG6-1", "ECG9-4", "ECG13-2"}
-EXPECTED_LMD_NOT_GMD = {"ECG4-2"}
-EXPECTED_MIXED_GMD = {"ECG1-1", "ECG9-1"}
-EXPECTED_GMD = {
-    "ECG1-2",
-    "ECG2-1",
-    "ECG2-3",
-    "ECG3-1",
-    "ECG7-1",
-    "ECG13-1",
-    "ECG16-1",
-    "ECG18-1",
-    "ECG20-1",
-    "ECG20-2",
-    "ECG23-1",
-    "ECG23-2",
-}
-_EXPECTED_CLASS = {
-    name: cls
-    for names, cls in (
-        (EXPECTED_NOT_REALIZABLE, "not realizable"),
-        (EXPECTED_FLEXIBLE, "realizable, never locally maximally dense"),
-        (EXPECTED_LMD_NOT_GMD, "locally but never globally maximally dense"),
-        (EXPECTED_MIXED_GMD, "globally maximally dense on part of the moduli strip"),
-        (EXPECTED_GMD, "globally maximally dense"),
-    )
-    for name in names
-}
-
-
 def expected_names(n: int) -> set[str]:
     """Published names of n-vertex embeddings (CG1-CG3 have three vertices)."""
-    return {name for name in _EXPECTED_CLASS if _cg_j(name)[0] in _CG_NUMBERS[n]}
+    return {name for name in PUBLISHED if _cg_j(name)[0] in _CG_NUMBERS[n]}
 
 
-def expected_class(name: str) -> str:
-    return _EXPECTED_CLASS.get(name, "unnamed")
+def expected_class(name: str | None) -> str:
+    return PUBLISHED[name][0] if name in PUBLISHED else "unnamed"

@@ -14,7 +14,7 @@ import csv
 import os
 
 from .census import enumerate_census, write_census_file
-from .ecg import REALIZE_ATTEMPTS, expected_class, expected_names, identify
+from .ecg import READING, REALIZE_ATTEMPTS, expected_class, expected_names, identify
 # compare_with_closed_form and solve_report stay importable from report
 # because the benchmark (perfbench) reads them here
 from .oracle import compare_with_closed_form, compare_with_closed_forms, oracle_agrees  # noqa: F401
@@ -31,14 +31,11 @@ _PUBLISHED_COUNTS = {
     "after_both": ("after both filters", {3: 6, 4: 21}),
 }
 
-# published class -> the realization verdict prefix it must show; anchored
-# names are realized by the closed-form optimum at their anchor torus
-_EXPECTED_REALIZATION = {
-    "not realizable": "no realization found",
-    "realizable, never locally maximally dense": "flexible",
-    "locally but never globally maximally dense": "rigid",
-    "globally maximally dense on part of the moduli strip": "anchored",
-    "globally maximally dense": "anchored",
+# probe reading -> the realization verdict it writes, where that is not the
+# reading itself; a verdict of "none" is evidence, not proof
+_VERDICT_TEXT = {
+    "anchored": "anchored (globally optimal witness)",
+    "none": f"no realization found in {REALIZE_ATTEMPTS} attempts",
 }
 
 
@@ -91,22 +88,16 @@ def run_pipeline(
             "name": e.name,
             "cg": e.cg,
             "face_vector": list(e.embedding.face_vector),
-            "expected": expected_class(e.name) if e.name else "unnamed",
+            "expected": expected_class(e.name),
         }
-        cls = e.realization_class
+        reading = e.realization_class
         if e.anchor is not None:
             # the closed-form optimum at the anchor torus realizes it
-            cls = "anchored (globally optimal witness)"
+            reading = "anchored"
             verdict["witness"] = {"moduli": {"x": e.anchor.x, "y": e.anchor.y}}
-        elif cls == "none":
-            # evidence, not proof
-            cls = f"no realization found in {REALIZE_ATTEMPTS} attempts"
-        verdict["realization"] = cls
-        if cls in ("rigid", "flexible"):
-            # the regions of the samples the probe decided: up to the rigid
-            # witness, else all of them
-            decided = e.samples[: e.samples.index(e.witness[0]) + 1] if cls == "rigid" else e.samples
-            verdict["regions"] = sorted({classify(n, s.m).name for s in decided})
+        verdict["realization"] = _VERDICT_TEXT.get(reading, reading)
+        if reading in ("rigid", "flexible"):
+            verdict["regions"] = sorted({classify(n, s.m).name for s in e.decided_samples})
             verdict["witness"] = _rigidity_witness(*e.witness)
         verdicts.append(verdict)
 
@@ -185,8 +176,8 @@ def _check_counts(record: dict) -> list[str]:
     failures += [f"published name {name} missing from the survivors"
                  for name in sorted(expected_names(n) - set(names))]
     for v in verdicts:
-        want = _EXPECTED_REALIZATION.get(v["expected"])
-        if want and not v["realization"].startswith(want):
+        reading = READING.get(v["expected"])
+        if reading and not v["realization"].startswith(_VERDICT_TEXT.get(reading, reading)):
             failures.append(f"{v['name']}: realization {v['realization']!r}, published {v['expected']!r}")
     return failures + oracle_disagreements(record["oracle"])
 

@@ -5,11 +5,12 @@ import pytest
 from toruspack import ecg, packing, realization, rigidity
 from toruspack.closed_form import optimal_centers
 from toruspack.ecg import (
-    EXPECTED_FLEXIBLE,
-    EXPECTED_GMD,
-    EXPECTED_LMD_NOT_GMD,
-    EXPECTED_MIXED_GMD,
-    EXPECTED_NOT_REALIZABLE,
+    FLEXIBLE,
+    GMD,
+    LMD_NOT_GMD,
+    MIXED_GMD,
+    NOT_REALIZABLE,
+    PUBLISHED,
     expected_class,
 )
 from toruspack.geometry_embed import embedding_from_packing
@@ -40,35 +41,30 @@ def test_four_vertex_names(catalog4):
     }
 
 
+def _published(cls: str) -> set[str]:
+    """The published names of one class."""
+    return {name for name, (c, _) in PUBLISHED.items() if c == cls}
+
+
 def test_published_inventory_partition():
-    all_names = (
-        EXPECTED_NOT_REALIZABLE
-        | EXPECTED_FLEXIBLE
-        | EXPECTED_LMD_NOT_GMD
-        | EXPECTED_MIXED_GMD
-        | EXPECTED_GMD
-    )
-    assert len(all_names) == 27
-    assert len(EXPECTED_NOT_REALIZABLE) == 7
-    assert len(EXPECTED_FLEXIBLE) == 5
-    assert len(EXPECTED_GMD) == 12
+    assert len(PUBLISHED) == 27
+    assert [len(_published(cls)) for cls in (NOT_REALIZABLE, FLEXIBLE, LMD_NOT_GMD, MIXED_GMD, GMD)] == [
+        7, 5, 1, 2, 12]
+    # exactly the "globally" names carry an anchor torus
+    assert {name for name, (_, anchor) in PUBLISHED.items() if anchor} == _published(MIXED_GMD) | _published(GMD)
 
 
 def test_probe_classes_match_published(catalog4):
+    probe_class = {NOT_REALIZABLE: "none", FLEXIBLE: "flexible", LMD_NOT_GMD: "rigid"}
     for e in catalog4.survivors():
         if e.realization_class is None:
             continue  # anchored: globally optimal witness by construction
-        if e.name in EXPECTED_NOT_REALIZABLE:
-            assert e.realization_class == "none", e.name
-        elif e.name in EXPECTED_FLEXIBLE:
-            assert e.realization_class == "flexible", e.name
-        elif e.name in EXPECTED_LMD_NOT_GMD:
-            assert e.realization_class == "rigid", e.name
+        assert e.realization_class == probe_class[expected_class(e.name)], e.name
 
 
 @pytest.mark.parametrize("seed", [1, 2026])
 def test_not_realizable_names_never_realize(catalog4, seed):
-    for name in sorted(EXPECTED_NOT_REALIZABLE):
+    for name in sorted(_published(NOT_REALIZABLE)):
         entry = catalog4.by_name(name)
         assert not realize_embedding(entry.embedding, attempts=1000, seed=seed, max_samples=1), name
 
@@ -124,6 +120,37 @@ def test_expected_class_strings():
     assert expected_class("ECG10-1") == "not realizable"
     assert expected_class("ECG4-2") == "locally but never globally maximally dense"
     assert expected_class("ECG3-1") == "globally maximally dense"
+    assert expected_class(None) == "unnamed"
+
+
+@pytest.fixture
+def cold_identify():
+    """identify's cache cleared before and after the test."""
+    ecg.identify.cache_clear()
+    yield
+    ecg.identify.cache_clear()
+
+
+@pytest.mark.parametrize("edits, outcome", [
+    ({}, None),
+    ({"ECG4-2": (FLEXIBLE, None)},
+     "raised ECG4: probe class 'rigid' is not in the published order ('flexible', 'none')"),
+    ({"ECG10-2": None}, "raised survivor fingerprint (8 edges, 1 survivors) matched 0 graphs"),
+    ({"ECG18-1": (GMD, PUBLISHED["ECG20-1"][1])}, "published name ECG18-1 missing from the survivors"),
+    ({"ECG9-4": (NOT_REALIZABLE, None)}, "ECG9-4: realization 'flexible', published 'not realizable'"),
+], ids=["published", "ECG4-2-flexible", "ECG10-2-dropped", "ECG18-1-at-ECG20-1-torus",
+        "ECG9-4-not-realizable"])
+def test_doctored_table_fails(cold_identify, monkeypatch, tmp_path, edits, outcome):
+    """The names, CG numbers and probe-class orders all read the published
+    table, so a row changed or dropped there stops the lenient n = 4
+    pipeline or records a failure; the table itself records none."""
+    table = {name: row for name, row in {**PUBLISHED, **edits}.items() if row is not None}
+    monkeypatch.setattr(ecg, "PUBLISHED", table)
+    try:
+        failures = run_pipeline(4, str(tmp_path), skip_oracle=True, strict=False)["failures"]
+    except AssertionError as exc:
+        failures = [f"raised {exc}"]
+    assert failures == ([outcome] if outcome else [])
 
 
 def test_triangular_close_packing_embeddings(catalog4):
@@ -160,7 +187,7 @@ def test_anchor_form_canonicalizes_each_center_twice(monkeypatch):
     monkeypatch.setattr(TorusPoint, "canonical", lambda c, m: calls.append(c) or canonical(c, m))
     for n, name in ((3, "ECG1-1"), (4, "ECG18-1")):
         calls.clear()
-        ecg._anchor_form(n, ecg._GMD_ANCHORS[name])
+        ecg._anchor_form(n, PUBLISHED[name][1])
         assert len(calls) == 2 * n, name
 
 
@@ -196,7 +223,7 @@ def test_verdict_regions_are_those_of_the_decided_samples(catalog4, tmp_path):
     its samples also lie in R2_4; a flexible verdict decides, and lists,
     every sample."""
     entry = catalog4.by_name("ECG4-2")
-    assert entry.witness[0] is entry.samples[0]
+    assert entry.witness[0] is entry.samples[0] and entry.decided_samples == entry.samples[:1]
     assert {classify(4, s.m).name for s in entry.samples} == {"R2_4", "R3_4"}
     report = run_pipeline(4, str(tmp_path), skip_oracle=True)
     verdicts = {v["name"]: v for v in report["verdicts"]}

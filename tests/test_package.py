@@ -2,6 +2,7 @@
 `import toruspack` and `toruspack solve` load, and the package's exception
 handlers."""
 import ast
+import functools
 import importlib
 import re
 import subprocess
@@ -185,11 +186,12 @@ def test_numpy_importers_are_pinned():
 # The names the benchmark harness (perfbench/) reads from the package.  Some
 # are re-exports that no module of the package reads, so only this test
 # notices their loss; a change to the benchmark edits this list with it.
+# Packing.validate is the gate's check of every solve answer.
 _BENCHMARK_NAMES = {
     "report": ("solve_report", "compare_with_closed_form", "run_pipeline"),
     "oracle": ("realize_embedding",),
     "render": ("render_packing", "FigureSpec"),
-    "packing": ("Packing", "packing_from_dict", "graph_from_dict", "to_json"),
+    "packing": ("Packing", "Packing.validate", "packing_from_dict", "graph_from_dict", "to_json"),
     "rigidity": ("classify_packing",),
     "closed_form": ("optimal_centers",),
     "ecg": ("identify", "expected_class"),
@@ -198,18 +200,40 @@ _BENCHMARK_NAMES = {
     "regions": ("boundary_curve", "region_count", "sample_boundary", "sample_interior"),
     "cli": ("main",),
 }
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_literal(file: str, name: str):
+    """The literal a module of the benchmark assigns to name, read without
+    importing the benchmark."""
+    tree = ast.parse((PERFBENCH / file).read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == [name])
 
 
 def test_benchmark_names_resolve():
     # the modules the benchmark's tracer imports (MODULES of perfbench/spans.py),
     # then every name it reads
-    spans = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text())
-    modules = next(ast.literal_eval(node.value) for node in spans.body if isinstance(node, ast.Assign)
-                   and [ast.unparse(t) for t in node.targets] == ["MODULES"])
-    for module in modules:
+    for module in _perfbench_literal("spans.py", "MODULES"):
         importlib.import_module(f"toruspack.{module}")
     assert [f"{module}.{name}" for module, names in _BENCHMARK_NAMES.items() for name in names
-            if not hasattr(importlib.import_module(f"toruspack.{module}"), name)] == []
+            if functools.reduce(lambda obj, attr: getattr(obj, attr, None), name.split("."),
+                                importlib.import_module(f"toruspack.{module}")) is None] == []
+
+
+def test_benchmark_gate_agrees_with_the_package():
+    # perfbench/gate.py restates the published counts, and the published
+    # classes each realization verdict allows: both must match the package
+    from toruspack import ecg, report
+
+    expected = _perfbench_literal("gate.py", "EXPECTED_PIPELINE")
+    for n in (3, 4):
+        gate = {key: tuple(v) if isinstance(v, list) else v for key, v in expected[n].items()}
+        assert gate == {key: want[n] for key, (_, want) in report._PUBLISHED_COUNTS.items()}, n
+    allowed = _perfbench_literal("gate.py", "_VERDICT_CLASSES")
+    for cls in {cls for cls, _ in ecg.PUBLISHED.values()}:
+        text = report._VERDICT_TEXT.get(ecg.READING[cls], ecg.READING[cls])
+        assert cls in next((c for prefix, c in allowed.items() if text.startswith(prefix)), set()), cls
 
 
 def test_only_oracle_imports_dataclasses():

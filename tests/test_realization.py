@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import equal_length_reference as reference
 import realization_reference
 from toruspack import realization
-from toruspack.ecg import EXPECTED_NOT_REALIZABLE, REALIZE_ATTEMPTS, REALIZE_SEED
+from toruspack.ecg import NOT_REALIZABLE, PUBLISHED, REALIZE_ATTEMPTS, REALIZE_SEED
 from toruspack.errors import NoTorusEmbedding
 from toruspack.lattice import ModuliPoint, TorusPoint
 from toruspack.packing import Packing, contacts, extract_graph
@@ -171,7 +171,7 @@ class TestRealize:
         assert realize_embedding(e, attempts=60, seed=2026, max_samples=0) == []
         assert not solved
 
-    @pytest.mark.parametrize("name", ["ECG2-2", sorted(EXPECTED_NOT_REALIZABLE)[0]])
+    @pytest.mark.parametrize("name", ["ECG2-2", min(n for n, (c, _) in PUBLISHED.items() if c == NOT_REALIZABLE)])
     def test_solves_starts_until_last_sample(self, catalog3, catalog4, monkeypatch, name):
         # the ECG2-2 probe holds its 8 samples before its last start; a
         # name that realizes nothing solves every start
