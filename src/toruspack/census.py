@@ -95,6 +95,8 @@ def canonicalize(g: Multigraph, rel) -> bytes:
 
 
 class CensusResult(NamedTuple):
+    """Each stage in (edge count, canonical form) order, which the CG
+    numbering of ecg reads as it is."""
     n: int
     stage1: tuple[Multigraph, ...]
     stage2: tuple[Multigraph, ...]

@@ -203,7 +203,7 @@ def identify(n: int) -> EcgCatalog:
     if n not in _CG_NUMBERS:
         raise UnsupportedN(f"the census pipeline handles n in {{3, 4}}, got {n}")
     numbers = _CG_NUMBERS[n]
-    graphs = sorted(enumerate_census(n).stage3, key=lambda g: (g.edge_count, g.canonical_form))
+    graphs = enumerate_census(n).stage3
     embeddings = [[(e, *_filter_reasons(e)) for e in enumerate_toroidal(g)] for g in graphs]
     survivors = [[e for e, fr, cr in embs if fr is None and cr is None] for embs in embeddings]
     # the published table's anchors, and per CG the readings of its
@@ -214,7 +214,10 @@ def identify(n: int) -> EcgCatalog:
         if anchor is None:
             readings[_cg_j(name)[0]].append(READING[cls])
         else:
-            anchors[_anchor_form(n, anchor)] = name
+            form = _anchor_form(n, anchor)
+            if form in anchors:
+                raise AssertionError(f"anchors {anchors[form]} and {name} realize one embedding")
+            anchors[form] = name
 
     # graphs: anchors fix some CG numbers
     graph_of = {e.canonical_form: k for k, embs in enumerate(embeddings) for e, _, _ in embs}

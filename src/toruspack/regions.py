@@ -135,17 +135,10 @@ def self_tangent_boundary(n: int, alpha: float) -> ModuliPoint:
     return ModuliPoint(x, y)
 
 
-def free_boundary_value(n: int, x: float) -> float:
-    """y of the self-tangent boundary curve at x: the top region's lower
-    bound."""
-    _check_n(n)
-    return _CURVES[n][-1](x)
-
-
 def in_free_region(n: int, m: ModuliPoint) -> bool:
     """True iff every optimal packing consists of free self-tangent circles
     (strictly above the self-tangent boundary curve)."""
-    return m.y > free_boundary_value(n, m.x)
+    return m.y > boundary_curve(n, region_count(n) - 1, m.x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from toruspack.realization import realize_embedding
 from toruspack.regions import (
     boundary_curve,
     classify,
-    free_boundary_value,
     in_free_region,
     region_count,
     sample_interior,
@@ -240,7 +239,7 @@ def test_criterion_10_self_tangent_region():
         tori = []
         for _ in range(10):
             x = float(rng.uniform(0, 0.5))
-            y = free_boundary_value(n, x) + float(rng.uniform(0.05, 1.5))
+            y = boundary_curve(n, region_count(n) - 1, x) + float(rng.uniform(0.05, 1.5))
             tori.append(ModuliPoint(x, y))
             assert in_free_region(n, tori[-1])
         for m, res in zip(tori, maximize_min_distances(n, tori, restarts=120, seed=110)):

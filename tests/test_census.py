@@ -21,6 +21,15 @@ def test_total_stage3_graphs():
     assert len(enumerate_census(3).stage3) + len(enumerate_census(4).stage3) == 23
 
 
+def test_stages_in_edge_count_then_canonical_order():
+    # the CG numbering of ecg.identify reads stage3 in this order; the key
+    # is recomputed on a fresh graph, not read from the census's cache
+    for n in (3, 4):
+        for stage in enumerate_census(n)[1:]:
+            keys = [(g.edge_count, Multigraph(n, g.multiplicities).canonical_form) for g in stage]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), n
+
+
 def test_unsupported_n():
     with pytest.raises(UnsupportedN):
         enumerate_census(5)

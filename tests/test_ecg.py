@@ -136,7 +136,7 @@ def cold_identify():
     ({"ECG4-2": (FLEXIBLE, None)},
      "raised ECG4: probe class 'rigid' is not in the published order ('flexible', 'none')"),
     ({"ECG10-2": None}, "raised survivor fingerprint (8 edges, 1 survivors) matched 0 graphs"),
-    ({"ECG18-1": (GMD, PUBLISHED["ECG20-1"][1])}, "published name ECG18-1 missing from the survivors"),
+    ({"ECG18-1": (GMD, PUBLISHED["ECG20-1"][1])}, "raised anchors ECG18-1 and ECG20-1 realize one embedding"),
     ({"ECG9-4": (NOT_REALIZABLE, None)}, "ECG9-4: realization 'flexible', published 'not realizable'"),
 ], ids=["published", "ECG4-2-flexible", "ECG10-2-dropped", "ECG18-1-at-ECG20-1-torus",
         "ECG9-4-not-realizable"])

@@ -20,13 +20,13 @@ _LEFT_OUT = ("numpy", "scipy", "dataclasses", "inspect") + tuple(
     for m in ("census", "embedding", "ecg", "oracle", "realization", "rigidity", "exact_lp", "geometry_embed",
               "report", "stream")
 )
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _public_bindings() -> set[str]:
-    """The names __init__ imports or assigns, plus those it imports on first
-    access (its _LAZY table)."""
+    """The names __init__ imports or assigns."""
     tree = ast.parse(Path(toruspack.__file__).read_text())
-    names = set(toruspack._LAZY)
+    names = set()
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {alias.asname or alias.name for alias in node.names}
@@ -44,9 +44,25 @@ def test_every_public_binding_is_exported():
     assert _public_bindings() == set(toruspack.__all__)
 
 
-def test_lazy_exports_are_their_modules_attributes():
-    for name, module in toruspack._LAZY.items():
-        assert getattr(toruspack, name) is getattr(importlib.import_module(f"toruspack.{module}"), name)
+def _catalog_names() -> dict[str, str]:
+    """name -> module of the catalog half's names, from the README's list
+    (its lines `- `toruspack.module`: `name`, ...`)."""
+    found = {}
+    for module, listed in re.findall(r"^- `toruspack\.(\w+)`: (.*(?:\n  .*)*)", README.read_text(), re.M):
+        found |= dict.fromkeys(re.findall(r"`(\w+)`", listed), module)
+    return found
+
+
+def test_catalog_names_come_from_their_modules():
+    # the closed-form half is the package's only export; each catalog name
+    # resolves from the module the README lists it under, and not from the
+    # package
+    names = _catalog_names()
+    assert len(names) == 20
+    for name, module in names.items():
+        assert hasattr(importlib.import_module(f"toruspack.{module}"), name), (module, name)
+        with pytest.raises(AttributeError, match=f"module 'toruspack' has no attribute '{name}'"):
+            getattr(toruspack, name)
 
 
 def test_dir_lists_every_export():
@@ -319,7 +335,6 @@ def test_settable_values_ratchet():
 # end in one of these.  Each has one row in the README's Tolerances table.
 _TOLERANCE_SUFFIXES = ("_TOL", "_EPS", "_SLACK", "_FLOOR", "_FLOOR_SQ", "_CEIL", "_CLEARANCE",
                        "_MARGIN", "_WINDOW", "_SCALE", "_DENOMINATOR")
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _tolerances() -> dict[str, tuple[str, float]]:

@@ -10,7 +10,6 @@ from toruspack.packing import Packing, extract_graph
 from toruspack.regions import (
     boundary_curve,
     classify,
-    free_boundary_value,
     in_free_region,
     region_count,
     sample_interior,
@@ -85,13 +84,11 @@ class TestClassify:
                     assert _tangencies(n, near) == _tangencies(n, on) > _tangencies(n, off)
 
     def test_one_formula_per_curve(self):
-        # curve 0 is the strip bottom, and the free boundary is the top
-        # region's lower curve, bit for bit
+        # curve 0 is the strip bottom, bit for bit
         for n in (2, 3, 4):
             for x in np.linspace(0.0, 0.5, 101):
                 x = float(x)
                 assert boundary_curve(n, 0, x) == math.sqrt(1.0 - x * x)
-                assert free_boundary_value(n, x) == boundary_curve(n, region_count(n) - 1, x)
             with pytest.raises(ValueError):
                 boundary_curve(n, region_count(n), 0.25)
 
@@ -131,7 +128,6 @@ class TestSelfTangentBoundary:
             for alpha in np.linspace(math.pi / 3, math.pi / 2, 100):
                 m = self_tangent_boundary(n, float(alpha))
                 assert m.y == pytest.approx(boundary_curve(n, top - 1, m.x), abs=1e-12)
-                assert m.y == pytest.approx(free_boundary_value(n, m.x), abs=1e-12)
 
 
 class TestFreeRegion:
