@@ -8,11 +8,13 @@ order.
 import math
 
 import numpy as np
+import pytest
 
+from toruspack import oracle
 from toruspack.census import enumerate_census
 from toruspack.closed_form import optimal_centers, optimal_radius, radius_branch
 from toruspack.lattice import ModuliPoint, TorusPoint
-from toruspack.oracle import maximize_min_distances
+from toruspack.oracle import maximize_min_distances, oracle_agrees
 from toruspack.packing import (
     Packing,
     TRIANGULAR_DENSITY,
@@ -20,6 +22,7 @@ from toruspack.packing import (
     extract_graph,
 )
 from toruspack.realization import realize_embedding
+from toruspack.report import CountMismatch, oracle_disagreements, run_pipeline, verify_run
 from toruspack.regions import (
     boundary_curve,
     classify,
@@ -84,23 +87,51 @@ def test_criterion_02_embedding_counts(catalog3, catalog4):
     )
 
 
+def criterion_03_rows(n, tori, formula):
+    """Criterion 3 on tori of one region (200 restarts, seed 101): the
+    worst |oracle - formula| and the rows oracle.oracle_agrees refuses."""
+    worst, missed = 0.0, 0
+    for m, res in zip(tori, maximize_min_distances(n, tori, restarts=200, seed=101)):
+        r_formula = formula(n, m)
+        note(Packing(m=m, centers=res.best_centers, radius=res.best_radius))
+        worst = max(worst, abs(res.best_radius - r_formula))
+        missed += not oracle_agrees(r_formula, res.best_radius)
+    return worst, missed
+
+
 def test_criterion_03_formula_oracle_agreement():
     rng = np.random.default_rng(20260810)
-    worst = 0.0
-    over = False
+    worst, missed = 0.0, 0
     for n in (2, 3, 4):
         for idx in range(1, region_count(n) + 1):
             tori = [sample_interior(n, idx, rng) for _ in range(20)]
-            for m, res in zip(tori, maximize_min_distances(n, tori, restarts=200, seed=101)):
-                r_formula = optimal_radius(n, m)
-                note(Packing(m=m, centers=res.best_centers, radius=res.best_radius))
-                worst = max(worst, abs(res.best_radius - r_formula))
-                over = over or res.best_radius > r_formula + 1e-6
-    ok = worst <= 1e-3 and not over
+            region_worst, region_missed = criterion_03_rows(n, tori, optimal_radius)
+            worst, missed = max(worst, region_worst), missed + region_missed
     report(
         "criterion 3: oracle agrees with formulas (20 pts/region, 200 restarts)",
+        missed == 0,
+        f"worst gap {worst:.3e}, rows outside the rule: {missed}",
+    )
+
+
+def test_criterion_03_refuses_a_formula_raised_by_1e_9(tmp_path, monkeypatch):
+    # R2_3's formula raised by 1e-9, as the oracle module reads it: verify's
+    # rows, the strict pipeline and criterion 3 all refuse that region
+    def raised(n, m):
+        r = optimal_radius(n, m)
+        return r + 1e-9 if n == 3 and classify(n, m).name == "R2_3" else r
+
+    monkeypatch.setattr(oracle, "optimal_radius", raised)
+    refused = oracle_disagreements(verify_run(3, samples=2, seed=7, restarts=40))
+    with pytest.raises(CountMismatch, match="oracle R2_3") as strict:
+        run_pipeline(3, str(tmp_path))
+    rng = np.random.default_rng(20260810)
+    _, missed = criterion_03_rows(3, [sample_interior(3, 2, rng) for _ in range(20)], raised)
+    ok = len(refused) == 2 and all("oracle R2_3" in line for line in refused) and missed == 20
+    report(
+        "criterion 3 refuses a formula raised by 1e-9 in one region",
         ok,
-        f"worst gap {worst:.3e}, bound exceeded: {over}",
+        f"verify: {len(refused)} rows refused, pipeline: {strict.value}, criterion 3: {missed} of 20 refused",
     )
 
 

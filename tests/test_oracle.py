@@ -99,10 +99,10 @@ def _reference_ascent(T, m):
     n = T.shape[1]
     I, J = np.triu_indices(n, k=1)
     binv = np.linalg.inv(oracle._basis(m))
-    beta, step = 64.0, 0.08
-    for it in range(220):
+    (beta, beta_cap), (step, decay) = oracle.ASCENT_BETA, oracle.ASCENT_STEP
+    for it in range(oracle.ASCENT_ITERS):
         v = np.moveaxis(oracle._corner_arrays(T[:, J] - T[:, I], m)[1], -1, 0)  # 4 x (2, R, P)
-        dist = [np.sqrt(c[0] ** 2 + c[1] ** 2 + 1e-18) for c in v]
+        dist = [np.sqrt(c[0] ** 2 + c[1] ** 2 + oracle.DIST_FLOOR_SQ) for c in v]
         dmin = np.min(dist, axis=(0, 2))[:, None]
         w = [np.exp(-beta * (d - dmin)) for d in dist]
         total = sum(sum(w).T)  # each pair's 4 corners, then the pairs in turn
@@ -113,11 +113,11 @@ def _reference_ascent(T, m):
             grad[:, :, j] += contrib[:, :, p]
             grad[:, :, i] -= contrib[:, :, p]
         grad = np.moveaxis(grad, 0, -1)
-        norm = np.sqrt((grad**2).sum(-1, keepdims=True)) + 1e-15
+        norm = np.sqrt((grad**2).sum(-1, keepdims=True)) + oracle.NORM_FLOOR
         T = (T + (step * grad / norm) @ binv) % 1.0
-        if (it + 1) % 22 == 0:
-            beta = min(beta * 2, 65536.0)
-            step *= 0.75
+        if (it + 1) % (oracle.ASCENT_ITERS // 10) == 0:
+            beta = min(beta * 2, beta_cap)
+            step *= decay
     return T
 
 
@@ -137,6 +137,8 @@ def _alone(n, k, seed):
 class TestBatchedAscent:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_kernel_matches_reference(self, n):
+        # the schedule steps every tenth of the ascent
+        assert oracle.ASCENT_ITERS > 0 and oracle.ASCENT_ITERS % 10 == 0
         tori = _tori(n, 3, n)
         T0 = np.random.default_rng(n).random((12, n, 2))
         ends = oracle._ascent(T0, tori)
