@@ -1,9 +1,10 @@
 """Independent numerical verification of the closed forms.
 
 A short seeded multi-start max-min ascent on each torus of a table, then
-active-set solves on realization's equal-length solver that land many of its
-best endpoints on tangency configurations; the oracle-agreement rule holds
-the result to the closed forms up to rounding.
+one active-set solve per block of tori on realization's equal-length solver,
+which lands many of each torus's best endpoints on tangency configurations;
+the oracle-agreement rule holds the result to the closed forms up to
+rounding.
 """
 from __future__ import annotations
 
@@ -31,22 +32,26 @@ class OracleResult(NamedTuple):
 # (within 5e-3 in 1.3%; the 1260 of 1440 that refine to their torus's best,
 # 36 interior tori, n = 2-4, 200 restarts).  The contacts it misses (the
 # farthest is 1.1e-2 out at the median endpoint, 2.5e-2 at the 90th
-# percentile) come back through the 2n - 1 floor and the next round.
+# percentile) come back through the 2n - 1 floor, or through another of the
+# torus's REFINE_TOP candidates: a refined row that misses one does not gain.
 REFINE_SLACK = 2e-3
 
 
 # ---------------------------------------------------------------------------
 # max-min distance ascent
 #
-# Points are held in fractional coordinates.  The ascent runs every torus of
-# a table at once: the tori share the seeded starts, and each torus's
-# iterates read only its own moduli and basis, so a torus ascends the same
-# alone or in any batch.  Ranking and refining read _corner_arrays.
+# Points are held in fractional coordinates.  The ascent runs a block of K
+# tori at once: the tori share the seeded starts, and each torus's iterates
+# read only its own moduli and basis, so a torus ascends the same alone or
+# in any batch.  A block's moduli are two arrays x and y (K, 1, 1), which
+# broadcast against its (K, R, P) pairs, and _bases makes them the
+# (K, 1, 2, 2) bases of its (K, R, n, 2) configurations.  Ranking and
+# refining read _corner_arrays.
 
 # The ascent only has to reach the optimum's basin; the refine lands on it.
 # From tests/oracle_sweep.py (verify_run(n, 20, seed, 200), n = 2, 3, 4): at
 # (ASCENT_ITERS, REFINE_TOP) = (70, 40) no row of seeds 0-19 or of held-out
-# 20-29 is off its closed form by more than 2.2e-16; (220, 12) put 13 and 5
+# 20-29 is off its closed form by more than 4.4e-16; (220, 12) put 13 and 5
 # rows up to 2.4e-4 short, in over twice the time.
 ASCENT_ITERS = 70
 # The soft-min sharpness starts at 64 and doubles every tenth of the
@@ -73,21 +78,22 @@ EXP_FLOOR = -700.0
 ASCENT_BLOCK_BYTES = 1 << 20
 
 
-def _basis(m: ModuliPoint) -> np.ndarray:
-    """Row-stacked generators [[1, 0], [x, y]]."""
-    return np.array([[1.0, 0.0], [m.x, m.y]])
+def _bases(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-stacked generators [[1, 0], [x, y]] (..., 2, 2) of the moduli x, y (..., 1)."""
+    return np.stack([np.concatenate([np.ones_like(x), np.zeros_like(x)], -1), np.concatenate([x, y], -1)], -2)
 
 
-def _corner_arrays(frac: np.ndarray, m: ModuliPoint) -> tuple[np.ndarray, np.ndarray]:
-    """lattice.corner_translates of the differences frac (..., 2), on arrays:
-    the shifts and the vectors, both (2, ..., 4), the corners last, in order."""
+def _corner_arrays(frac: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """lattice.corner_translates of the differences frac (..., 2), each on
+    the torus of x and y, which broadcast against (...), on arrays: the
+    shifts and the vectors, both (2, ..., 4), the corners last, in order."""
     f = np.moveaxis(frac, -1, 0)
     r = np.rint(f)
     f = f - r
     g = np.copysign(1.0, f)
     t, s = np.stack([f, f - g]), np.stack([-r, -r - g])  # (value, coordinate, ...)
     a, b = [0, 0, 1, 1], [0, 1, 0, 1]  # corner (a, b) takes value a of t1, value b of t2
-    v = np.stack([t[a, 0] + m.x * t[b, 1], m.y * t[b, 1]])
+    v = np.stack([t[a, 0] + x * t[b, 1], y * t[b, 1]])
     return np.moveaxis(np.stack([s[a, 0], s[b, 1]]), 1, -1), np.moveaxis(v, 1, -1)
 
 
@@ -95,12 +101,12 @@ def _lengths(v: np.ndarray) -> np.ndarray:
     return np.sqrt(v[0] ** 2 + v[1] ** 2)
 
 
-def _min_distances(F: np.ndarray, m: ModuliPoint) -> np.ndarray:
+def _min_distances(F: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimum pairwise toroidal distance of each configuration F (..., n, 2)
-    (n >= 2); the self distance is the shortest lattice vector, capped by
-    the caller."""
+    (n >= 2) on its torus, x and y (..., 1); the self distance is the
+    shortest lattice vector, capped by the caller."""
     I, J = np.triu_indices(F.shape[-2], 1)
-    _, v = _corner_arrays(F[..., J, :] - F[..., I, :], m)
+    _, v = _corner_arrays(F[..., J, :] - F[..., I, :], x, y)
     return _lengths(v).min((-2, -1))
 
 
@@ -112,12 +118,12 @@ def _corner_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
+def _ascent(T0: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Soft-min gradient ascent on the minimum pairwise distance.
 
-    T0: (R, n, 2) fractional starts, shared by the K tori; returns the
-    (K, R, n, 2) endpoints.  Steps are taken in plane coordinates and
-    mapped back to fractional coordinates.
+    T0: (R, n, 2) fractional starts, shared by the K tori of x and y
+    (K, 1, 1); returns the (K, R, n, 2) endpoints.  Steps are taken in
+    plane coordinates and mapped back to fractional coordinates.
 
     A pair reads the 4 corners of its lattice cell, _corner_arrays's bit
     for bit, which hold its nearest translate (lattice's docstring).
@@ -127,16 +133,15 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     corner sums are elementwise passes, and every reduction stays within one
     torus and one restart, in an order that does not depend on K.
     """
-    K = len(tori)
+    K = len(x)
     R, n, _ = T0.shape
     I, J = np.triu_indices(n, 1)
     P = len(I)
-    x, y = np.array([(m.x, m.y) for m in tori]).T[..., None]
-    binv = np.linalg.inv(np.array([_basis(m) for m in tori]))
+    binv = np.linalg.inv(_bases(x, y))[:, 0]
     T = np.repeat(T0.transpose(2, 1, 0)[:, :, None], K, axis=2)  # (2, n, K, R)
     # corner (a, b) is (t[0, a] + x t[1, b], y t[1, b]), t[c] = (f_c, f_c - s_c)
     t, xyt, v0, dist, w = (np.empty((2, 2, P, K, R)) for _ in range(5))
-    f, xy = t[:, 0], np.stack([x, y])[:, None, None]  # xyt = (x t[1], y t[1])
+    f, xy = t[:, 0], np.stack([x, y]).reshape(2, 1, 1, K, 1)  # xyt = (x t[1], y t[1])
     dmin, total, pair_total = np.empty((K, R)), np.empty((K, R)), np.empty((P, K, R))
     contrib, grad, grad_sq = np.empty((2, P, K, R)), np.empty((2, n, K, R)), np.empty((2, n, K, R))
     norm, plane_step = np.empty((n, K, R)), np.empty((K, R, n, 2))
@@ -192,7 +197,7 @@ def _ascent(T0: np.ndarray, tori: Sequence[ModuliPoint]) -> np.ndarray:
     return T.transpose(2, 3, 1, 0)
 
 
-def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[np.ndarray]:
+def _active_refine(F: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Equalize the near-minimal distances with an equal-length solve.
 
     At a max-min optimum the active tangencies share one length; solving
@@ -200,44 +205,32 @@ def _active_refine(Fs: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> lis
     it to machine precision.  The active set is every cell corner within
     REFINE_SLACK of the minimum, and at least the 2n - 1 shortest: a local
     optimum is an infinitesimally rigid strut framework, which needs one
-    more contact than its 2(n - 1) degrees of freedom.  Each F of Fs and
-    its result are fractional coordinates (K, n, 2) on its torus; all are
-    solved in one batch, each as it would be alone, with each torus's basis
-    products taken per torus.  A result is only adopted by the caller if it
-    actually improves the minimum distance.
+    more contact than its 2(n - 1) degrees of freedom.  F and the result
+    are fractional coordinates (K, T, n, 2), row k on the torus of x[k] and
+    y[k] (K, 1, 1); all K T rows are solved in one batch, each as it would
+    be alone.  A result is only adopted by the caller if it actually
+    improves the minimum distance.
     """
-    n = Fs[0].shape[1]
+    K, T, n, _ = F.shape
     I, J = np.triu_indices(n, 1)
     # unknowns: p_1 .. p_{n-1} (p_0 pinned), then the common length d; the
     # 4 corners of a pair share its rows of A
     incidence = np.eye(n)[:, J] - np.eye(n)[:, I]  # +1 at each pair's head j, -1 at its tail i
     A = np.kron(incidence[1:].T, np.eye(2)).reshape(len(I), 2, 2 * n - 2)
     A = np.repeat(np.concatenate([A, np.zeros((len(I), 2, 1))], 2), 4, axis=0)
-    c, dmin, active, pts = [], [], [], []
-    for F, m in zip(Fs, tori):
-        shifts, v = _corner_arrays(F[:, J] - F[:, I], m)
-        dist = _lengths(v).reshape(len(F), -1)  # (pair, corner) flattened
-        dmin.append(dist.min(1))
-        cut = np.maximum(dmin[-1] + REFINE_SLACK, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
-        active.append(dist <= cut[:, None])
-        basis = _basis(m)
-        c.append(np.moveaxis(shifts, 0, -1).reshape(len(F), -1, 2) @ basis)
-        pts.append(F @ basis)
-    pts = np.concatenate(pts)
-    u0 = np.concatenate([(pts[:, 1:] - pts[:, :1]).reshape(len(pts), -1), np.concatenate(dmin)[:, None]], 1)
-    u = _solve_equal_lengths(A, np.concatenate(c), np.ones(len(A)), np.concatenate(active).astype(float), u0)
+    shifts, v = _corner_arrays(F[..., J, :] - F[..., I, :], x, y)
+    dist = _lengths(v).reshape(K * T, -1)  # (pair, corner) flattened
+    dmin = dist.min(1)
+    cut = np.maximum(dmin + REFINE_SLACK, np.partition(dist, 2 * n - 2, axis=1)[:, 2 * n - 2])
+    basis = _bases(x, y)
+    c = (np.moveaxis(shifts, 0, -1).reshape(K, T, -1, 2) @ basis).reshape(K * T, -1, 2)
+    pts = (F @ basis).reshape(K * T, n, 2)
+    u0 = np.concatenate([(pts[:, 1:] - pts[:, :1]).reshape(K * T, -1), dmin[:, None]], 1)
+    u = _solve_equal_lengths(A, c, (dist <= cut[:, None]).astype(float), u0)  # edge rows while active
     refined = np.concatenate([np.zeros((len(u), 1, 2)), u[:, :-1].reshape(len(u), -1, 2)], 1) + pts[:, :1]
-    parts = np.split(refined, np.cumsum([len(F) for F in Fs])[:-1])
-    return [r @ np.linalg.inv(_basis(m)) for r, m in zip(parts, tori)]
+    return refined.reshape(F.shape) @ np.linalg.inv(basis)
 
 
-# Each refine lands on the tangency configuration of the active set read
-# from its input.  From an ascent output that set can miss a contact of the
-# optimum, and the landed configuration then has other shortest translates;
-# reading the set again and solving again picks them up.  On the 180
-# criterion-3 tori (200 restarts, seed 101) one round lands all 180 within
-# 2.2e-16 of the formula; later rounds run only while a candidate gains.
-REFINE_ROUNDS = 3
 # The ascent endpoints refined per torus, best first by min distance: after
 # 70 steps the best 12 miss the optimum's basin in 34 of the sweep's 3600 rows.
 REFINE_TOP = 40
@@ -250,8 +243,8 @@ def maximize_min_distances(
     seed: int,
 ) -> list[OracleResult]:
     """Best max-min configuration of n points on each torus, over seeded
-    multi-start ascent, the REFINE_TOP best of them refined by up to
-    REFINE_ROUNDS active-set solves, each one batch per block of tori.
+    multi-start ascent, the REFINE_TOP best of them refined by one
+    active-set solve per block of tori.
 
     One ascent runs every torus; the starts depend on (seed, restart) only.
     Each torus's result is the one it gets alone, so it is deterministic
@@ -259,52 +252,43 @@ def maximize_min_distances(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if n == 1:
         one = OracleResult(RADIUS_CAP, (TorusPoint(0.0, 0.0),))
         return [one for _ in tori]
-    if not tori:
-        return []
     # per-restart deterministic starts
     T0 = np.array([Stream(seed, r).randoms(2 * n) for r in range(restarts)]).reshape(restarts, n, 2)
     T0[:, 0] = 0.0  # translation quotient
     P = n * (n - 1) // 2
     block = max(1, ASCENT_BLOCK_BYTES // (4 * P * restarts * T0.itemsize))
-    parts = [tori[at : at + block] for at in range(0, len(tori), block)]
-    return [r for part in parts for r in _best_of(_ascent(T0, part), part)]
-
-
-def _best_of(ends: Sequence[np.ndarray], tori: Sequence[ModuliPoint]) -> list[OracleResult]:
-    """Rank each torus's ascent endpoints T (R, n, 2), refine the best of
-    every torus in one _active_refine per round, and return the winners.
-    A torus takes part in a round while some candidate of it gained in the
-    last one."""
-    cap = 2 * RADIUS_CAP
-    tops = [T[np.argsort(-np.minimum(_min_distances(T, m), cap), kind="stable")[:REFINE_TOP]]
-            for T, m in zip(ends, tori)]
-    ds = [_min_distances(top, m) for top, m in zip(tops, tori)]
-    lives = [np.arange(len(top)) for top in tops]
-    for _ in range(REFINE_ROUNDS):
-        on = [k for k, live in enumerate(lives) if live.size]
-        if not on:
-            break
-        refined = _active_refine([tops[k][lives[k]] for k in on], [tori[k] for k in on])
-        for k, r in zip(on, refined):
-            d_refined = _min_distances(r, tori[k])
-            better = d_refined > ds[k][lives[k]]  # a round is kept only if it gains
-            live = lives[k] = lives[k][better]
-            tops[k][live], ds[k][live] = r[better], d_refined[better]
-    results = []
-    for m, top, d in zip(tori, tops, ds):
-        best = int(np.argmax(np.minimum(d, cap)))  # the first of the best candidates
-        results.append(OracleResult(
-            best_radius=min(float(d[best]), cap) / 2,
-            best_centers=tuple(TorusPoint(*p).canonical(m) for p in top[best] @ _basis(m)),
-        ))
+    results: list[OracleResult] = []
+    for at in range(0, len(tori), block):
+        part = tori[at : at + block]
+        x, y = np.array([(m.x, m.y) for m in part]).T[:, :, None, None]
+        results += _best_of(_ascent(T0, x, y), part, x, y)
     return results
 
 
+def _best_of(ends: np.ndarray, tori: Sequence[ModuliPoint], x: np.ndarray, y: np.ndarray) -> list[OracleResult]:
+    """Rank the ascent endpoints ends (K, R, n, 2) of each torus, refine the
+    REFINE_TOP best of every torus in one _active_refine, keep each refined
+    row whose min distance gains, and return each torus's first best row."""
+    cap = 2 * RADIUS_CAP
+    order = np.argsort(-np.minimum(_min_distances(ends, x, y), cap), axis=1, kind="stable")
+    top = np.take_along_axis(ends, order[:, :REFINE_TOP, None, None], axis=1)
+    refined = _active_refine(top, x, y)
+    d, d_refined = _min_distances(top, x, y), _min_distances(refined, x, y)
+    better = d_refined > d  # a refined row is kept only if it gains
+    top[better], d[better] = refined[better], d_refined[better]
+    best = np.argmax(np.minimum(d, cap), axis=1)  # the first of the best candidates
+    k = np.arange(len(top))
+    return [OracleResult(min(float(r), cap) / 2, tuple(TorusPoint(*p).canonical(m) for p in c))
+            for m, r, c in zip(tori, d[k, best], top[k, best] @ _bases(x, y)[:, 0])]
+
+
 # The refined configurations are tangency solutions to machine precision
-# (no row of the sweep is off by more than 2.2e-16), so an oracle radius off
+# (no row of the sweep is off by more than 4.4e-16), so an oracle radius off
 # the closed form by more than 1e-12 either way is a wrong formula or an
 # oracle that missed the optimum's basin.
 ORACLE_ROUNDING_TOL = 1e-12
@@ -328,18 +312,13 @@ class ComparisonReport:
 def compare_with_closed_forms(
     n: int, tori: Sequence[ModuliPoint], restarts: int, seed: int
 ) -> list[ComparisonReport]:
-    """Closed form against the oracle on each torus, one ascent for all."""
+    """Closed form against the oracle on each torus, one ascent for all;
+    the formulas are read first, so an n without one raises before the ascent."""
+    formulas = [optimal_radius(n, m) for m in tori]
     results = maximize_min_distances(n, tori, restarts, seed)
-    reports = []
-    for m, res in zip(tori, results):
-        r_formula = optimal_radius(n, m)
-        reports.append(ComparisonReport(
-            formula_radius=r_formula,
-            oracle_radius=res.best_radius,
-            gap=abs(res.best_radius - r_formula),
-            restarts=restarts,
-        ))
-    return reports
+    return [ComparisonReport(formula_radius=r_formula, oracle_radius=res.best_radius,
+                             gap=abs(res.best_radius - r_formula), restarts=restarts)
+            for r_formula, res in zip(formulas, results)]
 
 
 def compare_with_closed_form(n: int, m: ModuliPoint, restarts: int, seed: int) -> ComparisonReport:

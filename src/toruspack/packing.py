@@ -27,6 +27,7 @@ class Packing(NamedTuple):
         return len(self.centers)
 
     def validate(self, tol: float = DEFAULT_TOL) -> "Packing":
+        _check_reading(self.radius, tol)
         _check_overlap(_pair_translates(self.m, _canonical(self.m, self.centers)), self.radius, tol)
         return self
 
@@ -59,6 +60,16 @@ def _pair_translates(m: ModuliPoint, canon: tuple[TorusPoint, ...]) -> list[tupl
         out += [(i, j, s1, s2, math.hypot(x, y)) for j, (q1, q2) in enumerate(frac[i + 1:], i + 1)
                 for s1, s2, x, y in corner_translates(q1 - p1, q2 - p2, m)]
     return out
+
+
+def _check_reading(radius: float, tol: float) -> None:
+    """The arguments validate and extract_graph accept: a positive, finite
+    radius and a tangency tolerance in [0, TOL_CEIL] (a NaN fails both)."""
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    if not 0 <= tol <= TOL_CEIL:
+        raise ValueError(f"tangency tolerance {tol!r} outside [0, {TOL_CEIL:g}]: "
+                         f"above {TOL_CEIL:g} is past the translate window's reach")
 
 
 def _check_overlap(translates: list[tuple[int, int, int, int, float]], r: float, tol: float) -> None:
@@ -97,10 +108,7 @@ def contacts(p: Packing, tol: float = DEFAULT_TOL) -> tuple[PackingGraph, tuple[
 
 
 def _extract(p: Packing, canon: tuple[TorusPoint, ...], tol: float) -> PackingGraph:
-    if p.radius <= 0:
-        raise ValueError("radius must be positive")
-    if not tol <= TOL_CEIL:
-        raise ValueError(f"tangency tolerance {tol:g} above {TOL_CEIL:g}, past the translate window's reach")
+    _check_reading(p.radius, tol)
     translates = _pair_translates(p.m, canon)
     _check_overlap(translates, p.radius, tol)
     edges = [(i, j, Displacement(s1, s2)) for i, j, s1, s2, length in translates

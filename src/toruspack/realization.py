@@ -24,13 +24,13 @@ RADIUS_CAP = 0.5  # shortest lattice vector has length 1 in the standard strip
 #
 # One system of m rows, each a vector v_t affine in the unknowns u
 # (positions with vertex 0 pinned, optionally the torus shape, and last the
-# common length L): v_t = A_t u + c_t, with offsets c per start.  An edge
-# row (sign +1) has the residual |v_t|^2 - L^2.  A hinge row (sign -1) has
-# (L^2 - |v_t|^2)_+, v_t the difference of two dart vectors at a vertex
-# ("neighbours at least L apart").  A 0/1 mask per start switches rows off.
-# Each Jacobian row is w . A_t + s e_k, with w = 2 sign v_t and
-# s = -2 sign L for a row that counts, and both 0 for a masked row or an off
-# hinge.  So the Jacobian follows from the constant tensor A by
+# common length L): v_t = A_t u + c_t, with offsets c per start.  Each start
+# signs each row: an edge row (+1) has the residual |v_t|^2 - L^2, a hinge
+# row (-1) has (L^2 - |v_t|^2)_+, v_t the difference of two dart vectors at
+# a vertex ("neighbours at least L apart"), and a row of sign 0 is not
+# solved.  Each Jacobian row is w . A_t + s e_k, with w = 2 sign v_t and
+# s = -2 sign L for a row that counts, and both 0 for a row of sign 0 or an
+# off hinge.  So the Jacobian follows from the constant tensor A by
 # multiply-adds, and damped Gauss-Newton runs on all starts at once.
 
 LM_MAX_ITER = 200
@@ -67,16 +67,17 @@ def _edge_vectors(u: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ At).reshape(len(u), *A.shape[:2]) + c
 
 
-def _equal_length_terms(u, rows, offsets, sign, active):
+def _equal_length_terms(u, rows, offsets, sign):
     """Residuals r (B, m) of the starts u (B, k), with the factors w (B, m, 2)
-    and s (B, m) of their Jacobian rows w . rows_t + s e_k.  A row counts
-    while its active entry is 1, and a hinge only while its gap is positive."""
+    and s (B, m) of their Jacobian rows w . rows_t + s e_k.  An edge row
+    (sign +1) counts, a hinge (-1) only while its gap is positive, and a row
+    of sign 0 never."""
     L = u[:, -1:]
     v = _edge_vectors(u, rows, offsets)
     r = sign * (v[..., 0] ** 2 + v[..., 1] ** 2 - L**2)
-    mask = ((r > 0) | (sign > 0)) * active
+    mask = (r > 0) | (sign > 0)
     r *= mask
-    w = (2 * sign)[:, None] * v * mask[..., None]
+    w = (2 * sign)[..., None] * v * mask[..., None]
     s = -2 * sign * L * mask
     return r, w, s
 
@@ -96,13 +97,13 @@ def _normal_equations(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndar
     return Jt @ J, (Jt @ r[..., None])[..., 0]
 
 
-def _solve_equal_lengths(rows, offsets, sign, active, u0):
+def _solve_equal_lengths(rows, offsets, sign, u0):
     """Levenberg-damped Gauss-Newton (More 1978, identity damping) on every
     start of u0 (B, k) at once, with one damping factor per start.
 
-    rows (m, 2, k) and offsets (B, m, 2) define the row vectors; sign (m,)
-    is +1 for an edge and -1 for a hinge, and active (B, m) is the 0/1 mask
-    of the rows each start solves for.  Returns the final u; its cost
+    rows (m, 2, k) and offsets (B, m, 2) define the row vectors, and sign
+    (B, m) what each start solves: +1 for an edge row, -1 for a hinge row
+    and 0 for a row it does not solve.  Returns the final u; its cost
     0.5 |r|^2 decides only which steps are accepted.  Identity damping keeps
     the step well posed on the underdetermined systems the realization
     solves, where J^T J is always singular.
@@ -120,7 +121,7 @@ def _solve_equal_lengths(rows, offsets, sign, active, u0):
     """
     u = np.array(u0, dtype=float)
     k = u.shape[1]
-    r, w, s = _equal_length_terms(u, rows, offsets, sign, active)
+    r, w, s = _equal_length_terms(u, rows, offsets, sign)
     JTJ, JTr = _normal_equations(_jacobian(w, s, rows), r)
     cost = 0.5 * (r**2).sum(1)
     diag = np.diagonal(JTJ, axis1=1, axis2=2).max(1)
@@ -128,15 +129,15 @@ def _solve_equal_lengths(rows, offsets, sign, active, u0):
     lam = np.maximum(LM_LAMBDA_INIT * diag, floor)
     live = ~(cost <= LM_COST_FLOOR)
     idx = np.flatnonzero(live)
-    U, C, JTJ, JTr, lam, floor, offsets, active = (
-        a[live] for a in (u, cost, JTJ, JTr, lam, floor, offsets, active))
+    U, C, JTJ, JTr, lam, floor, offsets, sign = (
+        a[live] for a in (u, cost, JTJ, JTr, lam, floor, offsets, sign))
     eye = np.eye(k)
     for _ in range(LM_MAX_ITER):
         if not idx.size:
             break
         H = JTJ + lam[:, None, None] * eye
         trial = U - np.linalg.solve(H, JTr[..., None])[..., 0]
-        rt, wt, st = _equal_length_terms(trial, rows, offsets, sign, active)
+        rt, wt, st = _equal_length_terms(trial, rows, offsets, sign)
         ct = 0.5 * (rt**2).sum(1)
         ok = ct < C
         U[ok], C[ok] = trial[ok], ct[ok]
@@ -145,8 +146,8 @@ def _solve_equal_lengths(rows, offsets, sign, active, u0):
         go = ~((C <= LM_COST_FLOOR) | (lam > LM_LAMBDA_CEIL))
         if not go.all():
             u[idx[~go]] = U[~go]
-            idx, U, C, JTJ, JTr, lam, floor, offsets, active = (
-                a[go] for a in (idx, U, C, JTJ, JTr, lam, floor, offsets, active))
+            idx, U, C, JTJ, JTr, lam, floor, offsets, sign = (
+                a[go] for a in (idx, U, C, JTJ, JTr, lam, floor, offsets, sign))
     u[idx] = U
     return u
 
@@ -253,7 +254,7 @@ def realize_embedding(
     nv = e.graph.vertex_count
     A, c, darts = _realization_system(e)
     Aq, cq, joined = _tangent_pairs(A, c, darts)
-    # one system: the edges, then the hinges; every row active in every start
+    # one system: the edges, then the hinges, signed alike in every start
     rows, offsets = np.concatenate([A, Aq]), np.concatenate([c, cq])
     sign = np.repeat([1.0, -1.0], [len(A), len(Aq)])
     # per start: positions, then x, y and L, each uniform on [lo, hi); a
@@ -268,7 +269,7 @@ def realize_embedding(
             continue
         u0 = lo + (hi - lo) * np.reshape(stream.randoms(count * len(lo)), (count, len(lo)))
         shape = (count,) + offsets.shape
-        u = _solve_equal_lengths(rows, np.broadcast_to(offsets, shape), sign, np.ones(shape[:2]), u0)
+        u = _solve_equal_lengths(rows, np.broadcast_to(offsets, shape), np.broadcast_to(sign, shape[:2]), u0)
         # cheap rejections on the whole block: unsolved (unequal lengths),
         # degenerate, and two neighbours that are not joined but touch.
         # Within the radius cap the reduction scales lengths by at most

@@ -54,7 +54,7 @@ def realize_embedding(e, attempts=200, seed=0, max_samples=8, residual_tol=1e-10
     m = len(A) + len(Aq)
     u = realization._solve_equal_lengths(
         np.concatenate([A, Aq]), np.broadcast_to(np.concatenate([c, cq]), (attempts, m, 2)),
-        np.repeat([1.0, -1.0], [len(A), len(Aq)]), np.ones((attempts, m)), u0,
+        np.broadcast_to(np.repeat([1.0, -1.0], [len(A), len(Aq)]), (attempts, m)), u0,
     )
     d = realization._edge_vectors(u, A, c)
     q = realization._edge_vectors(u, Aq, cq)

@@ -516,7 +516,7 @@ class TestCornerWindow:
         nearest's by 1/2; and the loop shifts hold every loop shorter than
         sqrt(2) (lattice's module docstring)."""
         got = corner_translates(t1, t2, m)
-        s, v = _corner_arrays(np.array([t1, t2]), m)
+        s, v = _corner_arrays(np.array([t1, t2]), m.x, m.y)
         assert [(a, b) for a, b, _, _ in got] == [(int(a), int(b)) for a, b in s.T]
         assert repr([(x, y) for _, _, x, y in got]) == repr([(float(x), float(y)) for x, y in v.T])
         for (_, _, x, y), length in zip(got, np.hypot(v[0], v[1])):  # math.hypot and np.hypot within 1 ulp
@@ -540,10 +540,20 @@ class TestCornerWindow:
         rng = np.random.default_rng(21)
         m = ModuliPoint(0.3, 1.4)
         frac = rng.uniform(-4, 4, (5, 3, 2))
-        s, v = _corner_arrays(frac, m)
+        s, v = _corner_arrays(frac, m.x, m.y)
         assert s.shape == v.shape == (2, 5, 3, 4)
-        one_s, one_v = _corner_arrays(frac[2, 1], m)
+        one_s, one_v = _corner_arrays(frac[2, 1], m.x, m.y)
         assert np.array_equal(s[:, 2, 1], one_s) and np.array_equal(v[:, 2, 1], one_v)
+        # a torus per row, from x and y (5, 1) broadcast against the rows
+        # (5, 3): each row is corner_translates at its own torus, bit for bit
+        tori = [ModuliPoint(0.0, 1.0), ModuliPoint(0.5, SQRT3 / 2), m, ModuliPoint(0.25, 2.5), ModuliPoint(0.5, 1.1)]
+        x, y = np.array([(t.x, t.y) for t in tori]).T[:, :, None]
+        s, v = _corner_arrays(frac, x, y)
+        assert s.shape == v.shape == (2, 5, 3, 4)
+        for row, col in np.ndindex(5, 3):
+            got = corner_translates(*frac[row, col].tolist(), tori[row])
+            assert [(a, b) for a, b, _, _ in got] == [(int(a), int(b)) for a, b in s[:, row, col].T]
+            assert repr([(p, q) for _, _, p, q in got]) == repr([(float(p), float(q)) for p, q in v[:, row, col].T])
 
 
 def test_fundamental_domain_area():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from toruspack import oracle
 from toruspack.closed_form import optimal_radius
+from toruspack.errors import UnsupportedN
 from toruspack.lattice import ModuliPoint, TorusPoint
 from toruspack.oracle import compare_with_closed_form, maximize_min_distances
 from toruspack.packing import Packing, extract_graph
@@ -36,6 +37,23 @@ class TestMaxMin:
         for n, tori in ((3, [ModuliPoint(0.1, 1.4)]), (1, [ModuliPoint(0.1, 1.4)]), (3, [])):
             with pytest.raises(ValueError, match="restarts must be at least 1"):
                 maximize_min_distances(n, tori, restarts=restarts, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_point_is_refused(self, n):
+        # a ValueError at entry, not an IndexError from the starts
+        for tori in ([ModuliPoint(0.1, 1.4)], []):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                maximize_min_distances(n, tori, restarts=5, seed=0)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_comparison_reads_the_formulas_first(self, monkeypatch, n):
+        # an n with no closed form raises before any ascent runs
+        def ascent(*args):
+            raise AssertionError("ascent ran")
+
+        monkeypatch.setattr(oracle, "_ascent", ascent)
+        with pytest.raises(UnsupportedN):
+            compare_with_closed_form(n, ModuliPoint(0.1, 1.4), restarts=5, seed=0)
 
     def test_deterministic(self):
         a = maximize_min_distances(3, [ModuliPoint(0.1, 1.4)], restarts=20, seed=9)[0]
@@ -81,10 +99,12 @@ class TestMaxMin:
 @pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.5, SQRT3 / 2), (0.3, 1.7), (0.25, 1.3)])
 def test_basis_rows_map_lattice_coords_to_the_plane(x, y):
     # the ascent and refine work in lattice coordinates and map back through
-    # _basis; its convention must be lattice.TorusPoint.lattice_coords's
+    # _bases; its convention must be lattice.TorusPoint.lattice_coords's
     m = ModuliPoint(x, y)
-    B = oracle._basis(m)
+    B = oracle._bases(np.array([x]), np.array([y]))
     assert B.tolist() == [[1.0, 0.0], [x, y]]
+    # one basis per torus of a block's (K, 1, 1) moduli
+    assert oracle._bases(np.full((3, 1, 1), x), np.full((3, 1, 1), y)).tolist() == [[[[1.0, 0.0], [x, y]]]] * 3
     for p in (TorusPoint(0.2, 0.1), TorusPoint(-1.3, 2.4), TorusPoint(7.5, -3.25)):
         t = p.lattice_coords(m)
         np.testing.assert_allclose(np.array(t) @ B, np.array(p), rtol=0, atol=1e-12)
@@ -98,10 +118,10 @@ def _reference_ascent(T, m):
     its corners are _corner_arrays's bit for bit."""
     n = T.shape[1]
     I, J = np.triu_indices(n, k=1)
-    binv = np.linalg.inv(oracle._basis(m))
+    binv = np.linalg.inv(oracle._bases(np.array([m.x]), np.array([m.y])))
     (beta, beta_cap), (step, decay) = oracle.ASCENT_BETA, oracle.ASCENT_STEP
     for it in range(oracle.ASCENT_ITERS):
-        v = np.moveaxis(oracle._corner_arrays(T[:, J] - T[:, I], m)[1], -1, 0)  # 4 x (2, R, P)
+        v = np.moveaxis(oracle._corner_arrays(T[:, J] - T[:, I], m.x, m.y)[1], -1, 0)  # 4 x (2, R, P)
         dist = [np.sqrt(c[0] ** 2 + c[1] ** 2 + oracle.DIST_FLOOR_SQ) for c in v]
         dmin = np.min(dist, axis=(0, 2))[:, None]
         w = [np.exp(-beta * (d - dmin)) for d in dist]
@@ -126,6 +146,11 @@ def _tori(n, count, seed):
     return [sample_interior(n, 1 + k % region_count(n), rng) for k in range(count)]
 
 
+def _moduli(tori):
+    """A block's x and y arrays (K, 1, 1), as maximize_min_distances builds them."""
+    return np.array([(m.x, m.y) for m in tori]).T[:, :, None, None]
+
+
 _POOL = {n: _tori(n, 4, 40 + n) for n in (2, 3, 4)}
 
 
@@ -141,7 +166,7 @@ class TestBatchedAscent:
         assert oracle.ASCENT_ITERS > 0 and oracle.ASCENT_ITERS % 10 == 0
         tori = _tori(n, 3, n)
         T0 = np.random.default_rng(n).random((12, n, 2))
-        ends = oracle._ascent(T0, tori)
+        ends = oracle._ascent(T0, *_moduli(tori))
         for m, T in zip(tori, ends):
             np.testing.assert_array_equal(T, _reference_ascent(T0.copy(), m))
 
@@ -169,8 +194,12 @@ class TestBatchedAscent:
         monkeypatch.setattr(np, "einsum", einsum)
         assert len(maximize_min_distances(3, _POOL[3][:2], restarts=10, seed=1)) == 2
 
-    def test_refine_is_one_solve_per_round(self, monkeypatch):
-        # four tori: one batched solve per round, not one per torus
+    # four tori of 10 candidates each (n = 4: 4 * 6 * 10 * 8 ascent bytes a
+    # torus): one block, blocks of two, blocks of one
+    @pytest.mark.parametrize("budget, sizes", [(None, [40]), (2 * 1920, [20, 20]), (1, [10] * 4)])
+    def test_refine_is_one_solve_per_block(self, monkeypatch, budget, sizes):
+        # one batched solve per block, on every candidate of every torus of
+        # it, not one per torus or per round
         calls = []
         solve = oracle._solve_equal_lengths
 
@@ -179,9 +208,10 @@ class TestBatchedAscent:
             return solve(*args)
 
         monkeypatch.setattr(oracle, "_solve_equal_lengths", counting)
+        if budget is not None:
+            monkeypatch.setattr(oracle, "ASCENT_BLOCK_BYTES", budget)
         batched = maximize_min_distances(4, _POOL[4], restarts=10, seed=0)
-        assert 1 <= len(calls) <= oracle.REFINE_ROUNDS
-        assert calls[0] == len(_POOL[4]) * 10  # every candidate of every torus
+        assert calls == sizes
         assert [repr(r) for r in batched] == [repr(_alone(4, k, 0)) for k in range(4)]
 
     def test_empty_table_and_single_circle(self):

@@ -11,6 +11,7 @@ from toruspack.errors import OverlapDetected
 from toruspack.lattice import (
     DEFAULT_TOL,
     LOOP_SHIFTS,
+    TOL_CEIL,
     Displacement,
     ModuliPoint,
     TorusPoint,
@@ -109,6 +110,31 @@ class TestExtract:
             with pytest.raises(OverlapDetected):
                 p.validate()
 
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -0.1, math.inf])
+    def test_radius_not_positive_and_finite_is_refused(self, radius):
+        # a record's radius, read by validate and by the graph readers
+        record = packing_to_dict(optimal_packing(3, ModuliPoint(0.2, 1.5)))
+        p = packing_from_dict({**record, "radius": radius})
+        for read in (Packing.validate, extract_graph, contacts):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                read(p)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, 0.11, math.inf])
+    def test_tolerance_outside_the_window_is_refused(self, tol):
+        # two coincident circles (validate once passed them at a NaN tol) and
+        # a valid n = 3 optimum (extract_graph once read an overlap at -1e-9)
+        coincident = Packing(m=ModuliPoint(0, 1), centers=(TorusPoint(0, 0), TorusPoint(0, 0)), radius=0.25)
+        for p in (coincident, optimal_packing(3, ModuliPoint(0.2, 1.5))):
+            for read in (Packing.validate, extract_graph, contacts):
+                with pytest.raises(ValueError, match="tangency tolerance"):
+                    read(p, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, TOL_CEIL])
+    def test_tolerance_window_is_closed(self, tol):
+        p = Packing(m=ModuliPoint(0, 1), centers=(TorusPoint(0, 0), TorusPoint(0.5, 0.5)), radius=0.25)
+        assert p.validate(tol=tol) is p
+        assert extract_graph(p, tol=tol).edges == ()
+
     @settings(max_examples=300, deadline=None)
     @given(
         _strip_points(),
@@ -199,7 +225,7 @@ def _batch_graph(p, tol):
     shifts and np.hypot: the tangencies, or OverlapDetected."""
     frac = np.array([c.canonical(p.m).lattice_coords(p.m) for c in p.centers])
     I, J = np.triu_indices(p.n, 1)
-    shifts, v = _corner_arrays(frac[J] - frac[I], p.m)
+    shifts, v = _corner_arrays(frac[J] - frac[I], p.m.x, p.m.y)
     loops = np.array(LOOP_SHIFTS, float).T
     witnesses = [(I[k], J[k], *shifts[:, k, c]) for k, c in np.ndindex(len(I), 4)]
     witnesses += [(i, i, a, b) for i in range(p.n) for a, b in LOOP_SHIFTS]

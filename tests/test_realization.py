@@ -105,9 +105,10 @@ class TestRealize:
         residuals = []
         solve = realization._solve_equal_lengths
 
-        def recording(rows, offsets, sign, active, u0):
-            u = solve(rows, offsets, sign, active, u0)
-            d = realization._edge_vectors(u, rows[sign > 0], offsets[:, sign > 0])
+        def recording(rows, offsets, sign, u0):
+            u = solve(rows, offsets, sign, u0)
+            assert (sign == sign[0]).all()  # every start signs the rows alike
+            d = realization._edge_vectors(u, rows[sign[0] > 0], offsets[:, sign[0] > 0])
             L = np.abs(u[:, -1])
             sound = (L >= realization.DEGENERATE_SCALE) & (np.abs(u[:, -2]) >= realization.DEGENERATE_SCALE)
             residuals.extend(np.abs(np.hypot(d[..., 0], d[..., 1]) - L[:, None]).max(1)[sound])
@@ -236,21 +237,21 @@ def _random_system(rng, E, k, P):
 
 
 def _stacked(A, c, hinge, active, B):
-    """The solver's one system for B starts: the edge rows A (sign +1), then
-    the hinge rows (sign -1) if any; offsets c (E, 2) shared or (B, E, 2)
-    per start, and each hinge's cq shared; the edges' (B, E) mask active,
-    or all of them, and every hinge active."""
+    """The solver's one system for B starts: the edge rows A, then the hinge
+    rows if any; offsets c (E, 2) shared or (B, E, 2) per start, and each
+    hinge's cq shared; the signs (B, m): +1 on the edges of the (B, E) 0/1
+    mask active, or on all of them, 0 on the other edges, and -1 on every
+    hinge."""
     Aq, cq = hinge if hinge is not None else (np.zeros((0,) + A.shape[1:]), np.zeros((0, 2)))
     offsets = np.concatenate([np.broadcast_to(c, (B,) + c.shape[-2:]), np.broadcast_to(cq, (B,) + cq.shape)], 1)
     active = np.ones((B, len(A))) if active is None else active
-    return (np.concatenate([A, Aq]), offsets, np.repeat([1.0, -1.0], [len(A), len(Aq)]),
-            np.concatenate([active, np.ones((B, len(Aq)))], 1))
+    return np.concatenate([A, Aq]), offsets, np.concatenate([active, -np.ones((B, len(Aq)))], 1)
 
 
 def _terms(u, A, c, hinge=None, active=None):
     """The solver's residuals (B, m) and Jacobian (B, m, k) at the starts u."""
-    rows, offsets, sign, mask = _stacked(A, c, hinge, active, len(u))
-    r, w, s = realization._equal_length_terms(u, rows, offsets, sign, mask)
+    rows, offsets, sign = _stacked(A, c, hinge, active, len(u))
+    r, w, s = realization._equal_length_terms(u, rows, offsets, sign)
     return r, realization._jacobian(w, s, rows)
 
 
@@ -258,7 +259,7 @@ def _magnitudes(u, A, c, hinge):
     """For each entry of r (B, m) and J (B, m, k), the sum of the magnitudes
     of the terms its formula adds up: its rounding error is a small
     multiple of machine epsilon times this."""
-    rows, offsets, _, _ = _stacked(
+    rows, offsets, _ = _stacked(
         np.abs(A), np.abs(c), None if hinge is None else (np.abs(hinge[0]), np.abs(hinge[1])), None, len(u)
     )
     D = reference.edge_vectors(np.abs(u), rows, offsets)
@@ -296,8 +297,8 @@ _SYSTEMS = _solver_systems()
 def _solve_picks(which, picks):
     A, c, hinge, active, u0 = _SYSTEMS[which]
     sel = np.array(picks)
-    rows, offsets, sign, mask = _stacked(A, c, hinge, active, len(u0))
-    return realization._solve_equal_lengths(rows, offsets[sel], sign, mask[sel], u0[sel])
+    rows, offsets, sign = _stacked(A, c, hinge, active, len(u0))
+    return realization._solve_equal_lengths(rows, offsets[sel], sign[sel], u0[sel])
 
 
 @functools.cache
